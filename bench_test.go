@@ -7,7 +7,6 @@ package inpg_test
 // full-size tables.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -295,13 +294,11 @@ func BenchmarkSimulatorIdleHeavy(b *testing.B) {
 }
 
 // largeMeshConfig is the BenchmarkSimulatorLargeMesh workload: the full
-// iNPG+OCOR protocol on a dim×dim mesh under the given shard count.
-// Contended TTL (every thread spinning on one lock with distance-scaled
-// backoff) keeps most routers awake most cycles — the shape where the
-// sharded tick pass has real work to split. The seed is fixed so every
-// shard count simulates the identical run; the sim-cycles/run metric is
-// the cycle-exactness witness (it must not move across sub-benchmarks).
-func largeMeshConfig(dim, shards int, lk inpg.LockKind, parallel int) inpg.Config {
+// iNPG+OCOR protocol on a dim×dim mesh. Contended TTL (every thread
+// spinning on one lock with distance-scaled backoff) keeps most routers
+// awake most cycles. The seed is fixed, so sim-cycles/run is a witness
+// that the same simulation ran.
+func largeMeshConfig(dim int, lk inpg.LockKind, parallel int) inpg.Config {
 	cfg := inpg.DefaultConfig()
 	cfg.MeshWidth, cfg.MeshHeight = dim, dim
 	cfg.Mechanism = inpg.INPGOCOR
@@ -312,16 +309,11 @@ func largeMeshConfig(dim, shards int, lk inpg.LockKind, parallel int) inpg.Confi
 	cfg.ParallelCycles = parallel
 	cfg.ParallelJitter = parallel / 4
 	cfg.Seed = 1
-	cfg.Shards = shards
 	return cfg
 }
 
-// BenchmarkSimulatorLargeMesh measures large-mesh simulation speed and the
-// sharded engine's scaling: 16×16 and 32×32, contended TTL plus an
-// activity-light QSL case, each across shard counts. Expect speedup only
-// when GOMAXPROCS offers real cores; on fewer cores the adaptive inline
-// gate keeps the overhead flat. Results for any shard count are
-// bit-identical (pinned by shards_test.go); sim-cycles/run proves it here.
+// BenchmarkSimulatorLargeMesh measures large-mesh simulation speed:
+// 16×16 and 32×32 contended TTL plus an activity-light 32×32 QSL case.
 func BenchmarkSimulatorLargeMesh(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -334,33 +326,22 @@ func BenchmarkSimulatorLargeMesh(b *testing.B) {
 		{"32x32-TTL-contended", 32, inpg.LockTTL, 20000},
 	}
 	for _, c := range cases {
-		// 0 benches the CLIs' -shards 0 auto mode: inpg.AutoShards picks
-		// the count from GOMAXPROCS and the mesh, so on a single-core
-		// host it must match shards=1 (the gate against paying barrier
-		// overhead with no cores to spread it over).
-		for _, shards := range []int{1, 2, 4, 8, 0} {
-			name := fmt.Sprintf("%s/shards=%d", c.name, shards)
-			if shards == 0 {
-				shards = inpg.AutoShards(c.dim, c.dim)
-				name = fmt.Sprintf("%s/shards=auto(%d)", c.name, shards)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var cycles uint64
-				for i := 0; i < b.N; i++ {
-					sys, err := inpg.New(largeMeshConfig(c.dim, shards, c.lk, c.parallel))
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sys.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += res.Runtime
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cycles uint64
+			for i := 0; i < b.N; i++ {
+				sys, err := inpg.New(largeMeshConfig(c.dim, c.lk, c.parallel))
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/run")
-			})
-		}
+				res, err := sys.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += res.Runtime
+			}
+			b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/run")
+		})
 	}
 }
 

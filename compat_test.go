@@ -9,9 +9,12 @@ package inpg_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"inpg"
+	"inpg/internal/fault"
 	"inpg/internal/trace"
 )
 
@@ -95,4 +98,75 @@ func TestActivitySchedulingMatchesAlwaysTickOriginal(t *testing.T) {
 	if !reflect.DeepEqual(activeEvents, compatEvents) {
 		t.Fatal("trace event streams diverge")
 	}
+}
+
+// TestShardedRunMatchesCompatMode pins the deprecated shard knob: the
+// sharded engine is gone, and a configuration that still sets Shards the
+// way older callers did (AutoShards, or an explicit 1) must run the one
+// engine and stay bit-identical to the default run and to the always-tick
+// reference scheduler.
+func TestShardedRunMatchesCompatMode(t *testing.T) {
+	cfg := inpg.DefaultConfig()
+	cfg.Lock = inpg.LockMCS
+	cfg.Mechanism = inpg.INPGOCOR
+	cfg.CSPerThread = 2
+	cfg.Seed = 7
+	cfg.Fault = fault.AtRate(0.001, 42)
+
+	base, baseEvents := compatRun(t, cfg, false)
+	for _, shards := range []int{1, inpg.AutoShards(cfg.MeshWidth, cfg.MeshHeight)} {
+		for _, alwaysTick := range []bool{false, true} {
+			c := cfg
+			c.Shards = shards
+			res, events := compatRun(t, c, alwaysTick)
+			if !reflect.DeepEqual(res, base) {
+				t.Fatalf("Shards=%d alwaysTick=%v: results diverge:\ngot:  %+v\nbase: %+v", shards, alwaysTick, res, base)
+			}
+			if !reflect.DeepEqual(events, baseEvents) {
+				t.Fatalf("Shards=%d alwaysTick=%v: trace event streams diverge", shards, alwaysTick)
+			}
+		}
+	}
+}
+
+// TestShardedTeardownLeaksNoGoroutines runs a configuration that still
+// sets the deprecated shard knob to completion and to a wall-clock
+// timeout, and requires no goroutine to outlive either run.
+func TestShardedTeardownLeaksNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	wait := func(label string) {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines live, started with %d — the run leaked goroutines", label, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	cfg := inpg.DefaultConfig()
+	cfg.Lock = inpg.LockQSL
+	cfg.Mechanism = inpg.INPG
+	cfg.CSPerThread = 2
+	cfg.Seed = 5
+	cfg.Shards = inpg.AutoShards(cfg.MeshWidth, cfg.MeshHeight)
+	cfg.WallTimeBudget = time.Nanosecond // unmeetable: the run must time out
+	sys, err := inpg.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err == nil {
+		t.Fatal("a nanosecond wall budget should have timed the run out")
+	}
+	wait("timeout abort")
+
+	cfg.WallTimeBudget = 0
+	sys, err = inpg.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wait("clean completion")
 }

@@ -49,7 +49,6 @@ import (
 	"inpg/internal/stats"
 	"inpg/internal/trace"
 	"math/rand"
-	"runtime"
 )
 
 // Mechanism selects the comparative case of the evaluation (Section 5.1).
@@ -252,17 +251,12 @@ type Config struct {
 	// debugging suspected wake/sleep protocol violations.
 	AlwaysTick bool
 
-	// Shards, when ≥ 2, partitions the mesh into that many contiguous
-	// row stripes and runs each stripe's per-cycle tick work on its own
-	// goroutine, synchronized by a conservative-lookahead barrier every
-	// cycle (internal/sim/shard.go, internal/noc/shard.go). Results,
-	// figures and traces are bit-identical for every shard count — the
-	// differential tests at the repository root pin this — so Shards is
-	// purely an execution strategy for large meshes, not a simulation
-	// parameter. It is therefore excluded from the JSON encoding: the
-	// config digest, run manifests and reports must not distinguish runs
-	// by how many goroutines computed them. Counts above MeshHeight are
-	// clamped; 0 and 1 run the classic single-threaded engine.
+	// Shards selected the removed sharded tick pass. 0 and 1 run the
+	// single-threaded engine; New rejects any other value. It is excluded
+	// from the JSON encoding, so it never reaches digests or manifests.
+	//
+	// Deprecated: the sharded engine was removed; leave Shards at 0. Run
+	// independent cells in parallel (runner workers, the fleet) instead.
 	Shards int `json:"-"`
 
 	// JourneyRate, when in (0, 1], samples that fraction of
@@ -272,8 +266,8 @@ type Config struct {
 	// of (Seed, thread, acquire index) — no RNG — and the tracer follows
 	// the tracingLock/metricsLock discipline of adding no simulated time,
 	// so sampled runs are cycle-identical to unsampled ones (pinned by
-	// TestJourneySamplingInvisible). Like Shards it is an observability
-	// strategy, not a simulation parameter, and is excluded from the JSON
+	// TestJourneySamplingInvisible). It is an observability strategy, not
+	// a simulation parameter, and is excluded from the JSON
 	// encoding: the config digest and manifests must not distinguish runs
 	// by whether someone was watching.
 	JourneyRate float64 `json:"-"`
@@ -406,8 +400,8 @@ func New(cfg Config) (*System, error) {
 	if cfg.CSPerThread <= 0 {
 		return nil, fmt.Errorf("inpg: CSPerThread must be positive")
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("inpg: Shards must be non-negative, got %d", cfg.Shards)
+	if cfg.Shards < 0 || cfg.Shards > 1 {
+		return nil, fmt.Errorf("inpg: Shards=%d: the sharded engine was removed; use 0 or 1", cfg.Shards)
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
@@ -425,12 +419,6 @@ func New(cfg Config) (*System, error) {
 	fcfg.Dir.DisableAckOverlap = cfg.DisableAckOverlap
 	fab, err := coherence.NewFabric(eng, fcfg)
 	if err != nil {
-		return nil, err
-	}
-	// Sharding arms right after the fabric wires the mesh: routers and
-	// NIs are the engine's only tickers (everything else is event-driven),
-	// which is exactly what the row-stripe partition requires.
-	if _, err := fab.Net.SetShards(cfg.Shards); err != nil {
 		return nil, err
 	}
 
@@ -617,31 +605,11 @@ func PrimaryLockAddr(cfg Config) uint64 {
 	return homes.AddrForHome(home, 0)
 }
 
-// AutoShardMinNodes is the mesh size below which AutoShards keeps the
-// classic single-threaded engine: on small meshes the per-cycle barrier
-// and staging overhead of the sharded tick pass exceeds the tick work it
-// parallelizes (BENCH_6/BENCH_7), so auto mode only shards meshes of at
-// least this many nodes (16×16 and up).
-const AutoShardMinNodes = 256
-
-// AutoShards resolves the shard-count auto mode (the CLIs' -shards 0):
-// one shard per available core, capped at the mesh height (row stripes
-// cannot be thinner than one row) and gated to 1 when the mesh is smaller
-// than AutoShardMinNodes. Sharding is bit-identical at every count, so
-// the choice only affects wall-clock time, never results.
-func AutoShards(meshWidth, meshHeight int) int {
-	if meshWidth*meshHeight < AutoShardMinNodes {
-		return 1
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > meshHeight {
-		n = meshHeight
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// AutoShards returns 1, the only shard count New accepts.
+//
+// Deprecated: the sharded engine was removed; Config.Shards needs no
+// resolution.
+func AutoShards(meshWidth, meshHeight int) int { return 1 }
 
 // defaultLockHome picks the paper's Figure 10 lock position, core (5,6),
 // when the mesh has it; otherwise the mesh center.
@@ -817,10 +785,6 @@ func (s *System) collect() *Results {
 
 // Engine exposes the simulation engine (advanced use, examples).
 func (s *System) Engine() *sim.Engine { return s.eng }
-
-// ShardCount reports the shard count in effect (1 on the classic
-// single-threaded engine; Config.Shards after clamping otherwise).
-func (s *System) ShardCount() int { return s.fab.Net.ShardCount() }
 
 // Fabric exposes the coherent memory system (tests, invariant checks).
 func (s *System) Fabric() *coherence.Fabric { return s.fab }

@@ -175,29 +175,13 @@ func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coheren
 	m.Token = token
 	p.LockReq = false // other big routers must not stop the forward
 	if p.Journey != nil {
-		// A sampled journey notes the in-network stop inline; the packet's
-		// head flit has one owning router per cycle, so this is shard-safe
-		// (the same discipline as the m rewrite above).
-		p.JIntercepted = true
+		p.JIntercepted = true // a sampled journey notes the in-network stop
 	}
 	if g.Tracer != nil {
-		stop := trace.Event{Cycle: now, Kind: trace.PktStop, Node: g.Node,
-			Src: m.Requestor, Dst: p.Dst, Addr: m.Addr, Detail: "GetX->FwdGetX"}
-		einv := trace.Event{Cycle: now, Kind: trace.EarlyInv, Node: g.Node,
-			Src: g.Node, Dst: m.Requestor, Addr: m.Addr, Detail: "generated Inv"}
-		if r != nil && r.InShardedPass() {
-			// The trace buffer is shared across nodes: under a sharded
-			// tick pass, appends replay at the cycle barrier in the
-			// sequential engine's order. The events are captured by
-			// value, so later packet rewrites cannot alter them.
-			r.DeferToBarrier(func() {
-				g.Tracer.Add(stop)
-				g.Tracer.Add(einv)
-			})
-		} else {
-			g.Tracer.Add(stop)
-			g.Tracer.Add(einv)
-		}
+		g.Tracer.Add(trace.Event{Cycle: now, Kind: trace.PktStop, Node: g.Node,
+			Src: m.Requestor, Dst: p.Dst, Addr: m.Addr, Detail: "GetX->FwdGetX"})
+		g.Tracer.Add(trace.Event{Cycle: now, Kind: trace.EarlyInv, Node: g.Node,
+			Src: g.Node, Dst: m.Requestor, Addr: m.Addr, Detail: "generated Inv"})
 	}
 
 	inv := &coherence.Message{
@@ -218,13 +202,7 @@ func (g *Gen) onEarlyInvAck(now sim.Cycle, r *noc.Router, m *coherence.Message) 
 	if b := g.barriers[m.Addr]; b != nil {
 		if ei := b.eis[m.AckFor]; ei != nil {
 			if g.rtt != nil {
-				// The RTT collector is shared across big routers; same
-				// barrier-deferral discipline as the tracer.
-				if core, rtt := m.AckFor, now-ei.invSentAt; r != nil && r.InShardedPass() {
-					r.DeferToBarrier(func() { g.rtt.RecordRTT(core, rtt) })
-				} else {
-					g.rtt.RecordRTT(core, rtt)
-				}
+				g.rtt.RecordRTT(m.AckFor, now-ei.invSentAt)
 			}
 			ei.phase = PhaseAckForwarded
 			delete(b.eis, m.AckFor)
@@ -240,13 +218,8 @@ func (g *Gen) onEarlyInvAck(now sim.Cycle, r *noc.Router, m *coherence.Message) 
 	// Always relay: the home must never lose an acknowledgement.
 	g.Stats.AcksRelayed++
 	if g.Tracer != nil {
-		ev := trace.Event{Cycle: now, Kind: trace.AckRelay, Node: g.Node,
-			Src: m.AckFor, Dst: g.homes.Home(m.Addr), Addr: m.Addr, Detail: "InvAck relayed"}
-		if r != nil && r.InShardedPass() {
-			r.DeferToBarrier(func() { g.Tracer.Add(ev) })
-		} else {
-			g.Tracer.Add(ev)
-		}
+		g.Tracer.Add(trace.Event{Cycle: now, Kind: trace.AckRelay, Node: g.Node,
+			Src: m.AckFor, Dst: g.homes.Home(m.Addr), Addr: m.Addr, Detail: "InvAck relayed"})
 	}
 	fwd := &coherence.Message{
 		Type:     coherence.MsgInvAck,

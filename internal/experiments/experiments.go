@@ -42,17 +42,6 @@ type Options struct {
 	// Programs, when non-empty, restricts the program-sweep figures
 	// (8, 11/12) to the named workload profiles.
 	Programs []string
-	// Shards splits each simulation's mesh into this many row stripes
-	// ticked by parallel shard workers (Config.Shards). Like Workers it is
-	// an execution strategy, not a simulation parameter: figure outputs are
-	// bit-identical for every value. 0 — the default — resolves per run
-	// via inpg.AutoShards (one shard per core, capped at the mesh height,
-	// and the classic engine on meshes under inpg.AutoShardMinNodes
-	// nodes, so the default 8×8 sweeps are unchanged); 1 forces the
-	// classic single-threaded engine. Combining Shards > 1 with
-	// Workers > 1 oversubscribes the host — prefer sharding single long
-	// runs and worker-parallelism for sweeps.
-	Shards int
 	// Compat runs every simulation with the engine's always-tick
 	// reference mode instead of activity-driven scheduling. Figure
 	// outputs are identical either way (the scheduler is cycle-exact);
@@ -208,7 +197,6 @@ func ConfigFor(p workload.Profile, mech inpg.Mechanism, lk inpg.LockKind, o Opti
 	cfg.ParallelCycles = p.ParallelCycles
 	cfg.ParallelJitter = p.ParallelCycles / 3
 	cfg.AlwaysTick = o.Compat
-	cfg.Shards = resolvedShards(o.Shards, cfg.MeshWidth, cfg.MeshHeight)
 	cfg.WatchdogWindow = o.WatchdogWindow
 	cfg.Metrics = o.Metrics
 	cfg.MetricsSampleEvery = o.MetricsSampleEvery
@@ -221,15 +209,6 @@ func ConfigFor(p workload.Profile, mech inpg.Mechanism, lk inpg.LockKind, o Opti
 		cfg.Fault = fault.AtRate(o.FaultRate, o.faultSeed())
 	}
 	return cfg
-}
-
-// resolvedShards maps the shard-count auto sentinel (0) onto
-// inpg.AutoShards for the run's mesh; explicit counts pass through.
-func resolvedShards(shards, meshWidth, meshHeight int) int {
-	if shards == 0 {
-		return inpg.AutoShards(meshWidth, meshHeight)
-	}
-	return shards
 }
 
 // faultSeed resolves the injector seed: explicit, or derived from Seed.
@@ -374,7 +353,10 @@ func (o Options) observer(sweep string) runner.Observer {
 	return func(out runner.Outcome) {
 		// Skipped cells are resume hits: their manifest on disk is the
 		// good record being reused — never overwrite it with a blank one.
-		if out.Done && out.Status != runner.StatusSkipped && o.ManifestDir != "" {
+		// Nor may an outcome with neither results nor an error: the fleet
+		// emits one for a dropped duplicate completion, after the winning
+		// completion's manifest is already on disk.
+		if out.Done && out.Status != runner.StatusSkipped && (out.Res != nil || out.Err != nil) && o.ManifestDir != "" {
 			m := manifest.Build(sweep, out.Index, out.Cfg, out.Res, out.Snapshot, out.WallSeconds, out.Err)
 			if _, err := m.WriteFile(o.ManifestDir); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: manifest %s/%d: %v\n", sweep, out.Index, err)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"inpg"
 	"inpg/internal/fleet"
 	"inpg/internal/manifest"
 	"inpg/internal/runner"
@@ -306,4 +308,112 @@ func TestFleetCoordinatorCrashRestartByteIdentical(t *testing.T) {
 	}
 	b.Shutdown()
 	wg.Wait()
+}
+
+// TestFleetDuplicateKeepsAcceptedManifest: cell 0 is reclaimed from
+// worker A and re-leased to worker B; A's late completion is accepted and
+// written as the cell's manifest. B's duplicate then reaches the observer
+// as an outcome with neither results nor an error, which must not replace
+// A's manifest (an empty "ok" manifest fails validation on the next scan).
+func TestFleetDuplicateKeepsAcceptedManifest(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	coord := fleet.NewCoordinator(fleet.Config{LeaseTTL: time.Minute, Now: clock, Log: testLogger(t)})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+
+	cfgs := make([]inpg.Config, 2)
+	for i := range cfgs {
+		cfgs[i] = inpg.DefaultConfig()
+		cfgs[i].MeshWidth, cfgs[i].MeshHeight = 2, 2
+		cfgs[i].Threads, cfgs[i].CSPerThread = 4, 2
+		cfgs[i].Seed = int64(100 + i)
+	}
+	sys, err := inpg.New(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res0, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	o := Options{ManifestDir: dir}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		coord.RunCampaign("dup", cfgs, runner.Policy{Observer: o.observer("dup")})
+	}()
+	for coord.Status().Cells != len(cfgs) {
+		time.Sleep(time.Millisecond)
+	}
+
+	post := func(path string, in, out any) {
+		t.Helper()
+		body, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s: status %d: %v", path, resp.StatusCode, err)
+		}
+	}
+	lease := func(worker string) *fleet.Lease {
+		var resp fleet.LeaseResponse
+		post(fleet.PathLease, fleet.LeaseRequest{Worker: worker}, &resp)
+		if resp.Lease == nil {
+			t.Fatalf("%s got no lease", worker)
+		}
+		return resp.Lease
+	}
+	complete := func(worker string, l *fleet.Lease, res *inpg.Results) fleet.CompletionResponse {
+		var resp fleet.CompletionResponse
+		post(fleet.PathComplete, fleet.CompletionReport{Worker: worker, LeaseID: l.ID,
+			Sweep: l.Sweep, Index: l.Index, Digest: l.Digest, OK: true, Res: res, WallSeconds: 0.01}, &resp)
+		return resp
+	}
+
+	la := lease("worker-a")
+	mu.Lock()
+	now = now.Add(2 * time.Minute)
+	mu.Unlock()
+	lb1 := lease("worker-b") // the lazy reclaim re-queues cell 0 behind cell 1
+	lb0 := lease("worker-b")
+	if la.Index != 0 || lb1.Index != 1 || lb0.Index != 0 {
+		t.Fatalf("lease order a=%d b=%d,%d, want 0, then 1 and 0", la.Index, lb1.Index, lb0.Index)
+	}
+	if resp := complete("worker-a", la, res0); !resp.Accepted {
+		t.Fatalf("late completion = %+v, want accepted", resp)
+	}
+	if resp := complete("worker-b", lb0, res0); !resp.Duplicate {
+		t.Fatalf("second completion = %+v, want duplicate", resp)
+	}
+	complete("worker-b", lb1, &inpg.Results{Runtime: 1, Threads: 4})
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("campaign did not finish")
+	}
+
+	prior, warnings, err := manifest.ScanDir(dir, "dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 0 {
+		t.Fatalf("scan warnings: %v", warnings)
+	}
+	if m := prior[0]; m == nil || m.Summary.Runtime != res0.Runtime {
+		t.Fatalf("cell 0 manifest = %+v, want worker A's runtime %d", m, res0.Runtime)
+	}
 }

@@ -66,7 +66,6 @@ func preConfig(pc int, mech inpg.Mechanism, o Options) inpg.Config {
 	cfg.ParallelCycles = pc
 	cfg.ParallelJitter = pc / 3
 	cfg.AlwaysTick = o.Compat
-	cfg.Shards = resolvedShards(o.Shards, cfg.MeshWidth, cfg.MeshHeight)
 	cfg.WatchdogWindow = o.WatchdogWindow
 	cfg.Metrics = o.Metrics
 	cfg.MetricsSampleEvery = o.MetricsSampleEvery

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"inpg"
 	"inpg/internal/analytic"
 	"inpg/internal/manifest"
 )
@@ -126,19 +125,5 @@ func TestPreByteIdenticalAndEstimates(t *testing.T) {
 	}
 	if ests != pre.TotalCells-pre.SimCells {
 		t.Errorf("%d estimate manifests, want %d (one per skipped cell)", ests, pre.TotalCells-pre.SimCells)
-	}
-}
-
-// TestAutoShardsResolution pins the -shards 0 auto mode: classic engine
-// on the default 8×8 mesh, sharded on a 16×16 mesh when cores allow.
-func TestAutoShardsResolution(t *testing.T) {
-	if got := resolvedShards(0, 8, 8); got != 1 {
-		t.Errorf("auto shards on 8x8 = %d, want 1 (below the %d-node floor)", got, inpg.AutoShardMinNodes)
-	}
-	if got := resolvedShards(3, 8, 8); got != 3 {
-		t.Errorf("explicit shard count must pass through, got %d", got)
-	}
-	if got, want := resolvedShards(0, 16, 16), inpg.AutoShards(16, 16); got != want {
-		t.Errorf("auto shards on 16x16 = %d, want %d", got, want)
 	}
 }

@@ -11,17 +11,13 @@
 // how many worker goroutines execute sibling simulations, and a simulation
 // that replays the same cycles replays the same faults.
 //
-// The injector is owned by exactly one simulation; only its Stats are
-// mutated. Decisions being stateless, the only shared writes are the
-// counter increments, which are atomic so the engine's sharded tick pass
-// may consult the injector from several shard goroutines concurrently
-// (order-independent sums, hence still deterministic).
+// The injector is owned by exactly one (single-threaded) simulation; only
+// its Stats are mutated, and only from that simulation's engine.
 package fault
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"inpg/internal/sim"
 )
@@ -227,7 +223,7 @@ const (
 func (in *Injector) LinkFault(now sim.Cycle, node, port int, pktID uint64, flitIdx int) Kind {
 	for _, s := range in.cfg.PermanentStalls {
 		if s.Node == node && s.Port == port && sim.Cycle(s.From) <= now {
-			atomic.AddUint64(&in.Stats.PermanentHits, 1)
+			in.Stats.PermanentHits++
 			return Dropped
 		}
 	}
@@ -237,10 +233,10 @@ func (in *Injector) LinkFault(now sim.Cycle, node, port int, pktID uint64, flitI
 	h := in.roll(rollLink, uint64(now), uint64(node)<<8|uint64(port), pktID<<8|uint64(flitIdx))
 	switch {
 	case h < in.dropT:
-		atomic.AddUint64(&in.Stats.FlitsDropped, 1)
+		in.Stats.FlitsDropped++
 		return Dropped
 	case h < in.corruptT:
-		atomic.AddUint64(&in.Stats.FlitsCorrupted, 1)
+		in.Stats.FlitsCorrupted++
 		return Corrupted
 	}
 	return None
@@ -257,7 +253,7 @@ func (in *Injector) PortStalled(now sim.Cycle, node, port int) bool {
 	}
 	for i := 0; i < in.cfg.StallCycles && uint64(i) <= uint64(now); i++ {
 		if in.roll(rollStall, uint64(now)-uint64(i), uint64(node)<<8|uint64(port), 0) < in.stallT {
-			atomic.AddUint64(&in.Stats.PortStallHits, 1)
+			in.Stats.PortStallHits++
 			return true
 		}
 	}

@@ -71,9 +71,7 @@ type Lease struct {
 	Sweep  string `json:"sweep"`
 	Index  int    `json:"index"`
 	Digest string `json:"digest"`
-	// Config is the exact configuration to execute. Config.Shards is an
-	// execution strategy excluded from the JSON encoding, so workers pick
-	// their own shard count (auto) without perturbing results.
+	// Config is the exact configuration to execute.
 	Config inpg.Config `json:"config"`
 	// TTLMillis is the lease's time-to-live; a worker must heartbeat
 	// (comfortably) inside it or the coordinator reclaims the cell.

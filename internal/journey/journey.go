@@ -288,7 +288,7 @@ func (rec *Recorder) Finish(r *Record) {
 // Sampled reports deterministically whether a thread's n-th acquisition
 // is journey-sampled at the given rate. The decision is a keyed FNV-64a
 // hash — no RNG state, no ordering dependence — so it is identical
-// across shard counts, engine modes, and repeated runs.
+// across engine modes and repeated runs.
 func Sampled(seed int64, thread int, acquire uint64, rate float64) bool {
 	if rate <= 0 {
 		return false

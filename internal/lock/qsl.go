@@ -108,6 +108,9 @@ func (l *qsl) sleep(t *cpu.Thread, done func()) {
 				return // the probe already acquired; nothing to resume
 			}
 			t.Eng().Schedule(l.cfg.CtxSwitch, func() {
+				if w.settled {
+					return // the probe acquired while we switched back in
+				}
 				t.EndSleep()
 				t.ResetRetries()
 				l.spinStart[t.ID] = t.Eng().Now()

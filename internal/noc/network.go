@@ -45,16 +45,6 @@ type Network struct {
 	// fault-path branch on this single pointer.
 	fault *fault.Injector
 
-	// Sharding state (see shard.go): zero until SetShards enables the
-	// parallel tick pass. shardPools keeps the per-shard packet free
-	// lists alive; shardSt holds each shard's cross-boundary staging.
-	shards           int
-	shardSt          []nocShard
-	shardPools       []packetPool
-	mergeIdx         []int
-	boundaryArrivals uint64
-	boundaryCredits  uint64
-
 	// OnLinkRetry and OnLinkDead, when set, observe the link layer's
 	// retransmission machinery: a faulted flit transmission scheduled for
 	// retry (attempt counts from 1), and a link declared dead after its

@@ -91,11 +91,6 @@ type NI struct {
 	Injected  uint64
 	Delivered uint64
 	LatencySum
-
-	// Sharding (see shard.go): the NI shares its node's shard and shard
-	// packet pool; both stay at their unsharded defaults otherwise.
-	shard int32
-	pool  *packetPool
 }
 
 // LatencySum accumulates packet latency statistics.
@@ -122,7 +117,6 @@ func newNI(id NodeID, r *Router, eng *sim.Engine) *NI {
 	ni := &NI{ID: id, r: r, eng: eng}
 	ni.active = make([]injection, r.net.cfg.VCsPerPort)
 	ni.flushFn = ni.flushDeliveries
-	ni.pool = &r.net.pool
 	r.ni = ni
 	return ni
 }
@@ -130,40 +124,18 @@ func newNI(id NodeID, r *Router, eng *sim.Engine) *NI {
 // SetSink registers the packet receiver for this node.
 func (ni *NI) SetSink(s Sink) { ni.sink = s }
 
-// NewPacket returns a zeroed packet from the NI's free list (see
+// NewPacket returns a zeroed packet from the network's free list (see
 // Network.NewPacket); protocol controllers attached to this NI use it to
 // build messages without a per-send heap allocation.
-func (ni *NI) NewPacket() *Packet { return ni.pool.get() }
+func (ni *NI) NewPacket() *Packet { return ni.r.net.pool.get() }
 
 // Inject queues a packet for transmission. The packet's Src is forced to
 // this node and its size derived from the vnet class if unset.
-//
-// During a sharded tick pass (interceptor-generated packets), the two
-// effects on shared simulation state — drawing the network-unique packet
-// ID and the OnInject trace hook — are deferred to the cycle barrier,
-// where they replay in exactly the sequential engine's order. Deferring
-// the ID is safe because no flit switches the cycle it was buffered
-// (the router's 2-stage pipeline), so nothing can read p.ID before the
-// barrier assigns it.
 func (ni *NI) Inject(p *Packet) {
 	if p.Size == 0 {
 		p.Size = ControlFlits
 	}
 	p.Src = ni.ID
-	if ni.eng.InPass() {
-		p.InjectedAt = ni.eng.Now()
-		ni.queues[p.VNet].push(p)
-		ni.queued++
-		ni.eng.Wake(ni.handle)
-		ni.Injected++
-		ni.eng.PassDefer(ni.shard, func() {
-			p.ID = ni.r.net.nextPacketID()
-			if ni.OnInject != nil {
-				ni.OnInject(p)
-			}
-		})
-		return
-	}
 	p.ID = ni.r.net.nextPacketID()
 	p.InjectedAt = ni.eng.Now()
 	ni.queues[p.VNet].push(p)
@@ -249,14 +221,7 @@ func (ni *NI) eject(now sim.Cycle, f flit) {
 	ni.pendingDeliver = append(ni.pendingDeliver, f.pkt)
 	if !ni.flushScheduled {
 		ni.flushScheduled = true
-		// Ejection happens mid-tick: under a sharded pass the Schedule
-		// call itself is deferred to the barrier so event sequence
-		// numbers come out identical to sequential execution.
-		if ni.eng.InPass() {
-			ni.eng.PassSchedule(ni.shard, 0, ni.flushFn)
-		} else {
-			ni.eng.Schedule(0, ni.flushFn)
-		}
+		ni.eng.Schedule(0, ni.flushFn)
 	}
 }
 
@@ -281,8 +246,7 @@ func (ni *NI) flushDeliveries() {
 		ni.Add(p.DeliveredAt - p.InjectedAt)
 		if p.Journey != nil {
 			// Fold this leg into its journey before the sink can retag the
-			// record for a response; flushDeliveries is an ordinary event,
-			// so the record mutation happens off the sharded tick pass.
+			// record for a response.
 			p.Journey.FoldLeg(p.DeliveredAt, int(p.Src), int(p.Dst), p.Hops,
 				p.JNIQueue, p.JVCWait, p.JRetry, p.JIntercepted)
 		}
@@ -292,7 +256,7 @@ func (ni *NI) flushDeliveries() {
 		if ni.sink != nil {
 			ni.sink.Receive(ni.eng.Now(), p)
 		}
-		ni.pool.put(p)
+		ni.r.net.pool.put(p)
 	}
 }
 

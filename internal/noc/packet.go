@@ -62,10 +62,8 @@ type Packet struct {
 
 	// Journey, when non-nil, ties this packet to a sampled lock-journey
 	// record (internal/journey). The J* counters below are written inline
-	// by the NI and routers only when Journey is set; like Hops they are
-	// shard-safe because a packet's head flit has exactly one owning
-	// router per cycle. The record itself is only touched from event
-	// context (delivery), never from the sharded tick pass.
+	// by the NI and routers only when Journey is set. The record itself is
+	// only touched from event context (delivery), never from a tick.
 	Journey *journey.Record
 	// JNIQueue is cycles the packet waited in the NI injection queue
 	// before its head flit entered the mesh.

@@ -112,18 +112,6 @@ type Router struct {
 	// holds no flits and its link queues are empty, and is woken by link
 	// arrivals, returning credits and NI flit pushes.
 	handle sim.Handle
-
-	// Sharding (see shard.go). pool is the free list this router
-	// allocates from and recycles to: the network-wide pool normally,
-	// the owning shard's pool under SetShards. stagePush[p] routes
-	// pushes through port p via the staging buffers (the neighbor is a
-	// boundary router); stageCred[p] stages credits (the neighbor is in
-	// another shard). All false unsharded, so the direct paths are
-	// untouched.
-	shard     int32
-	pool      *packetPool
-	stagePush [NumPorts]bool
-	stageCred [NumPorts]bool
 }
 
 func newRouter(id NodeID, net *Network) *Router {
@@ -138,7 +126,6 @@ func newRouter(id NodeID, net *Network) *Router {
 		r.outOwner[p] = make([]*inputVC, net.cfg.VCsPerPort)
 	}
 	r.occ = make([]int, 0, int(NumPorts)*net.cfg.VCsPerPort)
-	r.pool = &net.pool
 	return r
 }
 
@@ -173,20 +160,9 @@ func (r *Router) SetInterceptor(i Interceptor) { r.interceptor = i }
 // NI returns the network interface attached to this router's local port.
 func (r *Router) NI() *NI { return r.ni }
 
-// NewPacket returns a zeroed packet from the router's free list;
+// NewPacket returns a zeroed packet from the network's free list;
 // interceptors use it to build generated packets allocation-free.
-func (r *Router) NewPacket() *Packet { return r.pool.get() }
-
-// InShardedPass reports whether a parallel tick pass is executing.
-// Interceptors use it to route side effects on shared simulation state
-// (trace buffers, histograms) through DeferToBarrier. Always false on an
-// unsharded network.
-func (r *Router) InShardedPass() bool { return r.net.eng.InPass() }
-
-// DeferToBarrier defers fn to the end-of-cycle barrier of the current
-// sharded pass. Deferred effects replay on the main goroutine in exactly
-// the order inline execution would have produced (see sim.PassDefer).
-func (r *Router) DeferToBarrier(fn func()) { r.net.eng.PassDefer(r.shard, fn) }
+func (r *Router) NewPacket() *Packet { return r.net.pool.get() }
 
 // vcClass returns the half-open VC index range reserved for a vnet.
 func (r *Router) vcClass(v VNet) (lo, hi int) {
@@ -207,7 +183,7 @@ func (r *Router) acceptFlit(now sim.Cycle, port Port, vcIdx int, f flit) bool {
 			}
 			if consume {
 				r.Stats.PacketsConsumed++
-				r.pool.put(f.pkt)
+				r.net.pool.put(f.pkt)
 				return true
 			}
 		}
@@ -407,31 +383,13 @@ func (r *Router) traverse(now sim.Cycle, p Port, v int) {
 			vc.retries++
 			r.Stats.LinkRetries++
 			if r.net.OnLinkRetry != nil {
-				// The hooks append to shared trace state; during a
-				// sharded pass they replay at the barrier instead. The
-				// faulted flit stays at the head of its VC, so the
-				// captured packet is alive when the closure runs.
-				if attempt := vc.retries; r.net.eng.InPass() {
-					id, toward, pkt := r.ID, vc.outPort, f.pkt
-					r.net.eng.PassDefer(r.shard, func() {
-						r.net.OnLinkRetry(now, id, toward, pkt, attempt)
-					})
-				} else {
-					r.net.OnLinkRetry(now, r.ID, vc.outPort, f.pkt, attempt)
-				}
+				r.net.OnLinkRetry(now, r.ID, vc.outPort, f.pkt, vc.retries)
 			}
 			if vc.retries > r.net.fault.MaxRetries() {
 				vc.dead = true
 				r.Stats.LinkFailures++
 				if r.net.OnLinkDead != nil {
-					if r.net.eng.InPass() {
-						id, toward, pkt := r.ID, vc.outPort, f.pkt
-						r.net.eng.PassDefer(r.shard, func() {
-							r.net.OnLinkDead(now, id, toward, pkt)
-						})
-					} else {
-						r.net.OnLinkDead(now, r.ID, vc.outPort, f.pkt)
-					}
+					r.net.OnLinkDead(now, r.ID, vc.outPort, f.pkt)
 				}
 			} else {
 				backoff := r.net.fault.Backoff(vc.retries)
@@ -473,14 +431,8 @@ func (r *Router) traverse(now sim.Cycle, p Port, v int) {
 	} else {
 		r.outCred[op][ov]--
 		nb := r.neighbors[op]
-		if r.stagePush[op] {
-			// Boundary destination: the push (and its wake) applies at
-			// the barrier, merged across shards into sequential order.
-			r.net.stageArrival(r.shard, r.handle, nb, arrival{f: f, port: op.opposite(), vc: ov, at: now + 1})
-		} else {
-			nb.inbox = append(nb.inbox, arrival{f: f, port: op.opposite(), vc: ov, at: now + 1})
-			nb.wake()
-		}
+		nb.inbox = append(nb.inbox, arrival{f: f, port: op.opposite(), vc: ov, at: now + 1})
+		nb.wake()
 		if f.head() {
 			f.pkt.Hops++
 		}
@@ -500,13 +452,6 @@ func (r *Router) returnCredit(now sim.Cycle, p Port, v int) {
 		return
 	}
 	nb := r.neighbors[p]
-	if r.stageCred[p] {
-		// Cross-shard credit: staged, applied (and the neighbor woken)
-		// at the barrier. Credit application is commutative, so staged
-		// credits need no cross-shard ordering.
-		r.net.stageCredit(r.shard, nb, creditMsg{port: p.opposite(), vc: v, at: now + 1})
-		return
-	}
 	nb.credits = append(nb.credits, creditMsg{port: p.opposite(), vc: v, at: now + 1})
 	nb.wake()
 }

@@ -163,11 +163,6 @@ type Engine struct {
 	abortCheck  func() error
 	abortEvery  Cycle
 	nextAbortAt Cycle
-
-	// sh, when non-nil, is the sharded tick-pass runtime (see shard.go).
-	// Unsharded engines never allocate it, so the single-threaded paths
-	// stay byte-identical in behaviour.
-	sh *shardRT
 }
 
 // eventHeapPrealloc sizes the event heap's initial backing array. A full
@@ -202,11 +197,6 @@ func (e *Engine) SetAlwaysTick(on bool) {
 			e.awake[i] = true
 		}
 		e.nAwake = len(e.tickers)
-		if e.sh != nil {
-			for s := range e.sh.awake {
-				e.sh.awake[s].n = len(e.sh.lists[s])
-			}
-		}
 	}
 }
 
@@ -216,9 +206,6 @@ func (e *Engine) Register(t Ticker) Handle {
 	if t == nil {
 		panic("sim: Register(nil)")
 	}
-	if e.sh != nil {
-		panic("sim: Register after SetShards")
-	}
 	e.tickers = append(e.tickers, t)
 	e.awake = append(e.awake, true)
 	e.nAwake++
@@ -227,16 +214,10 @@ func (e *Engine) Register(t Ticker) Handle {
 
 // Wake puts the component back into the per-cycle tick set. Idempotent.
 // Anyone handing work to a possibly-sleeping component must call it.
-// During a sharded pass a caller may wake only components of its own
-// shard; cross-shard wakes ride on staged work applied at the barrier.
 func (e *Engine) Wake(h Handle) {
 	if !e.awake[h] {
 		e.awake[h] = true
-		if e.sh != nil {
-			e.sh.awake[e.sh.shardOf[h]].n++
-		} else {
-			e.nAwake++
-		}
+		e.nAwake++
 	}
 }
 
@@ -250,11 +231,7 @@ func (e *Engine) Sleep(h Handle) {
 	}
 	if e.awake[h] {
 		e.awake[h] = false
-		if e.sh != nil {
-			e.sh.awake[e.sh.shardOf[h]].n--
-		} else {
-			e.nAwake--
-		}
+		e.nAwake--
 	}
 }
 
@@ -264,7 +241,7 @@ func (e *Engine) Awake(h Handle) bool { return e.awake[h] }
 
 // ActiveTickers reports the current size of the tick set (tests,
 // diagnostics).
-func (e *Engine) ActiveTickers() int { return e.awakeTotal() }
+func (e *Engine) ActiveTickers() int { return e.nAwake }
 
 // Schedule arranges for fn to run delay cycles from now, before the tickers
 // of that cycle. A delay of 0 fires at the start of the next cycle: the
@@ -272,9 +249,6 @@ func (e *Engine) ActiveTickers() int { return e.awakeTotal() }
 func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule(nil)")
-	}
-	if e.sh != nil && e.sh.inPass {
-		panic("sim: Schedule during sharded tick pass; use PassSchedule")
 	}
 	e.seq++
 	e.events.push(event{at: e.now + 1 + delay, seq: e.seq, fn: fn})
@@ -357,10 +331,6 @@ func (e *Engine) Step() {
 		ev := e.events.pop()
 		ev.fn()
 	}
-	if e.sh != nil {
-		e.shardedPass()
-		return
-	}
 	if e.nAwake == len(e.tickers) {
 		for _, t := range e.tickers {
 			t.Tick(e.now)
@@ -388,11 +358,8 @@ func (e *Engine) Run(maxCycles Cycle, cond func() bool) (Cycle, error) {
 	end := start + maxCycles
 	e.stopped = false
 	e.failErr = nil
-	if e.startShardWorkers() {
-		defer e.stopShardWorkers()
-	}
 	for e.now < end {
-		if e.awakeTotal() == 0 && !e.alwaysTick {
+		if e.nAwake == 0 && !e.alwaysTick {
 			next := end
 			if len(e.events) > 0 && e.events[0].at < next {
 				next = e.events[0].at

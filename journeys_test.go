@@ -12,8 +12,8 @@ import (
 
 // journeyTestConfig is a small contended run with metrics on and link
 // faults injected — the adversarial setting for journey accounting:
-// retransmission backoff, probe storms and sharded execution all active.
-func journeyTestConfig(kind LockKind, mech Mechanism, shards int) Config {
+// retransmission backoff and probe storms both active.
+func journeyTestConfig(kind LockKind, mech Mechanism) Config {
 	cfg := DefaultConfig()
 	cfg.Lock = kind
 	cfg.Mechanism = mech
@@ -24,112 +24,98 @@ func journeyTestConfig(kind LockKind, mech Mechanism, shards int) Config {
 	cfg.ParallelCycles = 150
 	cfg.ParallelJitter = 50
 	cfg.Fault = fault.AtRate(0.02, 7)
-	cfg.Shards = shards
 	cfg.Metrics = true
 	return cfg
 }
 
 // TestJourneySamplingInvisible is the journey tracer's differential
-// oracle: over every lock kind × {OCOR, iNPG} × a nonzero fault rate ×
-// shard counts 1/4, a fully sampled run (JourneyRate 1) must produce
-// results identical to an unsampled one, its metric snapshot must differ
-// only by the journey.* instruments, and every recorded journey's stage
-// cycles must sum exactly to its end-to-end latency.
+// oracle: over every lock kind × {OCOR, iNPG} × a nonzero fault rate, a
+// fully sampled run (JourneyRate 1) must produce results identical to an
+// unsampled one, its metric snapshot must differ only by the journey.*
+// instruments, and every recorded journey's stage cycles must sum exactly
+// to its end-to-end latency.
 func TestJourneySamplingInvisible(t *testing.T) {
 	for _, kind := range LockKinds {
 		for _, mech := range []Mechanism{OCOR, INPG} {
-			for _, shards := range []int{1, 4} {
-				kind, mech, shards := kind, mech, shards
-				name := fmt.Sprintf("%v/%v/shards%d", kind, mech, shards)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					base := journeyTestConfig(kind, mech, shards)
+			kind, mech := kind, mech
+			t.Run(fmt.Sprintf("%v/%v", kind, mech), func(t *testing.T) {
+				t.Parallel()
+				base := journeyTestConfig(kind, mech)
 
-					plain, err := New(base)
-					if err != nil {
-						t.Fatal(err)
+				plain, err := New(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resPlain, err := plain.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				snapPlain := plain.MetricsSnapshot()
+				for _, kv := range snapPlain.Values {
+					if strings.HasPrefix(kv.Name, "journey.") {
+						t.Fatalf("rate-0 snapshot contains %s", kv.Name)
 					}
-					resPlain, err := plain.Run()
-					if err != nil {
-						t.Fatal(err)
+				}
+				for _, h := range snapPlain.Histograms {
+					if strings.HasPrefix(h.Name, "journey.") {
+						t.Fatalf("rate-0 snapshot contains histogram %s", h.Name)
 					}
-					snapPlain := plain.MetricsSnapshot()
-					for _, kv := range snapPlain.Values {
-						if strings.HasPrefix(kv.Name, "journey.") {
-							t.Fatalf("rate-0 snapshot contains %s", kv.Name)
-						}
-					}
-					for _, h := range snapPlain.Histograms {
-						if strings.HasPrefix(h.Name, "journey.") {
-							t.Fatalf("rate-0 snapshot contains histogram %s", h.Name)
-						}
-					}
+				}
 
-					sampled := base
-					sampled.JourneyRate = 1
-					traced, err := New(sampled)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resTraced, err := traced.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(resPlain, resTraced) {
-						t.Fatalf("sampling perturbed results:\nplain:  %+v\ntraced: %+v", resPlain, resTraced)
-					}
+				sampled := base
+				sampled.JourneyRate = 1
+				traced, err := New(sampled)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resTraced, err := traced.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(resPlain, resTraced) {
+					t.Fatalf("sampling perturbed results:\nplain:  %+v\ntraced: %+v", resPlain, resTraced)
+				}
 
-					// The sampled snapshot must be the plain one plus
-					// journey.* lines, nothing else. shard.barrier_wait_ns
-					// is host wall clock — the registry's one deliberately
-					// nondeterministic instrument — so it is excluded.
-					strip := func(text string, dropJourney bool) string {
-						var keep []string
-						for _, line := range strings.Split(text, "\n") {
-							if dropJourney && strings.HasPrefix(line, "journey.") {
-								continue
-							}
-							if strings.HasPrefix(line, "shard.barrier_wait_ns ") {
-								continue
-							}
-							keep = append(keep, line)
-						}
-						return strings.Join(keep, "\n")
+				// The sampled snapshot must be the plain one plus
+				// journey.* lines, nothing else.
+				var keep []string
+				for _, line := range strings.Split(traced.MetricsSnapshot().Text(), "\n") {
+					if !strings.HasPrefix(line, "journey.") {
+						keep = append(keep, line)
 					}
-					snapTraced := traced.MetricsSnapshot()
-					if got, want := strip(snapTraced.Text(), true), strip(snapPlain.Text(), false); got != want {
-						t.Fatalf("non-journey snapshot lines differ:\n--- rate 0 ---\n%s\n--- rate 1 (journey.* stripped) ---\n%s", want, got)
-					}
+				}
+				if got, want := strings.Join(keep, "\n"), snapPlain.Text(); got != want {
+					t.Fatalf("non-journey snapshot lines differ:\n--- rate 0 ---\n%s\n--- rate 1 (journey.* stripped) ---\n%s", want, got)
+				}
 
-					rec := traced.Journeys()
-					if rec == nil || rec.Completed == 0 {
-						t.Fatal("no journeys recorded at rate 1")
+				rec := traced.Journeys()
+				if rec == nil || rec.Completed == 0 {
+					t.Fatal("no journeys recorded at rate 1")
+				}
+				var acquires uint64
+				for _, th := range traced.Threads() {
+					acquires += uint64(th.AcquireCount)
+				}
+				if rec.Completed != acquires {
+					t.Fatalf("journeys completed %d != acquisitions %d", rec.Completed, acquires)
+				}
+				for _, r := range rec.Records {
+					if !r.Finished() {
+						t.Fatalf("unfinished record in recorder: %+v", r)
 					}
-					var acquires uint64
-					for _, th := range traced.Threads() {
-						acquires += uint64(th.AcquireCount)
+					// The acceptance bar is ≥95%; the milestone state
+					// machine is exact by construction, so pin equality.
+					if r.StageSum() != r.E2E() {
+						t.Fatalf("thread %d acquire %d: stage sum %d != e2e %d (stages %v)",
+							r.Thread, r.Acquire, r.StageSum(), r.E2E(), r.Stages)
 					}
-					if rec.Completed != acquires {
-						t.Fatalf("journeys completed %d != acquisitions %d", rec.Completed, acquires)
-					}
-					for _, r := range rec.Records {
-						if !r.Finished() {
-							t.Fatalf("unfinished record in recorder: %+v", r)
+					for _, l := range r.Legs {
+						if l.End < l.Start {
+							t.Fatalf("negative-duration leg: %+v", l)
 						}
-						// The acceptance bar is ≥95%; the milestone state
-						// machine is exact by construction, so pin equality.
-						if r.StageSum() != r.E2E() {
-							t.Fatalf("thread %d acquire %d: stage sum %d != e2e %d (stages %v)",
-								r.Thread, r.Acquire, r.StageSum(), r.E2E(), r.Stages)
-						}
-						for _, l := range r.Legs {
-							if l.End < l.Start {
-								t.Fatalf("negative-duration leg: %+v", l)
-							}
-						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -171,7 +157,7 @@ func TestJourneyObservesInterception(t *testing.T) {
 // TestJourneyPartialSampling checks that a fractional rate samples a
 // deterministic strict subset and leaves results untouched.
 func TestJourneyPartialSampling(t *testing.T) {
-	base := journeyTestConfig(LockTTL, INPG, 1)
+	base := journeyTestConfig(LockTTL, INPG)
 	base.JourneyRate = 0.3
 	a, err := New(base)
 	if err != nil {

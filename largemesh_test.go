@@ -2,9 +2,7 @@ package inpg_test
 
 // Mesh-generality checks: nothing in the stack may assume the default 8×8
 // platform. These tests instantiate 16×16 and 32×32 systems end to end —
-// topology, big-router deployment, directory homes, thread placement —
-// and pin the sharded engine's bit-identity at large scale, where shard
-// boundaries cut through real traffic.
+// topology, big-router deployment, directory homes, thread placement.
 
 import (
 	"testing"
@@ -74,16 +72,26 @@ func TestThirtyTwoByThirtyTwoFullSystem(t *testing.T) {
 	}
 }
 
-// TestLargeMeshShardedBitIdentical cuts a 16×16 run into up to 16 row
-// stripes and demands results and the full trace stream match the
-// single-shard engine (the 8×8 matrix lives in shards_test.go; this pins
-// the same property where most routers sit on shard boundaries).
-func TestLargeMeshShardedBitIdentical(t *testing.T) {
-	cfg := largeConfig(16, inpg.INPGOCOR, inpg.LockMCS)
-	base, baseEvents := shardedRun(t, cfg, 1)
-	for _, shards := range []int{4, 16} {
-		res, events := shardedRun(t, cfg, shards)
-		diffRuns(t, "16x16", res, events, base, baseEvents)
+// TestQSLWakeAfterProbeAcquiresOnce pins a QSL sleep/wake race on a
+// 32×32 mesh: a release wakes a sleeper whose post-enqueue probe then
+// acquires the lock while the woken thread is still switching back in.
+// The resumed thread must not spin for (and complete) a second critical
+// section; seed 3 hits the race.
+func TestQSLWakeAfterProbeAcquiresOnce(t *testing.T) {
+	cfg := largeConfig(32, inpg.INPGOCOR, inpg.LockQSL)
+	cfg.CSCycles, cfg.CSJitter = 50, 15
+	cfg.ParallelCycles, cfg.ParallelJitter = 500, 125
+	cfg.Seed = 3
+	sys, err := inpg.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Threads * cfg.CSPerThread; int(res.CSCompleted) != want {
+		t.Fatalf("CSCompleted = %d, want %d: a lock was granted twice", res.CSCompleted, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // sampleCycles runs one metered simulation and returns the cycles at
 // which the periodic sampler fired, plus the final cycle count.
-func sampleCycles(t *testing.T, alwaysTick bool, shards, every int) ([]uint64, uint64) {
+func sampleCycles(t *testing.T, alwaysTick bool, every int) ([]uint64, uint64) {
 	t.Helper()
 	cfg := inpg.DefaultConfig()
 	cfg.Threads = 8
@@ -18,7 +18,6 @@ func sampleCycles(t *testing.T, alwaysTick bool, shards, every int) ([]uint64, u
 	cfg.Metrics = true
 	cfg.MetricsSampleEvery = every
 	cfg.AlwaysTick = alwaysTick
-	cfg.Shards = shards
 	sys, err := inpg.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,11 +43,10 @@ func sampleCycles(t *testing.T, alwaysTick bool, shards, every int) ([]uint64, u
 // double-fire) a scheduled sample. The sampled cycles must be exactly
 // the arithmetic series interval, 2·interval, … up to the final cycle —
 // no drops, no duplicates — and identical between the always-tick
-// reference engine, the activity-driven engine, and the sharded tick
-// pass.
+// reference engine and the activity-driven engine.
 func TestSamplerSurvivesFastForward(t *testing.T) {
 	const every = 137 // deliberately off any natural event period
-	ref, refRuntime := sampleCycles(t, true, 1, every)
+	ref, refRuntime := sampleCycles(t, true, every)
 
 	// Pin the exact schedule against the reference engine: one sample
 	// per interval boundary reached before the run ended.
@@ -68,21 +66,11 @@ func TestSamplerSurvivesFastForward(t *testing.T) {
 			len(ref), wantN, refRuntime)
 	}
 
-	for _, tc := range []struct {
-		name       string
-		alwaysTick bool
-		shards     int
-	}{
-		{"activity", false, 1},
-		{"activity-sharded", false, 4},
-	} {
-		got, runtime := sampleCycles(t, tc.alwaysTick, tc.shards, every)
-		if runtime != refRuntime {
-			t.Fatalf("%s: runtime %d, want %d", tc.name, runtime, refRuntime)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("%s: sample cycles diverge from always-tick reference:\n%v\nvs\n%v",
-				tc.name, got, ref)
-		}
+	got, runtime := sampleCycles(t, false, every)
+	if runtime != refRuntime {
+		t.Fatalf("activity: runtime %d, want %d", runtime, refRuntime)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("activity: sample cycles diverge from always-tick reference:\n%v\nvs\n%v", got, ref)
 	}
 }

@@ -1,6 +1,7 @@
 package inpg
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -185,6 +186,29 @@ func TestConfigValidation(t *testing.T) {
 	bad.LockHomeNode = 4096
 	if _, err := New(bad); err == nil {
 		t.Fatal("out-of-mesh lock home accepted")
+	}
+}
+
+// TestShardsConfigValidation covers the deprecated Shards field: 0 and 1
+// run the single-threaded engine, every other count is rejected with an
+// error naming the removed sharded engine, and the field stays out of the
+// config digest.
+func TestShardsConfigValidation(t *testing.T) {
+	for _, shards := range []int{-1, 2, 8} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "sharded engine was removed") {
+			t.Fatalf("Shards=%d: err = %v, want the removed-engine error", shards, err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Shards = AutoShards(32, 32)
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("Shards=AutoShards(32, 32) rejected: %v", err)
+	}
+	if cfg.Digest() != DefaultConfig().Digest() {
+		t.Fatal("Shards must not contribute to the config digest")
 	}
 }
 

@@ -166,24 +166,6 @@ func (s *System) buildMetrics() {
 		return v
 	})
 
-	// Sharded engine (registered only when sharding is in effect, so the
-	// -shards 1 snapshot stays byte-identical to the classic engine's).
-	// With a one-cycle lookahead the shards run in cycle lockstep, so
-	// inter-shard cycle skew is structurally zero; the imbalance signal
-	// for sweep operators is barrier wait time. boundary_* counters are
-	// deterministic for a fixed configuration and seed; dispatches and
-	// inline_passes are too (they depend only on the awake-ticker
-	// trajectory); barrier_wait_ns is host wall clock and is the one
-	// deliberately nondeterministic instrument here.
-	if net.ShardCount() > 1 {
-		reg.Gauge("shard.count", func() uint64 { return uint64(net.ShardCount()) })
-		reg.Counter("shard.boundary_arrivals", func() uint64 { return net.ShardingStats().BoundaryArrivals })
-		reg.Counter("shard.boundary_credits", func() uint64 { return net.ShardingStats().BoundaryCredits })
-		reg.Counter("shard.dispatches", func() uint64 { return eng.ShardStats().Dispatches })
-		reg.Counter("shard.inline_passes", func() uint64 { return eng.ShardStats().InlinePasses })
-		reg.Counter("shard.barrier_wait_ns", func() uint64 { return eng.ShardStats().BarrierWaitNs })
-	}
-
 	// Fault layer (all zero on fault-free runs).
 	reg.Counter("fault.flits_dropped", func() uint64 { return net.FaultStats().FlitsDropped })
 	reg.Counter("fault.flits_corrupted", func() uint64 { return net.FaultStats().FlitsCorrupted })
@@ -344,9 +326,9 @@ func (s *System) buildMetrics() {
 		reg.Histogram("lock.handoff_cycles", s.lockHandoff)
 	}
 
-	// Journey tracing (registered only when sampling is armed, the same
-	// conditional discipline as the shard.* block: a rate-0 snapshot stays
-	// byte-identical to one taken before the journey subsystem existed).
+	// Journey tracing (registered only when sampling is armed, so a rate-0
+	// snapshot stays byte-identical to one taken before the journey
+	// subsystem existed).
 	if s.journeys != nil {
 		rec := s.journeys
 		reg.Counter("journey.completed", func() uint64 { return rec.Completed })
