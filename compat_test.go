@@ -100,6 +100,35 @@ func TestActivitySchedulingMatchesAlwaysTickOriginal(t *testing.T) {
 	}
 }
 
+// TestActivitySchedulingMatchesAlwaysTickLargeMesh repeats the
+// differential on a 16×16 mesh, whose 512 tickers span eight words of the
+// engine's tick set, so wakes crossing word boundaries are exercised by
+// the real router/NI/protocol traffic.
+func TestActivitySchedulingMatchesAlwaysTickLargeMesh(t *testing.T) {
+	for _, lk := range []inpg.LockKind{inpg.LockTTL, inpg.LockQSL} {
+		t.Run(lk.String(), func(t *testing.T) {
+			cfg := inpg.DefaultConfig()
+			cfg.MeshWidth, cfg.MeshHeight = 16, 16
+			cfg.Threads = 64
+			cfg.Lock = lk
+			cfg.Mechanism = inpg.INPGOCOR
+			cfg.CSPerThread = 1
+			cfg.CSCycles, cfg.CSJitter = 50, 15
+			cfg.ParallelCycles, cfg.ParallelJitter = 500, 125
+			cfg.Seed = 3
+
+			active, activeEvents := compatRun(t, cfg, false)
+			compat, compatEvents := compatRun(t, cfg, true)
+			if !reflect.DeepEqual(active, compat) {
+				t.Fatalf("results diverge:\nactivity:    %+v\nalways-tick: %+v", active, compat)
+			}
+			if !reflect.DeepEqual(activeEvents, compatEvents) {
+				t.Fatal("trace event streams diverge")
+			}
+		})
+	}
+}
+
 // TestShardedRunMatchesCompatMode pins the deprecated shard knob: the
 // sharded engine is gone, and a configuration that still sets Shards the
 // way older callers did (AutoShards, or an explicit 1) must run the one

@@ -314,6 +314,7 @@ type System struct {
 	eng      *sim.Engine
 	fab      *coherence.Fabric
 	threads  []*cpu.Thread
+	finished int // threads whose program has completed
 	gens     []*bigrouter.Gen
 	rtt      *stats.RTTCollector
 	timeline *stats.Timeline
@@ -566,6 +567,7 @@ func New(cfg Config) (*System, error) {
 		CSCycles:       jitter(cfg.CSCycles, cfg.CSJitter),
 		ParallelCycles: jitter(cfg.ParallelCycles, cfg.ParallelJitter),
 	}
+	onDone := func(*cpu.Thread) { s.finished++ }
 	for i := 0; i < threads; i++ {
 		th := cpu.New(eng, i, fab.L1s[i], s.lockImpl, prog, cfg.Seed+int64(i)*7919)
 		th.OCOR = cfg.Mechanism.usesOCOR()
@@ -577,6 +579,7 @@ func New(cfg Config) (*System, error) {
 		if s.timeline != nil {
 			th.PhaseHook = s.timeline.Hook()
 		}
+		th.SetOnDone(onDone)
 		s.threads = append(s.threads, th)
 	}
 	if cfg.Metrics {
@@ -713,12 +716,7 @@ func (s *System) Run() (*Results, error) {
 		th.Start()
 	}
 	_, err := s.eng.Run(sim.Cycle(s.cfg.MaxCycles), func() bool {
-		for _, th := range s.threads {
-			if !th.Done() {
-				return false
-			}
-		}
-		return true
+		return s.finished == len(s.threads)
 	})
 	if err != nil {
 		return nil, s.wrapError(err)

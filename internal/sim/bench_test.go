@@ -61,3 +61,37 @@ func BenchmarkIdleFastForward(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStepSparse steps 2048 registered tickers with 8 awake, the
+// shape of an activity-light 32x32 mesh (one router and one NI per node).
+// The tick pass must cost what the awake tickers cost, not what the
+// registered ones do.
+func BenchmarkStepSparse(b *testing.B) {
+	const tickers, awake = 2048, 8
+	e := NewEngine(1)
+	for i := 0; i < tickers; i++ {
+		h := e.Register(TickFunc(func(Cycle) {}))
+		if i%(tickers/awake) != 0 {
+			e.Sleep(h)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkStepDense steps 128 tickers that are all awake: the all-awake
+// pass of a busy mesh.
+func BenchmarkStepDense(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < 128; i++ {
+		e.Register(TickFunc(func(Cycle) {}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

@@ -36,6 +36,11 @@
 // check precisely that (see the differential tests at the repository
 // root).
 //
+// The tick set is a bitset, one bit per handle. A pass walks it a 64-bit
+// word at a time and visits only the set bits, so a stepped cycle costs
+// O(tickers/64 + awake) rather than one check per registered component:
+// a large, mostly idle mesh pays for the components that work.
+//
 // When the active set is empty, Run fast-forwards the clock directly to
 // the next scheduled event instead of stepping through empty cycles.
 // Run's cond must therefore be a function of simulation state (which only
@@ -45,6 +50,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 )
 
@@ -131,7 +137,7 @@ func (h *eventHeap) pop() event {
 type Engine struct {
 	now     Cycle
 	tickers []Ticker
-	awake   []bool
+	awake   []uint64 // bit h%64 of word h/64 is set while handle h is awake
 	nAwake  int
 	events  eventHeap
 	seq     uint64
@@ -193,8 +199,11 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) SetAlwaysTick(on bool) {
 	e.alwaysTick = on
 	if on {
-		for i := range e.awake {
-			e.awake[i] = true
+		for w := range e.awake {
+			e.awake[w] = ^uint64(0)
+		}
+		if r := len(e.tickers) % 64; r != 0 {
+			e.awake[len(e.awake)-1] = 1<<r - 1
 		}
 		e.nAwake = len(e.tickers)
 	}
@@ -206,17 +215,22 @@ func (e *Engine) Register(t Ticker) Handle {
 	if t == nil {
 		panic("sim: Register(nil)")
 	}
+	h := len(e.tickers)
 	e.tickers = append(e.tickers, t)
-	e.awake = append(e.awake, true)
+	if h%64 == 0 {
+		e.awake = append(e.awake, 0)
+	}
+	e.awake[h/64] |= 1 << (h % 64)
 	e.nAwake++
-	return Handle(len(e.tickers) - 1)
+	return Handle(h)
 }
 
 // Wake puts the component back into the per-cycle tick set. Idempotent.
 // Anyone handing work to a possibly-sleeping component must call it.
 func (e *Engine) Wake(h Handle) {
-	if !e.awake[h] {
-		e.awake[h] = true
+	w, bit := h/64, uint64(1)<<(h%64)
+	if e.awake[w]&bit == 0 {
+		e.awake[w] |= bit
 		e.nAwake++
 	}
 }
@@ -229,15 +243,16 @@ func (e *Engine) Sleep(h Handle) {
 	if e.alwaysTick {
 		return
 	}
-	if e.awake[h] {
-		e.awake[h] = false
+	w, bit := h/64, uint64(1)<<(h%64)
+	if e.awake[w]&bit != 0 {
+		e.awake[w] &^= bit
 		e.nAwake--
 	}
 }
 
 // Awake reports whether the component is in the tick set (tests,
 // diagnostics).
-func (e *Engine) Awake(h Handle) bool { return e.awake[h] }
+func (e *Engine) Awake(h Handle) bool { return e.awake[h/64]&(1<<(h%64)) != 0 }
 
 // ActiveTickers reports the current size of the tick set (tests,
 // diagnostics).
@@ -325,6 +340,11 @@ func (e *Engine) SetAbortCheck(every Cycle, fn func() error) {
 // lower-index component still ticks this cycle; one woken by a
 // higher-index component ticks from the next cycle, matching when its
 // first non-no-op tick would have landed under always-tick.
+//
+// The pass finds set bits word by word. After each tick it re-reads the
+// current word and masks off every bit at or below the one just ticked,
+// so a same-word wake from a lower index is seen in this pass while wakes
+// of already-passed indices wait for the next cycle.
 func (e *Engine) Step() {
 	e.now++
 	for len(e.events) > 0 && e.events[0].at <= e.now {
@@ -337,9 +357,11 @@ func (e *Engine) Step() {
 		}
 		return
 	}
-	for i, t := range e.tickers {
-		if e.awake[i] {
-			t.Tick(e.now)
+	for w := range e.awake {
+		for word := e.awake[w]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			e.tickers[w*64+b].Tick(e.now)
+			word = e.awake[w] &^ (uint64(2)<<b - 1)
 		}
 	}
 }

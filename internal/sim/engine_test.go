@@ -2,6 +2,9 @@ package sim
 
 import (
 	"errors"
+	"math/bits"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -350,6 +353,260 @@ func TestWakeFromLowerIndexTicksSameCycle(t *testing.T) {
 	}
 	if len(b.ticks) != 2 || b.ticks[0] != 1 || b.ticks[1] != 3 {
 		t.Fatalf("b ticks = %v, want [1 3] (same-cycle wake from lower index)", b.ticks)
+	}
+}
+
+// hookTicker records the cycles it was ticked, runs an optional hook, and
+// then puts itself to sleep.
+type hookTicker struct {
+	e     *Engine
+	h     Handle
+	ticks []Cycle
+	hook  func(now Cycle)
+}
+
+func (k *hookTicker) Tick(now Cycle) {
+	k.ticks = append(k.ticks, now)
+	if k.hook != nil {
+		k.hook(now)
+	}
+	k.e.Sleep(k.h)
+}
+
+// sleepers registers n hookTickers and steps one cycle, after which every
+// one of them has ticked once (at cycle 1) and gone to sleep.
+func sleepers(e *Engine, n int) []*hookTicker {
+	ks := make([]*hookTicker, n)
+	for i := range ks {
+		ks[i] = &hookTicker{e: e}
+		ks[i].h = e.Register(ks[i])
+	}
+	e.Step()
+	return ks
+}
+
+func TestWakeAcrossWordBoundaryForwardTicksSameCycle(t *testing.T) {
+	// Handle 63 is the last bit of word 0, handle 64 the first of word 1.
+	e := NewEngine(1)
+	ks := sleepers(e, 65)
+	ks[63].hook = func(now Cycle) { e.Wake(ks[64].h) }
+	e.Schedule(1, func() { e.Wake(ks[63].h) }) // fires at cycle 3
+	for e.Now() < 5 {
+		e.Step()
+	}
+	if want := []Cycle{1, 3}; !reflect.DeepEqual(ks[64].ticks, want) {
+		t.Fatalf("handle 64 ticks = %v, want %v (woken by 63 in the same pass)", ks[64].ticks, want)
+	}
+}
+
+func TestWakeAcrossWordBoundaryBackwardTicksNextCycle(t *testing.T) {
+	e := NewEngine(1)
+	ks := sleepers(e, 65)
+	ks[64].hook = func(now Cycle) { e.Wake(ks[63].h) }
+	e.Schedule(1, func() { e.Wake(ks[64].h) }) // fires at cycle 3
+	for e.Now() < 5 {
+		e.Step()
+	}
+	if want := []Cycle{1, 4}; !reflect.DeepEqual(ks[63].ticks, want) {
+		t.Fatalf("handle 63 ticks = %v, want %v (woken by 64, so from the next cycle)", ks[63].ticks, want)
+	}
+}
+
+func TestWakeWithinWordBackwardTicksNextCycle(t *testing.T) {
+	// A wake of an already-passed bit in the word being walked must not be
+	// picked up when the pass re-reads that word.
+	e := NewEngine(1)
+	ks := sleepers(e, 64)
+	ks[40].hook = func(now Cycle) { e.Wake(ks[10].h) }
+	e.Schedule(1, func() { e.Wake(ks[40].h) }) // fires at cycle 3
+	for e.Now() < 5 {
+		e.Step()
+	}
+	if want := []Cycle{1, 4}; !reflect.DeepEqual(ks[10].ticks, want) {
+		t.Fatalf("handle 10 ticks = %v, want %v", ks[10].ticks, want)
+	}
+}
+
+func TestLastBitOfWordSleepsAndRewakesFromEvent(t *testing.T) {
+	e := NewEngine(1)
+	ks := sleepers(e, 128)
+	k := ks[63]
+	if e.Awake(k.h) || e.ActiveTickers() != 0 {
+		t.Fatalf("after one tick: Awake(63)=%v, ActiveTickers=%d; want false, 0", e.Awake(k.h), e.ActiveTickers())
+	}
+	e.Schedule(8, func() { e.Wake(k.h) }) // fires at cycle 10
+	for e.Now() < 12 {
+		e.Step()
+	}
+	if want := []Cycle{1, 10}; !reflect.DeepEqual(k.ticks, want) {
+		t.Fatalf("handle 63 ticks = %v, want %v", k.ticks, want)
+	}
+	for i, o := range ks {
+		if i != 63 && len(o.ticks) != 1 {
+			t.Fatalf("handle %d ticked %v, want only [1]", i, o.ticks)
+		}
+	}
+}
+
+// popcount returns the number of set bits in the engine's tick set.
+func popcount(e *Engine) int {
+	n := 0
+	for _, w := range e.awake {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func TestRegisterExtendsTickSetPastWordBoundary(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 128, 129} {
+		e := NewEngine(1)
+		var order []int
+		hs := make([]Handle, n)
+		for i := range hs {
+			hs[i] = e.Register(TickFunc(func(Cycle) { order = append(order, i) }))
+		}
+		if got, want := len(e.awake), (n+63)/64; got != want {
+			t.Fatalf("n=%d: %d tick-set words, want %d", n, got, want)
+		}
+		if e.ActiveTickers() != n || popcount(e) != n {
+			t.Fatalf("n=%d: ActiveTickers=%d, %d bits set; want %d", n, e.ActiveTickers(), popcount(e), n)
+		}
+		// Sleep the even handles so the step takes the sparse pass.
+		var want []int
+		for i, h := range hs {
+			if !e.Awake(h) {
+				t.Fatalf("n=%d: handle %d not awake after Register", n, i)
+			}
+			if i%2 == 0 {
+				e.Sleep(h)
+			} else {
+				want = append(want, i)
+			}
+		}
+		e.Step()
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("n=%d: ticked %v, want %v", n, order, want)
+		}
+	}
+}
+
+func TestSetAlwaysTickMarksEveryHandleAwake(t *testing.T) {
+	e := NewEngine(1)
+	ks := sleepers(e, 129)
+	e.SetAlwaysTick(true)
+	if e.ActiveTickers() != 129 || popcount(e) != 129 {
+		t.Fatalf("ActiveTickers=%d, %d bits set; want 129 (no bits past the last handle)", e.ActiveTickers(), popcount(e))
+	}
+	for i, k := range ks {
+		if !e.Awake(k.h) {
+			t.Fatalf("handle %d not awake under always-tick", i)
+		}
+	}
+	e.Step()
+	for i, k := range ks {
+		if want := []Cycle{1, 2}; !reflect.DeepEqual(k.ticks, want) {
+			t.Fatalf("handle %d ticks = %v, want %v", i, k.ticks, want)
+		}
+	}
+}
+
+// tickRecord is one tick in a scheduler's log.
+type tickRecord struct {
+	at  Cycle
+	idx int
+}
+
+// refScheduler is the reference tick pass: one wakefulness flag per
+// index, checked in registration order on every cycle.
+type refScheduler struct {
+	now   Cycle
+	ticks []func(Cycle)
+	awake []bool
+}
+
+func (r *refScheduler) step() {
+	r.now++
+	for i, tick := range r.ticks {
+		if r.awake[i] {
+			tick(r.now)
+		}
+	}
+}
+
+// randomTickers builds n tick functions that log (cycle, index), wake up
+// to three random handles, and sleep themselves a third of the time. Every
+// decision is drawn from rng in tick order, so two schedulers with
+// identical tick sequences make identical decisions.
+func randomTickers(n int, rng *rand.Rand, wake, sleep func(int), log *[]tickRecord) []func(Cycle) {
+	fns := make([]func(Cycle), n)
+	for i := range fns {
+		fns[i] = func(now Cycle) {
+			*log = append(*log, tickRecord{now, i})
+			for k := rng.Intn(4); k > 0; k-- {
+				wake(rng.Intn(n))
+			}
+			if rng.Intn(3) == 0 {
+				sleep(i)
+			}
+		}
+	}
+	return fns
+}
+
+// TestTickPassMatchesReferenceScheduler drives the engine and the
+// reference scheduler with the same seeded random wake/sleep traffic
+// (plus random wakes before each pass, as event callbacks would issue)
+// and requires identical tick logs and tick sets.
+func TestTickPassMatchesReferenceScheduler(t *testing.T) {
+	const n, cycles = 200, 400
+	for _, seed := range []int64{1, 2, 3} {
+		var engLog, refLog []tickRecord
+
+		e := NewEngine(seed)
+		engRng := rand.New(rand.NewSource(seed))
+		for _, fn := range randomTickers(n, engRng, func(h int) { e.Wake(Handle(h)) }, func(h int) { e.Sleep(Handle(h)) }, &engLog) {
+			e.Register(TickFunc(fn))
+		}
+
+		r := &refScheduler{awake: make([]bool, n)}
+		refRng := rand.New(rand.NewSource(seed))
+		r.ticks = randomTickers(n, refRng, func(h int) { r.awake[h] = true }, func(h int) { r.awake[h] = false }, &refLog)
+		for i := range r.awake {
+			r.awake[i] = true
+		}
+
+		for c := 0; c < cycles; c++ {
+			for k := engRng.Intn(3); k > 0; k-- {
+				e.Wake(Handle(engRng.Intn(n)))
+			}
+			for k := refRng.Intn(3); k > 0; k-- {
+				r.awake[refRng.Intn(n)] = true
+			}
+			e.Step()
+			r.step()
+		}
+		if len(engLog) < cycles {
+			t.Fatalf("seed %d: only %d ticks in %d cycles; the traffic is too sparse to test anything", seed, len(engLog), cycles)
+		}
+		if !reflect.DeepEqual(engLog, refLog) {
+			i := 0
+			for i < len(engLog) && i < len(refLog) && engLog[i] == refLog[i] {
+				i++
+			}
+			t.Fatalf("seed %d: tick logs diverge at entry %d (engine logged %d ticks, reference %d)", seed, i, len(engLog), len(refLog))
+		}
+		awake := 0
+		for h := 0; h < n; h++ {
+			if e.Awake(Handle(h)) != r.awake[h] {
+				t.Fatalf("seed %d: handle %d awake=%v, reference %v", seed, h, e.Awake(Handle(h)), r.awake[h])
+			}
+			if r.awake[h] {
+				awake++
+			}
+		}
+		if e.ActiveTickers() != awake {
+			t.Fatalf("seed %d: ActiveTickers=%d, reference %d", seed, e.ActiveTickers(), awake)
+		}
 	}
 }
 
