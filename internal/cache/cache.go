@@ -59,9 +59,14 @@ type Config struct {
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * c.BlockBytes) }
 
 // Cache is a set-associative array with true-LRU replacement.
+//
+// The lines live in one set-major array (set s occupies
+// lines[s*Ways:(s+1)*Ways]) that is allocated on the first fill: a
+// many-core platform builds an L1 per node, but only the nodes that run
+// threads ever fill theirs. Until then the cache reads as empty.
 type Cache struct {
 	cfg     Config
-	sets    [][]Line
+	lines   []Line // nil until the first Insert or Victim
 	clock   uint64
 	blkOff  uint // log2(BlockBytes)
 	setMask uint64
@@ -84,10 +89,6 @@ func New(cfg Config) (*Cache, error) {
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.blkOff++
 	}
-	c.sets = make([][]Line, sets)
-	for i := range c.sets {
-		c.sets[i] = make([]Line, cfg.Ways)
-	}
 	return c, nil
 }
 
@@ -101,11 +102,20 @@ func (c *Cache) setIndex(addr uint64) uint64 {
 	return (addr >> c.blkOff) & c.setMask
 }
 
+// set returns the ways of addr's set; nil while the cache is unfilled.
+func (c *Cache) set(addr uint64) []Line {
+	if c.lines == nil {
+		return nil
+	}
+	s := int(c.setIndex(addr)) * c.cfg.Ways
+	return c.lines[s : s+c.cfg.Ways]
+}
+
 // Lookup returns the line holding addr (block-aligned internally), or nil.
 // A hit refreshes LRU state.
 func (c *Cache) Lookup(addr uint64) *Line {
 	addr = c.BlockAlign(addr)
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == addr {
 			c.clock++
@@ -119,7 +129,7 @@ func (c *Cache) Lookup(addr uint64) *Line {
 // Peek is Lookup without touching LRU state; for invariant checks.
 func (c *Cache) Peek(addr uint64) *Line {
 	addr = c.BlockAlign(addr)
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == addr {
 			return &set[i]
@@ -131,9 +141,13 @@ func (c *Cache) Peek(addr uint64) *Line {
 // Victim returns the line that would be evicted to make room for addr:
 // an invalid way if one exists, otherwise the LRU way. The returned line
 // may still hold live state; the caller is responsible for writeback.
+// The first call allocates the line array.
 func (c *Cache) Victim(addr uint64) *Line {
+	if c.lines == nil {
+		c.lines = make([]Line, c.cfg.Sets()*c.cfg.Ways)
+	}
 	addr = c.BlockAlign(addr)
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	var victim *Line
 	for i := range set {
 		if set[i].State == Invalid {
@@ -175,13 +189,12 @@ func (c *Cache) Invalidate(addr uint64) {
 	}
 }
 
-// ForEach visits every valid line; used by invariant checkers.
+// ForEach visits every valid line in (set, way) order; used by invariant
+// checkers.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].State != Invalid {
-				fn(&c.sets[s][w])
-			}
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			fn(&c.lines[i])
 		}
 	}
 }

@@ -112,6 +112,36 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 	}
 }
 
+func TestUnfilledCacheReadsEmpty(t *testing.T) {
+	c := small(t)
+	if c.Lookup(0x1000) != nil || c.Peek(0x1000) != nil {
+		t.Fatal("unfilled cache must miss")
+	}
+	c.Invalidate(0x1000)
+	if c.Occupancy() != 0 {
+		t.Fatalf("unfilled cache occupancy = %d, want 0", c.Occupancy())
+	}
+	c.ForEach(func(l *Line) { t.Fatalf("ForEach visited %+v in an unfilled cache", l) })
+	if c.lines != nil {
+		t.Fatal("reads allocated the line array")
+	}
+	if v := c.Victim(0x1000); v == nil || v.State != Invalid {
+		t.Fatalf("first Victim = %+v, want an invalid way", v)
+	}
+}
+
+func TestNewDefersLineArray(t *testing.T) {
+	cfg := Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 128}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("New made %.0f allocations, want at most 1: the line array waits for the first fill", allocs)
+	}
+}
+
 func TestOccupancy(t *testing.T) {
 	c := small(t)
 	if c.Occupancy() != 0 {

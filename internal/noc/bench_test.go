@@ -32,6 +32,38 @@ func BenchmarkTrafficSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkRouterStream measures the router pipeline's host cost per
+// switched flit: an 8×8 mesh under uniform random 8-flit packets, loaded
+// enough that most routers hold flits most cycles. Network construction
+// is excluded from the timing.
+func BenchmarkRouterStream(b *testing.B) {
+	b.ReportAllocs()
+	var flits uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := sim.NewEngine(7)
+		n, err := New(eng, Config{Mesh: Mesh{Width: 8, Height: 8}, VCsPerPort: 6, VCDepth: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := RunTraffic(eng, n, TrafficConfig{
+			Pattern: UniformRandom, InjectionRate: 0.02, PacketFlits: 8,
+			WarmupCycles: 200, MeasureCycles: 2000, Seed: int64(i + 1),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Delivered != res.Injected {
+			b.Fatalf("lost packets: %d/%d", res.Delivered, res.Injected)
+		}
+		for id := 0; id < n.Mesh().Nodes(); id++ {
+			flits += n.Router(NodeID(id)).Stats.FlitsSwitched
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flits), "ns/flit")
+}
+
 // BenchmarkPacketPool isolates the free-list round trip: steady-state
 // get/put must not allocate at all once the pool is warm.
 func BenchmarkPacketPool(b *testing.B) {

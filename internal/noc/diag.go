@@ -63,35 +63,37 @@ type NetDiag struct {
 // deterministic: slices are ordered by (node, port, vc).
 func (n *Network) Diagnostics(now sim.Cycle) NetDiag {
 	d := NetDiag{InFlight: n.InFlight(), Fault: n.FaultStats()}
-	for _, r := range n.routers {
-		for p := Port(0); p < NumPorts; p++ {
-			for v := range r.in[p] {
-				vc := &r.in[p][v]
-				if len(vc.buf) == 0 {
-					continue
-				}
-				f := vc.buf[0]
-				out := "?"
-				if vc.routed {
-					out = vc.outPort.String()
-				}
-				d.VCs = append(d.VCs, VCDiag{
-					Node:    int(r.ID),
-					Port:    p.String(),
-					VC:      v,
-					Flits:   len(vc.buf),
-					PktID:   f.pkt.ID,
-					PktSrc:  int(f.pkt.Src),
-					PktDst:  int(f.pkt.Dst),
-					OutPort: out,
-					Age:     now - f.bufferedAt,
-					Retries: vc.retries,
-					Dead:    vc.dead,
-				})
+	nvc := n.cfg.VCsPerPort
+	for i := range n.routers {
+		r := &n.routers[i]
+		// Slots run in (port, vc) order.
+		for s := range r.vcs {
+			vc := &r.vcs[s]
+			if len(vc.buf) == 0 {
+				continue
 			}
+			f := vc.buf[0]
+			out := "?"
+			if vc.routed {
+				out = vc.outPort.String()
+			}
+			d.VCs = append(d.VCs, VCDiag{
+				Node:    int(r.ID),
+				Port:    vc.port.String(),
+				VC:      s - int(vc.port)*nvc,
+				Flits:   len(vc.buf),
+				PktID:   f.pkt.ID,
+				PktSrc:  int(f.pkt.Src),
+				PktDst:  int(f.pkt.Dst),
+				OutPort: out,
+				Age:     now - f.bufferedAt,
+				Retries: vc.retries,
+				Dead:    vc.dead,
+			})
 		}
 	}
-	for _, ni := range n.nis {
+	for i := range n.nis {
+		ni := &n.nis[i]
 		if ni.queued == 0 && ni.activeCount == 0 && len(ni.pendingDeliver) == 0 {
 			continue
 		}

@@ -36,8 +36,8 @@ type Network struct {
 	cfg     Config
 	mesh    Mesh
 	eng     *sim.Engine
-	routers []*Router
-	nis     []*NI
+	routers []Router
+	nis     []NI
 	pktID   uint64
 	pool    packetPool
 
@@ -56,6 +56,11 @@ type Network struct {
 }
 
 // New builds and wires a mesh network and registers it with the engine.
+//
+// Router and NI state lives in a few network-wide slabs — routers, NIs,
+// input VCs, output VCs, flit buffers, occupied-VC lists and NI injection
+// slots — and each router or NI holds fixed windows into them, so the
+// allocation count does not grow with the VCs per router.
 func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	if cfg.VCsPerPort%int(NumVNets) != 0 || cfg.VCsPerPort <= 0 {
 		return nil, fmt.Errorf("noc: VCsPerPort=%d must be a positive multiple of %d", cfg.VCsPerPort, NumVNets)
@@ -68,37 +73,53 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	}
 	n := &Network{cfg: cfg, mesh: cfg.Mesh, eng: eng, fault: fault.New(cfg.Fault)}
 	nodes := cfg.Mesh.Nodes()
-	n.routers = make([]*Router, nodes)
-	n.nis = make([]*NI, nodes)
-	for id := 0; id < nodes; id++ {
-		n.routers[id] = newRouter(NodeID(id), n)
-	}
-	for id := 0; id < nodes; id++ {
-		r := n.routers[id]
+	nvc := cfg.VCsPerPort
+	slots := int(NumPorts) * nvc
+	n.routers = make([]Router, nodes)
+	n.nis = make([]NI, nodes)
+	vcs := make([]inputVC, nodes*slots)
+	outs := make([]outputVC, nodes*slots)
+	flits := make([]flit, nodes*slots*cfg.VCDepth)
+	occ := make([]int, nodes*slots)
+	active := make([]injection, nodes*nvc)
+	for id := range n.routers {
+		r := &n.routers[id]
+		lo, hi := id*slots, (id+1)*slots
+		*r = Router{ID: NodeID(id), net: n, vcs: vcs[lo:hi:hi], out: outs[lo:hi:hi], occ: occ[lo:lo:hi]}
+		for s := range r.vcs {
+			vc := &r.vcs[s]
+			vc.port = Port(s / nvc)
+			vc.outVC = -1
+			b := (lo + s) * cfg.VCDepth
+			vc.buf = flits[b : b : b+cfg.VCDepth]
+		}
 		for p := North; p <= West; p++ {
 			if cfg.Mesh.hasNeighbor(NodeID(id), p) {
-				r.neighbors[p] = n.routers[cfg.Mesh.neighbor(NodeID(id), p)]
-				for v := 0; v < cfg.VCsPerPort; v++ {
-					r.outCred[p][v] = cfg.VCDepth
+				r.neighbors[p] = &n.routers[cfg.Mesh.neighbor(NodeID(id), p)]
+				for v := 0; v < nvc; v++ {
+					r.outVC(p, v).cred = cfg.VCDepth
 				}
 			}
 		}
 		// Local ejection is never back-pressured: the NI consumes flits
 		// at link rate.
-		for v := 0; v < cfg.VCsPerPort; v++ {
-			r.outCred[Local][v] = 1 << 30
+		for v := 0; v < nvc; v++ {
+			r.outVC(Local, v).cred = 1 << 30
 		}
-		n.nis[id] = newNI(NodeID(id), r, eng)
+		ni := &n.nis[id]
+		*ni = NI{ID: NodeID(id), r: r, eng: eng, active: active[id*nvc : (id+1)*nvc : (id+1)*nvc]}
+		ni.flushFn = ni.flushDeliveries
+		r.ni = ni
 	}
 	// Routers and NIs participate in the engine's wake/sleep protocol:
 	// each keeps its registration handle, wakes on new work (link
-	// arrivals, credits, injections) and sleeps when quiescent, so an
-	// idle mesh costs no tick work at all.
-	for _, r := range n.routers {
-		r.handle = eng.Register(r)
+	// arrivals, injections) and sleeps when quiescent, so an idle mesh
+	// costs no tick work at all.
+	for i := range n.routers {
+		n.routers[i].handle = eng.Register(&n.routers[i])
 	}
-	for _, ni := range n.nis {
-		ni.handle = eng.Register(ni)
+	for i := range n.nis {
+		n.nis[i].handle = eng.Register(&n.nis[i])
 	}
 	return n, nil
 }
@@ -110,10 +131,10 @@ func (n *Network) Mesh() Mesh { return n.mesh }
 func (n *Network) Config() Config { return n.cfg }
 
 // Router returns the router at node id.
-func (n *Network) Router(id NodeID) *Router { return n.routers[id] }
+func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
 
 // NI returns the network interface at node id.
-func (n *Network) NI(id NodeID) *NI { return n.nis[id] }
+func (n *Network) NI(id NodeID) *NI { return &n.nis[id] }
 
 // FaultInjector returns the network's fault injector, or nil when fault
 // injection is disabled.
@@ -146,12 +167,12 @@ func (n *Network) NewPacket() *Packet { return n.pool.get() }
 // interceptor, used by tests and the deadlock watchdog.
 func (n *Network) InFlight() int {
 	var injected, delivered, consumed uint64
-	for _, ni := range n.nis {
-		injected += ni.Injected
-		delivered += ni.Delivered
+	for i := range n.nis {
+		injected += n.nis[i].Injected
+		delivered += n.nis[i].Delivered
 	}
-	for _, r := range n.routers {
-		consumed += r.Stats.PacketsConsumed
+	for i := range n.routers {
+		consumed += n.routers[i].Stats.PacketsConsumed
 	}
 	return int(injected - delivered - consumed)
 }
@@ -160,9 +181,9 @@ func (n *Network) InFlight() int {
 // all NIs.
 func (n *Network) MeanLatency() float64 {
 	var l LatencySum
-	for _, ni := range n.nis {
-		l.TotalCycles += ni.TotalCycles
-		l.Count += ni.Count
+	for i := range n.nis {
+		l.TotalCycles += n.nis[i].TotalCycles
+		l.Count += n.nis[i].Count
 	}
 	return l.Mean()
 }

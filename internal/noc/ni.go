@@ -113,14 +113,6 @@ func (l *LatencySum) Mean() float64 {
 	return float64(l.TotalCycles) / float64(l.Count)
 }
 
-func newNI(id NodeID, r *Router, eng *sim.Engine) *NI {
-	ni := &NI{ID: id, r: r, eng: eng}
-	ni.active = make([]injection, r.net.cfg.VCsPerPort)
-	ni.flushFn = ni.flushDeliveries
-	r.ni = ni
-	return ni
-}
-
 // SetSink registers the packet receiver for this node.
 func (ni *NI) SetSink(s Sink) { ni.sink = s }
 
@@ -201,7 +193,7 @@ func (ni *NI) sendFlit(now sim.Cycle, v int, inj *injection) {
 		p.JNIQueue = uint64(now - p.InjectedAt)
 	}
 	f := flit{pkt: p, idx: inj.next, tail: inj.next == p.Size-1}
-	consumed := ni.r.acceptFlit(now, Local, v, f)
+	consumed := ni.r.acceptFlit(now, int(Local)*ni.r.net.cfg.VCsPerPort+v, f)
 	if consumed || f.tail {
 		inj.pkt = nil
 		inj.next = 0

@@ -27,9 +27,12 @@ type Interceptor interface {
 
 // inputVC is one virtual-channel FIFO on a router input port. The route
 // state (outPort, outVC) always describes the packet at the front of the
-// buffer.
+// buffer. inputVCs live in the network-wide VC slab at their router's slot
+// (port*VCsPerPort + vc); port records which input port the slot belongs
+// to, and buf is a fixed VCDepth-capacity window into the flit slab.
 type inputVC struct {
 	buf       []flit
+	port      Port
 	routed    bool
 	outPort   Port
 	outVC     int
@@ -54,18 +57,40 @@ func (vc *inputVC) reset() {
 	vc.nextTry = 0
 }
 
-// arrival is a flit in flight on a link toward this router.
-type arrival struct {
-	f    flit
-	port Port
-	vc   int
-	at   sim.Cycle
+// outputVC is one virtual channel of an output port, seen from the router
+// that sends into it: which input VC holds it, and how many flits the
+// downstream buffer can still take. A credit returned at cycle c is parked
+// in pend (pendAt = c) and folded into cred by the first read at a later
+// cycle, so it is usable from exactly c+1 whichever of the two routers
+// ticks first — without a message queue, and without waking the sender.
+type outputVC struct {
+	owner  *inputVC // nil = free
+	cred   int
+	pend   int
+	pendAt sim.Cycle
 }
 
-// creditMsg is a credit in flight back to this router's output port.
-type creditMsg struct {
-	port Port
-	vc   int
+// credits returns the credits usable at cycle now.
+func (o *outputVC) credits(now sim.Cycle) int {
+	if o.pend > 0 && o.pendAt < now {
+		o.cred += o.pend
+		o.pend = 0
+	}
+	return o.cred
+}
+
+// returnCredit hands back one credit at cycle now, usable from now+1.
+func (o *outputVC) returnCredit(now sim.Cycle) {
+	o.credits(now)
+	o.pend++
+	o.pendAt = now
+}
+
+// arrival is a flit in flight on a link toward this router, bound for
+// input VC slot.
+type arrival struct {
+	f    flit
+	slot int
 	at   sim.Cycle
 }
 
@@ -87,12 +112,12 @@ type Router struct {
 	net *Network
 
 	neighbors [NumPorts]*Router
-	in        [NumPorts][]inputVC
-	outCred   [NumPorts][]int
-	outOwner  [NumPorts][]*inputVC // nil = output VC free
+	// vcs and out are this router's windows into the network-wide input-
+	// and output-VC slabs, both indexed by slot = port*VCsPerPort + vc.
+	vcs []inputVC
+	out []outputVC
 
-	inbox   []arrival
-	credits []creditMsg
+	inbox []arrival
 
 	interceptor Interceptor
 	ni          *NI
@@ -102,35 +127,27 @@ type Router struct {
 
 	buffered int // flits currently buffered; 0 lets Tick exit early
 
-	// occ lists the occupied input VCs as sorted slot ids
-	// (slot = port*VCsPerPort + vc), so the allocation stages visit only
-	// live VCs instead of scanning all NumPorts×VCsPerPort slots. The
-	// ascending order preserves the exact visit order of the full scan.
+	// occ lists the occupied input VCs as sorted slot ids, so the
+	// allocation stages visit only live VCs instead of scanning all
+	// NumPorts×VCsPerPort slots. The ascending order preserves the exact
+	// visit order of the full scan.
 	occ []int
 
-	// handle is the router's wake/sleep handle; a router sleeps when it
-	// holds no flits and its link queues are empty, and is woken by link
-	// arrivals, returning credits and NI flit pushes.
+	// handle is the router's wake/sleep handle. A router sleeps when it
+	// holds no flits and no flit is in flight toward it, and is woken only
+	// by link arrivals and NI flit pushes. Returning credits never wake it:
+	// a router without flits has nothing to spend them on, and they are
+	// counters its next read folds in (see outputVC).
 	handle sim.Handle
-}
-
-func newRouter(id NodeID, net *Network) *Router {
-	r := &Router{ID: id, net: net}
-	for p := Port(0); p < NumPorts; p++ {
-		r.in[p] = make([]inputVC, net.cfg.VCsPerPort)
-		for v := range r.in[p] {
-			r.in[p][v].outVC = -1
-			r.in[p][v].buf = make([]flit, 0, net.cfg.VCDepth)
-		}
-		r.outCred[p] = make([]int, net.cfg.VCsPerPort)
-		r.outOwner[p] = make([]*inputVC, net.cfg.VCsPerPort)
-	}
-	r.occ = make([]int, 0, int(NumPorts)*net.cfg.VCsPerPort)
-	return r
 }
 
 // wake puts the router back into the engine's tick set.
 func (r *Router) wake() { r.net.eng.Wake(r.handle) }
+
+// outVC returns output virtual channel v of port p.
+func (r *Router) outVC(p Port, v int) *outputVC {
+	return &r.out[int(p)*r.net.cfg.VCsPerPort+v]
+}
 
 // occInsert adds slot s to the occupied-VC list, keeping it sorted.
 func (r *Router) occInsert(s int) {
@@ -170,10 +187,10 @@ func (r *Router) vcClass(v VNet) (lo, hi int) {
 	return int(v) * per, (int(v) + 1) * per
 }
 
-// acceptFlit places an arriving flit into input VC (port, vcIdx), first
-// giving the interceptor a chance to consume or rewrite the packet.
-// It reports whether the flit was consumed (not buffered).
-func (r *Router) acceptFlit(now sim.Cycle, port Port, vcIdx int, f flit) bool {
+// acceptFlit places an arriving flit into input VC slot, first giving the
+// interceptor a chance to consume or rewrite the packet. It reports
+// whether the flit was consumed (not buffered).
+func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
 	if f.head() {
 		r.Stats.PacketsSeen++
 		if r.interceptor != nil && f.pkt.Size == 1 {
@@ -189,43 +206,29 @@ func (r *Router) acceptFlit(now sim.Cycle, port Port, vcIdx int, f flit) bool {
 		}
 	}
 	f.bufferedAt = now
-	vc := &r.in[port][vcIdx]
+	vc := &r.vcs[slot]
 	vc.buf = append(vc.buf, f)
 	if len(vc.buf) == 1 {
-		r.occInsert(int(port)*r.net.cfg.VCsPerPort + vcIdx)
+		r.occInsert(slot)
 	}
 	r.buffered++
 	r.wake()
 	return false
 }
 
-// Tick advances the router one cycle: drain link arrivals and returning
-// credits, compute routes and allocate output VCs for new heads, then run
-// switch allocation and traversal for one flit per input port and one flit
-// per output (port, VC).
+// Tick advances the router one cycle: drain link arrivals, compute routes
+// and allocate output VCs for new heads, then run switch allocation and
+// traversal for one flit per input port and one flit per output (port, VC).
 func (r *Router) Tick(now sim.Cycle) {
-	// Returning credits.
-	if len(r.credits) > 0 {
-		kept := r.credits[:0]
-		for _, c := range r.credits {
-			if c.at <= now {
-				r.outCred[c.port][c.vc]++
-			} else {
-				kept = append(kept, c)
-			}
-		}
-		r.credits = kept
-	}
-
 	// Link arrivals.
 	if len(r.inbox) > 0 {
 		kept := r.inbox[:0]
 		for _, a := range r.inbox {
 			if a.at <= now {
-				if r.acceptFlit(now, a.port, a.vc, a.f) {
+				if r.acceptFlit(now, a.slot, a.f) {
 					// Consumed by the interceptor: the buffer slot is free
 					// again, so return the credit upstream immediately.
-					r.returnCredit(now, a.port, a.vc)
+					r.returnCredit(now, a.slot)
 				}
 			} else {
 				kept = append(kept, a)
@@ -235,9 +238,9 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 
 	if r.buffered == 0 {
-		// Quiescent: no flits buffered, nothing in flight toward us. Drop
-		// out of the tick set; arrivals, credits and NI pushes wake us.
-		if len(r.inbox) == 0 && len(r.credits) == 0 {
+		// Quiescent: no flits buffered. Drop out of the tick set unless a
+		// flit is still in flight toward us; arrivals and NI pushes wake us.
+		if len(r.inbox) == 0 {
 			r.net.eng.Sleep(r.handle)
 		}
 		return
@@ -246,9 +249,8 @@ func (r *Router) Tick(now sim.Cycle) {
 	// Stage 1: route computation + output VC allocation for front heads.
 	// Only occupied VCs are visited, in the same ascending (port, vc)
 	// order as a full scan.
-	nvc := r.net.cfg.VCsPerPort
 	for _, s := range r.occ {
-		vc := &r.in[s/nvc][s%nvc]
+		vc := &r.vcs[s]
 		if !vc.buf[0].head() {
 			continue
 		}
@@ -261,8 +263,8 @@ func (r *Router) Tick(now sim.Cycle) {
 		if vc.outVC < 0 {
 			lo, hi := r.vcClass(pkt.VNet)
 			for ov := lo; ov < hi; ov++ {
-				if r.outOwner[vc.outPort][ov] == nil {
-					r.outOwner[vc.outPort][ov] = vc
+				if o := r.outVC(vc.outPort, ov); o.owner == nil {
+					o.owner = vc
 					vc.outVC = ov
 					break
 				}
@@ -277,13 +279,8 @@ func (r *Router) Tick(now sim.Cycle) {
 	// full slot scan.
 	var grantedIn [NumPorts]bool
 	var grantedOut [NumPorts]bool
-	total := int(NumPorts) * nvc
-	type cand struct {
-		port Port
-		vcIx int
-	}
-	// Collect one winner per output port.
-	var winners [NumPorts]cand
+	// Collect one winning slot per output port.
+	var winners [NumPorts]int
 	var hasWinner [NumPorts]bool
 	nocc := len(r.occ)
 	first := 0
@@ -292,9 +289,8 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 	for i := 0; i < nocc; i++ {
 		slot := r.occ[(first+i)%nocc]
-		p := Port(slot / nvc)
-		v := slot % nvc
-		vc := &r.in[p][v]
+		vc := &r.vcs[slot]
+		p := vc.port
 		if grantedIn[p] || !vc.routed || vc.outVC < 0 {
 			continue
 		}
@@ -309,7 +305,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		if r.net.fault != nil && op != Local && r.net.fault.PortStalled(now, int(r.ID), int(op)) {
 			continue // output port transiently stalled: no grant crosses it
 		}
-		if r.outCred[op][vc.outVC] <= 0 {
+		if r.outVC(op, vc.outVC).credits(now) <= 0 {
 			r.Stats.VCStalls++
 			continue
 		}
@@ -319,28 +315,28 @@ func (r *Router) Tick(now sim.Cycle) {
 			if !r.net.cfg.PriorityArb {
 				continue
 			}
-			w := &r.in[winners[op].port][winners[op].vcIx]
+			w := &r.vcs[winners[op]]
 			if !betterPriority(now, vc, w) || grantedIn[p] {
 				continue
 			}
-			grantedIn[winners[op].port] = false
-			winners[op] = cand{p, v}
+			grantedIn[w.port] = false
+			winners[op] = slot
 			grantedIn[p] = true
 			continue
 		}
 		grantedOut[op] = true
 		grantedIn[p] = true
-		winners[op] = cand{p, v}
+		winners[op] = slot
 		hasWinner[op] = true
 	}
 	for op := Port(0); op < NumPorts; op++ {
 		if hasWinner[op] {
-			r.traverse(now, winners[op].port, winners[op].vcIx)
+			r.traverse(now, winners[op])
 		}
 	}
-	r.saRR = (r.saRR + 1) % total
+	r.saRR = (r.saRR + 1) % len(r.vcs)
 
-	if r.buffered == 0 && len(r.inbox) == 0 && len(r.credits) == 0 {
+	if r.buffered == 0 && len(r.inbox) == 0 {
 		r.net.eng.Sleep(r.handle)
 	}
 }
@@ -368,10 +364,10 @@ func effectivePriority(now sim.Cycle, vc *inputVC) int {
 	return vc.buf[0].pkt.Priority + int(now-vc.headSince)/agingQuantum
 }
 
-// traverse moves the front flit of input VC (p, v) through the crossbar
-// onto its output link (or into the local NI).
-func (r *Router) traverse(now sim.Cycle, p Port, v int) {
-	vc := &r.in[p][v]
+// traverse moves the front flit of input VC slot through the crossbar onto
+// its output link (or into the local NI).
+func (r *Router) traverse(now sim.Cycle, slot int) {
+	vc := &r.vcs[slot]
 	f := vc.buf[0]
 	if r.net.fault != nil && vc.outPort != Local {
 		// The link layer: transmit, CRC-check at the receiver, ack/nack. A
@@ -419,45 +415,47 @@ func (r *Router) traverse(now sim.Cycle, p Port, v int) {
 	n := copy(vc.buf, vc.buf[1:])
 	vc.buf = vc.buf[:n]
 	if n == 0 {
-		r.occRemove(int(p)*r.net.cfg.VCsPerPort + v)
+		r.occRemove(slot)
 	}
 	r.buffered--
 	r.Stats.FlitsSwitched++
 	op := vc.outPort
 	ov := vc.outVC
+	o := r.outVC(op, ov)
 
 	if op == Local {
 		r.ni.eject(now, f)
 	} else {
-		r.outCred[op][ov]--
+		o.cred--
 		nb := r.neighbors[op]
-		nb.inbox = append(nb.inbox, arrival{f: f, port: op.opposite(), vc: ov, at: now + 1})
+		nb.inbox = append(nb.inbox, arrival{f: f, slot: int(op.opposite())*r.net.cfg.VCsPerPort + ov, at: now + 1})
 		nb.wake()
 		if f.head() {
 			f.pkt.Hops++
 		}
 	}
 	if f.tail {
-		r.outOwner[op][ov] = nil
+		o.owner = nil
 		vc.reset()
 	}
-	r.returnCredit(now, p, v)
+	r.returnCredit(now, slot)
 }
 
-// returnCredit sends one buffer credit for input VC (p, v) back upstream.
-// Local-port occupancy is observed directly by the NI, so no credit message
-// is needed there.
-func (r *Router) returnCredit(now sim.Cycle, p Port, v int) {
+// returnCredit frees one buffer slot of input VC slot toward the upstream
+// router, whose matching output VC can use it from the next cycle.
+// Local-port occupancy is observed directly by the NI, so no credit is
+// needed there.
+func (r *Router) returnCredit(now sim.Cycle, slot int) {
+	p := r.vcs[slot].port
 	if p == Local {
 		return
 	}
-	nb := r.neighbors[p]
-	nb.credits = append(nb.credits, creditMsg{port: p.opposite(), vc: v, at: now + 1})
-	nb.wake()
+	v := slot - int(p)*r.net.cfg.VCsPerPort
+	r.neighbors[p].outVC(p.opposite(), v).returnCredit(now)
 }
 
 // localVCSpace reports the free slots in local input VC v, used by the NI
-// in lieu of credit messages.
+// in lieu of credits.
 func (r *Router) localVCSpace(v int) int {
-	return r.net.cfg.VCDepth - len(r.in[Local][v].buf)
+	return r.net.cfg.VCDepth - len(r.vcs[int(Local)*r.net.cfg.VCsPerPort+v].buf)
 }

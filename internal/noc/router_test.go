@@ -36,8 +36,91 @@ func TestCreditsConservedAfterDrain(t *testing.T) {
 	// be restored to the full buffer depth.
 	r0 := n.Router(0)
 	for v := 0; v < 6; v++ {
-		if r0.outCred[East][v] != 4 {
-			t.Fatalf("credit leak: outCred[East][%d] = %d, want 4", v, r0.outCred[East][v])
+		if c := r0.outVC(East, v).credits(eng.Now()); c != 4 {
+			t.Fatalf("credit leak: East VC %d holds %d credits, want 4", v, c)
+		}
+	}
+}
+
+// portCredits sums the credits usable at cycle now on every VC of port p.
+func portCredits(r *Router, p Port, now sim.Cycle) int {
+	total := 0
+	for v := 0; v < r.net.cfg.VCsPerPort; v++ {
+		total += r.outVC(p, v).credits(now)
+	}
+	return total
+}
+
+// TestCreditUsableExactlyNextCycle pins the credit timing: a credit
+// returned at cycle c cannot be spent at c and is spent at c+1, whether
+// the downstream router returning it ticks before the sender (lower
+// registration index) or after it (higher index). With one VC per vnet
+// and one-flit buffers, a stream through the middle router of a 3×1 mesh
+// is credit-bound: a flit leaves at t, is buffered downstream at t+1 and
+// switched out at t+2, returning the credit, so the next flit leaves at
+// exactly t+3. A same-cycle credit would give a gap of 2, a late one 4.
+func TestCreditUsableExactlyNextCycle(t *testing.T) {
+	for _, dst := range []NodeID{0, 2} {
+		eng := sim.NewEngine(1)
+		n, err := New(eng, Config{Mesh: Mesh{Width: 3, Height: 1}, VCsPerPort: 3, VCDepth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at []sim.Cycle
+		n.NI(dst).SetSink(SinkFunc(func(now sim.Cycle, _ *Packet) { at = append(at, now) }))
+		for i := 0; i < 10; i++ {
+			n.NI(1).Inject(&Packet{Dst: dst, VNet: VNetRequest, Size: 1})
+		}
+		eng.Run(1000, func() bool { return n.InFlight() == 0 })
+		if len(at) != 10 {
+			t.Fatalf("dst %d: delivered %d packets, want 10", dst, len(at))
+		}
+		for i := 1; i < len(at); i++ {
+			if gap := at[i] - at[i-1]; gap != 3 {
+				t.Fatalf("dst %d: delivery gap %d before packet %d (deliveries %v), want 3", dst, gap, i, at)
+			}
+		}
+	}
+}
+
+// TestCreditReturnLeavesRouterAsleep checks that a router that forwarded
+// its only flit sleeps through the credit that comes back for it, and that
+// the credit still lands one cycle after its return — for a returning
+// neighbour of higher (0→1) and of lower (1→0) registration index.
+func TestCreditReturnLeavesRouterAsleep(t *testing.T) {
+	for _, tc := range []struct {
+		src, dst NodeID
+		out      Port
+	}{{0, 1, East}, {1, 0, West}} {
+		eng, n, got := twoNodeNet(t, 4)
+		up, down := n.Router(tc.src), n.Router(tc.dst)
+		full := 6 * 4
+		n.NI(tc.src).Inject(&Packet{Dst: tc.dst, VNet: VNetRequest, Size: 1})
+		var c sim.Cycle
+		for c == 0 && eng.Now() < 100 {
+			eng.Step()
+			if down.Stats.FlitsSwitched > 0 {
+				c = eng.Now() // the downstream router ejected the flit and returned its credit
+			}
+		}
+		if c == 0 {
+			t.Fatalf("%d->%d: flit never left the downstream router", tc.src, tc.dst)
+		}
+		if eng.Awake(up.handle) {
+			t.Fatalf("%d->%d: credit return at cycle %d woke the idle upstream router", tc.src, tc.dst, c)
+		}
+		if cr := portCredits(up, tc.out, c); cr != full-1 {
+			t.Fatalf("%d->%d: %d credits usable at the return cycle %d, want %d", tc.src, tc.dst, cr, c, full-1)
+		}
+		eng.Step()
+		if eng.Awake(up.handle) {
+			t.Fatalf("%d->%d: upstream router awake at cycle %d with no flits", tc.src, tc.dst, eng.Now())
+		}
+		if cr := portCredits(up, tc.out, c+1); cr != full {
+			t.Fatalf("%d->%d: %d credits usable at cycle %d, want %d", tc.src, tc.dst, cr, c+1, full)
+		}
+		if len(*got) != 1 {
+			t.Fatalf("%d->%d: delivered %d packets, want 1", tc.src, tc.dst, len(*got))
 		}
 	}
 }
