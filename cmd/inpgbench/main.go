@@ -108,7 +108,7 @@ func main() {
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		metrics = flag.Bool("metrics", false, "enable the per-run telemetry registry")
 		mEvery  = flag.Int("metrics-every", 0, "sample the registry every N cycles (requires -metrics)")
-		manDir  = flag.String("manifest-dir", "", "write one JSON run manifest per simulation into this directory")
+		manDir  = flag.String("manifest-dir", "", "write one JSON run manifest per simulation into this directory; with -coordinator it is the fleet's durable store, and a coordinator restarted on it resolves finished cells from the manifests")
 		monAddr = flag.String("monitor", "", "serve the live sweep monitor (progress page, /vars JSON, /events SSE, pprof) on this address, e.g. :8080")
 		retries = flag.Int("retries", 0, "re-run each failed cell up to N times with deterministic backoff before quarantining it")
 		runTO   = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); overruns fail their cell with diagnostics")
@@ -126,7 +126,7 @@ func main() {
 		chKill     = flag.Int("chaos-kill-after", 0, "worker: die holding the Nth acquired lease without completing it (chaos testing)")
 		chDrop     = flag.Float64("chaos-drop-rate", 0, "worker: probability a completion acknowledgement is deterministically dropped and the report resent (chaos testing)")
 		fleetTok   = flag.String("fleet-token", "", "shared bearer secret for all /fleet/* endpoints: the coordinator requires it, workers send it (/healthz stays open)")
-		chKillCoor = flag.Int("chaos-kill-coordinator-after", 0, "coordinator: crash immediately after granting the Nth lease (chaos testing); restart against the same -manifest-dir to replay the campaign WAL and adopt the outstanding leases")
+		chKillCoor = flag.Int("chaos-kill-coordinator-after", 0, "coordinator: crash immediately after granting the Nth lease (chaos testing); a coordinator restarted on the same -manifest-dir resolves finished cells from the manifests, grants nothing for one -lease-ttl (the restart hold) and adopts the outstanding leases")
 	)
 	flag.Parse()
 	logger := newLogger(*logLvl)
@@ -190,9 +190,8 @@ func main() {
 		o.Observer = mon.Observer()
 		defer mon.Close()
 	}
-	var coord *fleet.Coordinator
 	if *coordAddr != "" {
-		coord = fleet.NewCoordinator(fleet.Config{
+		coord := fleet.NewCoordinator(fleet.Config{
 			LeaseTTL: *leaseTTL, QuarantineAfter: *quarAfter,
 			ManifestDir: o.ManifestDir, Token: *fleetTok,
 			ChaosKillAfter: *chKillCoor, Log: logger,
@@ -386,14 +385,4 @@ func main() {
 		}
 		return b.String(), nil
 	})
-
-	// A campaign whose durable journal could not be written is a failed
-	// run even when the figures rendered: the record the fleet exists to
-	// produce is missing.
-	if coord != nil {
-		if err := coord.JournalError(); err != nil {
-			fmt.Fprintln(os.Stderr, "inpgbench:", err)
-			os.Exit(1)
-		}
-	}
 }

@@ -1,22 +1,16 @@
 // Command inpgvalidate checks generated telemetry artifacts: run and
-// estimate manifests against the internal/manifest schema, fleet
-// campaign journals against the internal/fleet schema, fleet campaign
-// write-ahead logs (campaign-*.wal) by full replay, and exported
+// estimate manifests against the internal/manifest schema, and exported
 // .trace.json files against the Chrome trace-event structure checker.
 // CI runs it over everything a sweep produced; it exits nonzero on the
 // first invalid artifact.
 //
-// Each argument is either a manifest file, a campaign journal, a
-// campaign WAL, a .trace.json file, or a directory scanned
-// (non-recursively) for all of them. Across everything checked, cross-
-// file properties are enforced: the same sweep cell (sweep/index) must
-// never appear with two different config digests — the corruption a
-// fleet's idempotency-by-digest is supposed to make impossible — a
-// campaign journal's recorded digests must match the manifests on disk,
-// and a *closed* WAL (one sealed by campaign-close) must agree with its
-// journal snapshot: the journal exists (the close event is only written
-// after the snapshot is durable) and its adoption/replay/reclaim/
-// quarantine counts equal what replaying the log yields.
+// Each argument is either a manifest file, a .trace.json file, or a
+// directory scanned (non-recursively) for both; other files (figure
+// CSVs, a fleet campaign's restart marker) are skipped. Across
+// everything checked, one cross-file property is enforced: the same
+// sweep cell (sweep/index) must never appear with two different config
+// digests — the corruption a fleet's idempotency-by-digest is supposed
+// to make impossible.
 //
 // Example:
 //
@@ -28,10 +22,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
-	"inpg/internal/fleet"
 	"inpg/internal/manifest"
 	"inpg/internal/metrics"
 )
@@ -45,18 +37,14 @@ type cellRecord struct {
 
 // validator accumulates cross-file state over every checked artifact.
 type validator struct {
-	checked, failedRuns, estimates, journals, wals int
+	checked, failedRuns, estimates int
 	// cells maps "sweep/index" to the first digest seen for that cell.
-	cells    map[string]cellRecord
-	journal  []*fleet.Journal
-	journalP []string
-	replay   []*fleet.Replay
-	replayP  []string
+	cells map[string]cellRecord
 }
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: inpgvalidate <manifest.json|campaign.json|campaign.wal|trace.json|dir>...")
+		fmt.Fprintln(os.Stderr, "usage: inpgvalidate <manifest.json|trace.json|dir>...")
 		os.Exit(2)
 	}
 	v := &validator{cells: map[string]cellRecord{}}
@@ -77,10 +65,8 @@ func main() {
 		}
 	}
 	if v.checked == 0 {
-		fatal(fmt.Errorf("no manifests, journals or traces found"))
+		fatal(fmt.Errorf("no manifests or traces found"))
 	}
-	v.crossCheckJournals()
-	v.crossCheckWALs()
 	// A failed-run manifest is a valid artifact — the record of a
 	// quarantined cell — and so is an estimate manifest — the record of
 	// an analytically pre-screened cell; both count toward validity but
@@ -91,12 +77,6 @@ func main() {
 	}
 	if v.estimates > 0 {
 		extra += fmt.Sprintf(" (%d analytic estimates)", v.estimates)
-	}
-	if v.journals > 0 {
-		extra += fmt.Sprintf(" (%d fleet campaign journals)", v.journals)
-	}
-	if v.wals > 0 {
-		extra += fmt.Sprintf(" (%d campaign WALs replayed)", v.wals)
 	}
 	fmt.Printf("inpgvalidate: %d artifacts valid%s\n", v.checked, extra)
 }
@@ -113,61 +93,6 @@ func (v *validator) recordCell(sweep string, index int, digest, path string) {
 			path, key, digest, prev.digest, prev.path))
 	} else if !ok {
 		v.cells[key] = cellRecord{digest: digest, path: path}
-	}
-}
-
-// crossCheckJournals verifies every campaign journal's dispatched
-// digests against the manifests seen on disk.
-func (v *validator) crossCheckJournals() {
-	for i, j := range v.journal {
-		for idx, d := range j.Digests {
-			v.recordCell(j.Sweep, idx, d, v.journalP[i])
-		}
-	}
-}
-
-// crossCheckWALs audits every replayed campaign WAL against the journal
-// snapshot of the same sweep. A closed WAL is sealed only after the
-// journal was durably written, so for it the snapshot must exist and its
-// dispatch accounting must equal what replaying the log yields; an
-// unclosed WAL is a campaign in progress (or crashed), for which a
-// journal from an earlier run of the same sweep is legitimate — only the
-// digest fingerprints are compared.
-func (v *validator) crossCheckWALs() {
-	bySweep := map[string]int{}
-	for i, j := range v.journal {
-		bySweep[j.Sweep] = i
-	}
-	for i, rep := range v.replay {
-		path := v.replayP[i]
-		ji, ok := bySweep[rep.Sweep]
-		if !rep.Closed {
-			if !ok {
-				fmt.Printf("   wal %s: campaign in progress (no journal yet)\n", path)
-			}
-			continue
-		}
-		if !ok {
-			fatal(fmt.Errorf("%s: closed WAL for sweep %q but no campaign journal seen — the close event is only written after the journal; the snapshot is missing", path, rep.Sweep))
-		}
-		j, jpath := v.journal[ji], v.journalP[ji]
-		type cmp struct {
-			name      string
-			wal, jrnl int
-		}
-		for _, c := range []cmp{
-			{"cells", rep.Cells, j.Cells},
-			{"adopted", rep.Adoptions, j.Adopted},
-			{"replays", rep.Restarts, j.Replays},
-			{"reclaims", rep.Reclaims, j.Reclaims},
-			{"quarantined", len(rep.Quarantined), len(j.Quarantined)},
-			{"late_accepts", rep.LateAccepts, j.LateAccepts},
-		} {
-			if c.wal != c.jrnl {
-				fatal(fmt.Errorf("%s: %s=%d from WAL replay, but journal %s records %d",
-					path, c.name, c.wal, jpath, c.jrnl))
-			}
-		}
 	}
 }
 
@@ -211,45 +136,6 @@ func (v *validator) checkFile(path string) {
 		fmt.Printf("ok %s (%s/%d, %s/%s) ESTIMATE runtime=%.0f cs/kcyc=%.2f bounds=%d metrics\n",
 			path, m.Sweep, m.Index, m.Mechanism, m.Lock,
 			m.Estimate.Runtime, m.Estimate.CSPerKCycle, len(m.Estimate.Bounds))
-	case strings.HasPrefix(base, "campaign-") && strings.HasSuffix(base, ".json"):
-		j, err := fleet.ReadJournal(path)
-		fatal(err)
-		v.checked++
-		v.journals++
-		v.journal = append(v.journal, j)
-		v.journalP = append(v.journalP, path)
-		fmt.Printf("ok %s (campaign %s, %d cells) reclaims=%d duplicates=%d late=%d conflicts=%d quarantined=%d skipped=%d\n",
-			path, j.Sweep, j.Cells, j.Reclaims, j.Duplicates, j.LateAccepts,
-			j.DigestConflicts, len(j.Quarantined), j.Skipped)
-		workers := make([]string, 0, len(j.WorkerCompletions))
-		for w := range j.WorkerCompletions {
-			workers = append(workers, w)
-		}
-		sort.Strings(workers)
-		for _, w := range workers {
-			fmt.Printf("   worker %-32s %d completed\n", w, j.WorkerCompletions[w])
-		}
-	case strings.HasPrefix(base, "campaign-") && strings.HasSuffix(base, ".wal"):
-		rep, err := fleet.ReplayWAL(path)
-		fatal(err)
-		for idx, d := range rep.Digests {
-			v.recordCell(rep.Sweep, idx, d, path)
-		}
-		v.checked++
-		v.wals++
-		v.replay = append(v.replay, rep)
-		v.replayP = append(v.replayP, path)
-		state := "open"
-		if rep.Closed {
-			state = "closed"
-		}
-		torn := ""
-		if rep.TornTail {
-			torn = " torn_tail=1"
-		}
-		fmt.Printf("ok %s (campaign %s, %d cells, %s) events=%d grants=%d reclaims=%d adoptions=%d replays=%d%s\n",
-			path, rep.Sweep, rep.Cells, state, rep.Events, rep.Grants,
-			rep.Reclaims, rep.Adoptions, rep.Restarts, torn)
 	case strings.HasSuffix(base, ".trace.json"):
 		data, err := os.ReadFile(path)
 		fatal(err)

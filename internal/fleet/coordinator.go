@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"crypto/rand"
 	"crypto/subtle"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,7 +40,8 @@ const (
 
 // Config tunes a Coordinator. The zero value selects every default.
 type Config struct {
-	// LeaseTTL is the lease time-to-live (DefaultLeaseTTL when 0).
+	// LeaseTTL is the lease time-to-live (DefaultLeaseTTL when 0). It is
+	// also the length of the restart hold.
 	LeaseTTL time.Duration
 	// QuarantineAfter quarantines a cell once this many distinct workers
 	// have failed its digest (DefaultQuarantineAfter when 0). As a
@@ -45,15 +49,15 @@ type Config struct {
 	// forever, a cell is also quarantined after 2×QuarantineAfter total
 	// failures regardless of how many workers produced them.
 	QuarantineAfter int
-	// ManifestDir, when set, receives the campaign's write-ahead log
-	// (campaign-<sweep>.wal, fsynced per event) while it runs and the
-	// journal snapshot (campaign-<sweep>.json, the log's compaction) at
-	// the end. It is also what makes the coordinator crash-safe: a
-	// restarted coordinator replays the log against the manifests on
-	// disk and resumes the campaign, adopting still-held worker leases.
-	// Without a manifest dir there is no durable state and a crash loses
-	// the campaign. Per-run manifests are written by the same observer
-	// plumbing local sweeps use, not by the coordinator itself.
+	// ManifestDir, when set, is the campaign's durable store. Per-run
+	// manifests land there through the observer plumbing local sweeps use
+	// (the coordinator does not write them), and while a campaign runs the
+	// coordinator keeps an empty restart marker, campaign-<sweep>.open,
+	// next to them. A coordinator that starts a campaign and finds the
+	// marker knows its predecessor died mid-campaign: it resolves cells
+	// from digest-matched OK manifests and grants no lease for one
+	// LeaseTTL (the restart hold), so surviving workers re-attach their
+	// leases first. Without a manifest dir a crash loses the campaign.
 	ManifestDir string
 	// Token, when non-empty, is the shared bearer secret every /fleet/*
 	// request must present (Authorization: Bearer <token>, compared in
@@ -61,7 +65,7 @@ type Config struct {
 	Token string
 	// ChaosKillAfter, when > 0, crashes the coordinator (via Exit)
 	// immediately after granting its Nth lease — mirroring the worker's
-	// chaos hook — to exercise WAL replay and lease adoption. The
+	// chaos hook — to exercise the restart hold and lease adoption. The
 	// response for the Nth lease is flushed first, so the worker
 	// genuinely holds the lease across the crash.
 	ChaosKillAfter int
@@ -95,25 +99,20 @@ type cell struct {
 	leaseID    string // current lease, "" when pending/done
 	dispatches int
 
-	res  *inpg.Results
-	err  *runner.RunError
-	wall float64
+	res *inpg.Results
+	err *runner.RunError
 
 	failedBy  map[string]bool // distinct workers that reported failure
 	failCount int
 }
 
-// lease is one outstanding grant. An orphan lease was granted by a
-// previous coordinator incarnation (reconstructed from the WAL): its
-// worker may still be running the cell, so heartbeats on it are answered
-// with Reannounce until the worker re-registers via /fleet/adopt or the
-// orphan expires and is reclaimed like any lease.
+// lease is one outstanding grant, issued by this coordinator or adopted
+// from a previous incarnation.
 type lease struct {
 	id      string
 	index   int
 	worker  string
 	expires time.Time
-	orphan  bool
 }
 
 // workerInfo is the coordinator's view of one worker.
@@ -140,32 +139,25 @@ type campaign struct {
 	observer   runner.Observer
 	done       chan struct{}
 
-	// wal is the campaign's write-ahead log (nil without a manifest
-	// dir, or if the log could not be opened — the campaign then runs
-	// without crash safety, which is logged).
-	wal *WAL
 	// crash is closed when the coordinator chaos-crashes mid-campaign;
 	// RunCampaign unblocks on it and returns typed errors for the
-	// unresolved cells. crashed guards the close (under Coordinator.mu).
-	crash   chan struct{}
-	crashed bool
-	// Replay bookkeeping: adopted counts leases carried across a restart
-	// (via /fleet/adopt or a completion landing on the orphan), replays
-	// is how many incarnations have run this campaign (1 + WAL restarts),
-	// replayedCells is how many cells were resolved from manifests during
-	// replay, replayGrants floors the lease sequence past the previous
-	// incarnations' grants, and replayEmit holds the StatusSkipped
-	// outcomes for replay-resolved cells (emitted at publish).
-	adopted       int
-	replays       int
-	replayedCells int
-	replayGrants  int
-	replayEmit    []runner.Outcome
+	// unresolved cells.
+	crash chan struct{}
+	// marker is the restart marker's path ("" without a manifest dir or
+	// when it could not be written). holdUntil ends the restart hold: no
+	// lease is granted before it. It is zero for a fresh campaign, which
+	// never holds.
+	marker    string
+	holdUntil time.Time
+	// adopted counts leases of a previous incarnation taken over by a
+	// heartbeat or a completion; replayed counts cells resolved from
+	// manifests at restart.
+	adopted, replayed int
 
-	reclaims, duplicates, lateAccepts, conflicts int
-	quarantined                                  []int
-	skipped                                      int
-	workerCompleted                              map[string]int
+	reclaims, duplicates, lateAccepts, conflicts, quarantined, skipped int
+
+	// workerCompleted counts accepted completions per worker ID.
+	workerCompleted map[string]int
 }
 
 // Coordinator hands out sweep cells as leases over HTTP and folds worker
@@ -175,6 +167,11 @@ type campaign struct {
 type Coordinator struct {
 	cfg Config
 	log *slog.Logger
+	// nonce prefixes every lease ID this coordinator grants. A lease with
+	// another prefix was granted by a previous incarnation and may be
+	// adopted; one with this prefix that is no longer outstanding was
+	// reclaimed or resolved, and is gone.
+	nonce string
 
 	// dead is set by a chaos crash: every handler answers 503 from then
 	// on, mirroring a killed process even when the test-injected Exit is
@@ -185,25 +182,20 @@ type Coordinator struct {
 	camp     *campaign
 	leases   map[string]*lease
 	workers  map[string]*workerInfo
-	leaseSeq int
 	shutdown bool
 	// published flips once the first campaign is installed. Before that,
-	// completions are answered 503 (retry) rather than Duplicate (drop):
-	// a restarted coordinator's port may be reachable before the replayed
-	// campaign is up, and a surviving worker's in-flight completion must
-	// not be discarded in that window.
+	// heartbeats and completions are answered 503 (retry) rather than
+	// Gone or Duplicate (drop): a restarted coordinator's port may be
+	// reachable before its campaign is up, and a surviving worker's lease
+	// must stay adoptable in that window.
 	published bool
-	// grants counts leases granted over the coordinator's lifetime — the
-	// chaos-kill trigger compares against it.
+	// grants counts leases granted over the coordinator's lifetime: it
+	// numbers lease IDs and trips the chaos kill.
 	grants int
-	// journalErr is the typed error of the most recent campaign's journal
-	// write, nil on success (see JournalError).
-	journalErr error
 
-	// Fleet-lifetime counters for the dashboard (campaign-scoped copies
-	// live on the campaign for the journal).
-	totReclaims, totDuplicates, totLate, totQuarantined, totConflicts int
-	totAdopted, totReplays                                            int
+	// Counters for this coordinator process, across its campaigns; a
+	// restart starts them at zero.
+	totReclaims, totDuplicates, totLate, totQuarantined, totConflicts, totAdopted int
 
 	// counters aggregates the telemetry snapshots of every accepted
 	// successful completion across campaigns (metrics.FoldSnapshot
@@ -227,10 +219,22 @@ func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		cfg:      cfg,
 		log:      log,
+		nonce:    newNonce(),
 		leases:   map[string]*lease{},
 		workers:  map[string]*workerInfo{},
 		counters: map[string]uint64{},
 	}
+}
+
+// newNonce draws a coordinator's lease-ID prefix: random, so that two
+// incarnations serving the same campaign never share one.
+func newNonce() string {
+	var b [6]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// No entropy source: the start time still differs per process.
+		return strconv.FormatInt(time.Now().UnixNano(), 36)
+	}
+	return hex.EncodeToString(b[:])
 }
 
 func (c *Coordinator) now() time.Time {
@@ -274,10 +278,9 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 		observer:        p.Observer,
 		done:            make(chan struct{}),
 		crash:           make(chan struct{}),
-		replays:         1,
 		workerCompleted: map[string]int{},
 	}
-	var skippedOutcomes []runner.Outcome
+	var settled []runner.Outcome
 	for i, cfg := range cfgs {
 		if p.PreRun != nil {
 			cfg = p.PreRun(i, cfg)
@@ -286,7 +289,7 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 		if p.Skip != nil && p.Skip(i) {
 			cl.state = cellDone
 			camp.skipped++
-			skippedOutcomes = append(skippedOutcomes, runner.Outcome{
+			settled = append(settled, runner.Outcome{
 				Index: i, Done: true, Status: runner.StatusSkipped, Cfg: cfg})
 		} else {
 			camp.queue = append(camp.queue, i)
@@ -294,11 +297,13 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 		}
 		camp.cells = append(camp.cells, cl)
 	}
-
-	// Open (or replay) the write-ahead log before the campaign is
-	// visible to workers: the open/replayed record must be durable
-	// before the first grant can be.
-	orphans := c.prepareCampaignWAL(camp)
+	restarted := c.openMarker(camp)
+	if restarted {
+		settled = append(settled, c.resolveFromManifests(camp)...)
+		c.log.Info("campaign restarted from manifests",
+			"sweep", sweep, "resolved", camp.replayed, "remaining", camp.remaining,
+			"restart_hold", c.cfg.LeaseTTL)
+	}
 
 	// Captured before the campaign is published: once c.camp is set,
 	// handlers mutate remaining under mu.
@@ -309,43 +314,15 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 		c.mu.Unlock()
 		panic("fleet: RunCampaign while another campaign is active")
 	}
+	if restarted {
+		camp.holdUntil = c.now().Add(c.cfg.LeaseTTL)
+	}
 	c.camp = camp
 	c.published = true
-	// Re-install leases a previous incarnation granted: their workers
-	// may still be computing. They get a fresh TTL from now — if the
-	// worker is gone they expire and reclaim normally; if it is alive
-	// its next heartbeat is answered with Reannounce and the lease is
-	// adopted.
-	now := c.now()
-	for _, o := range orphans {
-		c.leases[o.Lease] = &lease{id: o.Lease, index: o.Index, worker: o.Worker,
-			expires: now.Add(c.cfg.LeaseTTL), orphan: true}
-	}
-	// Fresh lease IDs embed a sequence number; float it past every grant
-	// a previous incarnation made so IDs never collide across restarts.
-	c.leaseSeq += camp.replayGrants
-	// Fold the replayed campaign counters into the fleet-lifetime view.
-	c.totReclaims += camp.reclaims
-	c.totLate += camp.lateAccepts
-	c.totAdopted += camp.adopted
-	c.totQuarantined += len(camp.quarantined)
-	if camp.replays > 1 {
-		c.totReplays += camp.replays - 1
-	}
-	c.journalErr = nil
 	c.mu.Unlock()
 
-	if camp.replays > 1 {
-		c.log.Info("campaign replayed from wal",
-			"sweep", sweep, "replays", camp.replays, "resolved", camp.replayedCells,
-			"orphans", len(orphans), "remaining", camp.remaining)
-	}
-
 	if p.Observer != nil {
-		for _, o := range skippedOutcomes {
-			p.Observer(o)
-		}
-		for _, o := range camp.replayEmit {
+		for _, o := range settled {
 			p.Observer(o)
 		}
 	}
@@ -367,298 +344,110 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 	// Leases are campaign-scoped: whatever is still outstanding belongs
 	// to workers whose completions will now be answered as duplicates.
 	c.leases = map[string]*lease{}
-	workerCount := len(camp.workerCompleted)
 	c.mu.Unlock()
-
-	if crashed {
-		// The in-process equivalent of the process dying: return with
-		// typed errors for everything unresolved, leaving the WAL exactly
-		// as the crash left it (no journal, no close event) so a restart
-		// replays it.
-		results := make([]*inpg.Results, len(cfgs))
-		errs := make([]*runner.RunError, len(cfgs))
-		for i, cl := range camp.cells {
-			if cl.state == cellDone {
-				results[i], errs[i] = cl.res, cl.err
-				continue
-			}
-			errs[i] = &runner.RunError{Index: i, Cause: runner.CauseCanceled,
-				Digest: cl.digest,
-				Err:    errors.New("fleet: coordinator crashed mid-campaign")}
-		}
-		return results, errs
-	}
-
-	c.log.Info("campaign done",
-		"sweep", sweep, "cells", len(camp.cells), "skipped", camp.skipped,
-		"workers", workerCount, "reclaimed", camp.reclaims,
-		"quarantined", len(camp.quarantined), "duplicates", camp.duplicates,
-		"late_accepts", camp.lateAccepts, "digest_conflicts", camp.conflicts,
-		"adopted", camp.adopted, "replayed", camp.replayedCells,
-		"replays", camp.replays)
-
-	if c.cfg.ManifestDir != "" {
-		err := c.writeJournalWithRetry(camp)
-		c.mu.Lock()
-		c.journalErr = err
-		c.mu.Unlock()
-		if err != nil {
-			c.log.Error("journal write failed", "sweep", sweep, "err", err)
-		} else {
-			// The close event seals the log only after its compaction (the
-			// journal) is durable: a closed WAL implies the journal exists.
-			c.walAppend(camp.wal, Event{Type: EventCampaignClose, Sweep: sweep})
-		}
-	}
-	if camp.wal != nil {
-		camp.wal.Close()
-	}
 
 	results := make([]*inpg.Results, len(cfgs))
 	errs := make([]*runner.RunError, len(cfgs))
 	for i, cl := range camp.cells {
 		results[i], errs[i] = cl.res, cl.err
+		if crashed && cl.state != cellDone {
+			errs[i] = &runner.RunError{Index: i, Cause: runner.CauseCanceled,
+				Digest: cl.digest,
+				Err:    errors.New("fleet: coordinator crashed mid-campaign")}
+		}
+	}
+	if crashed {
+		// The in-process equivalent of the process dying: the marker stays
+		// behind, so a restart holds for the surviving workers.
+		return results, errs
+	}
+
+	c.log.Info("campaign done",
+		"sweep", sweep, "cells", len(camp.cells), "skipped", camp.skipped,
+		"workers", len(camp.workerCompleted), "worker_completions", camp.workerCompleted,
+		"reclaimed", camp.reclaims, "quarantined", camp.quarantined,
+		"duplicates", camp.duplicates, "late_accepts", camp.lateAccepts,
+		"digest_conflicts", camp.conflicts, "adopted", camp.adopted,
+		"replayed", camp.replayed)
+	if camp.marker != "" {
+		if err := os.Remove(camp.marker); err != nil {
+			c.log.Error("restart marker not removed; the next run of this sweep will hold",
+				"sweep", sweep, "err", err)
+		}
 	}
 	return results, errs
 }
 
-// JournalError reports the typed failure of the most recent campaign's
-// journal write, nil when it succeeded (or no campaign wrote one).
-// Callers that need the durable record — CI, long campaigns — check it
-// after RunCampaign and treat non-nil as a hard failure.
-func (c *Coordinator) JournalError() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.journalErr
+// markerName is the restart marker's file name within the manifest
+// directory. The .open extension keeps it out of manifest.ScanDir and
+// inpgvalidate, which read .json files only.
+func markerName(sweep string) string {
+	return "campaign-" + sweep + ".open"
 }
 
-// JournalWriteError is the typed error surfaced when the campaign
-// journal could not be written after bounded retries.
-type JournalWriteError struct {
-	Sweep    string
-	Attempts int
-	Err      error
-}
-
-func (e *JournalWriteError) Error() string {
-	return fmt.Sprintf("fleet: journal for %s not written after %d attempts: %v",
-		e.Sweep, e.Attempts, e.Err)
-}
-
-func (e *JournalWriteError) Unwrap() error { return e.Err }
-
-// journalRetries bounds the journal write retry loop; backoff doubles
-// from journalBackoff between attempts.
-const (
-	journalRetries = 3
-	journalBackoff = 50 * time.Millisecond
-)
-
-// writeJournalWithRetry writes the campaign journal, retrying transient
-// filesystem failures with bounded backoff. The journal is the
-// campaign's only durable summary once the WAL is sealed, so a silent
-// drop is not acceptable: the final failure comes back typed.
-func (c *Coordinator) writeJournalWithRetry(camp *campaign) error {
-	var err error
-	for attempt := 0; attempt < journalRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(journalBackoff << (attempt - 1))
-		}
-		if _, err = WriteJournal(c.cfg.ManifestDir, c.journal(camp)); err == nil {
-			return nil
-		}
-		c.log.Warn("journal write retry", "sweep", camp.sweep,
-			"attempt", attempt+1, "err", err)
-	}
-	return &JournalWriteError{Sweep: camp.sweep, Attempts: journalRetries, Err: err}
-}
-
-// prepareCampaignWAL opens the campaign's write-ahead log, replaying a
-// previous incarnation's log first when one is present. It returns the
-// orphan leases to re-install at publish. Without a manifest dir (or if
-// the log cannot be opened) the campaign runs with camp.wal == nil:
-// fully functional, not crash-safe.
-func (c *Coordinator) prepareCampaignWAL(camp *campaign) []Orphan {
+// openMarker reports whether a previous incarnation left this campaign's
+// restart marker behind, and otherwise puts one down. A marker that
+// cannot be written is logged and the campaign runs on: only a later
+// restart loses its hold.
+func (c *Coordinator) openMarker(camp *campaign) bool {
 	if c.cfg.ManifestDir == "" {
-		return nil
+		return false
 	}
-	if err := os.MkdirAll(c.cfg.ManifestDir, 0o755); err != nil {
-		c.log.Error("wal disabled: manifest dir", "sweep", camp.sweep, "err", err)
-		return nil
-	}
-	path := filepath.Join(c.cfg.ManifestDir, WALFilename(camp.sweep))
-	var orphans []Orphan
-	fresh := true
+	path := filepath.Join(c.cfg.ManifestDir, markerName(camp.sweep))
 	if _, err := os.Stat(path); err == nil {
-		rep, rerr := ReplayWAL(path)
-		switch {
-		case rerr != nil:
-			// Mid-file corruption: the log cannot be trusted. Preserve it
-			// for forensics and start over — manifests still dedupe.
-			c.log.Error("wal corrupt; rotating", "sweep", camp.sweep, "err", rerr)
-			os.Rename(path, path+".corrupt")
-		case rep.Events == 0:
-			// Empty file (crash between create and first append).
-		case rep.Closed:
-			// Previous campaign finished and was compacted; a re-run of the
-			// same sweep starts a fresh log.
-			os.Remove(path)
-		case rep.Sweep != camp.sweep || rep.Cells != len(camp.cells) || !digestsMatch(rep, camp):
-			// The log describes a different campaign shape (changed sweep
-			// definition): it cannot resume this one.
-			c.log.Warn("wal stale (campaign shape changed); rotating",
-				"sweep", camp.sweep, "logged_sweep", rep.Sweep, "logged_cells", rep.Cells)
-			os.Rename(path, path+".stale")
-		default:
-			orphans = c.applyReplay(camp, rep)
-			fresh = false
-		}
+		camp.marker = path
+		return true
 	}
-	if fresh {
-		os.Remove(path)
+	err := os.MkdirAll(c.cfg.ManifestDir, 0o755)
+	if err == nil {
+		err = os.WriteFile(path, nil, 0o644)
 	}
-	wal, err := OpenWAL(path)
 	if err != nil {
-		c.log.Error("wal disabled: open failed", "sweep", camp.sweep, "err", err)
-		return orphans
+		c.log.Error("restart marker not written; a restart will not hold",
+			"sweep", camp.sweep, "err", err)
+		return false
 	}
-	camp.wal = wal
-	if fresh {
-		digests := make(map[int]string, len(camp.cells))
-		for _, cl := range camp.cells {
-			digests[cl.index] = cl.digest
-		}
-		e := Event{Type: EventCampaignOpen, Sweep: camp.sweep,
-			Cells: len(camp.cells), Digests: digests}
-		if err := wal.Append(e); err != nil {
-			c.log.Error("wal disabled: open event", "sweep", camp.sweep, "err", err)
-			wal.Close()
-			camp.wal = nil
-		}
-	} else {
-		c.walAppend(wal, Event{Type: EventCoordinatorReplayed, Sweep: camp.sweep,
-			Orphans: len(orphans), Resolved: camp.replayedCells})
-	}
-	return orphans
+	camp.marker = path
+	return false
 }
 
-// digestsMatch verifies the replayed log fingerprints the same campaign:
-// every logged digest must equal the cell the restarted coordinator
-// built at that index.
-func digestsMatch(rep *Replay, camp *campaign) bool {
-	for idx, d := range rep.Digests {
-		if idx < 0 || idx >= len(camp.cells) || camp.cells[idx].digest != d {
-			return false
-		}
-	}
-	return true
-}
-
-// applyReplay folds a replayed WAL into a freshly built campaign, before
-// it is published: cells whose manifest is on disk (digest-matched) are
-// resolved without re-running, quarantine verdicts are restored, per-cell
-// dispatch and failure accounting carries over, and the queue is rebuilt
-// from what is genuinely still pending. Returns the orphan leases whose
-// cells remain unresolved. Manifests — not the WAL — decide resolution:
-// a logged acceptance whose manifest never landed is re-run (determinism
-// makes the rerun byte-identical).
-func (c *Coordinator) applyReplay(camp *campaign, rep *Replay) []Orphan {
+// resolveFromManifests settles, at restart, every open cell whose OK
+// manifest with the matching digest is on disk, rebuilds the queue from
+// the rest, and returns the outcomes to emit for the settled cells.
+// Manifests are the only record of a result: a failed-run manifest, or
+// one recorded under another digest, leaves its cell to be dispatched
+// again.
+func (c *Coordinator) resolveFromManifests(camp *campaign) []runner.Outcome {
 	byIndex, warnings, err := manifest.ScanDir(c.cfg.ManifestDir, camp.sweep)
 	if err != nil {
-		c.log.Warn("wal replay: manifest scan failed", "sweep", camp.sweep, "err", err)
-		byIndex = map[int]*manifest.Manifest{}
+		c.log.Warn("restart: manifest scan failed", "sweep", camp.sweep, "err", err)
+		return nil
 	}
 	for _, warn := range warnings {
-		c.log.Warn("wal replay: manifest scan", "sweep", camp.sweep, "warning", warn)
+		c.log.Warn("restart: manifest scan", "sweep", camp.sweep, "warning", warn)
 	}
-
-	camp.replays = rep.Restarts + 2 // prior incarnations + this one
-	camp.reclaims = rep.Reclaims
-	camp.lateAccepts = rep.LateAccepts
-	camp.adopted = rep.Adoptions
-	camp.replayGrants = rep.Grants
-	for w, n := range rep.WorkerCompletions {
-		camp.workerCompleted[w] = n
-	}
-
+	var settled []runner.Outcome
+	camp.queue = camp.queue[:0]
 	for _, cl := range camp.cells {
 		if cl.state == cellDone { // skipped by policy
 			continue
 		}
-		cl.dispatches = rep.Dispatches[cl.index]
-		for _, f := range rep.Failures[cl.index] {
-			cl.failedBy[f.Worker] = true
-			cl.failCount++
-		}
-		if q := rep.Quarantined[cl.index]; q != nil {
-			cl.state = cellDone
-			cl.err = &runner.RunError{Index: cl.index, Attempt: q.Attempt,
-				Cause: runner.Cause(q.Cause), Digest: cl.digest,
-				Err: errors.New(q.Error)}
-			camp.quarantined = append(camp.quarantined, cl.index)
-			continue
-		}
 		m := byIndex[cl.index]
-		if m != nil && m.Status == manifest.StatusOK && m.ConfigDigest == cl.digest {
-			cl.state = cellDone
-			cl.res = m.ToResults()
-			cl.wall = m.WallSeconds
-			camp.replayedCells++
-			// StatusSkipped is the one claim-free Done status; observers
-			// (and the manifest emitter, which ignores skips) treat the
-			// cell as already settled.
-			camp.replayEmit = append(camp.replayEmit, runner.Outcome{
-				Index: cl.index, Done: true, Status: runner.StatusSkipped, Cfg: cl.cfg})
-			continue
-		}
-		if rep.Accepted[cl.index] > 0 {
-			c.log.Warn("wal replay: accepted completion has no manifest; re-running",
-				"sweep", camp.sweep, "cell", cl.index, "digest", cl.digest)
-		}
-	}
-
-	// Rebuild queue and remaining from the surviving pending set, leased
-	// orphan cells stay out of the queue until reclaimed or adopted.
-	camp.queue = camp.queue[:0]
-	camp.remaining = 0
-	var orphans []Orphan
-	for _, o := range rep.Orphans {
-		if o.Index < 0 || o.Index >= len(camp.cells) {
-			continue
-		}
-		cl := camp.cells[o.Index]
-		if cl.state != cellPending || cl.leaseID != "" {
-			// Resolved above, or an earlier orphan already owns the cell
-			// (first orphan wins; the loser's worker late-accepts by digest).
-			continue
-		}
-		cl.state = cellLeased
-		cl.leaseID = o.Lease
-		orphans = append(orphans, o)
-	}
-	for _, cl := range camp.cells {
-		if cl.state == cellPending {
+		if m == nil || m.Status != manifest.StatusOK || m.ConfigDigest != cl.digest {
 			camp.queue = append(camp.queue, cl.index)
+			continue
 		}
-		if cl.state != cellDone {
-			camp.remaining++
-		}
+		cl.state = cellDone
+		cl.res = m.ToResults()
+		camp.remaining--
+		camp.replayed++
+		// StatusSkipped is the one claim-free Done status; observers (and
+		// the manifest emitter, which ignores skips) treat the cell as
+		// already settled.
+		settled = append(settled, runner.Outcome{
+			Index: cl.index, Done: true, Status: runner.StatusSkipped, Cfg: cl.cfg})
 	}
-	return orphans
-}
-
-// walAppend appends an event to the campaign log, tolerating a nil WAL.
-// An append failure is logged and swallowed: the campaign stays correct
-// without the record (a forgotten grant's completion still late-accepts
-// by digest), only crash-recovery fidelity degrades.
-func (c *Coordinator) walAppend(w *WAL, e Event) {
-	if w == nil {
-		return
-	}
-	if err := w.Append(e); err != nil {
-		c.log.Error("wal append failed; crash-safety degraded",
-			"type", string(e.Type), "err", err)
-	}
+	return settled
 }
 
 // crash kills the coordinator mid-campaign (chaos hook): it marks the
@@ -671,48 +460,16 @@ func (c *Coordinator) crash(reason string) {
 		return
 	}
 	c.mu.Lock()
-	camp := c.camp
-	var wal *WAL
-	if camp != nil && !camp.crashed {
-		camp.crashed = true
-		wal = camp.wal
-		close(camp.crash)
+	if c.camp != nil {
+		close(c.camp.crash)
 	}
 	c.mu.Unlock()
 	c.log.Warn("coordinator crashing", "reason", reason)
-	if wal != nil {
-		wal.Close() // fd only; the log stays unsealed for replay
-	}
 	exit := c.cfg.Exit
 	if exit == nil {
 		exit = os.Exit
 	}
 	exit(1)
-}
-
-// journal assembles the campaign's durable account.
-func (c *Coordinator) journal(camp *campaign) *Journal {
-	j := &Journal{
-		SchemaVersion:     JournalSchemaVersion,
-		Kind:              JournalKind,
-		Sweep:             camp.sweep,
-		Cells:             len(camp.cells),
-		Digests:           make(map[int]string, len(camp.cells)),
-		WorkerCompletions: camp.workerCompleted,
-		Reclaims:          camp.reclaims,
-		Duplicates:        camp.duplicates,
-		LateAccepts:       camp.lateAccepts,
-		DigestConflicts:   camp.conflicts,
-		Quarantined:       camp.quarantined,
-		Skipped:           camp.skipped,
-		Adopted:           camp.adopted,
-		Replays:           camp.replays - 1,
-		Replayed:          camp.replayedCells,
-	}
-	for _, cl := range camp.cells {
-		j.Digests[cl.index] = cl.digest
-	}
-	return j
 }
 
 // reclaimLoop periodically sweeps expired leases while a campaign runs.
@@ -739,27 +496,20 @@ func (c *Coordinator) reclaimExpired() {
 	c.mu.Lock()
 	now := c.now()
 	var emit []runner.Outcome
-	var events []Event
 	var obs runner.Observer
-	var wal *WAL
 	for id, l := range c.leases {
 		if now.Before(l.expires) {
 			continue
 		}
-		if o, e, ok := c.reclaimLeaseLocked(l); ok {
+		if o, ok := c.reclaimLeaseLocked(l); ok {
 			emit = append(emit, o)
-			events = append(events, e)
 		}
 		delete(c.leases, id)
 	}
 	if c.camp != nil {
 		obs = c.camp.observer
-		wal = c.camp.wal
 	}
 	c.mu.Unlock()
-	for _, e := range events {
-		c.walAppend(wal, e)
-	}
 	if obs != nil {
 		for _, o := range emit {
 			obs(o)
@@ -769,27 +519,24 @@ func (c *Coordinator) reclaimExpired() {
 
 // reclaimLeaseLocked returns an expired lease's cell to the pending
 // queue (when the lease still owns an open cell) and returns the
-// StatusRetrying outcome plus the WAL reclaim event to emit (events are
-// appended outside mu so fsync never blocks handlers). The caller
-// deletes the lease and holds mu.
-func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, Event, bool) {
+// StatusRetrying outcome to emit. The caller deletes the lease and holds
+// mu.
+func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, bool) {
 	camp := c.camp
 	if camp == nil || l.index >= len(camp.cells) {
-		return runner.Outcome{}, Event{}, false
+		return runner.Outcome{}, false
 	}
 	cl := camp.cells[l.index]
 	if cl.state != cellLeased || cl.leaseID != l.id {
 		// The cell was resolved (or re-leased) while this lease aged out;
 		// nothing to reclaim.
-		return runner.Outcome{}, Event{}, false
+		return runner.Outcome{}, false
 	}
 	cl.state = cellPending
 	cl.leaseID = ""
 	camp.queue = append(camp.queue, l.index)
 	camp.reclaims++
 	c.totReclaims++
-	ev := Event{Type: EventLeaseReclaimed, Sweep: camp.sweep,
-		Lease: l.id, Index: l.index, Worker: l.worker}
 	return runner.Outcome{
 		Index: l.index, Worker: c.workerNumLocked(l.worker), Done: true,
 		Status: runner.StatusRetrying, Attempt: cl.dispatches - 1, Cfg: cl.cfg,
@@ -798,7 +545,33 @@ func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, Event, bool)
 			Digest: cl.digest,
 			Err:    fmt.Errorf("fleet: lease %s expired on worker %s", l.id, l.worker),
 		},
-	}, ev, true
+	}, true
+}
+
+// adoptLocked takes over a lease a previous coordinator incarnation
+// granted, when the cell it names is still pending here under the same
+// digest: the worker's in-flight run then stands for this incarnation's
+// dispatch instead of being redone. A lease carrying this coordinator's
+// own nonce is never adopted — it was reclaimed or resolved. Caller
+// holds mu.
+func (c *Coordinator) adoptLocked(id, worker, sweep string, index int, digest string) bool {
+	camp := c.camp
+	if camp == nil || strings.HasPrefix(id, c.nonce+"-") || camp.sweep != sweep ||
+		index < 0 || index >= len(camp.cells) {
+		return false
+	}
+	cl := camp.cells[index]
+	if cl.state != cellPending || cl.digest != digest {
+		return false
+	}
+	cl.state = cellLeased
+	cl.leaseID = id
+	cl.dispatches++
+	c.leases[id] = &lease{id: id, index: index, worker: worker,
+		expires: c.now().Add(c.cfg.LeaseTTL)}
+	camp.adopted++
+	c.totAdopted++
+	return true
 }
 
 // touchWorker records a worker contact and returns its info. Caller
@@ -842,8 +615,6 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.handleHeartbeat(w, r)
 	case PathComplete:
 		c.handleComplete(w, r)
-	case PathAdopt:
-		c.handleAdopt(w, r)
 	case PathStatus:
 		writeJSON(w, c.Status())
 	case PathMetrics:
@@ -884,55 +655,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var resp LeaseResponse
 	var claim *runner.Outcome
 	var obs runner.Observer
-	var wal *WAL
-	var grant Event
-	killNow := false
 	switch {
 	case c.shutdown:
 		resp.Shutdown = true
-	case c.camp == nil:
-		// idle: no campaign active
-	default:
-		camp := c.camp
-		obs = camp.observer
-		for len(camp.queue) > 0 {
-			idx := camp.queue[0]
-			camp.queue = camp.queue[1:]
-			cl := camp.cells[idx]
-			if cl.state != cellPending {
-				// Resolved while queued (a late completion landed); skip.
-				continue
-			}
-			c.leaseSeq++
-			id := fmt.Sprintf("%s-%04d-%d", camp.sweep, idx, c.leaseSeq)
-			cl.state = cellLeased
-			cl.leaseID = id
-			cl.dispatches++
-			c.leases[id] = &lease{id: id, index: idx, worker: req.Worker,
-				expires: c.now().Add(c.cfg.LeaseTTL)}
-			resp.Lease = &Lease{
-				ID: id, Sweep: camp.sweep, Index: idx, Digest: cl.digest,
-				Config: cl.cfg, TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
-				Retries: camp.retries, RunTimeoutNanos: int64(camp.runTimeout),
-			}
-			claim = &runner.Outcome{Index: idx, Worker: wi.num,
-				Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg}
-			wal = camp.wal
-			grant = Event{Type: EventLeaseGranted, Sweep: camp.sweep,
-				Lease: id, Index: idx, Worker: req.Worker, Digest: cl.digest}
-			c.grants++
-			killNow = c.cfg.ChaosKillAfter > 0 && c.grants == c.cfg.ChaosKillAfter
-			break
-		}
+	case c.camp != nil:
+		obs = c.camp.observer
+		resp.Lease, claim = c.grantLocked(req.Worker, wi.num)
 	}
+	killNow := resp.Lease != nil && c.cfg.ChaosKillAfter > 0 && c.grants == c.cfg.ChaosKillAfter
 	c.mu.Unlock()
 
-	// Durability before announcement: the grant record is fsynced before
-	// the worker learns the lease exists, so a replayed log can never be
-	// missing a lease some worker holds.
-	if wal != nil {
-		c.walAppend(wal, grant)
-	}
 	if claim != nil && obs != nil {
 		obs(*claim)
 	}
@@ -948,10 +680,46 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// grantLocked leases the next pending cell to a worker and returns the
+// lease with its claim outcome, or nils when the queue is empty or the
+// restart hold is on. Caller holds mu and has checked c.camp.
+func (c *Coordinator) grantLocked(worker string, num int) (*Lease, *runner.Outcome) {
+	camp := c.camp
+	if c.now().Before(camp.holdUntil) {
+		return nil, nil
+	}
+	for len(camp.queue) > 0 {
+		idx := camp.queue[0]
+		camp.queue = camp.queue[1:]
+		cl := camp.cells[idx]
+		if cl.state != cellPending {
+			// Resolved or adopted while queued; skip.
+			continue
+		}
+		c.grants++
+		id := fmt.Sprintf("%s-%s-%04d-%d", c.nonce, camp.sweep, idx, c.grants)
+		cl.state = cellLeased
+		cl.leaseID = id
+		cl.dispatches++
+		c.leases[id] = &lease{id: id, index: idx, worker: worker,
+			expires: c.now().Add(c.cfg.LeaseTTL)}
+		return &Lease{
+				ID: id, Sweep: camp.sweep, Index: idx, Digest: cl.digest,
+				Config: cl.cfg, TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
+				Retries: camp.retries, RunTimeoutNanos: int64(camp.runTimeout),
+			}, &runner.Outcome{Index: idx, Worker: num,
+				Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg}
+	}
+	return nil, nil
+}
+
 // handleHeartbeat extends a live lease. A heartbeat arriving after the
 // deadline — even before the periodic reclaimer noticed — is too late:
 // the lease is reclaimed on the spot and the worker told it is gone, so
-// expiry is deterministic rather than racing the sweep interval.
+// expiry is deterministic rather than racing the sweep interval. A
+// heartbeat on a lease this coordinator does not hold adopts it when a
+// previous incarnation granted it and its cell is still open here;
+// otherwise the lease is gone.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -959,107 +727,45 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
+	if c.camp == nil && !c.published {
+		c.mu.Unlock()
+		http.Error(w, "no campaign yet", http.StatusServiceUnavailable)
+		return
+	}
 	wi := c.touchWorkerLocked(req.Worker)
 	if req.Snapshot != nil {
 		wi.snap = req.Snapshot
 	}
 	var emit *runner.Outcome
-	var event *Event
 	var obs runner.Observer
-	var wal *WAL
 	resp := HeartbeatResponse{}
+	adopted := false
+	now := c.now()
 	l := c.leases[req.LeaseID]
 	switch {
 	case l == nil:
-		resp.Gone = true
-	case l.orphan && c.now().Before(l.expires):
-		// A lease granted by a previous incarnation: keep it alive and
-		// ask the worker to re-announce its held cell so it can be
-		// adopted (index + digest cross-checked in handleAdopt).
-		l.expires = c.now().Add(c.cfg.LeaseTTL)
-		resp.Reannounce = true
-	case c.now().Before(l.expires):
-		l.expires = c.now().Add(c.cfg.LeaseTTL)
+		adopted = c.adoptLocked(req.LeaseID, req.Worker, req.Sweep, req.Index, req.Digest)
+		resp.OK, resp.Gone = adopted, !adopted
+	case now.Before(l.expires):
+		l.expires = now.Add(c.cfg.LeaseTTL)
 		resp.OK = true
 	default:
-		if o, e, ok := c.reclaimLeaseLocked(l); ok {
+		if o, ok := c.reclaimLeaseLocked(l); ok {
 			emit = &o
-			event = &e
 		}
 		delete(c.leases, req.LeaseID)
 		resp.Gone = true
 	}
 	if c.camp != nil {
 		obs = c.camp.observer
-		wal = c.camp.wal
 	}
 	c.mu.Unlock()
-	if event != nil {
-		c.walAppend(wal, *event)
+	if adopted {
+		c.log.Info("lease adopted", "sweep", req.Sweep, "cell", req.Index,
+			"worker", req.Worker, "lease", req.LeaseID, "via", "heartbeat")
 	}
 	if emit != nil && obs != nil {
 		obs(*emit)
-	}
-	writeJSON(w, resp)
-}
-
-// handleAdopt completes the lease-adoption handshake: a worker whose
-// heartbeat was answered with Reannounce re-registers its held cell, and
-// the restarted coordinator adopts the lease when the cell's identity
-// (index + digest) matches the replayed campaign. Anything else answers
-// Gone — the worker finishes and delivers anyway; a digest-matched
-// completion is still accepted (late) even without a live lease.
-func (c *Coordinator) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	var req AdoptRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" || req.LeaseID == "" {
-		http.Error(w, "bad adopt request", http.StatusBadRequest)
-		return
-	}
-	c.mu.Lock()
-	c.touchWorkerLocked(req.Worker)
-	camp := c.camp
-	resp := AdoptResponse{}
-	var event *Event
-	var wal *WAL
-	l := c.leases[req.LeaseID]
-	switch {
-	case camp == nil || camp.sweep != req.Sweep ||
-		req.Index < 0 || req.Index >= len(camp.cells):
-		resp.Gone = true
-	case l == nil:
-		// Expired and reclaimed (or never replayed); the worker's eventual
-		// completion can still late-accept by digest.
-		resp.Gone = true
-	case l.index != req.Index || camp.cells[req.Index].digest != req.Digest ||
-		camp.cells[req.Index].state == cellDone:
-		// The lease does not describe the cell the worker claims to hold,
-		// or the cell was resolved meanwhile: drop the lease entirely.
-		delete(c.leases, req.LeaseID)
-		resp.Gone = true
-	case l.orphan:
-		l.orphan = false
-		l.worker = req.Worker
-		l.expires = c.now().Add(c.cfg.LeaseTTL)
-		camp.cells[req.Index].leaseID = req.LeaseID
-		camp.adopted++
-		c.totAdopted++
-		resp.Adopted = true
-		wal = camp.wal
-		event = &Event{Type: EventLeaseAdopted, Sweep: camp.sweep,
-			Lease: req.LeaseID, Index: req.Index, Worker: req.Worker,
-			Digest: req.Digest, Attempt: req.Attempt}
-	case l.worker == req.Worker && camp.cells[req.Index].leaseID == req.LeaseID:
-		// Resent adopt (lost response): idempotent success.
-		l.expires = c.now().Add(c.cfg.LeaseTTL)
-		resp.Adopted = true
-	default:
-		resp.Gone = true
-	}
-	c.mu.Unlock()
-	if event != nil {
-		c.walAppend(wal, *event)
-		c.log.Info("lease adopted", "sweep", req.Sweep, "cell", req.Index,
-			"worker", req.Worker, "lease", req.LeaseID)
 	}
 	writeJSON(w, resp)
 }
@@ -1078,8 +784,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	camp := c.camp
 	if camp == nil && !c.published {
 		// Startup window: the port is up but no campaign has ever been
-		// installed — a restarted coordinator still replaying. Make the
-		// worker retry instead of dropping its report.
+		// installed — a restarted coordinator still scanning manifests.
+		// Make the worker retry instead of dropping its report.
 		c.mu.Unlock()
 		http.Error(w, "no campaign yet", http.StatusServiceUnavailable)
 		return
@@ -1104,14 +810,19 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	l, hadLease := c.leases[rep.LeaseID]
+	adopted := false
+	if !hadLease {
+		// A previous incarnation's lease on a still-pending cell: the
+		// in-flight work survived the outage; adopt it and complete it.
+		adopted = c.adoptLocked(rep.LeaseID, rep.Worker, rep.Sweep, rep.Index, rep.Digest)
+		l, hadLease = c.leases[rep.LeaseID]
+	}
 	if hadLease {
 		delete(c.leases, rep.LeaseID)
 	}
 
 	obs := camp.observer
-	wal := camp.wal
 	var emit []runner.Outcome
-	var events []Event
 	resp := CompletionResponse{}
 
 	if cl.state == cellDone {
@@ -1129,33 +840,20 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		resp.Accepted = true
-		late := !hadLease || cl.leaseID != rep.LeaseID
-		if late {
-			// The worker outlived its reclaimed lease; its work is still
-			// valid (digest matched) and it got here first.
-			camp.lateAccepts++
-			c.totLate++
-		}
-		if hadLease && l.orphan && l.index == rep.Index {
-			// Implicit adoption: the completion arrived on a previous
-			// incarnation's lease before (or instead of) the re-announce
-			// handshake — the in-flight work still survived the outage.
-			camp.adopted++
-			c.totAdopted++
-			events = append(events, Event{Type: EventLeaseAdopted,
-				Sweep: camp.sweep, Lease: rep.LeaseID, Index: rep.Index,
-				Worker: rep.Worker, Digest: rep.Digest, Attempt: rep.Attempt})
-		}
-		cl.leaseID = ""
-		accept := Event{Type: EventCompletionAccepted, Sweep: camp.sweep,
-			Lease: rep.LeaseID, Index: rep.Index, Worker: rep.Worker,
-			Digest: rep.Digest, OK: rep.OK, Late: late,
-			Cause: rep.Cause, Error: rep.Error, Attempt: rep.Attempt}
-		events = append(events, accept)
+		// Late: the worker's lease was reclaimed, so its claim is already
+		// closed for observers and the cell is queued again or held by
+		// another worker.
+		late := cl.leaseID != rep.LeaseID
 		if rep.OK {
+			if late {
+				// Its work is still valid (digest matched) and it got here
+				// first.
+				camp.lateAccepts++
+				c.totLate++
+			}
 			cl.state = cellDone
+			cl.leaseID = ""
 			cl.res = rep.Res
-			cl.wall = rep.WallSeconds
 			camp.workerCompleted[rep.Worker]++
 			wi.completed++
 			camp.remaining--
@@ -1171,22 +869,24 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			rerr := &runner.RunError{Index: rep.Index, Attempt: rep.Attempt,
 				Cause: runner.Cause(rep.Cause), Digest: cl.digest,
 				Err: errors.New(rep.Error)}
-			if len(cl.failedBy) >= c.cfg.QuarantineAfter ||
-				cl.failCount >= 2*c.cfg.QuarantineAfter {
+			switch {
+			case late:
+				// Record the vote only: re-queueing would dispatch the cell
+				// again while its current holder still runs it.
+			case len(cl.failedBy) >= c.cfg.QuarantineAfter ||
+				cl.failCount >= 2*c.cfg.QuarantineAfter:
 				cl.state = cellDone
+				cl.leaseID = ""
 				cl.err = rerr
-				camp.quarantined = append(camp.quarantined, rep.Index)
+				camp.quarantined++
 				c.totQuarantined++
 				camp.remaining--
-				events = append(events, Event{Type: EventCellQuarantined,
-					Sweep: camp.sweep, Index: rep.Index, Worker: rep.Worker,
-					Digest: cl.digest, Cause: rep.Cause, Error: rep.Error,
-					Attempt: rep.Attempt})
 				emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
 					Done: true, Status: runner.StatusQuarantined, Attempt: rep.Attempt,
 					Cfg: cl.cfg, Err: rerr, WallSeconds: rep.WallSeconds})
-			} else {
+			default:
 				cl.state = cellPending
+				cl.leaseID = ""
 				camp.queue = append(camp.queue, rep.Index)
 				emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
 					Done: true, Status: runner.StatusRetrying, Attempt: rep.Attempt,
@@ -1199,11 +899,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 
-	// Durability before acknowledgement: the acceptance is on disk
-	// before the worker is told it landed, so a crash after the ack can
-	// never lose an acknowledged completion from the log.
-	for _, e := range events {
-		c.walAppend(wal, e)
+	if adopted {
+		c.log.Info("lease adopted", "sweep", rep.Sweep, "cell", rep.Index,
+			"worker", rep.Worker, "lease", rep.LeaseID, "via", "completion")
 	}
 	if obs != nil {
 		for _, o := range emit {
@@ -1226,18 +924,11 @@ func (c *Coordinator) Status() Status {
 		Quarantined:       c.totQuarantined,
 		DigestConflicts:   c.totConflicts,
 		Adopted:           c.totAdopted,
-		Replays:           c.totReplays,
 	}
 	if c.camp != nil {
 		st.Sweep = c.camp.sweep
 		st.Cells = len(c.camp.cells)
-		done := 0
-		for _, cl := range c.camp.cells {
-			if cl.state == cellDone {
-				done++
-			}
-		}
-		st.Completed = done
+		st.Completed = c.camp.doneCount()
 	}
 	held := map[string]int{}
 	for _, l := range c.leases {
@@ -1254,6 +945,17 @@ func (c *Coordinator) Status() Status {
 	}
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Num < st.Workers[j].Num })
 	return st
+}
+
+// doneCount is how many of the campaign's cells are resolved.
+func (camp *campaign) doneCount() int {
+	done := 0
+	for _, cl := range camp.cells {
+		if cl.state == cellDone {
+			done++
+		}
+	}
+	return done
 }
 
 // handleMetrics serves the coordinator's telemetry in the Prometheus
@@ -1276,17 +978,10 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"fleet.quarantined":        float64(c.totQuarantined),
 		"fleet.digest_conflicts":   float64(c.totConflicts),
 		"fleet.adopted":            float64(c.totAdopted),
-		"fleet.replays":            float64(c.totReplays),
 	}
 	if c.camp != nil {
-		done := 0
-		for _, cl := range c.camp.cells {
-			if cl.state == cellDone {
-				done++
-			}
-		}
 		gauges["fleet.cells"] = float64(len(c.camp.cells))
-		gauges["fleet.cells_done"] = float64(done)
+		gauges["fleet.cells_done"] = float64(c.camp.doneCount())
 	}
 	live := map[string]uint64{}
 	for _, wi := range c.workers {

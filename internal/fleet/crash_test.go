@@ -6,23 +6,27 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"inpg"
 	"inpg/internal/manifest"
 	"inpg/internal/runner"
 )
 
-// manifestPolicy mimics the experiments observer: every accepted OK
-// completion lands a run manifest, which is what replay resolves cells
+// manifestPolicy mimics the experiments observer: every settled outcome
+// with a result or an error lands a run manifest (OK, failed attempt or
+// quarantine), which is what a restarted coordinator resolves cells
 // from. (fakeWorker completions carry fake results; Build records them
 // faithfully.)
 func manifestPolicy(t *testing.T, dir, sweep string) runner.Policy {
 	t.Helper()
 	return runner.Policy{Observer: func(o runner.Outcome) {
-		if o.Done && o.Status == runner.StatusOK {
-			m := manifest.Build(sweep, o.Index, o.Cfg, o.Res, o.Snapshot, o.WallSeconds, nil)
+		if o.Done && o.Status != runner.StatusSkipped && (o.Res != nil || o.Err != nil) {
+			m := manifest.Build(sweep, o.Index, o.Cfg, o.Res, o.Snapshot, o.WallSeconds, o.Err)
 			if _, err := m.WriteFile(dir); err != nil {
 				t.Errorf("manifest write: %v", err)
 			}
@@ -30,18 +34,33 @@ func manifestPolicy(t *testing.T, dir, sweep string) runner.Policy {
 	}}
 }
 
-func (f *fakeWorker) adopt(l *Lease) AdoptResponse {
-	var resp AdoptResponse
-	f.post(PathAdopt, AdoptRequest{Worker: f.id, LeaseID: l.ID, Sweep: l.Sweep,
-		Index: l.Index, Digest: l.Digest}, &resp)
-	return resp
+// markerExists reports whether the sweep's restart marker is in dir.
+func markerExists(dir, sweep string) bool {
+	_, err := os.Stat(filepath.Join(dir, markerName(sweep)))
+	return err == nil
 }
 
-// TestCoordinatorCrashReplayAdoptsLease is the tentpole scenario: the
-// coordinator dies right after granting a lease, a restarted coordinator
-// replays the WAL against the same manifest dir, resolves the already-
-// manifested cell without re-running it, answers the surviving worker's
-// heartbeat with Reannounce, adopts the lease, and finishes the campaign.
+// putMarker leaves a restart marker in dir, as a crashed coordinator
+// would.
+func putMarker(t *testing.T, dir, sweep string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, markerName(sweep)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nonceOf returns a lease ID's coordinator nonce.
+func nonceOf(id string) string {
+	return strings.SplitN(id, "-", 2)[0]
+}
+
+// TestCoordinatorCrashReplayAdoptsLease is the restart scenario: the
+// coordinator dies right after granting a lease and leaves its restart
+// marker behind. A coordinator restarted on the same manifest dir
+// resolves the already-manifested cell without re-running it, grants
+// nothing during the restart hold, adopts the surviving worker's lease
+// when its heartbeat names the still-open cell, and finishes the
+// campaign.
 func TestCoordinatorCrashReplayAdoptsLease(t *testing.T) {
 	dir := t.TempDir()
 	cfgs := tinyCfgs(3)
@@ -80,34 +99,43 @@ func TestCoordinatorCrashReplayAdoptsLease(t *testing.T) {
 	if status := w.post(PathHeartbeat, HeartbeatRequest{Worker: w.id, LeaseID: l1.ID}, &hb); status != http.StatusServiceUnavailable {
 		t.Fatalf("dead coordinator heartbeat status = %d, want 503", status)
 	}
+	if !markerExists(dir, "crash") {
+		t.Fatal("crashed campaign left no restart marker")
+	}
 
 	// Restart against the same manifest dir.
-	b := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Log: testLogger(t)})
+	clk := newClock()
+	b := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Now: clk.Now, Log: testLogger(t)})
 	srvB := httptest.NewServer(b)
 	defer srvB.Close()
+	w.url = srvB.URL
+	// Up but no campaign yet: retry, so the lease stays adoptable.
+	if status := w.post(PathHeartbeat, HeartbeatRequest{Worker: w.id, LeaseID: l1.ID,
+		Sweep: l1.Sweep, Index: l1.Index, Digest: l1.Digest}, &hb); status != http.StatusServiceUnavailable {
+		t.Fatalf("heartbeat before the campaign is published: status %d, want 503", status)
+	}
 	waitB := startCampaign(t, b, "crash", cfgs, manifestPolicy(t, dir, "crash"))
 
-	w.url = srvB.URL
-	// The replayed orphan lease answers Reannounce, not Gone.
-	if hb := w.heartbeat(l1.ID); !hb.Reannounce || hb.Gone || hb.OK {
-		t.Fatalf("orphan heartbeat = %+v, want reannounce", hb)
+	if l := w.lease(); l != nil {
+		t.Fatalf("lease granted during the restart hold: %+v", l)
 	}
-	if ad := w.adopt(l1); !ad.Adopted {
-		t.Fatalf("adopt = %+v", ad)
+	// The previous incarnation's lease names an open cell: adopted.
+	if hb := w.heartbeat(l1); !hb.OK || hb.Gone {
+		t.Fatalf("heartbeat on the survivor's lease = %+v, want adopted", hb)
 	}
-	// Adopted: from here it is an ordinary lease.
-	if hb := w.heartbeat(l1.ID); !hb.OK {
-		t.Fatalf("post-adopt heartbeat = %+v", hb)
+	if hb := w.heartbeat(l1); !hb.OK {
+		t.Fatalf("heartbeat on the adopted lease = %+v", hb)
 	}
 	if resp, _ := w.complete(l1, true, 111); !resp.Accepted {
 		t.Fatalf("adopted completion = %+v", resp)
 	}
+	clk.Advance(time.Minute)
 	l2 := w.lease()
 	if l2 == nil || l2.Index != 2 {
 		t.Fatalf("remaining lease = %+v", l2)
 	}
-	if strings.HasPrefix(l1.ID, l2.ID) || l2.ID == l1.ID {
-		t.Fatalf("lease ID collision across restart: %s vs %s", l2.ID, l1.ID)
+	if nonceOf(l2.ID) == nonceOf(l1.ID) {
+		t.Fatalf("restarted coordinator reused its predecessor's nonce: %s vs %s", l2.ID, l1.ID)
 	}
 	w.complete(l2, true, 222)
 
@@ -123,38 +151,23 @@ func TestCoordinatorCrashReplayAdoptsLease(t *testing.T) {
 		t.Fatalf("runtimes = %d/%d/%d", resB[0].Runtime, resB[1].Runtime, resB[2].Runtime)
 	}
 	st := b.Status()
-	if st.Adopted != 1 || st.Replays != 1 || st.Reclaims != 0 {
-		t.Fatalf("status = adopted %d replays %d reclaims %d, want 1/1/0 (adopted, not reclaimed)",
-			st.Adopted, st.Replays, st.Reclaims)
+	if st.Adopted != 1 || st.Reclaims != 0 || st.LateAccepts != 0 {
+		t.Fatalf("status = adopted %d reclaims %d late %d, want 1/0/0 (adopted, not reclaimed)",
+			st.Adopted, st.Reclaims, st.LateAccepts)
 	}
-
-	j, err := ReadJournal(filepath.Join(dir, JournalFilename("crash")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Adopted != 1 || j.Replays != 1 || j.Replayed != 1 {
-		t.Fatalf("journal adopted=%d replays=%d replayed=%d, want 1/1/1", j.Adopted, j.Replays, j.Replayed)
-	}
-	rep, err := ReplayWAL(filepath.Join(dir, WALFilename("crash")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Closed || rep.Adoptions != 1 || rep.Restarts != 1 || len(rep.Orphans) != 0 {
-		t.Fatalf("final WAL replay = closed %v adoptions %d restarts %d orphans %d",
-			rep.Closed, rep.Adoptions, rep.Restarts, len(rep.Orphans))
+	if markerExists(dir, "crash") {
+		t.Fatal("finished campaign left its restart marker")
 	}
 }
 
 // TestCoordinatorDoubleCrashReplay: the restarted coordinator crashes
 // too — after adopting a lease and granting a new one — and a third
-// incarnation replays a log that already contains a replay marker and an
-// adoption. Mid-campaign the live WAL is also replayed read-only,
-// modeling a crash *during* replay: replay is pure, so the interrupted
-// incarnation leaves nothing behind.
+// incarnation restarts from the same marker and manifests. Every restart
+// resolves what the manifests prove, holds, and adopts the lease its
+// predecessor left on a worker; the counters belong to each incarnation.
 func TestCoordinatorDoubleCrashReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfgs := tinyCfgs(2)
-	walFile := filepath.Join(dir, WALFilename("dc"))
 
 	a := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir,
 		ChaosKillAfter: 1, Exit: func(int) {}, Log: testLogger(t)})
@@ -168,53 +181,48 @@ func TestCoordinatorDoubleCrashReplay(t *testing.T) {
 	}
 	waitA()
 
+	clkB := newClock()
 	b := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir,
-		ChaosKillAfter: 1, Exit: func(int) {}, Log: testLogger(t)})
+		ChaosKillAfter: 1, Exit: func(int) {}, Now: clkB.Now, Log: testLogger(t)})
 	srvB := httptest.NewServer(b)
 	defer srvB.Close()
 	waitB := startCampaign(t, b, "dc", cfgs, manifestPolicy(t, dir, "dc"))
 
-	// Crash-during-replay model: replaying the live log mid-campaign is
-	// read-only and must parse — an incarnation dying here changes nothing.
-	before, err := os.ReadFile(walFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := ReplayWAL(walFile); err != nil || rep.Restarts != 1 {
-		t.Fatalf("mid-campaign replay: rep %+v err %v", rep, err)
-	}
-	after, _ := os.ReadFile(walFile)
-	if string(before) != string(after) {
-		t.Fatal("mid-campaign replay modified the log")
-	}
-
 	w.url = srvB.URL
-	if hb := w.heartbeat(l0.ID); !hb.Reannounce {
+	if hb := w.heartbeat(l0); !hb.OK {
 		t.Fatalf("heartbeat on B = %+v", hb)
-	}
-	if ad := w.adopt(l0); !ad.Adopted {
-		t.Fatalf("adopt on B = %+v", ad)
 	}
 	if resp, _ := w.complete(l0, true, 100); !resp.Accepted {
 		t.Fatalf("completion on B = %+v", resp)
 	}
+	clkB.Advance(time.Minute)
 	l1 := w.lease() // B's first grant kills B; the worker holds cell 1
 	if l1 == nil || l1.Index != 1 {
 		t.Fatalf("lease across second crash = %+v", l1)
 	}
 	waitB()
+	if st := b.Status(); st.Adopted != 1 {
+		t.Fatalf("B adopted = %d, want 1", st.Adopted)
+	}
+	if !markerExists(dir, "dc") {
+		t.Fatal("second crash lost the restart marker")
+	}
 
-	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Log: testLogger(t)})
+	clkC := newClock()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Now: clkC.Now, Log: testLogger(t)})
 	srvC := httptest.NewServer(c)
 	defer srvC.Close()
 	waitC := startCampaign(t, c, "dc", cfgs, manifestPolicy(t, dir, "dc"))
 
 	w.url = srvC.URL
-	if hb := w.heartbeat(l1.ID); !hb.Reannounce {
-		t.Fatalf("heartbeat on C = %+v", hb)
+	if st := c.Status(); st.Completed != 1 {
+		t.Fatalf("C resolved %d cells from manifests, want 1", st.Completed)
 	}
-	if ad := w.adopt(l1); !ad.Adopted {
-		t.Fatalf("adopt on C = %+v", ad)
+	if l := w.lease(); l != nil {
+		t.Fatalf("lease granted during C's restart hold: %+v", l)
+	}
+	if hb := w.heartbeat(l1); !hb.OK {
+		t.Fatalf("heartbeat on C = %+v", hb)
 	}
 	if resp, _ := w.complete(l1, true, 200); !resp.Accepted {
 		t.Fatalf("completion on C = %+v", resp)
@@ -224,19 +232,187 @@ func TestCoordinatorDoubleCrashReplay(t *testing.T) {
 	if errs[0] != nil || errs[1] != nil || res[0].Runtime != 100 || res[1].Runtime != 200 {
 		t.Fatalf("final results = %v/%v errs %v/%v", res[0], res[1], errs[0], errs[1])
 	}
-	j, err := ReadJournal(filepath.Join(dir, JournalFilename("dc")))
-	if err != nil {
-		t.Fatal(err)
+	if st := c.Status(); st.Adopted != 1 || st.Reclaims != 0 {
+		t.Fatalf("C adopted %d reclaims %d, want 1/0", st.Adopted, st.Reclaims)
 	}
-	if j.Adopted != 2 || j.Replays != 2 || j.Replayed != 1 {
-		t.Fatalf("journal adopted=%d replays=%d replayed=%d, want 2/2/1", j.Adopted, j.Replays, j.Replayed)
+	if markerExists(dir, "dc") {
+		t.Fatal("finished campaign left its restart marker")
 	}
-	rep, err := ReplayWAL(walFile)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFreshCampaignNeverHolds: with a manifest dir and no marker, the
+// first poll is granted at once, the marker exists while the campaign
+// runs, and the finished campaign leaves none behind.
+func TestFreshCampaignNeverHolds(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir,
+		Now: newClock().Now, Log: testLogger(t)})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	wait := startCampaign(t, c, "fresh", tinyCfgs(1), runner.Policy{})
+
+	w := &fakeWorker{t: t, url: srv.URL, id: "worker"}
+	l := w.lease()
+	if l == nil {
+		t.Fatal("fresh campaign held its first grant")
 	}
-	if !rep.Closed || rep.Adoptions != 2 || rep.Restarts != 2 {
-		t.Fatalf("final WAL = closed %v adoptions %d restarts %d", rep.Closed, rep.Adoptions, rep.Restarts)
+	if !markerExists(dir, "fresh") {
+		t.Fatal("running campaign has no restart marker")
+	}
+	w.complete(l, true, 1)
+	wait()
+	if markerExists(dir, "fresh") {
+		t.Fatal("finished campaign left its restart marker")
+	}
+}
+
+// TestRestartHoldLastsOneLeaseTTL: a coordinator that finds the marker
+// grants nothing until one LeaseTTL after the restart.
+func TestRestartHoldLastsOneLeaseTTL(t *testing.T) {
+	dir := t.TempDir()
+	putMarker(t, dir, "hold")
+	clk := newClock()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Now: clk.Now, Log: testLogger(t)})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	wait := startCampaign(t, c, "hold", tinyCfgs(1), runner.Policy{})
+
+	w := &fakeWorker{t: t, url: srv.URL, id: "worker"}
+	clk.Advance(time.Minute - time.Second)
+	if l := w.lease(); l != nil {
+		t.Fatalf("lease at LeaseTTL-1s into the restart hold: %+v", l)
+	}
+	clk.Advance(time.Second)
+	l := w.lease()
+	if l == nil {
+		t.Fatal("no lease once the restart hold ended")
+	}
+	w.complete(l, true, 1)
+	wait()
+	if markerExists(dir, "hold") {
+		t.Fatal("finished campaign left its restart marker")
+	}
+}
+
+// TestRestartResolvesFromManifests: at restart, an OK manifest recorded
+// under the cell's digest settles the cell without a dispatch; a
+// failed-run manifest, or an OK one under another digest, leaves its cell
+// to be dispatched again.
+func TestRestartResolvesFromManifests(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := tinyCfgs(3)
+	for _, m := range []manifest.Manifest{
+		manifest.Build("res", 0, cfgs[0], &inpg.Results{Runtime: 100}, nil, 0.01, nil),
+		manifest.Build("res", 1, cfgs[1], nil, nil, 0.01,
+			&runner.RunError{Index: 1, Cause: runner.CauseError, Err: errors.New("boom")}),
+		manifest.Build("res", 2, tinyCfg(999), &inpg.Results{Runtime: 666}, nil, 0.01, nil),
+	} {
+		if _, err := m.WriteFile(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putMarker(t, dir, "res")
+
+	var mu sync.Mutex
+	var skipped []int
+	p := runner.Policy{Observer: func(o runner.Outcome) {
+		if o.Status == runner.StatusSkipped {
+			mu.Lock()
+			skipped = append(skipped, o.Index)
+			mu.Unlock()
+		}
+	}}
+	clk := newClock()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Now: clk.Now, Log: testLogger(t)})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	wait := startCampaign(t, c, "res", cfgs, p)
+	if st := c.Status(); st.Completed != 1 {
+		t.Fatalf("resolved %d cells from manifests, want 1", st.Completed)
+	}
+
+	clk.Advance(time.Minute)
+	w := &fakeWorker{t: t, url: srv.URL, id: "worker"}
+	var leased []int
+	for _, want := range []int{1, 2} {
+		l := w.lease()
+		if l == nil {
+			t.Fatalf("no lease after the restart hold; leased so far %v", leased)
+		}
+		leased = append(leased, l.Index)
+		if l.Index != want {
+			t.Fatalf("leased cells %v, want [1 2]", leased)
+		}
+		w.complete(l, true, uint64(200+l.Index))
+	}
+	res, errs := wait()
+	for i := range cfgs {
+		if errs[i] != nil || res[i] == nil {
+			t.Fatalf("cell %d: res %v err %v", i, res[i], errs[i])
+		}
+	}
+	if res[0].Runtime != 100 || res[1].Runtime != 201 || res[2].Runtime != 202 {
+		t.Fatalf("runtimes = %d/%d/%d, want 100/201/202", res[0].Runtime, res[1].Runtime, res[2].Runtime)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(skipped, []int{0}) {
+		t.Fatalf("settled-at-restart outcomes for cells %v, want [0]", skipped)
+	}
+}
+
+// TestForeignHeartbeatAdoptsOpenCell: a heartbeat on a lease another
+// coordinator incarnation granted adopts it when its cell is still open
+// here and the digest matches: the answer is OK, the cell is not granted
+// again, and the completion on the lease is on time. A stale digest, a
+// cell another worker holds here, or a cell already settled is Gone.
+func TestForeignHeartbeatAdoptsOpenCell(t *testing.T) {
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: newClock().Now, Log: testLogger(t)})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	cfgs := tinyCfgs(2)
+	wait := startCampaign(t, c, "adopt", cfgs, runner.Policy{})
+
+	survivor := &fakeWorker{t: t, url: srv.URL, id: "survivor"}
+	other := &fakeWorker{t: t, url: srv.URL, id: "other"}
+	const prev = "0123456789ab" // a previous incarnation's nonce
+	foreign := &Lease{ID: prev + "-adopt-0000-7", Sweep: "adopt", Index: 0, Digest: cfgs[0].Digest()}
+	stale := &Lease{ID: prev + "-adopt-0000-3", Sweep: "adopt", Index: 0, Digest: "deadbeef"}
+	if hb := survivor.heartbeat(stale); !hb.Gone || hb.OK {
+		t.Fatalf("heartbeat with a stale digest = %+v, want gone", hb)
+	}
+	if hb := survivor.heartbeat(foreign); !hb.OK || hb.Gone {
+		t.Fatalf("heartbeat on a foreign lease = %+v, want adopted", hb)
+	}
+	if st := c.Status(); st.Adopted != 1 || st.LeasesOutstanding != 1 {
+		t.Fatalf("status after adoption = %+v", st)
+	}
+	// Only cell 1 is left to grant.
+	l1 := other.lease()
+	if l1 == nil || l1.Index != 1 {
+		t.Fatalf("lease after adoption = %+v, want cell 1", l1)
+	}
+	if l := other.lease(); l != nil {
+		t.Fatalf("adopted cell granted again: %+v", l)
+	}
+	held := &Lease{ID: prev + "-adopt-0001-8", Sweep: "adopt", Index: 1, Digest: cfgs[1].Digest()}
+	if hb := survivor.heartbeat(held); !hb.Gone {
+		t.Fatalf("heartbeat on a cell held here = %+v, want gone", hb)
+	}
+	if resp, _ := survivor.complete(foreign, true, 7); !resp.Accepted {
+		t.Fatalf("completion on the adopted lease = %+v", resp)
+	}
+	if hb := survivor.heartbeat(foreign); !hb.Gone {
+		t.Fatalf("heartbeat on a settled cell = %+v, want gone", hb)
+	}
+	other.complete(l1, true, 8)
+
+	res, errs := wait()
+	if errs[0] != nil || res[0] == nil || res[0].Runtime != 7 {
+		t.Fatalf("adopted cell result = %+v err %v", res[0], errs[0])
+	}
+	if st := c.Status(); st.Adopted != 1 || st.LateAccepts != 0 || st.Duplicates != 0 {
+		t.Fatalf("final status = %+v", st)
 	}
 }
 
@@ -298,36 +474,4 @@ func TestFleetTokenAuth(t *testing.T) {
 	}
 	c.Shutdown()
 	<-done
-}
-
-// TestJournalWriteRetrySurfacesTypedError: when the journal cannot land
-// (the manifest dir is a plain file), the campaign still completes, the
-// write is retried a bounded number of times, and the failure surfaces
-// as a typed *JournalWriteError on JournalError.
-func TestJournalWriteRetrySurfacesTypedError(t *testing.T) {
-	blocker := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: blocker, Log: testLogger(t)})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
-	wait := startCampaign(t, c, "jfail", tinyCfgs(1), runner.Policy{})
-
-	w := &fakeWorker{t: t, url: srv.URL, id: "worker-j"}
-	l := w.lease()
-	if resp, _ := w.complete(l, true, 9); !resp.Accepted {
-		t.Fatalf("completion = %+v", resp)
-	}
-	res, errs := wait()
-	if errs[0] != nil || res[0] == nil {
-		t.Fatalf("campaign should complete despite journal failure: res %v err %v", res[0], errs[0])
-	}
-	var jerr *JournalWriteError
-	if err := c.JournalError(); !errors.As(err, &jerr) {
-		t.Fatalf("JournalError = %v (%T), want *JournalWriteError", err, err)
-	}
-	if jerr.Sweep != "jfail" || jerr.Attempts != journalRetries || jerr.Unwrap() == nil {
-		t.Fatalf("typed error = %+v", jerr)
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"inpg"
+	"inpg/internal/manifest"
 	"inpg/internal/metrics"
 	"inpg/internal/runner"
 )
@@ -135,9 +135,10 @@ func (f *fakeWorker) lease() *Lease {
 	return resp.Lease
 }
 
-func (f *fakeWorker) heartbeat(leaseID string) HeartbeatResponse {
+func (f *fakeWorker) heartbeat(l *Lease) HeartbeatResponse {
 	var resp HeartbeatResponse
-	f.post(PathHeartbeat, HeartbeatRequest{Worker: f.id, LeaseID: leaseID}, &resp)
+	f.post(PathHeartbeat, HeartbeatRequest{Worker: f.id, LeaseID: l.ID,
+		Sweep: l.Sweep, Index: l.Index, Digest: l.Digest}, &resp)
 	return resp
 }
 
@@ -159,17 +160,18 @@ func (f *fakeWorker) complete(l *Lease, ok bool, runtime uint64) (CompletionResp
 // TestHeartbeatJustAfterExpiry: a heartbeat that arrives after the lease
 // deadline — even before the periodic reclaimer ran — finds the lease
 // gone and the cell back in the queue; the original holder's eventual
-// completion is deduplicated after another worker resolves the cell.
+// completion is deduplicated after another worker resolves the cell. A
+// lease this coordinator granted is never adopted back, even though its
+// cell is pending again under the same digest.
 func TestHeartbeatJustAfterExpiry(t *testing.T) {
 	clk := newClock()
 	dir := t.TempDir()
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Now: clk.Now})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
-	// Two cells so the campaign is still active when the duplicate
-	// arrives — campaign-scoped counters land in the journal.
+	// Two cells so the duplicate arrives while the campaign is active.
 	cfgs := tinyCfgs(2)
-	wait := startCampaign(t, c, "hb", cfgs, runner.Policy{})
+	wait := startCampaign(t, c, "hb", cfgs, manifestPolicy(t, dir, "hb"))
 
 	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
 	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
@@ -178,15 +180,18 @@ func TestHeartbeatJustAfterExpiry(t *testing.T) {
 	if la == nil || la.Index != 0 {
 		t.Fatalf("lease = %+v", la)
 	}
-	if hb := a.heartbeat(la.ID); !hb.OK {
+	if hb := a.heartbeat(la); !hb.OK {
 		t.Fatalf("live heartbeat = %+v", hb)
 	}
 	clk.Advance(time.Minute + time.Second)
-	if hb := a.heartbeat(la.ID); !hb.Gone || hb.OK {
+	if hb := a.heartbeat(la); !hb.Gone || hb.OK {
 		t.Fatalf("post-expiry heartbeat = %+v, want gone", hb)
 	}
-	if st := c.Status(); st.Reclaims != 1 {
-		t.Fatalf("reclaims = %d, want 1", st.Reclaims)
+	if hb := a.heartbeat(la); !hb.Gone || hb.OK {
+		t.Fatalf("heartbeat on the reclaimed lease = %+v, want gone", hb)
+	}
+	if st := c.Status(); st.Reclaims != 1 || st.Adopted != 0 {
+		t.Fatalf("reclaims = %d adopted = %d, want 1/0", st.Reclaims, st.Adopted)
 	}
 
 	// The reclaimed cell re-queues behind the untouched cell 1, so b
@@ -212,16 +217,26 @@ func TestHeartbeatJustAfterExpiry(t *testing.T) {
 	if errs[0] != nil || res[0] == nil || res[0].Runtime != 222 {
 		t.Fatalf("campaign result = %+v err %v, want worker-b's write to win", res[0], errs[0])
 	}
-	j, err := ReadJournal(filepath.Join(dir, JournalFilename("hb")))
+	st := c.Status()
+	completed := map[string]int{}
+	for _, ws := range st.Workers {
+		completed[ws.ID] = ws.Completed
+	}
+	if st.Reclaims != 1 || st.Duplicates != 1 || completed["worker-b"] != 2 ||
+		completed["worker-a"] != 0 {
+		t.Fatalf("status = %+v", st)
+	}
+	ms, _, err := manifest.ScanDir(dir, "hb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Reclaims != 1 || j.Duplicates != 1 || j.WorkerCompletions["worker-b"] != 2 ||
-		j.WorkerCompletions["worker-a"] != 0 {
-		t.Fatalf("journal = %+v", j)
+	for i, cfg := range cfgs {
+		if m := ms[i]; m == nil || m.Status != manifest.StatusOK || m.ConfigDigest != cfg.Digest() {
+			t.Fatalf("cell %d manifest = %+v, want OK under digest %s", i, m, cfg.Digest())
+		}
 	}
-	if j.Digests[0] != cfgs[0].Digest() || j.Digests[1] != cfgs[1].Digest() {
-		t.Fatalf("journal digests %v", j.Digests)
+	if ms[0].Summary.Runtime != 222 {
+		t.Fatalf("cell 0 manifest runtime = %d, want worker-b's 222", ms[0].Summary.Runtime)
 	}
 }
 
@@ -298,7 +313,7 @@ func TestQuarantineAfterDistinctWorkerFailures(t *testing.T) {
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 	cfgs := tinyCfgs(2)
-	wait := startCampaign(t, c, "quar", cfgs, runner.Policy{})
+	wait := startCampaign(t, c, "quar", cfgs, manifestPolicy(t, dir, "quar"))
 
 	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
 	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
@@ -326,12 +341,81 @@ func TestQuarantineAfterDistinctWorkerFailures(t *testing.T) {
 	if res[0] != nil || res[1] == nil {
 		t.Fatalf("results = %v / %v", res[0], res[1])
 	}
-	j, err := ReadJournal(filepath.Join(dir, JournalFilename("quar")))
+	if st := c.Status(); st.Quarantined != 1 {
+		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
+	}
+	ms, _, err := manifest.ScanDir(dir, "quar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(j.Quarantined) != 1 || j.Quarantined[0] != la.Index {
-		t.Fatalf("journal quarantined = %v", j.Quarantined)
+	if m := ms[la.Index]; m == nil || m.Status != manifest.StatusFailed || m.Cause != string(runner.CauseError) {
+		t.Fatalf("quarantined cell manifest = %+v, want a failed run", m)
+	}
+	if m := ms[1]; m == nil || m.Status != manifest.StatusOK {
+		t.Fatalf("cell 1 manifest = %+v, want OK", m)
+	}
+}
+
+// TestLateFailureKeepsCurrentHolder: A's lease on the only cell expires
+// and the cell is granted to B; then A's failure report arrives. It is a
+// quarantine vote only: the cell stays with B, so C's poll gets no third
+// dispatch, no outcome is emitted for it, and B's result is accepted on
+// time.
+func TestLateFailureKeepsCurrentHolder(t *testing.T) {
+	clk := newClock()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clk.Now, Log: testLogger(t)})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	var mu sync.Mutex
+	retrying := 0
+	p := runner.Policy{Observer: func(o runner.Outcome) {
+		if o.Status == runner.StatusRetrying {
+			mu.Lock()
+			retrying++
+			mu.Unlock()
+		}
+	}}
+	wait := startCampaign(t, c, "late", tinyCfgs(1), p)
+
+	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
+	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
+	cw := &fakeWorker{t: t, url: srv.URL, id: "worker-c"}
+
+	la := a.lease()
+	clk.Advance(time.Minute + time.Second)
+	lb := b.lease() // lazy reclaim of A's lease
+	if lb == nil || lb.Index != 0 {
+		t.Fatalf("lease after reclaim = %+v", lb)
+	}
+	if resp, _ := a.complete(la, false, 0); !resp.Accepted {
+		t.Fatalf("late failure report = %+v", resp)
+	}
+	if lc := cw.lease(); lc != nil {
+		t.Fatalf("cell held by worker-b dispatched again: %+v", lc)
+	}
+	if resp, _ := b.complete(lb, true, 42); !resp.Accepted {
+		t.Fatalf("current holder's completion = %+v", resp)
+	}
+
+	res, errs := wait()
+	if errs[0] != nil || res[0] == nil || res[0].Runtime != 42 {
+		t.Fatalf("result = %+v err %v, want worker-b's", res[0], errs[0])
+	}
+	st := c.Status()
+	if st.Reclaims != 1 || st.LateAccepts != 0 || st.Duplicates != 0 {
+		t.Fatalf("status = %+v", st)
+	}
+	failed := map[string]int{}
+	for _, ws := range st.Workers {
+		failed[ws.ID] = ws.Failed
+	}
+	if failed["worker-a"] != 1 {
+		t.Fatalf("worker-a failure votes = %d, want 1", failed["worker-a"])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if retrying != 1 {
+		t.Fatalf("retrying outcomes = %d, want 1 (the reclaim only)", retrying)
 	}
 }
 
@@ -500,36 +584,6 @@ func TestWorkerDrainFinishesInFlightCell(t *testing.T) {
 	}
 	if w.Completed() != 1 {
 		t.Fatalf("completed = %d, want 1", w.Completed())
-	}
-}
-
-// TestJournalRoundTripAndValidate pins the journal schema.
-func TestJournalRoundTripAndValidate(t *testing.T) {
-	dir := t.TempDir()
-	j := &Journal{SchemaVersion: JournalSchemaVersion, Kind: JournalKind,
-		Sweep: "rt", Cells: 2, Digests: map[int]string{0: "aa", 1: "bb"},
-		WorkerCompletions: map[string]int{"w": 2}, Reclaims: 1}
-	path, err := WriteJournal(dir, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, j) {
-		t.Fatalf("round trip: %+v vs %+v", got, j)
-	}
-	for _, bad := range []Journal{
-		{SchemaVersion: 99, Kind: JournalKind, Sweep: "x", Cells: 0, Digests: map[int]string{}},
-		{SchemaVersion: JournalSchemaVersion, Kind: "nope", Sweep: "x", Cells: 0, Digests: map[int]string{}},
-		{SchemaVersion: JournalSchemaVersion, Kind: JournalKind, Sweep: "", Cells: 0, Digests: map[int]string{}},
-		{SchemaVersion: JournalSchemaVersion, Kind: JournalKind, Sweep: "x", Cells: 2, Digests: map[int]string{0: "aa"}},
-		{SchemaVersion: JournalSchemaVersion, Kind: JournalKind, Sweep: "x", Cells: 1, Digests: map[int]string{3: "aa"}},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("journal %+v validated", bad)
-		}
 	}
 }
 

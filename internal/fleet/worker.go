@@ -61,7 +61,7 @@ type WorkerConfig struct {
 	// response is "lost": the report is delivered, the acknowledgement
 	// discarded, and the worker resends — exercising the coordinator's
 	// duplicate detection. Decisions are a deterministic keyed hash of
-	// (ChaosSeed, lease ID).
+	// (ChaosSeed, sweep, cell index).
 	ChaosDropRate float64
 	// ChaosSeed keys the drop decisions.
 	ChaosSeed int64
@@ -261,11 +261,9 @@ func (w *Worker) execute(l *Lease) {
 
 // heartbeatLoop renews the lease at TTL/3 until stopped or the
 // coordinator reports the lease gone (the run keeps going either way:
-// a digest-matched late completion is still worth delivering). A
-// Reannounce answer — a restarted coordinator replayed this lease from
-// its log — triggers the adoption handshake: the worker re-registers the
-// cell it holds (index + digest + attempt) so the new incarnation can
-// cross-check and adopt it instead of reclaiming and redoing the work.
+// a digest-matched late completion is still worth delivering). Each
+// heartbeat names the lease's cell, so a restarted coordinator adopts
+// the lease instead of answering Gone while the cell is open there.
 func (w *Worker) heartbeatLoop(l *Lease, stop chan struct{}) {
 	interval := time.Duration(l.TTLMillis) * time.Millisecond / 3
 	if interval < time.Millisecond {
@@ -281,21 +279,14 @@ func (w *Worker) heartbeatLoop(l *Lease, stop chan struct{}) {
 			var resp HeartbeatResponse
 			status, err := w.postJSON(PathHeartbeat, HeartbeatRequest{
 				Worker: w.cfg.ID, LeaseID: l.ID,
+				Sweep: l.Sweep, Index: l.Index, Digest: l.Digest,
 				Snapshot: w.lastSnap.Load(),
 			}, &resp)
 			if err != nil || status/100 != 2 {
 				continue // transient; the next tick retries
 			}
-			if resp.Reannounce {
-				if !w.adopt(l) {
-					w.log.Info("lease not adopted after coordinator restart; finishing anyway",
-						"lease", l.ID, "cell", l.Index)
-					return
-				}
-				continue
-			}
 			if resp.Gone {
-				w.log.Info("lease gone (cell reclaimed); finishing anyway",
+				w.log.Info("lease gone; finishing anyway",
 					"lease", l.ID, "cell", l.Index)
 				return
 			}
@@ -303,33 +294,12 @@ func (w *Worker) heartbeatLoop(l *Lease, stop chan struct{}) {
 	}
 }
 
-// adopt re-registers a held lease with a restarted coordinator. A
-// transient delivery failure reports success (true) so the heartbeat
-// loop keeps running and the next Reannounce retries the handshake; a
-// definitive Gone reports false.
-func (w *Worker) adopt(l *Lease) bool {
-	var resp AdoptResponse
-	status, err := w.postJSON(PathAdopt, AdoptRequest{
-		Worker: w.cfg.ID, LeaseID: l.ID, Sweep: l.Sweep,
-		Index: l.Index, Digest: l.Digest,
-	}, &resp)
-	if err != nil || status/100 != 2 {
-		return true // transient; the next heartbeat re-announces
-	}
-	if resp.Adopted {
-		w.log.Info("lease adopted by restarted coordinator",
-			"lease", l.ID, "cell", l.Index)
-		return true
-	}
-	return false
-}
-
 // deliver sends a completion report until the coordinator acknowledges
 // it (or permanently rejects it with a digest conflict). Under
 // ChaosDropRate the first acknowledgement is deterministically "lost"
 // and the report resent, exercising duplicate detection.
 func (w *Worker) deliver(l *Lease, rep CompletionReport) {
-	dropOnce := w.chaosDrop(l.ID)
+	dropOnce := w.chaosDrop(l)
 	connectFails := 0
 	for {
 		var resp CompletionResponse
@@ -360,13 +330,14 @@ func (w *Worker) deliver(l *Lease, rep CompletionReport) {
 }
 
 // chaosDrop decides deterministically whether this lease's completion
-// acknowledgement is dropped once.
-func (w *Worker) chaosDrop(leaseID string) bool {
+// acknowledgement is dropped once. It keys on the cell, not the lease
+// ID, whose coordinator nonce differs from run to run.
+func (w *Worker) chaosDrop(l *Lease) bool {
 	if w.cfg.ChaosDropRate <= 0 {
 		return false
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "drop/%d/%s", w.cfg.ChaosSeed, leaseID)
+	fmt.Fprintf(h, "drop/%d/%s/%d", w.cfg.ChaosSeed, l.Sweep, l.Index)
 	return float64(h.Sum64()%1_000_000)/1_000_000 < w.cfg.ChaosDropRate
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"inpg/internal/runner"
 )
 
 // TestReconnectDelaySchedule pins the worker's backoff schedule: doubling
@@ -159,92 +161,89 @@ func TestWorkerDrainWhileCoordinatorDown(t *testing.T) {
 	}
 }
 
-// TestWorkerHeartbeatReannounceAdopts: a Reannounce heartbeat answer
-// makes the worker POST its held lease's full identity to /fleet/adopt;
-// once adopted, heartbeats continue normally.
-func TestWorkerHeartbeatReannounceAdopts(t *testing.T) {
-	var (
-		mu        sync.Mutex
-		adoptReqs []AdoptRequest
-		once      sync.Once
-	)
-	postAdoptHB := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		enc := json.NewEncoder(rw)
-		switch r.URL.Path {
-		case PathHeartbeat:
-			if len(adoptReqs) == 0 {
-				enc.Encode(HeartbeatResponse{Reannounce: true})
-				return
-			}
-			once.Do(func() { close(postAdoptHB) })
-			enc.Encode(HeartbeatResponse{OK: true})
-		case PathAdopt:
-			var req AdoptRequest
-			json.NewDecoder(r.Body).Decode(&req)
-			adoptReqs = append(adoptReqs, req)
-			enc.Encode(AdoptResponse{Adopted: true})
-		}
-	}))
-	defer srv.Close()
-
-	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "hb", Log: testLogger(t)})
-	l := &Lease{ID: "L9", Sweep: "s", Index: 3, Digest: "d3", TTLMillis: 9}
-	stop := make(chan struct{})
-	loopDone := make(chan struct{})
+// heartbeatUntil runs the worker's heartbeat loop for a lease held
+// from a previous coordinator and returns its stop and done channels.
+func heartbeatUntil(w *Worker, l *Lease) (stop, done chan struct{}) {
+	stop, done = make(chan struct{}), make(chan struct{})
 	go func() {
 		w.heartbeatLoop(l, stop)
-		close(loopDone)
+		close(done)
 	}()
-	select {
-	case <-postAdoptHB:
-	case <-time.After(5 * time.Second):
-		t.Fatal("heartbeats did not continue after adoption")
+	return stop, done
+}
+
+// TestWorkerHeartbeatAdoptedByRestartedCoordinator: a worker keeps
+// heartbeating a lease a previous coordinator granted; the heartbeat
+// names the lease's cell, so the restarted coordinator adopts the lease
+// and the loop carries on renewing it.
+func TestWorkerHeartbeatAdoptedByRestartedCoordinator(t *testing.T) {
+	clk := newClock()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clk.Now, Log: testLogger(t)})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	cfgs := tinyCfgs(1)
+	wait := startCampaign(t, c, "s", cfgs, runner.Policy{})
+
+	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "hb", Log: testLogger(t)})
+	l := &Lease{ID: "0123456789ab-s-0000-1", Sweep: "s", Index: 0, Digest: cfgs[0].Digest(), TTLMillis: 9}
+	stop, done := heartbeatUntil(w, l)
+
+	// Each clock step makes the worker's last contact stale and the next
+	// heartbeat resets it. A renewal after the adopting heartbeat shows
+	// that one was answered OK: Gone would have ended the loop.
+	deadline := time.Now().Add(5 * time.Second)
+	for renewals := 0; renewals < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("heartbeats stopped; status %+v", c.Status())
+		}
+		st := c.Status()
+		if st.Adopted == 1 && len(st.Workers) == 1 && st.Workers[0].LastSeenSeconds == 0 {
+			renewals++
+			clk.Advance(time.Second)
+			continue
+		}
+		time.Sleep(time.Millisecond)
 	}
 	close(stop)
-	<-loopDone
+	<-done
+	if st := c.Status(); st.Adopted != 1 || st.LeasesOutstanding != 1 || st.Workers[0].Leases != 1 {
+		t.Fatalf("status after adoption = %+v", st)
+	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(adoptReqs) != 1 {
-		t.Fatalf("adopt requests = %d, want exactly 1", len(adoptReqs))
+	f := &fakeWorker{t: t, url: srv.URL, id: "hb"}
+	if resp, _ := f.complete(l, true, 5); !resp.Accepted {
+		t.Fatalf("completion on the adopted lease = %+v", resp)
 	}
-	req := adoptReqs[0]
-	if req.Worker != "hb" || req.LeaseID != "L9" || req.Sweep != "s" ||
-		req.Index != 3 || req.Digest != "d3" {
-		t.Fatalf("adopt request = %+v", req)
-	}
+	wait()
 }
 
 // TestWorkerAdoptDeniedStopsHeartbeats: when the restarted coordinator
-// refuses the adoption (Gone — e.g. the cell was already resolved), the
-// heartbeat loop ends on its own; the run itself still finishes and the
-// completion is delivered for digest-matched late acceptance.
+// will not adopt the lease (here its digest no longer matches the cell),
+// the heartbeat is answered Gone and the loop ends on its own; the run
+// itself still finishes and its completion is judged by digest.
 func TestWorkerAdoptDeniedStopsHeartbeats(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		enc := json.NewEncoder(rw)
-		switch r.URL.Path {
-		case PathHeartbeat:
-			enc.Encode(HeartbeatResponse{Reannounce: true})
-		case PathAdopt:
-			enc.Encode(AdoptResponse{Gone: true})
-		}
-	}))
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Log: testLogger(t)})
+	srv := httptest.NewServer(c)
 	defer srv.Close()
+	wait := startCampaign(t, c, "s", tinyCfgs(1), runner.Policy{})
 
 	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "denied", Log: testLogger(t)})
-	l := &Lease{ID: "L0", Sweep: "s", Index: 0, Digest: "d0", TTLMillis: 9}
-	stop := make(chan struct{})
-	loopDone := make(chan struct{})
-	go func() {
-		w.heartbeatLoop(l, stop)
-		close(loopDone)
-	}()
+	l := &Lease{ID: "0123456789ab-s-0000-1", Sweep: "s", Index: 0, Digest: "stale", TTLMillis: 9}
+	_, done := heartbeatUntil(w, l)
 	select {
-	case <-loopDone: // returned without stop being closed
+	case <-done: // returned without stop being closed
 	case <-time.After(5 * time.Second):
 		t.Fatal("heartbeat loop kept running after adoption was denied")
 	}
+	if st := c.Status(); st.Adopted != 0 || st.LeasesOutstanding != 0 {
+		t.Fatalf("status after a denied adoption = %+v", st)
+	}
+
+	f := &fakeWorker{t: t, url: srv.URL, id: "other"}
+	l0 := f.lease()
+	if l0 == nil {
+		t.Fatal("cell not granted after the denied adoption")
+	}
+	f.complete(l0, true, 1)
+	wait()
 }

@@ -330,7 +330,6 @@ func (m *Monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauges["fleet.quarantined"] = float64(fs.Quarantined)
 		gauges["fleet.digest_conflicts"] = float64(fs.DigestConflicts)
 		gauges["fleet.adopted"] = float64(fs.Adopted)
-		gauges["fleet.replays"] = float64(fs.Replays)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.WritePrometheus(w, st.Counters, gauges)
@@ -365,9 +364,8 @@ func (m *Monitor) handleText(w http.ResponseWriter, r *http.Request) {
 			fs.Sweep, fs.Completed, fs.Cells, fs.LeasesOutstanding)
 		fmt.Fprintf(&b, "fleet: reclaimed %d, duplicates %d, late accepts %d, quarantined %d, digest conflicts %d\n",
 			fs.Reclaims, fs.Duplicates, fs.LateAccepts, fs.Quarantined, fs.DigestConflicts)
-		if fs.Replays > 0 || fs.Adopted > 0 {
-			fmt.Fprintf(&b, "fleet: coordinator replays %d, leases adopted across restarts %d\n",
-				fs.Replays, fs.Adopted)
+		if fs.Adopted > 0 {
+			fmt.Fprintf(&b, "fleet: leases adopted from a previous coordinator %d\n", fs.Adopted)
 		}
 		for _, fw := range fs.Workers {
 			fmt.Fprintf(&b, "fleet worker %-24s last seen %5.1fs ago, %d leases held, %d completed, %d failed\n",
