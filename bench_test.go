@@ -214,18 +214,24 @@ func BenchmarkFig15Sensitivity(b *testing.B) {
 	b.ReportMetric(cell, "roi-red-%/8x8-16e")
 }
 
+// throughputConfig is BenchmarkSimulatorThroughput's run: the contended
+// Table 1 platform under QSL.
+func throughputConfig(seed int64) inpg.Config {
+	cfg := inpg.DefaultConfig()
+	cfg.CSPerThread = 3
+	cfg.CSCycles = 100
+	cfg.ParallelCycles = 1500
+	cfg.Seed = seed
+	return cfg
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
 // cycles per second on the contended Table 1 platform.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		cfg := inpg.DefaultConfig()
-		cfg.CSPerThread = 3
-		cfg.CSCycles = 100
-		cfg.ParallelCycles = 1500
-		cfg.Seed = int64(i + 1)
-		sys, err := inpg.New(cfg)
+		sys, err := inpg.New(throughputConfig(int64(i + 1)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,6 +242,28 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		cycles += res.Runtime
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/run")
+}
+
+// TestSimulatorThroughputAllocBudget pins the allocation diet of the
+// protocol hot path: building and running BenchmarkSimulatorThroughput's
+// seed-1 simulation stays within 15,000 heap allocations (it took 43.6k
+// when every message, miss, poll and fixed-latency event allocated).
+func TestSimulatorThroughputAllocBudget(t *testing.T) {
+	const budget = 15_000
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		var sys *inpg.System
+		if sys, err = inpg.New(throughputConfig(1)); err == nil {
+			_, err = sys.Run()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > budget {
+		t.Fatalf("New+Run allocated %.0f times, budget %d", allocs, budget)
+	}
+	t.Logf("New+Run: %.0f allocations", allocs)
 }
 
 // BenchmarkSimulatorThroughputJourney prices what observability adds on

@@ -484,7 +484,7 @@ func New(cfg Config) (*System, error) {
 			bcfg.TTL = sim.Cycle(cfg.BarrierTTL)
 		}
 		nodesList := bigrouter.Deployment(fab.Net.Mesh(), brCount)
-		s.gens = bigrouter.Attach(eng, fab.Net, fab.Homes, bcfg, nodesList)
+		s.gens = bigrouter.Attach(fab, bcfg, nodesList)
 		for _, g := range s.gens {
 			g.SetRTTRecorder(s.rtt)
 		}

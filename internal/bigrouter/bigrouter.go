@@ -63,7 +63,7 @@ type eiEntry struct {
 type barrier struct {
 	addr   uint64
 	expiry sim.Cycle // valid while len(eis) == 0
-	eis    map[noc.NodeID]*eiEntry
+	eis    map[noc.NodeID]eiEntry
 }
 
 // Stats counts packet-generator activity.
@@ -86,8 +86,13 @@ type Gen struct {
 	homes coherence.HomeMap
 	cfg   Config
 	rtt   coherence.RTTRecorder
+	// msgs supplies early Invs: the fabric's free list once attached, or
+	// plain allocation when nil.
+	msgs *coherence.MsgPool
 
 	barriers map[uint64]*barrier
+	// spare holds expired barrier rows for reuse; their EI maps are empty.
+	spare    []*barrier
 	tokenSeq uint64
 
 	// Tracer, when set, records stop / early-invalidation / ack-relay
@@ -112,8 +117,9 @@ func New(eng *sim.Engine, node noc.NodeID, homes coherence.HomeMap, cfg Config) 
 func (g *Gen) SetRTTRecorder(r coherence.RTTRecorder) { g.rtt = r }
 
 // Intercept implements noc.Interceptor: it examines every single-flit
-// packet whose head flit enters this router.
-func (g *Gen) Intercept(now sim.Cycle, r *noc.Router, p *noc.Packet) (bool, []*noc.Packet) {
+// packet whose head flit enters this router. A pass leaves the packet and
+// its message untouched.
+func (g *Gen) Intercept(now sim.Cycle, r *noc.Router, p *noc.Packet) (bool, *noc.Packet) {
 	m, ok := p.Payload.(*coherence.Message)
 	if !ok {
 		return false, nil
@@ -131,7 +137,7 @@ func (g *Gen) Intercept(now sim.Cycle, r *noc.Router, p *noc.Packet) (bool, []*n
 }
 
 // onLockGetX applies the barrier logic to a traversing lock GetX.
-func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coherence.Message) (bool, []*noc.Packet) {
+func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coherence.Message) (bool, *noc.Packet) {
 	g.expire(now)
 	b := g.barriers[m.Addr]
 	if b == nil {
@@ -140,11 +146,7 @@ func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coheren
 			g.Stats.TableFullPasses++
 			return false, nil
 		}
-		g.barriers[m.Addr] = &barrier{
-			addr:   m.Addr,
-			expiry: now + g.cfg.TTL,
-			eis:    make(map[noc.NodeID]*eiEntry),
-		}
+		g.barriers[m.Addr] = g.newBarrier(m.Addr, now+g.cfg.TTL)
 		g.Stats.BarriersCreated++
 		g.Stats.GetXPassed++
 		return false, nil
@@ -165,7 +167,7 @@ func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coheren
 	// this stop's invalidation, acknowledgement and relay together.
 	g.tokenSeq++
 	token := uint64(g.Node)<<32 | g.tokenSeq
-	b.eis[m.Requestor] = &eiEntry{issuer: m.Requestor, phase: PhaseGetXForwarded, invSentAt: now}
+	b.eis[m.Requestor] = eiEntry{issuer: m.Requestor, phase: PhaseGetXForwarded, invSentAt: now}
 	g.Stats.GetXStopped++
 	g.Stats.EarlyInvsSent++
 
@@ -184,7 +186,7 @@ func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coheren
 			Src: g.Node, Dst: m.Requestor, Addr: m.Addr, Detail: "generated Inv"})
 	}
 
-	inv := &coherence.Message{
+	inv := g.msgs.New(coherence.Message{
 		Type:      coherence.MsgInv,
 		Addr:      m.Addr,
 		From:      g.Node,
@@ -192,19 +194,18 @@ func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coheren
 		AckTo:     g.Node,
 		EarlyInv:  true,
 		Token:     token,
-	}
-	return false, []*noc.Packet{genPacket(r, inv, m.Requestor)}
+	})
+	return false, genPacket(r, inv, m.Requestor)
 }
 
 // onEarlyInvAck consumes an InvAck returning to this big router and relays
-// it to the home node of the lock.
-func (g *Gen) onEarlyInvAck(now sim.Cycle, r *noc.Router, m *coherence.Message) (bool, []*noc.Packet) {
+// the same message to the home node of the lock.
+func (g *Gen) onEarlyInvAck(now sim.Cycle, r *noc.Router, m *coherence.Message) (bool, *noc.Packet) {
 	if b := g.barriers[m.Addr]; b != nil {
-		if ei := b.eis[m.AckFor]; ei != nil {
+		if ei, ok := b.eis[m.AckFor]; ok {
 			if g.rtt != nil {
 				g.rtt.RecordRTT(m.AckFor, now-ei.invSentAt)
 			}
-			ei.phase = PhaseAckForwarded
 			delete(b.eis, m.AckFor)
 			if len(b.eis) == 0 {
 				b.expiry = now + g.cfg.TTL
@@ -221,16 +222,20 @@ func (g *Gen) onEarlyInvAck(now sim.Cycle, r *noc.Router, m *coherence.Message) 
 		g.Tracer.Add(trace.Event{Cycle: now, Kind: trace.AckRelay, Node: g.Node,
 			Src: m.AckFor, Dst: g.homes.Home(m.Addr), Addr: m.Addr, Detail: "InvAck relayed"})
 	}
-	fwd := &coherence.Message{
-		Type:     coherence.MsgInvAck,
-		Addr:     m.Addr,
-		From:     g.Node,
-		AckFor:   m.AckFor,
-		EarlyInv: true,
-		ToDir:    true,
-		Token:    m.Token,
+	m.From = g.Node
+	m.ToDir = true
+	return true, genPacket(r, m, g.homes.Home(m.Addr))
+}
+
+// newBarrier returns a barrier row for addr, reusing an expired one.
+func (g *Gen) newBarrier(addr uint64, expiry sim.Cycle) *barrier {
+	if n := len(g.spare); n > 0 {
+		b := g.spare[n-1]
+		g.spare = g.spare[:n-1]
+		b.addr, b.expiry = addr, expiry
+		return b
 	}
-	return true, []*noc.Packet{genPacket(r, fwd, g.homes.Home(m.Addr))}
+	return &barrier{addr: addr, expiry: expiry, eis: make(map[noc.NodeID]eiEntry)}
 }
 
 // expire deletes barriers whose TTL ran out with no live EI entries.
@@ -238,6 +243,7 @@ func (g *Gen) expire(now sim.Cycle) {
 	for addr, b := range g.barriers {
 		if len(b.eis) == 0 && b.expiry <= now {
 			delete(g.barriers, addr)
+			g.spare = append(g.spare, b)
 			g.Stats.BarriersExpired++
 		}
 	}
@@ -253,9 +259,11 @@ func (g *Gen) Barriers(now sim.Cycle) int {
 // network. Generated packets use the same priority as protocol responses
 // so they are never starved under OCOR.
 func genPacket(r *noc.Router, m *coherence.Message, dst noc.NodeID) *noc.Packet {
-	p := new(noc.Packet)
-	if r != nil { // unit tests intercept without a live network
+	var p *noc.Packet
+	if r != nil {
 		p = r.NewPacket()
+	} else { // unit tests intercept without a live network
+		p = new(noc.Packet)
 	}
 	p.Dst = dst
 	p.VNet = m.Type.VNet()
@@ -300,13 +308,15 @@ func Deployment(m noc.Mesh, n int) []noc.NodeID {
 	return nodes
 }
 
-// Attach builds generators for the given nodes, installs them as
-// interceptors and returns them.
-func Attach(eng *sim.Engine, net *noc.Network, homes coherence.HomeMap, cfg Config, nodes []noc.NodeID) []*Gen {
+// Attach builds generators for the given nodes of fab, installs them as
+// interceptors and returns them. Their early Invs come from the fabric's
+// message free list.
+func Attach(fab *coherence.Fabric, cfg Config, nodes []noc.NodeID) []*Gen {
 	gens := make([]*Gen, 0, len(nodes))
 	for _, id := range nodes {
-		g := New(eng, id, homes, cfg)
-		net.Router(id).SetInterceptor(g)
+		g := New(fab.Eng, id, fab.Homes, cfg)
+		g.msgs = &fab.Msgs
+		fab.Net.Router(id).SetInterceptor(g)
 		gens = append(gens, g)
 	}
 	return gens

@@ -28,7 +28,7 @@ func TestFirstGetXCreatesBarrierAndPasses(t *testing.T) {
 	g := testGen(DefaultConfig())
 	p, m := lockGetX(7, 0x1000)
 	consume, gen := g.Intercept(10, nil, p)
-	if consume || len(gen) != 0 {
+	if consume || gen != nil {
 		t.Fatal("first lock GetX must pass untouched")
 	}
 	if m.Type != coherence.MsgGetX {
@@ -54,15 +54,15 @@ func TestSecondGetXIsStoppedAndConverted(t *testing.T) {
 	if p2.LockReq {
 		t.Fatal("converted packet must not be stoppable again")
 	}
-	if len(gen) != 1 {
-		t.Fatalf("generated %d packets, want 1 early Inv", len(gen))
+	if gen == nil {
+		t.Fatal("no early Inv generated")
 	}
-	inv := gen[0].Payload.(*coherence.Message)
+	inv := gen.Payload.(*coherence.Message)
 	if inv.Type != coherence.MsgInv || !inv.EarlyInv || inv.AckTo != 5 {
 		t.Fatalf("early Inv wrong: %+v", inv)
 	}
-	if gen[0].Dst != 9 {
-		t.Fatalf("early Inv sent to %d, want issuer 9", gen[0].Dst)
+	if gen.Dst != 9 {
+		t.Fatalf("early Inv sent to %d, want issuer 9", gen.Dst)
 	}
 	if g.Stats.GetXStopped != 1 || g.Stats.EarlyInvsSent != 1 {
 		t.Fatalf("stats wrong: %+v", g.Stats)
@@ -118,15 +118,15 @@ func TestTTLFrozenWhileEIEntriesLive(t *testing.T) {
 	if !consume {
 		t.Fatal("early InvAck addressed to the big router must be consumed")
 	}
-	if len(gen) != 1 || gen[0].Payload.(*coherence.Message).Type != coherence.MsgInvAck {
+	if gen == nil || gen.Payload.(*coherence.Message).Type != coherence.MsgInvAck {
 		t.Fatal("consumed ack must be relayed to the home")
 	}
-	relayed := gen[0].Payload.(*coherence.Message)
-	if !relayed.ToDir || !relayed.EarlyInv || relayed.AckFor != 2 {
+	relayed := gen.Payload.(*coherence.Message)
+	if !relayed.ToDir || !relayed.EarlyInv || relayed.AckFor != 2 || relayed.From != 5 {
 		t.Fatalf("relayed ack wrong: %+v", relayed)
 	}
-	if gen[0].Dst != 0 { // home of 0x1000 = (0x1000/128)%16 = 32%16 = 0
-		t.Fatalf("relayed to %d, want home 0", gen[0].Dst)
+	if gen.Dst != 0 { // home of 0x1000 = (0x1000/128)%16 = 32%16 = 0
+		t.Fatalf("relayed to %d, want home 0", gen.Dst)
 	}
 	if g.Barriers(600) != 1 {
 		t.Fatal("TTL restarts at ack; barrier still alive immediately")
@@ -143,7 +143,7 @@ func TestRelayedAcksNotInterceptedAtHomeBigRouter(t *testing.T) {
 	ack := &coherence.Message{Type: coherence.MsgInvAck, Addr: 0x1000, AckFor: 2, EarlyInv: true, ToDir: true}
 	ap := &noc.Packet{Dst: 5, VNet: noc.VNetResponse, Size: 1, Addr: 0x1000, Payload: ack}
 	consume, gen := g.Intercept(10, nil, ap)
-	if consume || len(gen) != 0 {
+	if consume || gen != nil {
 		t.Fatal("relayed ack bound for the directory must pass through")
 	}
 }
@@ -191,7 +191,7 @@ func TestNonLockTrafficIgnored(t *testing.T) {
 	m := &coherence.Message{Type: coherence.MsgGetS, Addr: 0x1000, Requestor: 1, ToDir: true}
 	p := &noc.Packet{Dst: 3, VNet: noc.VNetRequest, Size: 1, Addr: 0x1000, Payload: m}
 	consume, gen := g.Intercept(10, nil, p)
-	if consume || len(gen) != 0 || g.Barriers(10) != 0 {
+	if consume || gen != nil || g.Barriers(10) != 0 {
 		t.Fatal("GetS must be ignored by the barrier table")
 	}
 }
@@ -291,5 +291,69 @@ func TestGeneratedPacketWakesSleepingNetwork(t *testing.T) {
 	}
 	if eng.ActiveTickers() != 0 {
 		t.Fatalf("%d tickers still awake after drain", eng.ActiveTickers())
+	}
+}
+
+// TestBarrierRoundAllocatesNothing runs the iNPG cycle on a live 8×8
+// fabric, all of it through the big router on node 1: node 1's lock GetX
+// opens a barrier there, node 0's is stopped, whose early Inv and relayed
+// InvAck travel in pooled packets carrying pooled messages, and the
+// barrier expires after the release. After warm-up a whole round —
+// barrier creation, stop, relay, release and expiry — allocates nothing.
+func TestBarrierRoundAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	f, err := coherence.NewFabric(eng, coherence.DefaultFabricConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g *Gen
+	for _, x := range Attach(f, DefaultConfig(), Deployment(f.Net.Mesh(), 32)) {
+		if x.Node == 1 {
+			g = x
+		}
+	}
+	addr := f.Homes.AddrForHome(63, 0)
+	swapped := func(uint64) {}
+	released := func() {}
+	settle := func() {
+		if err := f.Settle(100_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := false
+	wake := func() { idle = true }
+	idled := func() bool { return idle }
+	round := func() {
+		f.L1s[1].Atomic(addr, coherence.Swap, 1, 0, 0, swapped) // opens the barrier, wins
+		settle()
+		f.L1s[0].Atomic(addr, coherence.Swap, 1, 0, 0, swapped) // stopped at node 1
+		settle()
+		f.L1s[1].StoreRelease(addr, 0, true, 0, released)
+		settle()
+		// Idle past the barrier's TTL.
+		idle = false
+		eng.Schedule(2*DefaultConfig().TTL, wake)
+		if _, err := eng.Run(100_000, idled); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	before := g.Stats
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("barrier round: %.1f allocations, want 0", n)
+	}
+	after := g.Stats
+	for _, c := range []struct {
+		name          string
+		before, after uint64
+	}{
+		{"barriers created", before.BarriersCreated, after.BarriersCreated},
+		{"barriers expired", before.BarriersExpired, after.BarriersExpired},
+		{"GetX stopped", before.GetXStopped, after.GetXStopped},
+		{"acks relayed", before.AcksRelayed, after.AcksRelayed},
+	} {
+		if c.after-c.before != 21 {
+			t.Fatalf("%s: %d over 21 rounds, want one per round (stats %+v)", c.name, c.after-c.before, after)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -203,7 +204,7 @@ func TestCacheVsMapModel(t *testing.T) {
 }
 
 func TestMSHRAllocateGetFree(t *testing.T) {
-	m := NewMSHR(2)
+	m := MakeMSHR[int](2)
 	e := m.Allocate(0x100)
 	if e == nil {
 		t.Fatal("allocate failed on empty MSHR")
@@ -233,5 +234,44 @@ func TestStateString(t *testing.T) {
 		if s.String() != w {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), w)
 		}
+	}
+}
+
+func TestMSHRCountersAndEntryOrder(t *testing.T) {
+	m := MakeMSHR[string](3)
+	for _, a := range []uint64{0x300, 0x100, 0x200} {
+		m.Allocate(a).Op = fmt.Sprint(a)
+	}
+	m.Allocate(0x400) // full
+	m.Free(0x300)     // the last entry moves into the freed slot
+	m.Allocate(0x100) // duplicate
+	if e := m.Get(0x200); e == nil || e.Op != "512" {
+		t.Fatalf("entry for 0x200 lost its op after a free: %+v", e)
+	}
+	m.Allocate(0x050).Op = "80"
+	var got []uint64
+	for _, e := range m.Entries() {
+		got = append(got, e.Addr)
+	}
+	if fmt.Sprint(got) != "[80 256 512]" {
+		t.Fatalf("Entries addresses = %v, want ascending [80 256 512]", got)
+	}
+	if m.Len() != 3 || m.Peak() != 3 || m.Allocs() != 4 || m.Rejects() != 2 {
+		t.Fatalf("Len %d Peak %d Allocs %d Rejects %d, want 3 3 4 2", m.Len(), m.Peak(), m.Allocs(), m.Rejects())
+	}
+}
+
+func TestMSHRCycleAllocatesNothing(t *testing.T) {
+	m := MakeMSHR[int](32)
+	cycle := func() {
+		m.Allocate(0x80).Op = 7
+		if e := m.Get(0x80); e == nil || e.Op != 7 {
+			t.Fatal("Get lost the entry")
+		}
+		m.Free(0x80)
+	}
+	cycle() // creates the slab
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Allocate/Get/Free: %.1f allocations per cycle, want 0", n)
 	}
 }

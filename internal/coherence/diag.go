@@ -31,7 +31,7 @@ func (d DirLineDiag) String() string {
 func (d *Dir) Diagnostics() []DirLineDiag {
 	addrs := make([]uint64, 0, len(d.lines))
 	for a, ln := range d.lines {
-		if ln.busy || ln.fetching || len(ln.waiting) > 0 || len(ln.pending) > 0 {
+		if ln.busy || ln.fetching || !ln.waiting.empty() || len(ln.pending) > 0 {
 			addrs = append(addrs, a)
 		}
 	}
@@ -49,7 +49,7 @@ func (d *Dir) Diagnostics() []DirLineDiag {
 			Busy:    ln.busy,
 			Fetch:   ln.fetching,
 			Cur:     cur,
-			Waiting: len(ln.waiting),
+			Waiting: ln.waiting.len(),
 			Queued:  len(ln.pending),
 			State:   d.DebugLine(a),
 		})
@@ -93,12 +93,8 @@ func (l *L1) Diagnostics(now sim.Cycle) []MSHRDiag {
 	entries := l.mshr.Entries()
 	out := make([]MSHRDiag, 0, len(entries))
 	for _, e := range entries {
-		d := MSHRDiag{Node: int(l.Node), Addr: e.Addr, State: trStateName(e.State)}
-		if op, ok := e.Aux.(*pendingOp); ok {
-			d.Age = now - op.issued
-			d.Lock = op.lock
-		}
-		out = append(out, d)
+		out = append(out, MSHRDiag{Node: int(l.Node), Addr: e.Addr, State: trStateName(e.State),
+			Age: now - e.Op.issued, Lock: e.Op.lock})
 	}
 	return out
 }

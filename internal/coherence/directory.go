@@ -2,7 +2,7 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"inpg/internal/noc"
 	"inpg/internal/sim"
@@ -34,38 +34,77 @@ type earlyRec struct {
 type dirLine struct {
 	present bool
 	value   uint64
-	owner   noc.NodeID // noInvalidNode when unowned
-	sharers map[noc.NodeID]struct{}
+	owner   noc.NodeID // noNode when unowned
+	sharers nodeSet
 
 	busy     bool
 	fetching bool
-	cur      *Message
-	waiting  map[noc.NodeID]struct{}
+	cur      *Message // the active request; released when cleared
+	waiting  nodeSet  // sharers whose invalidation ack is outstanding
 	pending  []*Message
 
-	early map[noc.NodeID]*earlyRec
+	// ackWaitFrom is when the active GetX or release began collecting
+	// acks, valid while ackWaiting.
+	ackWaitFrom sim.Cycle
+	ackWaiting  bool
+
+	early map[noc.NodeID]earlyRec
 }
 
 // noNode marks the absence of an owner.
 const noNode = noc.NodeID(-1)
 
-// sortedSharers returns the sharer set in ascending node order so
-// invalidation fan-out is deterministic for a given seed.
-func sortedSharers(set map[noc.NodeID]struct{}) []noc.NodeID {
-	out := make([]noc.NodeID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+// nodeSet is a fixed-width bitset of node IDs, sized from the node count
+// when its line is created. Ascending bit order is ascending node order,
+// which keeps invalidation fan-out deterministic for a given seed.
+type nodeSet []uint64
+
+func (s nodeSet) add(n noc.NodeID)      { s[n>>6] |= 1 << (n & 63) }
+func (s nodeSet) remove(n noc.NodeID)   { s[n>>6] &^= 1 << (n & 63) }
+func (s nodeSet) has(n noc.NodeID) bool { return s[n>>6]&(1<<(n&63)) != 0 }
+
+func (s nodeSet) clear() {
+	for i := range s {
+		s[i] = 0
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+}
+
+func (s nodeSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s nodeSet) len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// members lists the set in ascending order.
+func (s nodeSet) members() []noc.NodeID {
+	var out []noc.NodeID
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, noc.NodeID(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
 	return out
 }
 
-func newDirLine() *dirLine {
+func newDirLine(nodes int) *dirLine {
+	w := (nodes + 63) / 64
+	sets := make(nodeSet, 2*w)
 	return &dirLine{
 		owner:   noNode,
-		sharers: make(map[noc.NodeID]struct{}),
-		waiting: make(map[noc.NodeID]struct{}),
-		early:   make(map[noc.NodeID]*earlyRec),
+		sharers: sets[:w:w],
+		waiting: sets[w:],
+		early:   make(map[noc.NodeID]earlyRec),
 	}
 }
 
@@ -110,16 +149,20 @@ func DefaultDirConfig() DirConfig { return DirConfig{L2Latency: 6} }
 // Dir is the home-node directory controller for the blocks interleaved to
 // this node, colocated with the local shared L2 bank.
 type Dir struct {
-	Node noc.NodeID
-	eng  *sim.Engine
-	ni   *noc.NI
-	mem  Memory
-	cfg  DirConfig
-	rtt  RTTRecorder
+	Node  noc.NodeID
+	eng   *sim.Engine
+	ni    *noc.NI
+	mem   Memory
+	cfg   DirConfig
+	rtt   RTTRecorder
+	msgs  *MsgPool
+	nodes int // sizes each line's sharer sets
+
+	// bank delivers received messages to handle after the L2 latency.
+	bank delayLine[*Message]
 
 	lines   map[uint64]*dirLine
 	invSent map[invKey]sim.Cycle
-	ackWait map[uint64]sim.Cycle // GetX service time per busy line
 	// floating holds the tokens of early-invalidation acks still in
 	// flight whose records were consumed unacked (the issuer's own request
 	// was serviced, giving it a fresh copy); such acks refer to a copy
@@ -138,17 +181,18 @@ type invKey struct {
 	target noc.NodeID
 }
 
-// NewDir builds the directory controller for node.
-func NewDir(eng *sim.Engine, node noc.NodeID, ni *noc.NI, mem Memory, cfg DirConfig) *Dir {
+// NewDir builds the directory controller for node on a mesh of nodes
+// nodes.
+func NewDir(eng *sim.Engine, node noc.NodeID, ni *noc.NI, mem Memory, cfg DirConfig, nodes int) *Dir {
 	return &Dir{
 		Node:       node,
 		eng:        eng,
 		ni:         ni,
 		mem:        mem,
 		cfg:        cfg,
+		nodes:      nodes,
 		lines:      make(map[uint64]*dirLine),
 		invSent:    make(map[invKey]sim.Cycle),
-		ackWait:    make(map[uint64]sim.Cycle),
 		floating:   make(map[uint64]struct{}),
 		waitTokens: make(map[invKey]uint64),
 	}
@@ -161,16 +205,30 @@ func (d *Dir) SetRTTRecorder(r RTTRecorder) { d.rtt = r }
 func (d *Dir) line(addr uint64) *dirLine {
 	ln := d.lines[addr]
 	if ln == nil {
-		ln = newDirLine()
+		ln = newDirLine(d.nodes)
 		d.lines[addr] = ln
 	}
 	return ln
 }
 
-// send wraps and injects a message.
-func (d *Dir) send(m *Message, dst noc.NodeID, priority int) {
+// send wraps a pooled copy of m in a packet and injects it.
+func (d *Dir) send(m Message, dst noc.NodeID, priority int) {
 	m.From = d.Node
-	d.ni.Inject(packetFor(d.ni, m, dst, priority))
+	d.ni.Inject(packetFor(d.ni, d.msgs.New(m), dst, priority))
+}
+
+// release returns a consumed message to the pool.
+func (d *Dir) release(m *Message) { d.msgs.put(m, d.Node, "dir") }
+
+// endTxn ends the active transaction, releasing its request.
+func (d *Dir) endTxn(ln *dirLine) {
+	if ln.cur != nil {
+		d.release(ln.cur)
+	}
+	ln.busy = false
+	ln.cur = nil
+	d.txnEnded()
+	d.drain(ln)
 }
 
 // relayJourney carries a tagged request's journey onto a message the home
@@ -190,15 +248,21 @@ func (d *Dir) relayJourney(resp, req *Message) {
 
 // Receive queues a message for handling after the L2 bank latency.
 func (d *Dir) Receive(now sim.Cycle, m *Message) {
-	d.eng.Schedule(d.cfg.L2Latency-1, func() { d.handle(m) })
+	if !d.bank.bound() {
+		d.bank.bind(d.handle)
+	}
+	d.bank.push(d.eng, d.cfg.L2Latency-1, m)
 }
 
-// handle dispatches one message at the bank.
+// handle dispatches one message at the bank. Responses are released once
+// absorbed; a request is released when its service ends (servicing it
+// without blocking the line, or clearing ln.cur).
 func (d *Dir) handle(m *Message) {
 	ln := d.line(m.Addr)
 	switch m.Type {
 	case MsgGetS, MsgGetX, MsgPutM, MsgPutRelease:
 		d.admit(ln, m)
+		return
 	case MsgFwdGetX:
 		// A big router stopped this lock request and invalidated its
 		// issuer in-network. Record that (the next exclusive transaction
@@ -212,13 +276,15 @@ func (d *Dir) handle(m *Message) {
 			// A superseded record's ack is still in flight: float it.
 			d.floating[old.token] = struct{}{}
 		}
-		ln.early[m.Requestor] = &earlyRec{token: m.Token}
-		req := &Message{
+		ln.early[m.Requestor] = earlyRec{token: m.Token}
+		req := d.msgs.New(Message{
 			Type: MsgGetX, Addr: m.Addr, From: m.Requestor, Requestor: m.Requestor,
 			LockAddr: m.LockAddr, IsSwap: m.IsSwap, Operand: m.Operand, Seq: m.Seq,
 			Journey: m.Journey,
-		}
+		})
+		d.release(m)
 		d.admit(ln, req)
+		return
 	case MsgInvAck:
 		d.onAck(ln, m)
 	case MsgUnblock:
@@ -228,7 +294,9 @@ func (d *Dir) handle(m *Message) {
 	default:
 		d.eng.Fail(&ProtocolError{Node: int(d.Node), Component: "dir",
 			Detail: fmt.Sprintf("unexpected %v", m)})
+		return
 	}
+	d.release(m)
 }
 
 // txnStarted and txnEnded bracket every blocking directory transaction.
@@ -261,7 +329,9 @@ func (d *Dir) admit(ln *dirLine, m *Message) {
 func (d *Dir) drain(ln *dirLine) {
 	for !ln.busy && !ln.fetching && len(ln.pending) > 0 {
 		next := ln.pending[0]
-		ln.pending = ln.pending[1:]
+		n := copy(ln.pending, ln.pending[1:])
+		ln.pending[n] = nil
+		ln.pending = ln.pending[:n]
 		d.service(ln, next)
 	}
 }
@@ -306,23 +376,17 @@ func (d *Dir) servicePutRelease(ln *dirLine, m *Message) {
 	ln.busy = true
 	ln.cur = m
 	d.txnStarted()
-	d.ackWait[m.Addr] = d.eng.Now()
+	ln.ackWaitFrom, ln.ackWaiting = d.eng.Now(), true
 	ln.value = m.Data
 
-	targets := sortedSharers(ln.sharers)
+	d.invalidateSharers(ln, m.Addr, req, true)
 	if ln.owner != noNode && ln.owner != req {
-		targets = append(targets, ln.owner)
+		d.invalidateSharer(ln, m.Addr, req, ln.owner, true)
 	}
-	for _, s := range targets {
-		if s == req {
-			continue
-		}
-		d.invalidateSharer(ln, m.Addr, req, s, true)
-	}
-	ln.sharers = make(map[noc.NodeID]struct{})
+	ln.sharers.clear()
 	ln.owner = noNode
 
-	if len(ln.waiting) == 0 {
+	if ln.waiting.empty() {
 		d.finishAcks(ln, m.Addr)
 	}
 }
@@ -344,10 +408,10 @@ func (d *Dir) serviceGetS(ln *dirLine, m *Message) {
 		ln.busy = true
 		ln.cur = m
 		d.txnStarted()
-		fwd := &Message{Type: MsgFwdGetS, Addr: m.Addr, Requestor: req, Data: ln.value, LockAddr: m.LockAddr, Seq: m.Seq}
-		d.relayJourney(fwd, m)
+		fwd := Message{Type: MsgFwdGetS, Addr: m.Addr, Requestor: req, Data: ln.value, LockAddr: m.LockAddr, Seq: m.Seq}
+		d.relayJourney(&fwd, m)
 		d.send(fwd, ln.owner, respPriority)
-	case ln.owner == noNode && len(ln.sharers) == 0 && !m.LockAddr:
+	case ln.owner == noNode && ln.sharers.empty() && !m.LockAddr:
 		// Exclusive grant for ordinary cold reads. Lock-word reads are
 		// always granted Shared: an exclusive copy would let the first
 		// spinner's SWAP upgrade silently in its own cache, serializing
@@ -356,14 +420,15 @@ func (d *Dir) serviceGetS(ln *dirLine, m *Message) {
 		ln.cur = m
 		d.txnStarted()
 		ln.owner = req
-		grant := &Message{Type: MsgData, Addr: m.Addr, Data: ln.value, Requestor: req, Excl: true, Seq: m.Seq}
-		d.relayJourney(grant, m)
+		grant := Message{Type: MsgData, Addr: m.Addr, Data: ln.value, Requestor: req, Excl: true, Seq: m.Seq}
+		d.relayJourney(&grant, m)
 		d.send(grant, req, respPriority)
 	default:
-		ln.sharers[req] = struct{}{}
-		grant := &Message{Type: MsgData, Addr: m.Addr, Data: ln.value, Requestor: req, Peek: m.LockAddr, Seq: m.Seq}
-		d.relayJourney(grant, m)
+		ln.sharers.add(req)
+		grant := Message{Type: MsgData, Addr: m.Addr, Data: ln.value, Requestor: req, Peek: m.LockAddr, Seq: m.Seq}
+		d.relayJourney(&grant, m)
 		d.send(grant, req, respPriority)
+		d.release(m)
 	}
 }
 
@@ -379,14 +444,11 @@ func (d *Dir) onCopyBack(ln *dirLine, m *Message) {
 	}
 	d.Stats.CopyBacks++
 	ln.value = m.Data
-	ln.sharers[m.From] = struct{}{}
+	ln.sharers.add(m.From)
 	ln.owner = noNode
 	if ln.busy && ln.cur != nil {
-		ln.sharers[ln.cur.Requestor] = struct{}{}
-		ln.busy = false
-		ln.cur = nil
-		d.txnEnded()
-		d.drain(ln)
+		ln.sharers.add(ln.cur.Requestor)
+		d.endTxn(ln)
 	}
 }
 
@@ -409,10 +471,11 @@ func (d *Dir) serviceGetX(ln *dirLine, m *Message) {
 	// with an owner the peek is forwarded and the owner decides.
 	if m.IsSwap && ln.owner == noNode && ln.value == m.Operand {
 		d.Stats.SwapFails++
-		ln.sharers[req] = struct{}{}
-		fail := &Message{Type: MsgData, Addr: m.Addr, Data: ln.value, Requestor: req, Peek: true, Seq: m.Seq}
-		d.relayJourney(fail, m)
+		ln.sharers.add(req)
+		fail := Message{Type: MsgData, Addr: m.Addr, Data: ln.value, Requestor: req, Peek: true, Seq: m.Seq}
+		d.relayJourney(&fail, m)
 		d.send(fail, req, respPriority)
+		d.release(m)
 		return
 	}
 	if m.IsSwap && ln.owner != noNode && ln.owner != req {
@@ -426,8 +489,8 @@ func (d *Dir) serviceGetX(ln *dirLine, m *Message) {
 		ln.busy = true
 		ln.cur = m
 		d.txnStarted()
-		probe := &Message{Type: MsgLockProbe, Addr: m.Addr, Requestor: req, Operand: m.Operand, LockAddr: m.LockAddr, Seq: m.Seq}
-		d.relayJourney(probe, m)
+		probe := Message{Type: MsgLockProbe, Addr: m.Addr, Requestor: req, Operand: m.Operand, LockAddr: m.LockAddr, Seq: m.Seq}
+		d.relayJourney(&probe, m)
 		d.send(probe, ln.owner, respPriority)
 		// An owner implies no sharers: no acks needed either way. The
 		// eager AcksComplete carries the transaction Seq: if the probe is
@@ -435,8 +498,8 @@ func (d *Dir) serviceGetX(ln *dirLine, m *Message) {
 		// and the Seq match is what keeps the floater from completing a
 		// later transaction by the same requester.
 		ln.owner = req
-		eager := &Message{Type: MsgAcksComplete, Addr: m.Addr, Requestor: req, Seq: m.Seq}
-		d.relayJourney(eager, m)
+		eager := Message{Type: MsgAcksComplete, Addr: m.Addr, Requestor: req, Seq: m.Seq}
+		d.relayJourney(&eager, m)
 		d.send(eager, req, respPriority)
 		return
 	}
@@ -444,29 +507,24 @@ func (d *Dir) serviceGetX(ln *dirLine, m *Message) {
 	ln.busy = true
 	ln.cur = m
 	d.txnStarted()
-	d.ackWait[m.Addr] = d.eng.Now()
+	ln.ackWaitFrom, ln.ackWaiting = d.eng.Now(), true
 
 	if ln.owner != noNode && ln.owner != req {
 		d.Stats.ForwardedGetX++
-		fwd := &Message{Type: MsgFwdGetX, Addr: m.Addr, Requestor: req, Data: ln.value, LockAddr: m.LockAddr, Seq: m.Seq}
-		d.relayJourney(fwd, m)
+		fwd := Message{Type: MsgFwdGetX, Addr: m.Addr, Requestor: req, Data: ln.value, LockAddr: m.LockAddr, Seq: m.Seq}
+		d.relayJourney(&fwd, m)
 		d.send(fwd, ln.owner, respPriority)
 	} else {
-		grant := &Message{Type: MsgDataExcl, Addr: m.Addr, Data: ln.value, Requestor: req, Peek: m.LockAddr, Seq: m.Seq}
-		d.relayJourney(grant, m)
+		grant := Message{Type: MsgDataExcl, Addr: m.Addr, Data: ln.value, Requestor: req, Peek: m.LockAddr, Seq: m.Seq}
+		d.relayJourney(&grant, m)
 		d.send(grant, req, respPriority)
 	}
 
-	for _, s := range sortedSharers(ln.sharers) {
-		if s == req {
-			continue
-		}
-		d.invalidateSharer(ln, m.Addr, req, s, false)
-	}
-	ln.sharers = make(map[noc.NodeID]struct{})
+	d.invalidateSharers(ln, m.Addr, req, false)
+	ln.sharers.clear()
 	ln.owner = req
 
-	if len(ln.waiting) == 0 {
+	if ln.waiting.empty() {
 		d.finishAcks(ln, m.Addr)
 	}
 }
@@ -480,7 +538,8 @@ func (d *Dir) servicePutM(ln *dirLine, m *Message) {
 		ln.value = m.Data
 		ln.owner = noNode
 	}
-	d.send(&Message{Type: MsgWBAck, Addr: m.Addr, Requestor: m.Requestor}, m.Requestor, respPriority)
+	d.send(Message{Type: MsgWBAck, Addr: m.Addr, Requestor: m.Requestor}, m.Requestor, respPriority)
+	d.release(m)
 }
 
 // consumeEarlyRec retires node's early-invalidation record because it is
@@ -493,6 +552,18 @@ func (d *Dir) consumeEarlyRec(ln *dirLine, addr uint64, node noc.NodeID) {
 	delete(ln.early, node)
 	if !rec.ackArrived {
 		d.floating[rec.token] = struct{}{}
+	}
+}
+
+// invalidateSharers invalidates every sharer except req, in ascending
+// node order.
+func (d *Dir) invalidateSharers(ln *dirLine, addr uint64, req noc.NodeID, recall bool) {
+	for i, w := range ln.sharers {
+		for ; w != 0; w &= w - 1 {
+			if s := noc.NodeID(i<<6 | bits.TrailingZeros64(w)); s != req {
+				d.invalidateSharer(ln, addr, req, s, recall)
+			}
+		}
 	}
 }
 
@@ -509,14 +580,14 @@ func (d *Dir) invalidateSharer(ln *dirLine, addr uint64, req, s noc.NodeID, reca
 			return // ack already in hand
 		}
 		d.Stats.EarlyInvSkipped++
-		ln.waiting[s] = struct{}{}
+		ln.waiting.add(s)
 		d.waitTokens[invKey{addr, s}] = rec.token
 		return
 	}
 	d.Stats.InvsSent++
 	d.invSent[invKey{addr, s}] = d.eng.Now()
-	d.send(&Message{Type: MsgInv, Addr: addr, AckTo: d.Node, Requestor: req, Recall: recall}, s, respPriority)
-	ln.waiting[s] = struct{}{}
+	d.send(Message{Type: MsgInv, Addr: addr, AckTo: d.Node, Requestor: req, Recall: recall}, s, respPriority)
+	ln.waiting.add(s)
 }
 
 // onAck consumes an invalidation acknowledgement. Acks for sharers the
@@ -534,7 +605,7 @@ func (d *Dir) onAck(ln *dirLine, m *Message) {
 			return
 		}
 		if ln.busy {
-			_, waited := ln.waiting[s]
+			waited := ln.waiting.has(s)
 			tok, tokenWait := d.waitTokens[key]
 			// A relayed ack satisfies a token wait with its own token, and
 			// may also satisfy a direct-invalidation wait: the early Inv
@@ -545,13 +616,14 @@ func (d *Dir) onAck(ln *dirLine, m *Message) {
 			// it never turns into a phantom floating token.
 			allowOverlap := !tokenWait && !d.cfg.DisableAckOverlap
 			if waited && (allowOverlap || (tokenWait && tok == m.Token)) {
-				delete(ln.waiting, s)
+				ln.waiting.remove(s)
 				delete(d.waitTokens, key)
 				d.Stats.RelayedAckHits++
 				if rec, ok := ln.early[s]; ok && rec.token == m.Token {
 					rec.ackArrived = true
+					ln.early[s] = rec
 				}
-				if len(ln.waiting) == 0 {
+				if ln.waiting.empty() {
 					d.finishAcks(ln, m.Addr)
 				}
 				return
@@ -559,26 +631,27 @@ func (d *Dir) onAck(ln *dirLine, m *Message) {
 		}
 		if rec, ok := ln.early[s]; ok && rec.token == m.Token {
 			rec.ackArrived = true
+			ln.early[s] = rec
 			return
 		}
 		// The relayed ack overtook its FwdGetX; remember it for the
 		// service pass.
-		ln.early[s] = &earlyRec{token: m.Token, ackArrived: true}
+		ln.early[s] = earlyRec{token: m.Token, ackArrived: true}
 		return
 	}
 	// Direct acks satisfy direct-invalidation waits (those without a
 	// token expectation).
 	if ln.busy {
-		if _, ok := ln.waiting[s]; ok {
+		if ln.waiting.has(s) {
 			if _, tokenWait := d.waitTokens[key]; !tokenWait {
-				delete(ln.waiting, s)
+				ln.waiting.remove(s)
 				if t0, ok := d.invSent[key]; ok {
 					if d.rtt != nil {
 						d.rtt.RecordRTT(s, d.eng.Now()-t0)
 					}
 					delete(d.invSent, key)
 				}
-				if len(ln.waiting) == 0 {
+				if ln.waiting.empty() {
 					d.finishAcks(ln, m.Addr)
 				}
 				return
@@ -591,29 +664,26 @@ func (d *Dir) onAck(ln *dirLine, m *Message) {
 
 // finishAcks releases the active GetX requester.
 func (d *Dir) finishAcks(ln *dirLine, addr uint64) {
-	if t0, ok := d.ackWait[addr]; ok {
-		d.Stats.AckWaitCyclesTotal += uint64(d.eng.Now() - t0)
+	if ln.ackWaiting {
+		d.Stats.AckWaitCyclesTotal += uint64(d.eng.Now() - ln.ackWaitFrom)
 		d.Stats.AckWaitCount++
-		delete(d.ackWait, addr)
+		ln.ackWaiting = false
 	}
 	if ln.cur == nil {
 		return
 	}
 	switch ln.cur.Type {
 	case MsgGetX:
-		done := &Message{Type: MsgAcksComplete, Addr: addr, Requestor: ln.cur.Requestor, Seq: ln.cur.Seq}
-		d.relayJourney(done, ln.cur)
+		done := Message{Type: MsgAcksComplete, Addr: addr, Requestor: ln.cur.Requestor, Seq: ln.cur.Seq}
+		d.relayJourney(&done, ln.cur)
 		d.send(done, ln.cur.Requestor, respPriority)
 	case MsgPutRelease:
 		// The recall storm is over: acknowledge the releaser and free the
 		// line (no unblock follows a release).
-		done := &Message{Type: MsgReleaseAck, Addr: addr, Requestor: ln.cur.Requestor, Seq: ln.cur.Seq}
-		d.relayJourney(done, ln.cur)
+		done := Message{Type: MsgReleaseAck, Addr: addr, Requestor: ln.cur.Requestor, Seq: ln.cur.Seq}
+		d.relayJourney(&done, ln.cur)
 		d.send(done, ln.cur.Requestor, respPriority)
-		ln.busy = false
-		ln.cur = nil
-		d.txnEnded()
-		d.drain(ln)
+		d.endTxn(ln)
 	}
 }
 
@@ -630,10 +700,7 @@ func (d *Dir) onUnblock(ln *dirLine, m *Message) {
 		d.Stats.StaleUnblocks++
 		return
 	}
-	ln.busy = false
-	ln.cur = nil
-	d.txnEnded()
-	d.drain(ln)
+	d.endTxn(ln)
 }
 
 // DebugLine renders a line's full directory state for diagnostics.
@@ -647,19 +714,16 @@ func (d *Dir) DebugLine(addr uint64) string {
 		cur = ln.cur.String()
 	}
 	return fmt.Sprintf("val=%d owner=%d sharers=%v busy=%v fetching=%v cur=%s waiting=%v pending=%d early=%v floating=%v",
-		ln.value, ln.owner, sortedSharers(ln.sharers), ln.busy, ln.fetching, cur,
-		sortedSharers(ln.waiting), len(ln.pending), len(ln.early), d.floating)
+		ln.value, ln.owner, ln.sharers.members(), ln.busy, ln.fetching, cur,
+		ln.waiting.members(), len(ln.pending), len(ln.early), d.floating)
 }
 
 // LineInfo reports a line's directory state for tests and invariant
-// checkers: its value, owner (or -1) and sharer set.
+// checkers: its value, owner (or -1) and sharers in ascending order.
 func (d *Dir) LineInfo(addr uint64) (value uint64, owner noc.NodeID, sharers []noc.NodeID, busy bool) {
 	ln, ok := d.lines[addr]
 	if !ok {
 		return 0, noNode, nil, false
 	}
-	for s := range ln.sharers {
-		sharers = append(sharers, s)
-	}
-	return ln.value, ln.owner, sharers, ln.busy
+	return ln.value, ln.owner, ln.sharers.members(), ln.busy
 }

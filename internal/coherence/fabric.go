@@ -21,6 +21,9 @@ type Fabric struct {
 	L1s   []*L1
 	Dirs  []*Dir
 	Mem   *memory.System
+	// Msgs is the free list every controller and big router on this
+	// fabric takes its protocol messages from.
+	Msgs MsgPool
 }
 
 // FabricConfig collects the per-component configurations.
@@ -57,6 +60,7 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig) (*Fabric, error) {
 		Net:   net,
 		Homes: HomeMap{Nodes: nodes, BlockBytes: cfg.L1.Cache.BlockBytes},
 		Mem:   mem,
+		Msgs:  MsgPool{eng: eng},
 	}
 	for id := 0; id < nodes; id++ {
 		ni := net.NI(noc.NodeID(id))
@@ -64,7 +68,9 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig) (*Fabric, error) {
 		if err != nil {
 			return nil, err
 		}
-		dir := NewDir(eng, noc.NodeID(id), ni, mem, cfg.Dir)
+		l1.msgs = &f.Msgs
+		dir := NewDir(eng, noc.NodeID(id), ni, mem, cfg.Dir, nodes)
+		dir.msgs = &f.Msgs
 		f.L1s = append(f.L1s, l1)
 		f.Dirs = append(f.Dirs, dir)
 		ni.SetSink(demux{eng, l1, dir})

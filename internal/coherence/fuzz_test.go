@@ -265,6 +265,6 @@ func TestProtocolFuzzWithBigRouters(t *testing.T) {
 
 type passThrough struct{}
 
-func (passThrough) Intercept(now sim.Cycle, r *noc.Router, p *noc.Packet) (bool, []*noc.Packet) {
+func (passThrough) Intercept(now sim.Cycle, r *noc.Router, p *noc.Packet) (bool, *noc.Packet) {
 	return false, nil
 }

@@ -34,16 +34,22 @@ const (
 	opAtomic
 )
 
-// pendingOp is the CPU operation bound to an outstanding transaction.
+// pendingOp is the CPU operation bound to an outstanding transaction,
+// held by value in its MSHR entry.
 type pendingOp struct {
 	kind    opKind
 	atomic  AtomicOp
-	a, b    uint64
-	loadCB  func(uint64)
-	storeCB func()
-	rmwCB   func(uint64)
-	issued  sim.Cycle
 	lock    bool
+	a, b    uint64
+	cb      func(uint64) // loads: the value; atomics: the pre-op value
+	storeCB func()
+	issued  sim.Cycle
+}
+
+// hitResult is one load or atomic hit waiting out the hit latency.
+type hitResult struct {
+	cb func(uint64)
+	v  uint64
 }
 
 // trState is the transient protocol state of an MSHR entry.
@@ -92,13 +98,18 @@ type L1 struct {
 	Node  noc.NodeID
 	eng   *sim.Engine
 	arr   *cache.Cache
-	mshr  *cache.MSHR
+	mshr  cache.MSHR[pendingOp]
 	ni    *noc.NI
 	homes HomeMap
-	cfg   L1Config
+	msgs  *MsgPool
+	// hitLatency is the array access time of a hit.
+	hitLatency sim.Cycle
+
+	// hits delivers load and atomic hit results after the hit latency.
+	hits delayLine[hitResult]
 
 	// evict holds data of dirty lines between PutM and WBAck so in-flight
-	// forwards can still be serviced.
+	// forwards can still be serviced. Made on the first writeback.
 	evict map[uint64]uint64
 
 	// seq stamps each transaction; responses must echo it (Message.Seq).
@@ -120,14 +131,13 @@ func NewL1(eng *sim.Engine, node noc.NodeID, ni *noc.NI, homes HomeMap, cfg L1Co
 		return nil, fmt.Errorf("l1 node %d: %w", node, err)
 	}
 	return &L1{
-		Node:  node,
-		eng:   eng,
-		arr:   arr,
-		mshr:  cache.NewMSHR(cfg.MSHRs),
-		ni:    ni,
-		homes: homes,
-		cfg:   cfg,
-		evict: make(map[uint64]uint64),
+		Node:       node,
+		eng:        eng,
+		arr:        arr,
+		mshr:       cache.MakeMSHR[pendingOp](cfg.MSHRs),
+		ni:         ni,
+		homes:      homes,
+		hitLatency: cfg.HitLatency,
 	}, nil
 }
 
@@ -136,7 +146,7 @@ func (l *L1) Cache() *cache.Cache { return l.arr }
 
 // MSHR exposes the miss status holding register file (diagnostics,
 // telemetry occupancy gauges).
-func (l *L1) MSHR() *cache.MSHR { return l.mshr }
+func (l *L1) MSHR() *cache.MSHR[pendingOp] { return &l.mshr }
 
 // nextSeq stamps a new transaction. Starting at 1 keeps the zero value
 // distinct from any real transaction.
@@ -172,10 +182,19 @@ func (l *L1) relayJourney(resp, req *Message) {
 	req.Journey.Remote(l.eng.Now())
 }
 
-// send wraps m in a packet and injects it.
-func (l *L1) send(m *Message, dst noc.NodeID, priority int) {
+// send wraps a pooled copy of m in a packet and injects it.
+func (l *L1) send(m Message, dst noc.NodeID, priority int) {
 	m.From = l.Node
-	l.ni.Inject(packetFor(l.ni, m, dst, priority))
+	l.ni.Inject(packetFor(l.ni, l.msgs.New(m), dst, priority))
+}
+
+// hit completes a load or atomic that hit in the array: cb receives v
+// after the hit latency.
+func (l *L1) hit(cb func(uint64), v uint64) {
+	if !l.hits.bound() {
+		l.hits.bind(func(h hitResult) { h.cb(h.v) })
+	}
+	l.hits.push(l.eng, l.hitLatency-1, hitResult{cb, v})
 }
 
 // respPriority is the fixed arbitration priority of forward/response
@@ -190,8 +209,7 @@ func (l *L1) Load(addr uint64, lock bool, priority int, cb func(uint64)) {
 	addr = l.arr.BlockAlign(addr)
 	if line := l.arr.Lookup(addr); line != nil {
 		l.Stats.Hits++
-		v := line.Data
-		l.eng.Schedule(l.cfg.HitLatency-1, func() { cb(v) })
+		l.hit(cb, line.Data)
 		return
 	}
 	l.Stats.Misses++
@@ -204,9 +222,9 @@ func (l *L1) Load(addr uint64, lock bool, priority int, cb func(uint64)) {
 	}
 	e.State = trIS
 	e.Seq = l.nextSeq()
-	e.Aux = &pendingOp{kind: opLoad, loadCB: cb, issued: l.eng.Now(), lock: lock}
-	m := &Message{Type: MsgGetS, Addr: addr, Requestor: l.Node, ToDir: true, LockAddr: lock, Seq: e.Seq}
-	l.tagJourney(m)
+	e.Op = pendingOp{kind: opLoad, cb: cb, issued: l.eng.Now(), lock: lock}
+	m := Message{Type: MsgGetS, Addr: addr, Requestor: l.Node, ToDir: true, LockAddr: lock, Seq: e.Seq}
+	l.tagJourney(&m)
 	l.send(m, l.homes.Home(addr), priority)
 }
 
@@ -220,12 +238,12 @@ func (l *L1) Store(addr uint64, val uint64, lock bool, priority int, cb func()) 
 			l.Stats.Hits++
 			line.State = cache.Modified
 			line.Data = val
-			l.eng.Schedule(l.cfg.HitLatency-1, func() { cb() })
+			l.eng.Schedule(l.hitLatency-1, cb)
 			return
 		}
 	}
 	l.Stats.Misses++
-	l.issueGetX(addr, &pendingOp{kind: opStore, a: val, storeCB: cb, issued: l.eng.Now(), lock: lock}, false, priority)
+	l.issueGetX(addr, pendingOp{kind: opStore, a: val, storeCB: cb, issued: l.eng.Now(), lock: lock}, false, priority)
 }
 
 // StoreRelease performs a synchronization store: the value is written
@@ -244,9 +262,9 @@ func (l *L1) StoreRelease(addr uint64, val uint64, lock bool, priority int, cb f
 	}
 	e.State = trREL
 	e.Seq = l.nextSeq()
-	e.Aux = &pendingOp{kind: opStore, a: val, storeCB: cb, issued: l.eng.Now(), lock: lock}
-	m := &Message{Type: MsgPutRelease, Addr: addr, Requestor: l.Node, Data: val, ToDir: true, LockAddr: lock, Seq: e.Seq}
-	l.tagJourney(m)
+	e.Op = pendingOp{kind: opStore, a: val, storeCB: cb, issued: l.eng.Now(), lock: lock}
+	m := Message{Type: MsgPutRelease, Addr: addr, Requestor: l.Node, Data: val, ToDir: true, LockAddr: lock, Seq: e.Seq}
+	l.tagJourney(&m)
 	l.send(m, l.homes.Home(addr), priority)
 }
 
@@ -263,16 +281,16 @@ func (l *L1) Atomic(addr uint64, op AtomicOp, a, b uint64, priority int, cb func
 			line.State = cache.Modified
 			old := line.Data
 			line.Data = applyAtomic(op, old, a, b)
-			l.eng.Schedule(l.cfg.HitLatency-1, func() { cb(old) })
+			l.hit(cb, old)
 			return
 		}
 	}
 	l.Stats.Misses++
-	l.issueGetX(addr, &pendingOp{kind: opAtomic, atomic: op, a: a, b: b, rmwCB: cb, issued: l.eng.Now(), lock: true}, true, priority)
+	l.issueGetX(addr, pendingOp{kind: opAtomic, atomic: op, a: a, b: b, cb: cb, issued: l.eng.Now(), lock: true}, true, priority)
 }
 
 // issueGetX allocates a transaction and sends the exclusive request.
-func (l *L1) issueGetX(addr uint64, op *pendingOp, lockAddr bool, priority int) {
+func (l *L1) issueGetX(addr uint64, op pendingOp, lockAddr bool, priority int) {
 	e := l.mshr.Allocate(addr)
 	if e == nil {
 		l.eng.Schedule(0, func() { l.issueGetX(addr, op, lockAddr, priority) })
@@ -280,13 +298,13 @@ func (l *L1) issueGetX(addr uint64, op *pendingOp, lockAddr bool, priority int) 
 	}
 	e.State = trIM
 	e.Seq = l.nextSeq()
-	e.Aux = op
-	m := &Message{Type: MsgGetX, Addr: addr, Requestor: l.Node, ToDir: true, LockAddr: lockAddr, Seq: e.Seq}
+	e.Op = op
+	m := Message{Type: MsgGetX, Addr: addr, Requestor: l.Node, ToDir: true, LockAddr: lockAddr, Seq: e.Seq}
 	if op.kind == opAtomic && op.atomic == Swap {
 		m.IsSwap = true
 		m.Operand = op.a
 	}
-	l.tagJourney(m)
+	l.tagJourney(&m)
 	l.send(m, l.homes.Home(addr), priority)
 }
 
@@ -306,7 +324,8 @@ func applyAtomic(op AtomicOp, old, a, b uint64) uint64 {
 	return old
 }
 
-// Receive handles a coherence message delivered to this L1.
+// Receive handles a coherence message delivered to this L1, which consumes
+// and releases it.
 func (l *L1) Receive(now sim.Cycle, m *Message) {
 	switch m.Type {
 	case MsgData:
@@ -333,7 +352,9 @@ func (l *L1) Receive(now sim.Cycle, m *Message) {
 	default:
 		l.eng.Fail(&ProtocolError{Node: int(l.Node), Component: "l1",
 			Detail: fmt.Sprintf("unexpected %v", m)})
+		return
 	}
+	l.msgs.put(m, l.Node, "l1")
 }
 
 // onData completes a GetS transaction, or — for an outstanding SWAP — a
@@ -349,7 +370,7 @@ func (l *L1) onData(now sim.Cycle, m *Message) {
 		l.Stats.StaleResponsesIgnored++
 		return // response to an earlier transaction on this address
 	}
-	op := e.Aux.(*pendingOp)
+	op, seq := e.Op, e.Seq
 	switch e.State {
 	case trIS:
 		if !e.Invalidated {
@@ -359,13 +380,13 @@ func (l *L1) onData(now sim.Cycle, m *Message) {
 			}
 			l.insert(m.Addr, st, m.Data)
 		}
-		l.finishStall(now, op)
+		l.finishStall(now, &op)
 		l.mshr.Free(m.Addr)
 		if m.Excl {
 			// Exclusive grants block the home until this unblock.
-			l.send(&Message{Type: MsgUnblock, Addr: m.Addr, Requestor: l.Node, ToDir: true, Seq: e.Seq}, l.homes.Home(m.Addr), respPriority)
+			l.send(Message{Type: MsgUnblock, Addr: m.Addr, Requestor: l.Node, ToDir: true, Seq: seq}, l.homes.Home(m.Addr), respPriority)
 		}
-		op.loadCB(m.Data)
+		op.cb(m.Data)
 	case trIM:
 		if op.kind != opAtomic || op.atomic != Swap {
 			l.eng.Fail(&ProtocolError{Node: int(l.Node), Component: "l1",
@@ -376,9 +397,9 @@ func (l *L1) onData(now sim.Cycle, m *Message) {
 		if !e.Invalidated {
 			l.insert(m.Addr, cache.Shared, m.Data)
 		}
-		l.finishStall(now, op)
+		l.finishStall(now, &op)
 		l.mshr.Free(m.Addr)
-		op.rmwCB(m.Data)
+		op.cb(m.Data)
 	}
 }
 
@@ -419,7 +440,7 @@ func (l *L1) onAcksComplete(now sim.Cycle, m *Message) {
 // tryCompleteX finishes a GetX transaction once both the data and the
 // ack-completion have arrived: the line becomes Modified, the pending
 // operation executes atomically, the home is unblocked.
-func (l *L1) tryCompleteX(now sim.Cycle, addr uint64, e *cache.MSHREntry) {
+func (l *L1) tryCompleteX(now sim.Cycle, addr uint64, e *cache.MSHREntry[pendingOp]) {
 	if !e.DataReady || !e.AcksDone {
 		return
 	}
@@ -430,7 +451,7 @@ func (l *L1) tryCompleteX(now sim.Cycle, addr uint64, e *cache.MSHREntry) {
 	if line := l.arr.Peek(addr); line != nil {
 		val = line.Data
 	}
-	op := e.Aux.(*pendingOp)
+	op, seq := e.Op, e.Seq
 	old := val
 	switch op.kind {
 	case opStore:
@@ -442,14 +463,14 @@ func (l *L1) tryCompleteX(now sim.Cycle, addr uint64, e *cache.MSHREntry) {
 			Detail: fmt.Sprintf("load operation bound to exclusive transaction at %#x", addr)})
 		return
 	}
-	l.finishStall(now, op)
+	l.finishStall(now, &op)
 	l.mshr.Free(addr)
-	l.send(&Message{Type: MsgUnblock, Addr: addr, Requestor: l.Node, ToDir: true, Seq: e.Seq}, l.homes.Home(addr), respPriority)
+	l.send(Message{Type: MsgUnblock, Addr: addr, Requestor: l.Node, ToDir: true, Seq: seq}, l.homes.Home(addr), respPriority)
 	switch op.kind {
 	case opStore:
 		op.storeCB()
 	case opAtomic:
-		op.rmwCB(old)
+		op.cb(old)
 	}
 }
 
@@ -475,8 +496,11 @@ func (l *L1) insert(addr uint64, st cache.State, data uint64) {
 	switch ev.State {
 	case cache.Modified, cache.Owned, cache.Exclusive:
 		l.Stats.WritebacksSent++
+		if l.evict == nil {
+			l.evict = make(map[uint64]uint64)
+		}
 		l.evict[ev.Addr] = ev.Data
-		l.send(&Message{Type: MsgPutM, Addr: ev.Addr, Requestor: l.Node, Data: ev.Data, ToDir: true}, l.homes.Home(ev.Addr), respPriority)
+		l.send(Message{Type: MsgPutM, Addr: ev.Addr, Requestor: l.Node, Data: ev.Data, ToDir: true}, l.homes.Home(ev.Addr), respPriority)
 	}
 }
 
@@ -516,16 +540,15 @@ func (l *L1) onReleaseAck(now sim.Cycle, m *Message) {
 		l.Stats.StaleResponsesIgnored++
 		return
 	}
-	op := e.Aux.(*pendingOp)
-	l.finishStall(now, op)
+	op := e.Op
+	l.finishStall(now, &op)
 	l.mshr.Free(m.Addr)
 	op.storeCB()
 }
 
 // sendInvAck acknowledges an invalidation to whoever generated it.
 func (l *L1) sendInvAck(m *Message) {
-	ack := &Message{Type: MsgInvAck, Addr: m.Addr, AckFor: l.Node, EarlyInv: m.EarlyInv, ToDir: !m.EarlyInv, Token: m.Token}
-	l.send(ack, m.AckTo, respPriority)
+	l.send(Message{Type: MsgInvAck, Addr: m.Addr, AckFor: l.Node, EarlyInv: m.EarlyInv, ToDir: !m.EarlyInv, Token: m.Token}, m.AckTo, respPriority)
 }
 
 // onFwdGetS services a read on a line this node owns: send a shared copy
@@ -541,10 +564,10 @@ func (l *L1) onFwdGetS(m *Message) {
 	if line := l.arr.Peek(m.Addr); line != nil {
 		line.State = cache.Shared
 	}
-	resp := &Message{Type: MsgData, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: m.LockAddr, Seq: m.Seq}
-	l.relayJourney(resp, m)
+	resp := Message{Type: MsgData, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: m.LockAddr, Seq: m.Seq}
+	l.relayJourney(&resp, m)
 	l.send(resp, m.Requestor, respPriority)
-	l.send(&Message{Type: MsgCopyBack, Addr: m.Addr, Data: data, Requestor: m.Requestor, ToDir: true, Seq: m.Seq}, l.homes.Home(m.Addr), respPriority)
+	l.send(Message{Type: MsgCopyBack, Addr: m.Addr, Data: data, Requestor: m.Requestor, ToDir: true, Seq: m.Seq}, l.homes.Home(m.Addr), respPriority)
 }
 
 // onLockProbe arbitrates a losing SWAP at the owner: if the swap would be
@@ -561,10 +584,10 @@ func (l *L1) onLockProbe(m *Message) {
 		if line := l.arr.Peek(m.Addr); line != nil {
 			line.State = cache.Shared
 		}
-		resp := &Message{Type: MsgData, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: true, Seq: m.Seq}
-		l.relayJourney(resp, m)
+		resp := Message{Type: MsgData, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: true, Seq: m.Seq}
+		l.relayJourney(&resp, m)
 		l.send(resp, m.Requestor, respPriority)
-		l.send(&Message{Type: MsgCopyBack, Addr: m.Addr, Data: data, Requestor: m.Requestor, ToDir: true, Seq: m.Seq}, home, respPriority)
+		l.send(Message{Type: MsgCopyBack, Addr: m.Addr, Data: data, Requestor: m.Requestor, ToDir: true, Seq: m.Seq}, home, respPriority)
 		return
 	}
 	l.Stats.ProbesFailed++
@@ -572,8 +595,8 @@ func (l *L1) onLockProbe(m *Message) {
 		data = m.Data
 	}
 	l.arr.Invalidate(m.Addr)
-	resp := &Message{Type: MsgDataExcl, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: m.LockAddr, Seq: m.Seq}
-	l.relayJourney(resp, m)
+	resp := Message{Type: MsgDataExcl, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: m.LockAddr, Seq: m.Seq}
+	l.relayJourney(&resp, m)
 	l.send(resp, m.Requestor, respPriority)
 }
 
@@ -585,8 +608,8 @@ func (l *L1) onFwdGetX(m *Message) {
 		data = m.Data
 	}
 	l.arr.Invalidate(m.Addr)
-	resp := &Message{Type: MsgDataExcl, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: m.LockAddr, Seq: m.Seq}
-	l.relayJourney(resp, m)
+	resp := Message{Type: MsgDataExcl, Addr: m.Addr, Data: data, Requestor: m.Requestor, Peek: m.LockAddr, Seq: m.Seq}
+	l.relayJourney(&resp, m)
 	l.send(resp, m.Requestor, respPriority)
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"inpg/internal/journey"
 	"inpg/internal/noc"
+	"inpg/internal/sim"
 )
 
 // MsgType enumerates the coherence protocol messages.
@@ -54,6 +55,11 @@ const (
 	// every cached copy and acknowledges once all invalidations complete.
 	MsgPutRelease // releaser → home: write-through of the lock word
 	MsgReleaseAck // home → releaser: recall storm complete
+
+	// msgReleased is the Type of a message on a free list. No controller
+	// handles it, so a released message that is dispatched again ends the
+	// run with a ProtocolError from the receiver's default branch.
+	msgReleased MsgType = -1
 )
 
 var msgNames = map[MsgType]string{
@@ -63,6 +69,7 @@ var msgNames = map[MsgType]string{
 	MsgAcksComplete: "AcksComplete", MsgUnblock: "Unblock", MsgWBAck: "WBAck",
 	MsgLockProbe: "LockProbe", MsgCopyBack: "CopyBack",
 	MsgPutRelease: "PutRelease", MsgReleaseAck: "ReleaseAck",
+	msgReleased: "released",
 }
 
 // String returns the gem5-style message name.
@@ -162,6 +169,50 @@ type Message struct {
 
 func (m *Message) String() string {
 	return fmt.Sprintf("%v addr=%#x from=%d req=%d data=%d", m.Type, m.Addr, m.From, m.Requestor, m.Data)
+}
+
+// MsgPool is a Fabric's free list of protocol messages. A message has one
+// owner at a time — its sender until injection, then its receiver — and
+// the receiver releases it exactly once, where it is consumed (see
+// DESIGN.md, "Hot-path memory ownership"). A Fabric's simulation is
+// single-threaded, so the pool needs no locking. A nil *MsgPool allocates
+// and never recycles.
+type MsgPool struct {
+	eng  *sim.Engine
+	free []*Message
+}
+
+// New returns a message holding v, recycling a released one when
+// available.
+func (p *MsgPool) New(v Message) *Message {
+	var m *Message
+	if p != nil && len(p.free) > 0 {
+		n := len(p.free) - 1
+		m = p.free[n]
+		p.free[n] = nil
+		p.free = p.free[:n]
+	} else {
+		m = new(Message)
+	}
+	*m = v
+	return m
+}
+
+// put releases m, which the caller at node consumed. Its Type becomes the
+// released sentinel until reuse; releasing it again ends the run with a
+// ProtocolError.
+func (p *MsgPool) put(m *Message, node noc.NodeID, component string) {
+	if p == nil {
+		return
+	}
+	if m.Type == msgReleased {
+		p.eng.Fail(&ProtocolError{Node: int(node), Component: component,
+			Detail: fmt.Sprintf("message released twice: %v", m)})
+		return
+	}
+	m.Type = msgReleased
+	m.Journey = nil
+	p.free = append(p.free, m)
 }
 
 // packetFor wraps a message in a pooled NoC packet bound for dst.

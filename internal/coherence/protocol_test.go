@@ -1,9 +1,13 @@
 package coherence
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"inpg/internal/cache"
+	"inpg/internal/noc"
+	"inpg/internal/sim"
 )
 
 // Targeted transition tests for the lock-specific protocol paths: the
@@ -208,5 +212,49 @@ func TestStrayWritebackAcknowledged(t *testing.T) {
 	}
 	if n := len(f.L1s[2].evict); n != 0 {
 		t.Fatalf("writeback buffer holds %d entries after quiesce", n)
+	}
+}
+
+// TestSharersStraddleBitsetWords places sharers on both sides of the
+// sharer bitset's 64-bit word boundaries of a 16×16 mesh: LineInfo lists
+// them in ascending order, and one GetX invalidates exactly them.
+func TestSharersStraddleBitsetWords(t *testing.T) {
+	cfg := DefaultFabricConfig()
+	cfg.Net.Mesh = noc.Mesh{Width: 16, Height: 16}
+	f, err := NewFabric(sim.NewEngine(5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := noc.NodeID(100)
+	addr := f.Homes.AddrForHome(home, 0)
+	want := []noc.NodeID{0, 63, 64, 255}
+	got := 0
+	for _, id := range []noc.NodeID{255, 64, 0, 63} { // out of order on purpose
+		f.L1s[id].Load(addr, true, 0, func(uint64) { got++ })
+	}
+	runUntil(t, f, 100_000, func() bool { return got == len(want) })
+	for i := 0; i < 2; i++ { // two calls must agree
+		if _, owner, sharers, _ := f.Dirs[home].LineInfo(addr); fmt.Sprint(sharers) != fmt.Sprint(want) || owner != -1 {
+			t.Fatalf("LineInfo sharers = %v owner %d, want %v and no owner", sharers, owner, want)
+		}
+	}
+
+	done := false
+	f.L1s[17].Store(addr, 9, false, 0, func() { done = true })
+	runUntil(t, f, 100_000, func() bool { return done })
+	if err := f.Settle(100_000); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.Dirs[home].Stats.InvsSent; n != uint64(len(want)) {
+		t.Fatalf("home sent %d invalidations, want %d", n, len(want))
+	}
+	for id, l1 := range f.L1s {
+		invalidated := l1.Stats.InvsReceived == 1
+		if isSharer := slices.Contains(want, noc.NodeID(id)); invalidated != isSharer {
+			t.Fatalf("node %d received %d invalidations, sharer=%v", id, l1.Stats.InvsReceived, isSharer)
+		}
+	}
+	if _, owner, sharers, _ := f.Dirs[home].LineInfo(addr); owner != 17 || len(sharers) != 0 {
+		t.Fatalf("after the GetX: owner %d sharers %v, want owner 17 and none", owner, sharers)
 	}
 }

@@ -138,6 +138,11 @@ type Thread struct {
 
 	onDone func(*Thread)
 	done   bool
+
+	// iter is the critical-section iteration in progress. The program
+	// steps through the continuations below, bound once by Start.
+	iter                                         int
+	contend, acquired, released, leave, nextIter func()
 }
 
 // New builds a thread on core id driving port, synchronizing on lock.
@@ -174,14 +179,49 @@ func (t *Thread) Eng() *sim.Engine { return t.eng }
 
 // Start launches the thread at the current cycle.
 func (t *Thread) Start() {
+	t.bind()
 	t.phaseStart = t.eng.Now()
 	t.setPhase(PhaseParallel)
-	t.iterate(0)
+	t.iter = 0
+	t.iterate()
 }
 
-// iterate runs critical-section iteration i.
-func (t *Thread) iterate(i int) {
-	if i >= t.prog.CSCount {
+// bind builds the program's continuations: parallel work, then compete
+// for the lock, run the critical section, release, and optionally join
+// the barrier before the next iteration.
+func (t *Thread) bind() {
+	t.contend = func() {
+		t.setPhase(PhaseCOH)
+		t.retriesUsed = 0
+		t.woken = false
+		t.AcquireCount++
+		t.lock.Acquire(t, t.acquired)
+	}
+	t.acquired = func() {
+		t.setPhase(PhaseCSE)
+		t.compute(t.prog.CSCycles(t.rng), t.leave)
+	}
+	t.leave = func() { t.lock.Release(t, t.released) }
+	t.released = func() {
+		t.CSCompleted++
+		if t.Barrier != nil && t.BarrierEvery > 0 && t.CSCompleted%t.BarrierEvery == 0 {
+			t.setPhase(PhaseCOH)
+			t.BarrierJoins++
+			t.Barrier.Join(t, t.nextIter)
+			return
+		}
+		t.nextIter()
+	}
+	t.nextIter = func() {
+		t.setPhase(PhaseParallel)
+		t.iter++
+		t.iterate()
+	}
+}
+
+// iterate runs critical-section iteration t.iter.
+func (t *Thread) iterate() {
+	if t.iter >= t.prog.CSCount {
 		t.setPhase(PhaseDone)
 		t.done = true
 		if t.onDone != nil {
@@ -189,31 +229,7 @@ func (t *Thread) iterate(i int) {
 		}
 		return
 	}
-	t.compute(t.prog.ParallelCycles(t.rng), func() {
-		t.setPhase(PhaseCOH)
-		t.retriesUsed = 0
-		t.woken = false
-		t.AcquireCount++
-		t.lock.Acquire(t, func() {
-			t.setPhase(PhaseCSE)
-			t.compute(t.prog.CSCycles(t.rng), func() {
-				t.lock.Release(t, func() {
-					t.CSCompleted++
-					if t.Barrier != nil && t.BarrierEvery > 0 && t.CSCompleted%t.BarrierEvery == 0 {
-						t.setPhase(PhaseCOH)
-						t.BarrierJoins++
-						t.Barrier.Join(t, func() {
-							t.setPhase(PhaseParallel)
-							t.iterate(i + 1)
-						})
-						return
-					}
-					t.setPhase(PhaseParallel)
-					t.iterate(i + 1)
-				})
-			})
-		})
-	})
+	t.compute(t.prog.ParallelCycles(t.rng), t.contend)
 }
 
 // compute burns cycles of local work.

@@ -32,7 +32,9 @@ func (w testLogWriter) Write(p []byte) (int, error) {
 }
 
 // startFleet serves a coordinator over loopback HTTP with n real workers
-// and returns it with a teardown that shuts the fleet down cleanly.
+// and returns it with a teardown that shuts the fleet down cleanly. The
+// teardown also runs as the test's cleanup, so a failing test never
+// leaves a worker polling (and logging through t) after it ends.
 func startFleet(t *testing.T, cfg fleet.Config, n int, worker fleet.WorkerConfig) (*fleet.Coordinator, func()) {
 	t.Helper()
 	coord := fleet.NewCoordinator(cfg)
@@ -44,18 +46,38 @@ func startFleet(t *testing.T, cfg fleet.Config, n int, worker fleet.WorkerConfig
 		w.ID = string(rune('a'+i)) + "-worker"
 		w.PollInterval = 2 * time.Millisecond
 		w.Log = testLogger(t)
-		wk := fleet.NewWorker(w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wk.Run()
-		}()
+		runWorker(&wg, fleet.NewWorker(w))
 	}
-	return coord, func() {
-		coord.Shutdown()
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			coord.Shutdown()
+			wg.Wait()
+			srv.Close()
+		})
+	}
+	t.Cleanup(stop)
+	return coord, stop
+}
+
+// runWorker runs w in the background under wg.
+func runWorker(wg *sync.WaitGroup, w *fleet.Worker) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w.Run()
+	}()
+}
+
+// stopWorkers registers the test's fleet teardown: shutdown orders the
+// fleet down, wg's workers are waited for, then srv closes. A worker
+// exits only on a Shutdown answer, so the server must outlive it.
+func stopWorkers(t *testing.T, srv *httptest.Server, wg *sync.WaitGroup, shutdown func()) {
+	t.Cleanup(func() {
+		shutdown()
 		wg.Wait()
 		srv.Close()
-	}
+	})
 }
 
 // TestFleetFig2ByteIdentical is the PR's acceptance bar: a figure sweep
@@ -67,8 +89,7 @@ func TestFleetFig2ByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, stop := startFleet(t, fleet.Config{LeaseTTL: 10 * time.Second}, 2, fleet.WorkerConfig{})
-	defer stop()
+	coord, _ := startFleet(t, fleet.Config{LeaseTTL: 10 * time.Second}, 2, fleet.WorkerConfig{})
 	o := tiny()
 	o.Campaign = coord
 	got, err := Fig2(o)
@@ -91,31 +112,40 @@ func TestFleetChaosKillByteIdentical(t *testing.T) {
 
 	coord := fleet.NewCoordinator(fleet.Config{LeaseTTL: 300 * time.Millisecond, Log: testLogger(t)})
 	srv := httptest.NewServer(coord)
-	defer srv.Close()
+	var wg sync.WaitGroup
+	stopWorkers(t, srv, &wg, coord.Shutdown)
 
 	// The victim dies holding its second lease; its heartbeats stop and
-	// the lease must be reclaimed for the sweep to finish.
+	// the lease must be reclaimed for the sweep to finish. It works alone
+	// until then, so it reaches that second lease whatever the timing;
+	// the survivor joins once it is dead.
 	killed := make(chan struct{})
-	victim := fleet.NewWorker(fleet.WorkerConfig{Coordinator: srv.URL, ID: "victim",
+	runWorker(&wg, fleet.NewWorker(fleet.WorkerConfig{Coordinator: srv.URL, ID: "victim",
 		PollInterval: 2 * time.Millisecond, ChaosKillAfter: 2,
-		Exit: func(int) { close(killed) }, Log: testLogger(t)})
-	survivor := fleet.NewWorker(fleet.WorkerConfig{Coordinator: srv.URL, ID: "survivor",
-		PollInterval: 2 * time.Millisecond, Log: testLogger(t)})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); victim.Run() }()
-	go func() { defer wg.Done(); survivor.Run() }()
+		Exit: func(int) { close(killed) }, Log: testLogger(t)}))
 
 	o := tiny()
 	o.Campaign = coord
-	got, err := Fig2(o)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		fig *Fig2Result
+		err error
 	}
+	ch := make(chan result, 1)
+	go func() {
+		fig, err := Fig2(o)
+		ch <- result{fig, err}
+	}()
 	select {
 	case <-killed:
-	default:
+	case <-time.After(30 * time.Second):
 		t.Fatal("chaos kill never fired")
+	}
+	runWorker(&wg, fleet.NewWorker(fleet.WorkerConfig{Coordinator: srv.URL, ID: "survivor",
+		PollInterval: 2 * time.Millisecond, Log: testLogger(t)}))
+	r := <-ch
+	got, err := r.fig, r.err
+	if err != nil {
+		t.Fatal(err)
 	}
 	if st := coord.Status(); st.Reclaims < 1 {
 		t.Fatalf("reclaims = %d, want >= 1 (the victim's abandoned lease)", st.Reclaims)
@@ -124,8 +154,6 @@ func TestFleetChaosKillByteIdentical(t *testing.T) {
 		t.Fatalf("chaos-ridden fleet Fig2 differs from single-process run:\n%s\nvs\n%s",
 			got.Render(), ref.Render())
 	}
-	coord.Shutdown()
-	wg.Wait()
 }
 
 // TestFleetManifestsAndResume: a fleet campaign writes the same per-run
@@ -214,20 +242,20 @@ func TestFleetCoordinatorCrashRestartByteIdentical(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		current.Load().ServeHTTP(w, r)
 	}))
-	defer srv.Close()
-
 	var wg sync.WaitGroup
+	// The teardown serves a fresh, shut-down coordinator: a crashed one
+	// answers nothing but 503, which workers retry forever.
+	stopWorkers(t, srv, &wg, func() {
+		down := fleet.NewCoordinator(fleet.Config{Token: "s3cret"})
+		down.Shutdown()
+		current.Store(down)
+	})
 	for i := 0; i < 2; i++ {
-		wk := fleet.NewWorker(fleet.WorkerConfig{Coordinator: srv.URL,
+		runWorker(&wg, fleet.NewWorker(fleet.WorkerConfig{Coordinator: srv.URL,
 			ID: string(rune('a'+i)) + "-worker", Token: "s3cret",
 			PollInterval:  2 * time.Millisecond,
 			ReconnectBase: 2 * time.Millisecond, ReconnectMax: 10 * time.Millisecond,
-			Log: testLogger(t)})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wk.Run()
-		}()
+			Log: testLogger(t)}))
 	}
 
 	// First incarnation: dies on its second grant, with that lease
@@ -293,8 +321,6 @@ func TestFleetCoordinatorCrashRestartByteIdentical(t *testing.T) {
 	if _, err := os.Stat(marker); err == nil {
 		t.Fatal("finished campaign left its restart marker")
 	}
-	b.Shutdown()
-	wg.Wait()
 }
 
 // TestFleetDuplicateKeepsAcceptedManifest: cell 0 is reclaimed from

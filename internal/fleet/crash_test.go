@@ -421,8 +421,7 @@ func TestForeignHeartbeatAdoptsOpenCell(t *testing.T) {
 // worker configured with the token completes a campaign normally.
 func TestFleetTokenAuth(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, Token: "s3cret", Log: testLogger(t)})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
+	srv := serve(t, c)
 
 	post := func(token string) int {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+PathLease,
@@ -461,17 +460,10 @@ func TestFleetTokenAuth(t *testing.T) {
 	}
 
 	wait := startCampaign(t, c, "auth", tinyCfgs(1), runner.Policy{})
-	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "tokened", Token: "s3cret",
-		PollInterval: 2 * time.Millisecond, Log: testLogger(t)})
-	done := make(chan struct{})
-	go func() {
-		w.Run()
-		close(done)
-	}()
+	runWorker(t, c, NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "tokened", Token: "s3cret",
+		PollInterval: 2 * time.Millisecond, Log: testLogger(t)}))
 	res, errs := wait()
 	if errs[0] != nil || res[0] == nil {
 		t.Fatalf("authorized worker campaign: res %v err %v", res[0], errs[0])
 	}
-	c.Shutdown()
-	<-done
 }

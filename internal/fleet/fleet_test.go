@@ -72,7 +72,8 @@ func tinyCfgs(n int) []inpg.Config {
 
 // startCampaign launches RunCampaign on a goroutine and returns a waiter;
 // it blocks until the coordinator has registered the campaign so tests
-// can immediately start leasing.
+// can immediately start leasing. Workers already polling may finish the
+// whole campaign before it is seen registered; that counts as started.
 func startCampaign(t *testing.T, c *Coordinator, sweep string, cfgs []inpg.Config, p runner.Policy) func() ([]*inpg.Results, []*runner.RunError) {
 	t.Helper()
 	type out struct {
@@ -85,7 +86,7 @@ func startCampaign(t *testing.T, c *Coordinator, sweep string, cfgs []inpg.Confi
 		ch <- out{res, errs}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Status().Cells != len(cfgs) {
+	for c.Status().Cells != len(cfgs) && len(ch) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("campaign never registered")
 		}
@@ -99,6 +100,58 @@ func startCampaign(t *testing.T, c *Coordinator, sweep string, cfgs []inpg.Confi
 			t.Fatal("campaign did not finish")
 			return nil, nil
 		}
+	}
+}
+
+// serve puts c behind a loopback server that closes when the test ends,
+// after every worker started by runWorker has exited.
+func serve(t *testing.T, c *Coordinator) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(c)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// runWorker runs a real worker in the background and returns a channel
+// closed when it exits. The test's cleanup orders the fleet down and
+// waits for the worker, so a failing test never leaves one polling (and
+// logging through t) after it ends.
+func runWorker(t *testing.T, c *Coordinator, w *Worker) <-chan struct{} {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run()
+	}()
+	t.Cleanup(func() {
+		c.Shutdown()
+		<-done
+	})
+	return done
+}
+
+// awaitWorkers blocks until c has heard from every worker in ids. A
+// worker registers on its first lease poll, campaign or not, so a
+// campaign published afterwards is open to all of them from its start.
+func awaitWorkers(t *testing.T, c *Coordinator, ids ...string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		seen := 0
+		for _, ws := range c.Status().Workers {
+			for _, id := range ids {
+				if ws.ID == id {
+					seen++
+				}
+			}
+		}
+		if seen == len(ids) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers %v never polled; status %+v", ids, c.Status())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -432,20 +485,15 @@ func TestWorkerFleetMatchesLocalRun(t *testing.T) {
 	}
 
 	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
-	wait := startCampaign(t, c, "fleet", cfgs, runner.Policy{})
-
-	var wg sync.WaitGroup
+	srv := serve(t, c)
+	// Both workers poll before the campaign exists: either may then take
+	// every cell, but both are on the books from the start.
 	for _, id := range []string{"w1", "w2"} {
-		w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: id,
-			PollInterval: 2 * time.Millisecond, Log: testLogger(t)})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Run()
-		}()
+		runWorker(t, c, NewWorker(WorkerConfig{Coordinator: srv.URL, ID: id,
+			PollInterval: 2 * time.Millisecond, Log: testLogger(t)}))
 	}
+	awaitWorkers(t, c, "w1", "w2")
+	wait := startCampaign(t, c, "fleet", cfgs, runner.Policy{})
 
 	res, errs := wait()
 	for i := range cfgs {
@@ -460,8 +508,6 @@ func TestWorkerFleetMatchesLocalRun(t *testing.T) {
 	if len(st.Workers) != 2 {
 		t.Fatalf("fleet workers = %+v", st.Workers)
 	}
-	c.Shutdown()
-	wg.Wait() // workers observe the shutdown answer and exit
 }
 
 // TestWorkerChaosKillTriggersReclaim: a worker dying while holding a
@@ -473,29 +519,18 @@ func TestWorkerChaosKillTriggersReclaim(t *testing.T) {
 	localRes, _ := runner.RunResilient(cfgs, runner.Policy{Workers: 1})
 
 	c := NewCoordinator(Config{LeaseTTL: 100 * time.Millisecond})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
+	srv := serve(t, c)
 	wait := startCampaign(t, c, "kill", cfgs, runner.Policy{})
 
 	killed := make(chan struct{})
-	victim := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "victim",
+	victimDone := runWorker(t, c, NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "victim",
 		PollInterval: 2 * time.Millisecond, ChaosKillAfter: 1,
-		Exit: func(int) { close(killed) }, Log: testLogger(t)})
-	victimDone := make(chan struct{})
-	go func() {
-		victim.Run()
-		close(victimDone)
-	}()
+		Exit: func(int) { close(killed) }, Log: testLogger(t)}))
 	<-killed // the victim died holding its first lease
 	<-victimDone
 
-	survivor := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "survivor",
-		PollInterval: 2 * time.Millisecond, Log: testLogger(t)})
-	done := make(chan struct{})
-	go func() {
-		survivor.Run()
-		close(done)
-	}()
+	runWorker(t, c, NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "survivor",
+		PollInterval: 2 * time.Millisecond, Log: testLogger(t)}))
 
 	res, errs := wait()
 	for i := range cfgs {
@@ -509,8 +544,6 @@ func TestWorkerChaosKillTriggersReclaim(t *testing.T) {
 	if st := c.Status(); st.Reclaims < 1 {
 		t.Fatalf("reclaims = %d, want >= 1 (the victim's lease)", st.Reclaims)
 	}
-	c.Shutdown()
-	<-done
 }
 
 // TestWorkerChaosDropResendsAndDedups: with every completion ack dropped
@@ -519,17 +552,11 @@ func TestWorkerChaosKillTriggersReclaim(t *testing.T) {
 func TestWorkerChaosDropResendsAndDedups(t *testing.T) {
 	cfgs := tinyCfgs(3)
 	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
+	srv := serve(t, c)
 	wait := startCampaign(t, c, "drop", cfgs, runner.Policy{})
 
-	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "dropper",
-		PollInterval: 2 * time.Millisecond, ChaosDropRate: 1, Log: testLogger(t)})
-	done := make(chan struct{})
-	go func() {
-		w.Run()
-		close(done)
-	}()
+	done := runWorker(t, c, NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "dropper",
+		PollInterval: 2 * time.Millisecond, ChaosDropRate: 1, Log: testLogger(t)}))
 
 	res, errs := wait()
 	for i := range cfgs {
@@ -550,10 +577,8 @@ func TestWorkerChaosDropResendsAndDedups(t *testing.T) {
 func TestWorkerDrainFinishesInFlightCell(t *testing.T) {
 	cfgs := tinyCfgs(1)
 	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
+	srv := serve(t, c)
 
-	var w *Worker
 	claimed := make(chan struct{})
 	var once sync.Once
 	p := runner.Policy{Observer: func(o runner.Outcome) {
@@ -563,13 +588,9 @@ func TestWorkerDrainFinishesInFlightCell(t *testing.T) {
 	}}
 	wait := startCampaign(t, c, "drain", cfgs, p)
 
-	w = NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "drainer",
+	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "drainer",
 		PollInterval: 2 * time.Millisecond, Log: testLogger(t)})
-	done := make(chan struct{})
-	go func() {
-		w.Run()
-		close(done)
-	}()
+	done := runWorker(t, c, w)
 	<-claimed // the worker holds the lease (it may or may not have started executing)
 	w.Drain()
 

@@ -162,13 +162,20 @@ func TestWorkerDrainWhileCoordinatorDown(t *testing.T) {
 }
 
 // heartbeatUntil runs the worker's heartbeat loop for a lease held
-// from a previous coordinator and returns its stop and done channels.
-func heartbeatUntil(w *Worker, l *Lease) (stop, done chan struct{}) {
-	stop, done = make(chan struct{}), make(chan struct{})
+// from a previous coordinator; stop ends it and done closes once it has
+// returned. The test's cleanup stops the loop and waits for it.
+func heartbeatUntil(t *testing.T, w *Worker, l *Lease) (stop func(), done chan struct{}) {
+	stopCh, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		w.heartbeatLoop(l, stop)
+		w.heartbeatLoop(l, stopCh)
 		close(done)
 	}()
+	var once sync.Once
+	stop = func() { once.Do(func() { close(stopCh) }) }
+	t.Cleanup(func() {
+		stop()
+		<-done
+	})
 	return stop, done
 }
 
@@ -186,7 +193,7 @@ func TestWorkerHeartbeatAdoptedByRestartedCoordinator(t *testing.T) {
 
 	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "hb", Log: testLogger(t)})
 	l := &Lease{ID: "0123456789ab-s-0000-1", Sweep: "s", Index: 0, Digest: cfgs[0].Digest(), TTLMillis: 9}
-	stop, done := heartbeatUntil(w, l)
+	stop, done := heartbeatUntil(t, w, l)
 
 	// Each clock step makes the worker's last contact stale and the next
 	// heartbeat resets it. A renewal after the adopting heartbeat shows
@@ -204,7 +211,7 @@ func TestWorkerHeartbeatAdoptedByRestartedCoordinator(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(stop)
+	stop()
 	<-done
 	if st := c.Status(); st.Adopted != 1 || st.LeasesOutstanding != 1 || st.Workers[0].Leases != 1 {
 		t.Fatalf("status after adoption = %+v", st)
@@ -229,7 +236,7 @@ func TestWorkerAdoptDeniedStopsHeartbeats(t *testing.T) {
 
 	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "denied", Log: testLogger(t)})
 	l := &Lease{ID: "0123456789ab-s-0000-1", Sweep: "s", Index: 0, Digest: "stale", TTLMillis: 9}
-	_, done := heartbeatUntil(w, l)
+	_, done := heartbeatUntil(t, w, l)
 	select {
 	case <-done: // returned without stop being closed
 	case <-time.After(5 * time.Second):

@@ -11,11 +11,11 @@ import (
 func TestRecordSumExact(t *testing.T) {
 	r := &Record{Thread: 3, Acquire: 7}
 	r.Begin(100)
-	r.Issue(105)                                      // 5 stall
-	r.FoldLeg(125, 0, 9, 4, 3, 8, 2, false)           // 20-cycle leg: 3 niq, 6 vcw, 2 retry, 9 link
-	r.Remote(140)                                     // 15 directory
-	r.FoldLeg(160, 9, 0, 4, 2, 5, 0, true)            // 20-cycle leg, intercepted
-	r.Finish(163)                                     // 3 stall
+	r.Issue(105)                            // 5 stall
+	r.FoldLeg(125, 0, 9, 4, 3, 8, 2, false) // 20-cycle leg: 3 niq, 6 vcw, 2 retry, 9 link
+	r.Remote(140)                           // 15 directory
+	r.FoldLeg(160, 9, 0, 4, 2, 5, 0, true)  // 20-cycle leg, intercepted
+	r.Finish(163)                           // 3 stall
 	if !r.Finished() {
 		t.Fatal("record not finished")
 	}

@@ -10,10 +10,18 @@ import (
 // assigns each waiter its own flag word (one cache line each), so waiters
 // spin on distinct lines and a release invalidates exactly one waiter.
 type abql struct {
-	tail  uint64
-	flags []uint64
-	cfg   Config
-	slot  []int
+	tail    uint64
+	flags   []uint64
+	cfg     Config
+	slot    []int
+	waiters []*abqlWaiter
+}
+
+// abqlWaiter is one thread's acquire loop.
+type abqlWaiter struct {
+	done            func()
+	poll            func()
+	queued, swapped func(uint64)
 }
 
 func newABQL(alloc *AddrAlloc, home noc.NodeID, cfg Config) *abql {
@@ -35,25 +43,33 @@ func (l *abql) Name() string { return "ABQL" }
 
 // Acquire implements cpu.Lock.
 func (l *abql) Acquire(t *cpu.Thread, done func()) {
-	t.Port.Atomic(l.tail, coherence.FetchAdd, 1, 0, t.LockPrio(), func(ticket uint64) {
-		idx := int(ticket) % l.cfg.Threads
-		l.slot[t.ID] = idx
-		// Poll the flag with an atomic swap-to-zero (Anderson's variant
-		// protects the slots with test_and_set): swapping 0 over a 0 flag
-		// is a failed poll; swapping 0 over the grant (1) acquires the
-		// lock and consumes the grant in the same operation.
-		var poll func()
-		poll = func() {
-			t.Port.Atomic(l.flags[idx], coherence.Swap, 0, 0, t.LockPrio(), func(old uint64) {
-				if old == 1 {
-					done()
-					return
-				}
-				spinAgain(t, l.cfg, poll)
-			})
+	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)
+	w.done = done
+	t.Port.Atomic(l.tail, coherence.FetchAdd, 1, 0, t.LockPrio(), w.queued)
+}
+
+// bind builds t's acquire loop.
+func (l *abql) bind(t *cpu.Thread) *abqlWaiter {
+	w := &abqlWaiter{}
+	w.queued = func(ticket uint64) {
+		l.slot[t.ID] = int(ticket) % l.cfg.Threads
+		w.poll()
+	}
+	// Poll the flag with an atomic swap-to-zero (Anderson's variant
+	// protects the slots with test_and_set): swapping 0 over a 0 flag is
+	// a failed poll; swapping 0 over the grant (1) acquires the lock and
+	// consumes the grant in the same operation.
+	w.poll = func() {
+		t.Port.Atomic(l.flags[l.slot[t.ID]], coherence.Swap, 0, 0, t.LockPrio(), w.swapped)
+	}
+	w.swapped = func(old uint64) {
+		if old == 1 {
+			w.done()
+			return
 		}
-		poll()
-	})
+		spinAgain(t, l.cfg, w.poll)
+	}
+	return w
 }
 
 // Release implements cpu.Lock.

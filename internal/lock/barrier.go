@@ -19,7 +19,15 @@ type Barrier struct {
 	n     int
 	cfg   Config
 	// local per-thread sense (what each thread waits for next).
-	local []uint64
+	local   []uint64
+	waiters []*barrierWaiter
+}
+
+// barrierWaiter is one thread's join continuations.
+type barrierWaiter struct {
+	done            func()
+	flip, poll      func()
+	arrived, polled func(uint64)
 }
 
 // NewBarrier builds a barrier for n threads with its words homed at home.
@@ -35,30 +43,38 @@ func NewBarrier(alloc *AddrAlloc, home noc.NodeID, n int, cfg Config) *Barrier {
 
 // Join blocks the thread until all n participants arrive.
 func (b *Barrier) Join(t *cpu.Thread, done func()) {
-	want := b.local[t.ID] ^ 1
-	b.local[t.ID] = want
-	t.Port.Atomic(b.count, coherence.FetchAdd, 1, 0, t.LockPrio(), func(old uint64) {
+	w := waiter(&b.waiters, t, b.cfg.Threads, b.bind)
+	w.done = done
+	b.local[t.ID] ^= 1
+	t.Port.Atomic(b.count, coherence.FetchAdd, 1, 0, t.LockPrio(), w.arrived)
+}
+
+// bind builds t's join continuations; b.local[t.ID] is the sense the
+// thread waits for.
+func (b *Barrier) bind(t *cpu.Thread) *barrierWaiter {
+	w := &barrierWaiter{}
+	w.arrived = func(old uint64) {
 		if int(old) == b.n-1 {
 			// Last arrival: reset the count, then flip the sense. The
 			// write-throughs recall all waiters' cached copies so every
 			// spinner re-reads the new sense.
-			t.Port.StoreRelease(b.count, 0, true, releasePrio(t), func() {
-				t.Port.StoreRelease(b.sense, want, true, releasePrio(t), done)
-			})
+			t.Port.StoreRelease(b.count, 0, true, releasePrio(t), w.flip)
 			return
 		}
-		var poll func()
-		poll = func() {
-			t.Port.Load(b.sense, true, t.LockPrio(), func(v uint64) {
-				if v == want {
-					done()
-					return
-				}
-				spinAgain(t, b.cfg, poll)
-			})
+		w.poll()
+	}
+	w.flip = func() {
+		t.Port.StoreRelease(b.sense, b.local[t.ID], true, releasePrio(t), w.done)
+	}
+	w.poll = func() { t.Port.Load(b.sense, true, t.LockPrio(), w.polled) }
+	w.polled = func(v uint64) {
+		if v == b.local[t.ID] {
+			w.done()
+			return
 		}
-		poll()
-	})
+		spinAgain(t, b.cfg, w.poll)
+	}
+	return w
 }
 
 // N returns the participant count.

@@ -17,11 +17,19 @@ import (
 // (a node is "busy" while its owner waits or holds). The global tail
 // pointer holds (threadID+1)<<1 | nodeIndex so 0 still means nil.
 type clh struct {
-	tail  uint64
-	nodes [][2]uint64 // two flag lines per thread (reuse-safe rotation)
-	cur   []int       // which of the two nodes the thread is using
-	pred  []uint64    // predecessor node address captured at acquire
-	cfg   Config
+	tail    uint64
+	nodes   [][2]uint64 // two flag lines per thread (reuse-safe rotation)
+	cur     []int       // which of the two nodes the thread is using
+	pred    []uint64    // predecessor node address captured at acquire
+	cfg     Config
+	waiters []*clhWaiter
+}
+
+// clhWaiter is one thread's acquire continuations.
+type clhWaiter struct {
+	done             func()
+	busy, poll       func()
+	enqueued, polled func(uint64)
 }
 
 func newCLH(alloc *AddrAlloc, home noc.NodeID, cfg Config) *clh {
@@ -53,28 +61,36 @@ func (l *clh) nodeAddr(enc uint64) uint64 {
 // tail, and spin on the predecessor's node until it clears.
 func (l *clh) Acquire(t *cpu.Thread, done func()) {
 	me := t.ID
+	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)
+	w.done = done
 	myNode := l.nodes[me][l.cur[me]]
-	t.Port.Store(myNode, 1, true, t.LockPrio(), func() {
-		t.Port.Atomic(l.tail, coherence.Swap, l.encode(me), 0, t.LockPrio(), func(prev uint64) {
-			if prev == 0 {
-				done() // queue was empty
-				return
-			}
-			predAddr := l.nodeAddr(prev)
-			l.pred[me] = predAddr
-			var poll func()
-			poll = func() {
-				t.Port.Load(predAddr, true, t.LockPrio(), func(v uint64) {
-					if v == 0 {
-						done()
-						return
-					}
-					spinAgain(t, l.cfg, poll)
-				})
-			}
-			poll()
-		})
-	})
+	t.Port.Store(myNode, 1, true, t.LockPrio(), w.busy)
+}
+
+// bind builds t's acquire continuations.
+func (l *clh) bind(t *cpu.Thread) *clhWaiter {
+	me := t.ID
+	w := &clhWaiter{}
+	w.busy = func() {
+		t.Port.Atomic(l.tail, coherence.Swap, l.encode(me), 0, t.LockPrio(), w.enqueued)
+	}
+	w.enqueued = func(prev uint64) {
+		if prev == 0 {
+			w.done() // queue was empty
+			return
+		}
+		l.pred[me] = l.nodeAddr(prev)
+		w.poll()
+	}
+	w.poll = func() { t.Port.Load(l.pred[me], true, t.LockPrio(), w.polled) }
+	w.polled = func(v uint64) {
+		if v == 0 {
+			w.done()
+			return
+		}
+		spinAgain(t, l.cfg, w.poll)
+	}
+	return w
 }
 
 // Release implements cpu.Lock: clear my node (waking my successor) and

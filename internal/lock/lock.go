@@ -180,6 +180,29 @@ func spinAgain(t *cpu.Thread, cfg Config, poll func()) {
 	t.Eng().Schedule(cfg.SpinInterval, poll)
 }
 
+// Each primitive keeps one record per competing thread whose
+// continuations — the callbacks its memory operations and polls resume
+// through — are bound once, on the thread's first acquire, and reused by
+// every later one: a poll then allocates nothing. A record stores the
+// done callback of the acquire (or release) in progress; a thread has at
+// most one of each in progress.
+
+// waiter returns thread t's record in *s, made by bind on the thread's
+// first call. *s is sized for n threads on first use, so a lock nobody
+// acquires allocates nothing.
+func waiter[T any](s *[]*T, t *cpu.Thread, n int, bind func(*cpu.Thread) *T) *T {
+	if t.ID >= len(*s) {
+		grown := make([]*T, max(n, t.ID+1))
+		copy(grown, *s)
+		*s = grown
+	}
+	w := &(*s)[t.ID]
+	if *w == nil {
+		*w = bind(t)
+	}
+	return *w
+}
+
 // TuneSpinInterval, when nonzero, overrides the default spin interval in
 // DefaultConfig; it exists for calibration sweeps and tests.
 var TuneSpinInterval int

@@ -15,8 +15,16 @@ import (
 // the five primitives (Figure 2), and the one iNPG accelerates most
 // (Figure 13) since the losing SWAPs are in flight and stoppable.
 type tas struct {
-	addr uint64
-	cfg  Config
+	addr    uint64
+	cfg     Config
+	waiters []*tasWaiter
+}
+
+// tasWaiter is one thread's acquire loop.
+type tasWaiter struct {
+	done            func()
+	poll            func()
+	polled, swapped func(uint64)
 }
 
 func newTAS(alloc *AddrAlloc, home noc.NodeID, cfg Config) *tas {
@@ -33,23 +41,30 @@ func (l *tas) Name() string { return "TAS" }
 // followed by a SWAP storm — the losing SWAPs are the in-flight GetX
 // requests iNPG stops and early-invalidates.
 func (l *tas) Acquire(t *cpu.Thread, done func()) {
-	var poll func()
-	poll = func() {
-		t.Port.Load(l.addr, true, t.LockPrio(), func(v uint64) {
-			if v != 0 {
-				spinAgain(t, l.cfg, poll)
-				return
-			}
-			t.Port.Atomic(l.addr, coherence.Swap, 1, 0, t.LockPrio(), func(old uint64) {
-				if old == 0 {
-					done()
-					return
-				}
-				spinAgain(t, l.cfg, poll)
-			})
-		})
+	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)
+	w.done = done
+	w.poll()
+}
+
+// bind builds t's acquire loop.
+func (l *tas) bind(t *cpu.Thread) *tasWaiter {
+	w := &tasWaiter{}
+	w.poll = func() { t.Port.Load(l.addr, true, t.LockPrio(), w.polled) }
+	w.polled = func(v uint64) {
+		if v != 0 {
+			spinAgain(t, l.cfg, w.poll)
+			return
+		}
+		t.Port.Atomic(l.addr, coherence.Swap, 1, 0, t.LockPrio(), w.swapped)
 	}
-	poll()
+	w.swapped = func(old uint64) {
+		if old == 0 {
+			w.done()
+			return
+		}
+		spinAgain(t, l.cfg, w.poll)
+	}
+	return w
 }
 
 // Release implements cpu.Lock.

@@ -25,9 +25,18 @@ const (
 // are in-flight GetX requests that big routers can stop), with
 // proportional backoff by queue distance.
 type ticket struct {
-	word uint64
-	cfg  Config
-	mine []uint64 // ticket held per thread
+	word    uint64
+	cfg     Config
+	mine    []uint64 // ticket held per thread
+	waiters []*ticketWaiter
+}
+
+// ticketWaiter is one thread's acquire and release continuations.
+type ticketWaiter struct {
+	done, relDone   func()
+	poll            func()
+	grabbed, polled func(uint64)
+	released        func(uint64)
 }
 
 func newTicket(alloc *AddrAlloc, home noc.NodeID, cfg Config) *ticket {
@@ -43,36 +52,47 @@ func (l *ticket) Name() string { return "TTL" }
 
 // Acquire implements cpu.Lock.
 func (l *ticket) Acquire(t *cpu.Thread, done func()) {
-	t.Port.Atomic(l.word, coherence.FetchAdd, ticketInc, 0, t.LockPrio(), func(old uint64) {
+	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)
+	w.done = done
+	t.Port.Atomic(l.word, coherence.FetchAdd, ticketInc, 0, t.LockPrio(), w.grabbed)
+}
+
+// bind builds t's continuations.
+func (l *ticket) bind(t *cpu.Thread) *ticketWaiter {
+	w := &ticketWaiter{}
+	w.grabbed = func(old uint64) {
 		myTicket := old >> ticketShift
 		l.mine[t.ID] = myTicket
 		if old&servingMask == myTicket {
-			done()
+			w.done()
 			return
 		}
-		var poll func()
-		poll = func() {
-			t.Port.Load(l.word, true, t.LockPrio(), func(v uint64) {
-				serving := v & servingMask
-				if serving == myTicket {
-					done()
-					return
-				}
-				t.CountRetry()
-				// Proportional backoff: threads deep in the queue poll
-				// less often (Mellor-Crummey & Scott's classic tuning).
-				dist := myTicket - serving
-				if dist > maxBackoffRT {
-					dist = maxBackoffRT
-				}
-				t.Eng().Schedule(l.cfg.SpinInterval*sim.Cycle(dist), poll)
-			})
+		w.poll()
+	}
+	w.poll = func() { t.Port.Load(l.word, true, t.LockPrio(), w.polled) }
+	w.polled = func(v uint64) {
+		myTicket := l.mine[t.ID]
+		serving := v & servingMask
+		if serving == myTicket {
+			w.done()
+			return
 		}
-		poll()
-	})
+		t.CountRetry()
+		// Proportional backoff: threads deep in the queue poll less
+		// often (Mellor-Crummey & Scott's classic tuning).
+		dist := myTicket - serving
+		if dist > maxBackoffRT {
+			dist = maxBackoffRT
+		}
+		t.Eng().Schedule(l.cfg.SpinInterval*sim.Cycle(dist), w.poll)
+	}
+	w.released = func(uint64) { w.relDone() }
+	return w
 }
 
 // Release implements cpu.Lock.
 func (l *ticket) Release(t *cpu.Thread, done func()) {
-	t.Port.Atomic(l.word, coherence.FetchAdd, 1, 0, releasePrio(t), func(uint64) { done() })
+	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)
+	w.relDone = done
+	t.Port.Atomic(l.word, coherence.FetchAdd, 1, 0, releasePrio(t), w.released)
 }

@@ -196,10 +196,10 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 func TestWriteChromeTraceJourneyspans(t *testing.T) {
 	r := &journey.Record{Thread: 3, Acquire: 7}
 	r.Begin(100)
-	r.Issue(105)                              // 5 cycles stall
-	r.FoldLeg(125, 3, 12, 4, 6, 3, 0, false)  // request leg
-	r.Remote(140)                             // directory service
-	r.FoldLeg(160, 12, 3, 4, 2, 0, 5, false)  // response leg
+	r.Issue(105)                             // 5 cycles stall
+	r.FoldLeg(125, 3, 12, 4, 6, 3, 0, false) // request leg
+	r.Remote(140)                            // directory service
+	r.FoldLeg(160, 12, 3, 4, 2, 0, 5, false) // response leg
 	r.Finish(163)
 	rec := journey.NewRecorder(0)
 	rec.Finish(r)

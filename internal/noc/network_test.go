@@ -134,7 +134,7 @@ func TestInterceptorConsume(t *testing.T) {
 	eng, n, got := testNet(t, cfg)
 	var seen []*Packet
 	// Node (1,0)=1 sits on the XY path from 0 to 7.
-	n.Router(1).SetInterceptor(interceptFunc(func(_ sim.Cycle, _ *Router, p *Packet) (bool, []*Packet) {
+	n.Router(1).SetInterceptor(interceptFunc(func(_ sim.Cycle, _ *Router, p *Packet) (bool, *Packet) {
 		seen = append(seen, p)
 		return true, nil
 	}))
@@ -154,9 +154,9 @@ func TestInterceptorConsume(t *testing.T) {
 func TestInterceptorGenerate(t *testing.T) {
 	cfg := DefaultConfig()
 	eng, n, got := testNet(t, cfg)
-	n.Router(1).SetInterceptor(interceptFunc(func(_ sim.Cycle, r *Router, p *Packet) (bool, []*Packet) {
+	n.Router(1).SetInterceptor(interceptFunc(func(_ sim.Cycle, r *Router, p *Packet) (bool, *Packet) {
 		if p.LockReq {
-			return false, []*Packet{{Dst: 32, VNet: VNetForward, Size: 1}}
+			return false, &Packet{Dst: 32, VNet: VNetForward, Size: 1}
 		}
 		return false, nil
 	}))
@@ -177,7 +177,7 @@ func TestInterceptorSkipsMultiFlit(t *testing.T) {
 	cfg := DefaultConfig()
 	eng, n, _ := testNet(t, cfg)
 	calls := 0
-	n.Router(1).SetInterceptor(interceptFunc(func(_ sim.Cycle, _ *Router, _ *Packet) (bool, []*Packet) {
+	n.Router(1).SetInterceptor(interceptFunc(func(_ sim.Cycle, _ *Router, _ *Packet) (bool, *Packet) {
 		calls++
 		return false, nil
 	}))
@@ -247,8 +247,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // interceptFunc adapts a function to Interceptor for tests.
-type interceptFunc func(now sim.Cycle, r *Router, p *Packet) (bool, []*Packet)
+type interceptFunc func(now sim.Cycle, r *Router, p *Packet) (bool, *Packet)
 
-func (f interceptFunc) Intercept(now sim.Cycle, r *Router, p *Packet) (bool, []*Packet) {
+func (f interceptFunc) Intercept(now sim.Cycle, r *Router, p *Packet) (bool, *Packet) {
 	return f(now, r, p)
 }

@@ -13,16 +13,16 @@ import (
 //
 // The interceptor may mutate the packet in place (e.g. convert a stopped
 // GetX into a FwdGetX bound for the home node), consume it entirely, and/or
-// hand newly generated packets to the router, which injects them through
-// the local network interface (the paper's "separate VC" for generated
-// packets).
+// hand the router one newly generated packet (nil for none), which it
+// injects through the local network interface (the paper's "separate VC"
+// for generated packets).
 //
 // A consumed packet's shell is recycled by the network: the interceptor
-// must not retain it past the Intercept call and must not return it among
-// the generated packets (its payload may be read, and reused in fresh
-// packets, before returning).
+// must not retain it past the Intercept call and must not return it as
+// the generated packet (its payload may be read, and reused in a fresh
+// packet, before returning).
 type Interceptor interface {
-	Intercept(now sim.Cycle, r *Router, p *Packet) (consume bool, generated []*Packet)
+	Intercept(now sim.Cycle, r *Router, p *Packet) (consume bool, generated *Packet)
 }
 
 // inputVC is one virtual-channel FIFO on a router input port. The route
@@ -195,8 +195,8 @@ func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
 		r.Stats.PacketsSeen++
 		if r.interceptor != nil && f.pkt.Size == 1 {
 			consume, generated := r.interceptor.Intercept(now, r, f.pkt)
-			for _, g := range generated {
-				r.ni.Inject(g)
+			if generated != nil {
+				r.ni.Inject(generated)
 			}
 			if consume {
 				r.Stats.PacketsConsumed++

@@ -217,7 +217,7 @@ func TestInterceptorSeesLocallyInjectedPackets(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	n.Router(0).SetInterceptor(interceptFunc(func(_ sim.Cycle, _ *Router, p *Packet) (bool, []*Packet) {
+	n.Router(0).SetInterceptor(interceptFunc(func(_ sim.Cycle, _ *Router, p *Packet) (bool, *Packet) {
 		if p.LockReq {
 			seen++
 		}
