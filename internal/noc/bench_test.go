@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"inpg/internal/sim"
@@ -33,35 +34,45 @@ func BenchmarkTrafficSteadyState(b *testing.B) {
 }
 
 // BenchmarkRouterStream measures the router pipeline's host cost per
-// switched flit: an 8×8 mesh under uniform random 8-flit packets, loaded
-// enough that most routers hold flits most cycles. Network construction
-// is excluded from the timing.
+// switched flit: an 8×8 mesh under uniform random traffic, loaded enough
+// that most routers hold flits most cycles (about 3 in 4 router-cycles in
+// both cases). flits=1 is the traffic the simulator carries — coherence
+// control messages, lock-word replies included, are single-flit packets —
+// and flits=8 streams cache-block data packets. Network construction is
+// excluded from the timing.
 func BenchmarkRouterStream(b *testing.B) {
-	b.ReportAllocs()
-	var flits uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := sim.NewEngine(7)
-		n, err := New(eng, Config{Mesh: Mesh{Width: 8, Height: 8}, VCsPerPort: 6, VCDepth: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		res, err := RunTraffic(eng, n, TrafficConfig{
-			Pattern: UniformRandom, InjectionRate: 0.02, PacketFlits: 8,
-			WarmupCycles: 200, MeasureCycles: 2000, Seed: int64(i + 1),
+	for _, c := range []struct {
+		flits int
+		rate  float64 // packets per node per cycle
+	}{{1, 0.2}, {8, 0.02}} {
+		b.Run(fmt.Sprintf("flits=%d", c.flits), func(b *testing.B) {
+			b.ReportAllocs()
+			var flits uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := sim.NewEngine(7)
+				n, err := New(eng, Config{Mesh: Mesh{Width: 8, Height: 8}, VCsPerPort: 6, VCDepth: 4})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := RunTraffic(eng, n, TrafficConfig{
+					Pattern: UniformRandom, InjectionRate: c.rate, PacketFlits: c.flits,
+					WarmupCycles: 200, MeasureCycles: 2000, Seed: int64(i + 1),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Delivered != res.Injected {
+					b.Fatalf("lost packets: %d/%d", res.Delivered, res.Injected)
+				}
+				for id := 0; id < n.Mesh().Nodes(); id++ {
+					flits += n.Router(NodeID(id)).Stats.FlitsSwitched
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flits), "ns/flit")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Delivered != res.Injected {
-			b.Fatalf("lost packets: %d/%d", res.Delivered, res.Injected)
-		}
-		for id := 0; id < n.Mesh().Nodes(); id++ {
-			flits += n.Router(NodeID(id)).Stats.FlitsSwitched
-		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flits), "ns/flit")
 }
 
 // BenchmarkPacketPool isolates the free-list round trip: steady-state

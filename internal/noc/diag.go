@@ -69,26 +69,32 @@ func (n *Network) Diagnostics(now sim.Cycle) NetDiag {
 		// Slots run in (port, vc) order.
 		for s := range r.vcs {
 			vc := &r.vcs[s]
-			if len(vc.buf) == 0 {
+			if vc.n == 0 {
 				continue
 			}
-			f := vc.buf[0]
+			f := r.front(s)
+			pkt := n.packet(f.pkt)
+			port := Port(vc.port)
 			out := "?"
 			if vc.routed {
-				out = vc.outPort.String()
+				out = Port(vc.outPort).String()
+			}
+			var lr linkRetry
+			if r.retry != nil {
+				lr = r.retry[s]
 			}
 			d.VCs = append(d.VCs, VCDiag{
 				Node:    int(r.ID),
-				Port:    vc.port.String(),
-				VC:      s - int(vc.port)*nvc,
-				Flits:   len(vc.buf),
-				PktID:   f.pkt.ID,
-				PktSrc:  int(f.pkt.Src),
-				PktDst:  int(f.pkt.Dst),
+				Port:    port.String(),
+				VC:      s - int(port)*nvc,
+				Flits:   int(vc.n),
+				PktID:   pkt.ID,
+				PktSrc:  int(pkt.Src),
+				PktDst:  int(pkt.Dst),
 				OutPort: out,
 				Age:     now - f.bufferedAt,
-				Retries: vc.retries,
-				Dead:    vc.dead,
+				Retries: int(lr.retries),
+				Dead:    lr.dead,
 			})
 		}
 	}

@@ -40,6 +40,10 @@ type Network struct {
 	nis     []NI
 	pktID   uint64
 	pool    packetPool
+	pkts    pktTable
+
+	// coords maps each node id to its mesh coordinate for Router.route.
+	coords []coord
 
 	// fault is nil unless cfg.Fault enables injection; routers gate every
 	// fault-path branch on this single pointer.
@@ -59,14 +63,19 @@ type Network struct {
 //
 // Router and NI state lives in a few network-wide slabs — routers, NIs,
 // input VCs, output VCs, flit buffers, occupied-VC lists and NI injection
-// slots — and each router or NI holds fixed windows into them, so the
-// allocation count does not grow with the VCs per router.
+// slots, plus link-retry state when faults are injected — and each router
+// or NI holds fixed windows into them, so the allocation count does not
+// grow with the VCs per router. These slabs hold no Go pointers: flits
+// name their packet by handle, so the garbage collector never scans them.
 func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	if cfg.VCsPerPort%int(NumVNets) != 0 || cfg.VCsPerPort <= 0 {
 		return nil, fmt.Errorf("noc: VCsPerPort=%d must be a positive multiple of %d", cfg.VCsPerPort, NumVNets)
 	}
-	if cfg.VCDepth <= 0 {
-		return nil, fmt.Errorf("noc: VCDepth=%d must be positive", cfg.VCDepth)
+	if int(NumPorts)*cfg.VCsPerPort > maxSlots {
+		return nil, fmt.Errorf("noc: VCsPerPort=%d exceeds %d", cfg.VCsPerPort, maxSlots/int(NumPorts))
+	}
+	if cfg.VCDepth <= 0 || cfg.VCDepth > maxVCDepth {
+		return nil, fmt.Errorf("noc: VCDepth=%d must be in [1, %d]", cfg.VCDepth, maxVCDepth)
 	}
 	if cfg.Mesh.Width <= 0 || cfg.Mesh.Height <= 0 {
 		return nil, fmt.Errorf("noc: invalid mesh %dx%d", cfg.Mesh.Width, cfg.Mesh.Height)
@@ -77,27 +86,41 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	slots := int(NumPorts) * nvc
 	n.routers = make([]Router, nodes)
 	n.nis = make([]NI, nodes)
+	n.coords = make([]coord, nodes)
+	// Handle 0 is reserved: it marks an idle injection slot. Room for one
+	// packet in flight per node spares the table its first doublings.
+	n.pkts = pktTable{live: make([]*Packet, 1, nodes+1), free: make([]uint32, 0, nodes)}
 	vcs := make([]inputVC, nodes*slots)
 	outs := make([]outputVC, nodes*slots)
 	flits := make([]flit, nodes*slots*cfg.VCDepth)
-	occ := make([]int, nodes*slots)
+	occ := make([]uint8, nodes*slots)
 	active := make([]injection, nodes*nvc)
+	var retry []linkRetry
+	if n.fault != nil {
+		retry = make([]linkRetry, nodes*slots)
+	}
 	for id := range n.routers {
+		x, y := cfg.Mesh.Coord(NodeID(id))
+		n.coords[id] = coord{int32(x), int32(y)}
 		r := &n.routers[id]
 		lo, hi := id*slots, (id+1)*slots
-		*r = Router{ID: NodeID(id), net: n, vcs: vcs[lo:hi:hi], out: outs[lo:hi:hi], occ: occ[lo:lo:hi]}
+		*r = Router{
+			ID: NodeID(id), net: n, at: n.coords[id],
+			vcs: vcs[lo:hi:hi], out: outs[lo:hi:hi], occ: occ[lo:lo:hi],
+			flits: flits[lo*cfg.VCDepth : hi*cfg.VCDepth : hi*cfg.VCDepth], depth: cfg.VCDepth,
+		}
+		if retry != nil {
+			r.retry = retry[lo:hi:hi]
+		}
 		for s := range r.vcs {
-			vc := &r.vcs[s]
-			vc.port = Port(s / nvc)
-			vc.outVC = -1
-			b := (lo + s) * cfg.VCDepth
-			vc.buf = flits[b : b : b+cfg.VCDepth]
+			r.vcs[s].port = uint8(s / nvc)
+			r.vcs[s].outVC = -1
 		}
 		for p := North; p <= West; p++ {
 			if cfg.Mesh.hasNeighbor(NodeID(id), p) {
 				r.neighbors[p] = &n.routers[cfg.Mesh.neighbor(NodeID(id), p)]
 				for v := 0; v < nvc; v++ {
-					r.outVC(p, v).cred = cfg.VCDepth
+					r.outVC(p, v).cred = int32(cfg.VCDepth)
 				}
 			}
 		}
@@ -124,6 +147,13 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	return n, nil
 }
 
+// Limits of the compact router state: slot ids are uint8 and VC ring
+// positions uint16.
+const (
+	maxSlots   = 1 << 8
+	maxVCDepth = 1<<16 - 1
+)
+
 // Mesh returns the topology.
 func (n *Network) Mesh() Mesh { return n.mesh }
 
@@ -147,6 +177,16 @@ func (n *Network) FaultStats() fault.Stats {
 		return fault.Stats{}
 	}
 	return n.fault.Stats
+}
+
+// packet returns the in-flight packet with handle h.
+func (n *Network) packet(h uint32) *Packet { return n.pkts.live[h] }
+
+// release frees the handle of a packet that died — delivered, or consumed
+// by an interceptor — and recycles its shell.
+func (n *Network) release(h uint32) {
+	n.pool.put(n.pkts.live[h])
+	n.pkts.remove(h)
 }
 
 // nextPacketID issues network-unique packet IDs.

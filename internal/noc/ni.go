@@ -17,28 +17,25 @@ func (f SinkFunc) Receive(now sim.Cycle, p *Packet) { f(now, p) }
 
 // injection tracks a packet mid-flight between the NI and a local input VC.
 type injection struct {
-	pkt  *Packet
-	next int // next flit index to send
+	pkt  uint32 // packet handle; 0 when the slot is idle
+	next uint32 // next flit index to send
 }
 
-// pktFIFO is a head-indexed packet queue. Popping advances a cursor
-// instead of reslicing, so the backing array keeps its capacity and
+// pktFIFO is a head-indexed queue of packet handles. Popping advances a
+// cursor instead of reslicing, so the backing array keeps its capacity and
 // steady-state push/pop cycles stop allocating; the buffer compacts once
 // the dead prefix dominates.
 type pktFIFO struct {
-	buf  []*Packet
+	buf  []uint32
 	head int
 }
 
-func (q *pktFIFO) push(p *Packet) { q.buf = append(q.buf, p) }
+func (q *pktFIFO) push(h uint32) { q.buf = append(q.buf, h) }
 
 func (q *pktFIFO) len() int { return len(q.buf) - q.head }
 
-func (q *pktFIFO) front() *Packet { return q.buf[q.head] }
-
-func (q *pktFIFO) pop() *Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *pktFIFO) pop() uint32 {
+	h := q.buf[q.head]
 	q.head++
 	switch {
 	case q.head == len(q.buf):
@@ -46,13 +43,10 @@ func (q *pktFIFO) pop() *Packet {
 		q.head = 0
 	case q.head > 32 && q.head*2 >= len(q.buf):
 		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	return p
+	return h
 }
 
 // NI is a network interface: it serializes packets into flits toward the
@@ -65,7 +59,7 @@ type NI struct {
 	sink Sink
 
 	queues [NumVNets]pktFIFO
-	active []injection // index = local input VC; pkt nil when idle
+	active []injection // index = local input VC; pkt 0 when idle
 	rrVNet int
 
 	// activeCount and queued mirror the population of active and queues so
@@ -78,8 +72,9 @@ type NI struct {
 
 	// Delivery batching: at most one packet ejects per cycle (Local is a
 	// single output port), so one pre-built flush closure per NI replaces
-	// a fresh closure allocation per delivered packet.
-	pendingDeliver []*Packet
+	// a fresh closure allocation per delivered packet. Entries are packet
+	// handles.
+	pendingDeliver []uint32
 	flushScheduled bool
 	flushFn        func()
 
@@ -121,8 +116,9 @@ func (ni *NI) SetSink(s Sink) { ni.sink = s }
 // build messages without a per-send heap allocation.
 func (ni *NI) NewPacket() *Packet { return ni.r.net.pool.get() }
 
-// Inject queues a packet for transmission. The packet's Src is forced to
-// this node and its size derived from the vnet class if unset.
+// Inject queues a packet for transmission and assigns its handle. The
+// packet's Src is forced to this node and its size derived from the vnet
+// class if unset.
 func (ni *NI) Inject(p *Packet) {
 	if p.Size == 0 {
 		p.Size = ControlFlits
@@ -130,7 +126,7 @@ func (ni *NI) Inject(p *Packet) {
 	p.Src = ni.ID
 	p.ID = ni.r.net.nextPacketID()
 	p.InjectedAt = ni.eng.Now()
-	ni.queues[p.VNet].push(p)
+	ni.queues[p.VNet].push(ni.r.net.pkts.add(p))
 	ni.queued++
 	ni.eng.Wake(ni.handle)
 	ni.Injected++
@@ -148,7 +144,7 @@ func (ni *NI) Tick(now sim.Cycle) {
 	if ni.activeCount > 0 {
 		for v := range ni.active {
 			inj := &ni.active[v]
-			if inj.pkt == nil {
+			if inj.pkt == 0 {
 				continue
 			}
 			if ni.r.localVCSpace(v) <= 0 {
@@ -165,15 +161,13 @@ func (ni *NI) Tick(now sim.Cycle) {
 			if ni.queues[vn].len() == 0 {
 				continue
 			}
-			p := ni.queues[vn].front()
 			lo, hi := ni.r.vcClass(vn)
 			for v := lo; v < hi; v++ {
-				if ni.active[v].pkt != nil || ni.r.localVCSpace(v) <= 0 {
+				if ni.active[v].pkt != 0 || ni.r.localVCSpace(v) <= 0 {
 					continue
 				}
-				ni.queues[vn].pop()
+				ni.active[v] = injection{pkt: ni.queues[vn].pop()}
 				ni.queued--
-				ni.active[v] = injection{pkt: p}
 				ni.activeCount++
 				ni.sendFlit(now, v, &ni.active[v])
 				ni.rrVNet = (int(vn) + 1) % int(NumVNets)
@@ -188,29 +182,25 @@ func (ni *NI) Tick(now sim.Cycle) {
 
 // sendFlit pushes the next flit of an in-flight injection into local VC v.
 func (ni *NI) sendFlit(now sim.Cycle, v int, inj *injection) {
-	p := inj.pkt
+	p := ni.r.net.packet(inj.pkt)
 	if p.Journey != nil && inj.next == 0 {
 		p.JNIQueue = uint64(now - p.InjectedAt)
 	}
-	f := flit{pkt: p, idx: inj.next, tail: inj.next == p.Size-1}
+	f := flit{pkt: inj.pkt, idx: inj.next}
 	consumed := ni.r.acceptFlit(now, int(Local)*ni.r.net.cfg.VCsPerPort+v, f)
-	if consumed || f.tail {
-		inj.pkt = nil
-		inj.next = 0
+	if consumed || int(inj.next) == p.Size-1 {
+		*inj = injection{}
 		ni.activeCount--
 		return
 	}
 	inj.next++
 }
 
-// eject receives one flit switched to the local output port. On the tail
-// flit the whole packet is handed to the sink on the next cycle, modeling
+// eject receives the tail flit of packet h, switched to the local output
+// port. The whole packet is handed to the sink on the next cycle, modeling
 // the ejection link.
-func (ni *NI) eject(now sim.Cycle, f flit) {
-	if !f.tail {
-		return
-	}
-	ni.pendingDeliver = append(ni.pendingDeliver, f.pkt)
+func (ni *NI) eject(h uint32) {
+	ni.pendingDeliver = append(ni.pendingDeliver, h)
 	if !ni.flushScheduled {
 		ni.flushScheduled = true
 		ni.eng.Schedule(0, ni.flushFn)
@@ -218,9 +208,9 @@ func (ni *NI) eject(now sim.Cycle, f flit) {
 }
 
 // flushDeliveries hands every pending ejected packet to the sink in
-// ejection order, then recycles the packet shells. It runs one cycle after
-// the tail flit left the router (the ejection link), scheduled through the
-// single reusable flushFn closure.
+// ejection order, then frees its handle and recycles the packet shell. It
+// runs one cycle after the tail flit left the router (the ejection link),
+// scheduled through the single reusable flushFn closure.
 func (ni *NI) flushDeliveries() {
 	ni.flushScheduled = false
 	// Every packet delivery is liveness progress for the watchdog: a wedged
@@ -229,10 +219,10 @@ func (ni *NI) flushDeliveries() {
 	// flowing somewhere.
 	ni.eng.NoteProgress()
 	for len(ni.pendingDeliver) > 0 {
-		p := ni.pendingDeliver[0]
+		h := ni.pendingDeliver[0]
 		n := copy(ni.pendingDeliver, ni.pendingDeliver[1:])
-		ni.pendingDeliver[n] = nil
 		ni.pendingDeliver = ni.pendingDeliver[:n]
+		p := ni.r.net.packet(h)
 		p.DeliveredAt = ni.eng.Now()
 		ni.Delivered++
 		ni.Add(p.DeliveredAt - p.InjectedAt)
@@ -248,7 +238,7 @@ func (ni *NI) flushDeliveries() {
 		if ni.sink != nil {
 			ni.sink.Receive(ni.eng.Now(), p)
 		}
-		ni.r.net.pool.put(p)
+		ni.r.net.release(h)
 	}
 }
 

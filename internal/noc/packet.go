@@ -83,15 +83,45 @@ func (p *Packet) String() string {
 }
 
 // flit is one 128-bit phit-width slice of a packet. Flits of a packet
-// always travel contiguously within one virtual channel.
+// always travel contiguously within one virtual channel. A flit names its
+// packet by handle into the network's in-flight table (pktTable), so the
+// flit slab holds no Go pointers: 16 bytes a flit, never scanned by the
+// garbage collector and written without write barriers. The tail is the
+// flit with idx == Size-1 of its packet.
 type flit struct {
-	pkt        *Packet
-	idx        int // 0 = head
-	tail       bool
 	bufferedAt sim.Cycle // cycle the flit entered the current input VC
+	pkt        uint32    // handle of the packet in the network's pktTable
+	idx        uint32    // 0 = head
 }
 
 func (f flit) head() bool { return f.idx == 0 }
+
+// pktTable is the network's in-flight packet table. NI.Inject assigns each
+// packet a handle; the handle is freed where the packet dies — at delivery,
+// or when an interceptor consumes it — and reissued to a later injection.
+// Handle 0 is never issued, so it marks an idle NI injection slot.
+type pktTable struct {
+	live []*Packet // handle → in-flight packet; nil when free
+	free []uint32
+}
+
+// add enters p into the table and returns its handle.
+func (t *pktTable) add(p *Packet) uint32 {
+	if n := len(t.free); n > 0 {
+		h := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.live[h] = p
+		return h
+	}
+	t.live = append(t.live, p)
+	return uint32(len(t.live) - 1)
+}
+
+// remove frees handle h for reuse.
+func (t *pktTable) remove(h uint32) {
+	t.live[h] = nil
+	t.free = append(t.free, h)
+}
 
 // packetPool is a per-network free list of Packet shells. A network is
 // owned by exactly one (single-threaded) simulation engine, so the pool

@@ -29,54 +29,61 @@ type Interceptor interface {
 // state (outPort, outVC) always describes the packet at the front of the
 // buffer. inputVCs live in the network-wide VC slab at their router's slot
 // (port*VCsPerPort + vc); port records which input port the slot belongs
-// to, and buf is a fixed VCDepth-capacity window into the flit slab.
+// to. The buffer is a ring of n flits starting at head within the slot's
+// fixed VCDepth window of the flit slab (see Router.flits). The struct
+// holds no pointers and fits in 16 bytes.
 type inputVC struct {
-	buf       []flit
-	port      Port
-	routed    bool
-	outPort   Port
-	outVC     int
 	headSince sim.Cycle
 
-	// Link-level retransmission state for the front flit (fault injection
-	// only; all three stay zero when no injector is installed). A faulted
-	// transmission leaves the flit at buf[0] — retrying before dequeue is
-	// what preserves wormhole flit order — and schedules the retry at
-	// nextTry with exponential backoff. Once retries exceeds the injector's
-	// bound the VC is declared dead: the link has failed, the wormhole
-	// channel wedges, and the liveness watchdog reports it.
-	retries int
-	nextTry sim.Cycle
-	dead    bool
+	head, n uint16 // ring position of the front flit, and buffered flits
+
+	port    uint8 // input Port of this slot
+	outPort uint8 // allocated output Port, valid when routed
+	outVC   int8  // allocated output VC, -1 = none yet
+	routed  bool
 }
 
 func (vc *inputVC) reset() {
 	vc.routed = false
 	vc.outVC = -1
-	vc.retries = 0
-	vc.nextTry = 0
+}
+
+// linkRetry is the link-level retransmission state of an input VC's front
+// flit. Only fault-injected networks have it: New allocates one per input
+// VC slot when it builds an injector. A faulted transmission leaves the
+// flit at the front — retrying before dequeue is what preserves wormhole
+// flit order — and schedules the retry at nextTry with exponential
+// backoff. Once retries exceeds the injector's bound the VC is declared
+// dead: the link has failed, the wormhole channel wedges, and the liveness
+// watchdog reports it.
+type linkRetry struct {
+	nextTry sim.Cycle
+	retries uint32
+	dead    bool
 }
 
 // outputVC is one virtual channel of an output port, seen from the router
-// that sends into it: which input VC holds it, and how many flits the
+// that sends into it: whether an input VC holds it, and how many flits the
 // downstream buffer can still take. A credit returned at cycle c is parked
 // in pend (pendAt = c) and folded into cred by the first read at a later
 // cycle, so it is usable from exactly c+1 whichever of the two routers
 // ticks first — without a message queue, and without waking the sender.
+// Only the input VC that set busy clears it (at its tail flit), so the
+// flag needs no owner pointer.
 type outputVC struct {
-	owner  *inputVC // nil = free
-	cred   int
-	pend   int
 	pendAt sim.Cycle
+	cred   int32
+	pend   uint16
+	busy   bool
 }
 
 // credits returns the credits usable at cycle now.
 func (o *outputVC) credits(now sim.Cycle) int {
 	if o.pend > 0 && o.pendAt < now {
-		o.cred += o.pend
+		o.cred += int32(o.pend)
 		o.pend = 0
 	}
-	return o.cred
+	return int(o.cred)
 }
 
 // returnCredit hands back one credit at cycle now, usable from now+1.
@@ -90,8 +97,8 @@ func (o *outputVC) returnCredit(now sim.Cycle) {
 // input VC slot.
 type arrival struct {
 	f    flit
-	slot int
 	at   sim.Cycle
+	slot uint8
 }
 
 // RouterStats aggregates per-router activity counters.
@@ -114,8 +121,19 @@ type Router struct {
 	neighbors [NumPorts]*Router
 	// vcs and out are this router's windows into the network-wide input-
 	// and output-VC slabs, both indexed by slot = port*VCsPerPort + vc.
-	vcs []inputVC
-	out []outputVC
+	// flits is its window into the flit slab: slot s buffers its ring in
+	// flits[s*depth : (s+1)*depth].
+	vcs   []inputVC
+	out   []outputVC
+	flits []flit
+	depth int
+	// retry is the window into the retransmission-state slab, indexed by
+	// slot like vcs; nil unless the network injects faults.
+	retry []linkRetry
+
+	// at is the router's mesh coordinate, cached so XY routing compares
+	// coordinates instead of dividing node ids.
+	at coord
 
 	inbox []arrival
 
@@ -131,7 +149,7 @@ type Router struct {
 	// allocation stages visit only live VCs instead of scanning all
 	// NumPorts×VCsPerPort slots. The ascending order preserves the exact
 	// visit order of the full scan.
-	occ []int
+	occ []uint8
 
 	// handle is the router's wake/sleep handle. A router sleeps when it
 	// holds no flits and no flit is in flight toward it, and is woken only
@@ -149,21 +167,46 @@ func (r *Router) outVC(p Port, v int) *outputVC {
 	return &r.out[int(p)*r.net.cfg.VCsPerPort+v]
 }
 
+// front returns the flit at the front of input VC slot s, which must hold
+// at least one flit.
+func (r *Router) front(s int) *flit {
+	return &r.flits[s*r.depth+int(r.vcs[s].head)]
+}
+
+// route returns the XY output port at this router toward dst. It makes the
+// decision of Mesh.RouteXY(r.ID, dst) from the cached coordinate and the
+// network's coordinate table, without dividing.
+func (r *Router) route(dst NodeID) Port {
+	d := r.net.coords[dst]
+	switch {
+	case d.x > r.at.x:
+		return East
+	case d.x < r.at.x:
+		return West
+	case d.y > r.at.y:
+		return South
+	case d.y < r.at.y:
+		return North
+	default:
+		return Local
+	}
+}
+
 // occInsert adds slot s to the occupied-VC list, keeping it sorted.
 func (r *Router) occInsert(s int) {
 	i := 0
-	for i < len(r.occ) && r.occ[i] < s {
+	for i < len(r.occ) && int(r.occ[i]) < s {
 		i++
 	}
 	r.occ = append(r.occ, 0)
 	copy(r.occ[i+1:], r.occ[i:])
-	r.occ[i] = s
+	r.occ[i] = uint8(s)
 }
 
 // occRemove drops slot s from the occupied-VC list.
 func (r *Router) occRemove(s int) {
 	for i, v := range r.occ {
-		if v == s {
+		if int(v) == s {
 			r.occ = append(r.occ[:i], r.occ[i+1:]...)
 			return
 		}
@@ -193,22 +236,29 @@ func (r *Router) vcClass(v VNet) (lo, hi int) {
 func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
 	if f.head() {
 		r.Stats.PacketsSeen++
-		if r.interceptor != nil && f.pkt.Size == 1 {
-			consume, generated := r.interceptor.Intercept(now, r, f.pkt)
-			if generated != nil {
-				r.ni.Inject(generated)
-			}
-			if consume {
-				r.Stats.PacketsConsumed++
-				r.net.pool.put(f.pkt)
-				return true
+		if r.interceptor != nil {
+			if p := r.net.packet(f.pkt); p.Size == 1 {
+				consume, generated := r.interceptor.Intercept(now, r, p)
+				if generated != nil {
+					r.ni.Inject(generated)
+				}
+				if consume {
+					r.Stats.PacketsConsumed++
+					r.net.release(f.pkt)
+					return true
+				}
 			}
 		}
 	}
 	f.bufferedAt = now
 	vc := &r.vcs[slot]
-	vc.buf = append(vc.buf, f)
-	if len(vc.buf) == 1 {
+	i := int(vc.head) + int(vc.n)
+	if i >= r.depth {
+		i -= r.depth
+	}
+	r.flits[slot*r.depth+i] = f
+	vc.n++
+	if vc.n == 1 {
 		r.occInsert(slot)
 	}
 	r.buffered++
@@ -225,10 +275,10 @@ func (r *Router) Tick(now sim.Cycle) {
 		kept := r.inbox[:0]
 		for _, a := range r.inbox {
 			if a.at <= now {
-				if r.acceptFlit(now, a.slot, a.f) {
+				if r.acceptFlit(now, int(a.slot), a.f) {
 					// Consumed by the interceptor: the buffer slot is free
 					// again, so return the credit upstream immediately.
-					r.returnCredit(now, a.slot)
+					r.returnCredit(now, int(a.slot))
 				}
 			} else {
 				kept = append(kept, a)
@@ -249,23 +299,28 @@ func (r *Router) Tick(now sim.Cycle) {
 	// Stage 1: route computation + output VC allocation for front heads.
 	// Only occupied VCs are visited, in the same ascending (port, vc)
 	// order as a full scan.
-	for _, s := range r.occ {
+	for _, s8 := range r.occ {
+		s := int(s8)
 		vc := &r.vcs[s]
-		if !vc.buf[0].head() {
+		if vc.routed && vc.outVC >= 0 {
+			continue // the front packet already holds an output VC
+		}
+		f := r.front(s)
+		if !f.head() {
 			continue
 		}
-		pkt := vc.buf[0].pkt
+		pkt := r.net.packet(f.pkt)
 		if !vc.routed {
-			vc.outPort = r.net.mesh.RouteXY(r.ID, pkt.Dst)
+			vc.outPort = uint8(r.route(pkt.Dst))
 			vc.routed = true
 			vc.headSince = now
 		}
 		if vc.outVC < 0 {
 			lo, hi := r.vcClass(pkt.VNet)
 			for ov := lo; ov < hi; ov++ {
-				if o := r.outVC(vc.outPort, ov); o.owner == nil {
-					o.owner = vc
-					vc.outVC = ov
+				if o := r.outVC(Port(vc.outPort), ov); !o.busy {
+					o.busy = true
+					vc.outVC = int8(ov)
 					break
 				}
 			}
@@ -274,38 +329,45 @@ func (r *Router) Tick(now sim.Cycle) {
 
 	// Stage 2: switch allocation + traversal. One flit per input port and
 	// one flit per output port per cycle (single crossbar connection each).
-	// The round-robin scan starts at saRR and wraps; restricting it to the
-	// occupied-VC list visits the same candidates in the same order as the
-	// full slot scan.
+	// The round-robin scan starts at the first occupied slot at or after
+	// saRR and wraps; restricting it to the occupied-VC list visits the
+	// same candidates in the same order as the full slot scan.
 	var grantedIn [NumPorts]bool
 	var grantedOut [NumPorts]bool
 	// Collect one winning slot per output port.
 	var winners [NumPorts]int
 	var hasWinner [NumPorts]bool
 	nocc := len(r.occ)
-	first := 0
-	for first < nocc && r.occ[first] < r.saRR {
-		first++
+	j := 0
+	for j < nocc && int(r.occ[j]) < r.saRR {
+		j++
+	}
+	if j == nocc {
+		j = 0
 	}
 	for i := 0; i < nocc; i++ {
-		slot := r.occ[(first+i)%nocc]
+		slot := int(r.occ[j])
+		if j++; j == nocc {
+			j = 0
+		}
 		vc := &r.vcs[slot]
 		p := vc.port
 		if grantedIn[p] || !vc.routed || vc.outVC < 0 {
 			continue
 		}
-		if vc.dead || vc.nextTry > now {
-			continue // failed link, or retransmission backoff still running
+		if r.net.fault != nil {
+			if lr := &r.retry[slot]; lr.dead || lr.nextTry > now {
+				continue // failed link, or retransmission backoff still running
+			}
 		}
-		f := vc.buf[0]
-		if f.bufferedAt >= now {
+		if r.front(slot).bufferedAt >= now {
 			continue // models the 2-stage pipeline: never same-cycle switch
 		}
-		op := vc.outPort
+		op := Port(vc.outPort)
 		if r.net.fault != nil && op != Local && r.net.fault.PortStalled(now, int(r.ID), int(op)) {
 			continue // output port transiently stalled: no grant crosses it
 		}
-		if r.outVC(op, vc.outVC).credits(now) <= 0 {
+		if r.outVC(op, int(vc.outVC)).credits(now) <= 0 {
 			r.Stats.VCStalls++
 			continue
 		}
@@ -315,11 +377,11 @@ func (r *Router) Tick(now sim.Cycle) {
 			if !r.net.cfg.PriorityArb {
 				continue
 			}
-			w := &r.vcs[winners[op]]
-			if !betterPriority(now, vc, w) || grantedIn[p] {
+			w := winners[op]
+			if !r.betterPriority(now, slot, w) {
 				continue
 			}
-			grantedIn[w.port] = false
+			grantedIn[r.vcs[w].port] = false
 			winners[op] = slot
 			grantedIn[p] = true
 			continue
@@ -334,7 +396,9 @@ func (r *Router) Tick(now sim.Cycle) {
 			r.traverse(now, winners[op])
 		}
 	}
-	r.saRR = (r.saRR + 1) % len(r.vcs)
+	if r.saRR++; r.saRR == len(r.vcs) {
+		r.saRR = 0
+	}
 
 	if r.buffered == 0 && len(r.inbox) == 0 {
 		r.net.eng.Sleep(r.handle)
@@ -347,95 +411,99 @@ func (r *Router) Tick(now sim.Cycle) {
 // packet eventually outranks fresh high-priority traffic.
 const agingQuantum = 64
 
-// betterPriority reports whether input VC a's front packet should beat b's
-// under OCOR arbitration: higher aged priority first, then older head.
-func betterPriority(now sim.Cycle, a, b *inputVC) bool {
-	pa := effectivePriority(now, a)
-	pb := effectivePriority(now, b)
+// betterPriority reports whether the front packet of input VC slot a
+// should beat slot b's under OCOR arbitration: higher aged priority first,
+// then older head.
+func (r *Router) betterPriority(now sim.Cycle, a, b int) bool {
+	pa := r.effectivePriority(now, a)
+	pb := r.effectivePriority(now, b)
 	if pa != pb {
 		return pa > pb
 	}
-	return a.headSince < b.headSince
+	return r.vcs[a].headSince < r.vcs[b].headSince
 }
 
-// effectivePriority is the packet's priority plus its head-of-line age in
-// aging quanta.
-func effectivePriority(now sim.Cycle, vc *inputVC) int {
-	return vc.buf[0].pkt.Priority + int(now-vc.headSince)/agingQuantum
+// effectivePriority is the priority of slot s's front packet plus its
+// head-of-line age in aging quanta.
+func (r *Router) effectivePriority(now sim.Cycle, s int) int {
+	return r.net.packet(r.front(s).pkt).Priority + int(now-r.vcs[s].headSince)/agingQuantum
 }
 
 // traverse moves the front flit of input VC slot through the crossbar onto
 // its output link (or into the local NI).
 func (r *Router) traverse(now sim.Cycle, slot int) {
 	vc := &r.vcs[slot]
-	f := vc.buf[0]
-	if r.net.fault != nil && vc.outPort != Local {
+	f := *r.front(slot)
+	op := Port(vc.outPort)
+	pkt := r.net.packet(f.pkt)
+	if r.net.fault != nil && op != Local {
 		// The link layer: transmit, CRC-check at the receiver, ack/nack. A
 		// faulted flit (lost, or nacked on CRC failure) stays at the head of
 		// its input VC — retry-before-dequeue keeps wormhole flit order —
 		// and is retransmitted after an exponentially backed-off timeout.
 		// Credits and buffer occupancy are untouched by a failed attempt.
-		if k := r.net.fault.LinkFault(now, int(r.ID), int(vc.outPort), f.pkt.ID, f.idx); k != fault.None {
-			vc.retries++
+		lr := &r.retry[slot]
+		if k := r.net.fault.LinkFault(now, int(r.ID), int(op), pkt.ID, int(f.idx)); k != fault.None {
+			lr.retries++
 			r.Stats.LinkRetries++
 			if r.net.OnLinkRetry != nil {
-				r.net.OnLinkRetry(now, r.ID, vc.outPort, f.pkt, vc.retries)
+				r.net.OnLinkRetry(now, r.ID, op, pkt, int(lr.retries))
 			}
-			if vc.retries > r.net.fault.MaxRetries() {
-				vc.dead = true
+			if int(lr.retries) > r.net.fault.MaxRetries() {
+				lr.dead = true
 				r.Stats.LinkFailures++
 				if r.net.OnLinkDead != nil {
-					r.net.OnLinkDead(now, r.ID, vc.outPort, f.pkt)
+					r.net.OnLinkDead(now, r.ID, op, pkt)
 				}
 			} else {
-				backoff := r.net.fault.Backoff(vc.retries)
-				vc.nextTry = now + backoff
-				if f.pkt.Journey != nil {
-					f.pkt.JRetry += uint64(backoff)
+				backoff := r.net.fault.Backoff(int(lr.retries))
+				lr.nextTry = now + backoff
+				if pkt.Journey != nil {
+					pkt.JRetry += uint64(backoff)
 				}
 			}
 			return
 		}
-		vc.retries = 0
+		lr.retries = 0
 	}
-	if f.pkt.Journey != nil && f.head() {
+	if pkt.Journey != nil && f.head() {
 		// Head-flit residency in this input VC beyond the mandatory
 		// pipeline cycle is contention: time lost to switch allocation,
 		// credit stalls and retransmission backoff (JRetry carves the
 		// backoff share back out at fold time). Counted on every hop,
 		// including the final Local ejection.
 		if wait := uint64(now - f.bufferedAt); wait > 1 {
-			f.pkt.JVCWait += wait - 1
+			pkt.JVCWait += wait - 1
 		}
 	}
-	// Shift down instead of reslicing: vc.buf[1:] would strand the front
-	// capacity and force append to reallocate on nearly every arrival (the
-	// dominant steady-state allocation). Buffers are at most VCDepth flits,
-	// so the copy is a few words.
-	n := copy(vc.buf, vc.buf[1:])
-	vc.buf = vc.buf[:n]
-	if n == 0 {
+	// Pop the front of the ring.
+	if vc.head++; int(vc.head) == r.depth {
+		vc.head = 0
+	}
+	if vc.n--; vc.n == 0 {
 		r.occRemove(slot)
 	}
 	r.buffered--
 	r.Stats.FlitsSwitched++
-	op := vc.outPort
-	ov := vc.outVC
+	ov := int(vc.outVC)
 	o := r.outVC(op, ov)
+	tail := int(f.idx) == pkt.Size-1
 
 	if op == Local {
-		r.ni.eject(now, f)
+		if tail {
+			r.ni.eject(f.pkt)
+		}
 	} else {
 		o.cred--
 		nb := r.neighbors[op]
-		nb.inbox = append(nb.inbox, arrival{f: f, slot: int(op.opposite())*r.net.cfg.VCsPerPort + ov, at: now + 1})
+		nb.inbox = append(nb.inbox, arrival{f: f, at: now + 1, slot: uint8(int(op.opposite())*r.net.cfg.VCsPerPort + ov)})
 		nb.wake()
 		if f.head() {
-			f.pkt.Hops++
+			pkt.Hops++
 		}
 	}
-	if f.tail {
-		o.owner = nil
+	if tail {
+		o.busy = false
 		vc.reset()
 	}
 	r.returnCredit(now, slot)
@@ -446,7 +514,7 @@ func (r *Router) traverse(now sim.Cycle, slot int) {
 // Local-port occupancy is observed directly by the NI, so no credit is
 // needed there.
 func (r *Router) returnCredit(now sim.Cycle, slot int) {
-	p := r.vcs[slot].port
+	p := Port(r.vcs[slot].port)
 	if p == Local {
 		return
 	}
@@ -457,5 +525,5 @@ func (r *Router) returnCredit(now sim.Cycle, slot int) {
 // localVCSpace reports the free slots in local input VC v, used by the NI
 // in lieu of credits.
 func (r *Router) localVCSpace(v int) int {
-	return r.net.cfg.VCDepth - len(r.vcs[int(Local)*r.net.cfg.VCsPerPort+v].buf)
+	return r.depth - int(r.vcs[int(Local)*r.net.cfg.VCsPerPort+v].n)
 }

@@ -81,6 +81,9 @@ func (m Mesh) Coord(id NodeID) (x, y int) {
 	return int(id) % m.Width, int(id) / m.Width
 }
 
+// coord is a node's (x, y) mesh coordinate, as Coord returns it.
+type coord struct{ x, y int32 }
+
 // ID returns the node at coordinate (x, y).
 func (m Mesh) ID(x, y int) NodeID { return NodeID(y*m.Width + x) }
 
