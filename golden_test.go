@@ -21,7 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite "+goldenFile+" from this 
 const goldenFile = "testdata/golden_results.json"
 
 // goldenCases are small runs covering every lock kind under Original and
-// iNPG+OCOR, the 8×8 Table 1 mesh, link faults and several locks.
+// iNPG+OCOR, the 8×8 Table 1 mesh, link faults, several locks and threads
+// that draw more than 273 random numbers.
 func goldenCases() map[string]inpg.Config {
 	small := func(lk inpg.LockKind, mech inpg.Mechanism) inpg.Config {
 		cfg := inpg.DefaultConfig()
@@ -46,6 +47,12 @@ func goldenCases() map[string]inpg.Config {
 	locks := small(inpg.LockMCS, inpg.INPGOCOR)
 	locks.LockCount = 3
 	cases["4x4/MCS/iNPG+OCOR/locks3"] = locks
+	// 150 critical sections at two jitter draws each take every thread
+	// past draw 273, where its seeded stream (sim.NewRand) builds its
+	// lagged-Fibonacci state.
+	long := small(inpg.LockTTL, inpg.INPGOCOR)
+	long.CSPerThread = 150
+	cases["4x4/TTL/iNPG+OCOR/cs150"] = long
 	return cases
 }
 

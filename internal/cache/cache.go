@@ -161,25 +161,23 @@ func (c *Cache) Victim(addr uint64) *Line {
 }
 
 // Insert fills a way with a new line for addr, evicting the victim. It
-// returns the inserted line and, if a valid line was displaced, a copy of
-// it for writeback handling. Inserting an address already present updates
-// the existing line in place instead of duplicating it.
-func (c *Cache) Insert(addr uint64, st State, data uint64) (*Line, *Line) {
+// returns the inserted line and, when ok, the valid line it displaced, by
+// value, for writeback handling. Inserting an address already present
+// updates the existing line in place instead of duplicating it.
+func (c *Cache) Insert(addr uint64, st State, data uint64) (line *Line, evicted Line, ok bool) {
 	addr = c.BlockAlign(addr)
 	if l := c.Lookup(addr); l != nil {
 		l.State = st
 		l.Data = data
-		return l, nil
+		return l, Line{}, false
 	}
 	v := c.Victim(addr)
-	var evicted *Line
 	if v.State != Invalid {
-		cp := *v
-		evicted = &cp
+		evicted, ok = *v, true
 	}
 	c.clock++
 	*v = Line{Addr: addr, State: st, Data: data, lru: c.clock}
-	return v, evicted
+	return v, evicted, ok
 }
 
 // Invalidate drops addr from the cache if present.

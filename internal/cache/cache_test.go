@@ -65,8 +65,8 @@ func TestLRUEviction(t *testing.T) {
 		c.Insert(uint64(i*512), Shared, uint64(i))
 	}
 	c.Lookup(0) // make line 0 most recently used
-	_, ev := c.Insert(4*512, Shared, 99)
-	if ev == nil {
+	_, ev, ok := c.Insert(4*512, Shared, 99)
+	if !ok {
 		t.Fatal("full set must evict")
 	}
 	if ev.Addr != 512 {
@@ -77,13 +77,32 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestEvictingInsertAllocatesNothing pins that an Insert displacing a
+// valid line hands the line back by value, not as a heap copy.
+func TestEvictingInsertAllocatesNothing(t *testing.T) {
+	c := small(t)
+	for i := 0; i < 4; i++ {
+		c.Insert(uint64(i*512), Shared, uint64(i))
+	}
+	next := uint64(4)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := c.Insert(next*512, Modified, next); !ok {
+			t.Fatal("insert into a full set did not evict")
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("evicting Insert made %.1f allocations, want 0", allocs)
+	}
+}
+
 func TestInsertPrefersInvalidWay(t *testing.T) {
 	c := small(t)
 	c.Insert(0, Shared, 0)
 	c.Insert(512, Shared, 0)
 	c.Invalidate(0)
-	_, ev := c.Insert(1024, Shared, 0)
-	if ev != nil {
+	_, ev, ok := c.Insert(1024, Shared, 0)
+	if ok {
 		t.Fatalf("insert with invalid way available evicted %+v", ev)
 	}
 	if c.Lookup(512) == nil {
@@ -107,8 +126,8 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 		c.Insert(uint64(i*512), Shared, 0)
 	}
 	c.Peek(0) // must NOT refresh
-	_, ev := c.Insert(4*512, Shared, 0)
-	if ev == nil || ev.Addr != 0 {
+	_, ev, ok := c.Insert(4*512, Shared, 0)
+	if !ok || ev.Addr != 0 {
 		t.Fatalf("evicted %+v, want line 0 (Peek must not refresh LRU)", ev)
 	}
 }
@@ -174,9 +193,9 @@ func TestCacheVsMapModel(t *testing.T) {
 			addr := c.BlockAlign(uint64(o.Addr))
 			switch o.Kind % 3 {
 			case 0: // insert
-				_, ev := c.Insert(addr, Modified, o.Data)
+				_, ev, ok := c.Insert(addr, Modified, o.Data)
 				model[addr] = o.Data
-				if ev != nil {
+				if ok {
 					if want, ok := model[ev.Addr]; !ok || want != ev.Data {
 						return false // evicted line must carry last written data
 					}

@@ -489,8 +489,8 @@ func (l *L1) finishStall(now sim.Cycle, op *pendingOp) {
 
 // insert fills the line, sending a writeback for any dirty victim.
 func (l *L1) insert(addr uint64, st cache.State, data uint64) {
-	_, ev := l.arr.Insert(addr, st, data)
-	if ev == nil {
+	_, ev, ok := l.arr.Insert(addr, st, data)
+	if !ok {
 		return
 	}
 	switch ev.State {

@@ -153,7 +153,7 @@ func New(eng *sim.Engine, id int, port MemPort, lock Lock, prog Program, seed in
 		Port:       port,
 		lock:       lock,
 		prog:       prog,
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        sim.NewRand(seed),
 		QSLRetries: 128,
 	}
 }

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"inpg/internal/sim"
@@ -79,7 +78,7 @@ func RunTraffic(eng *sim.Engine, n *Network, cfg TrafficConfig) (*TrafficResult,
 	if cfg.PacketFlits <= 0 {
 		cfg.PacketFlits = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := sim.NewRand(cfg.Seed)
 	mesh := n.Mesh()
 	nodes := mesh.Nodes()
 

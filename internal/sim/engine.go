@@ -181,7 +181,7 @@ const eventHeapPrealloc = 1024
 // random source derived from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    NewRand(seed),
 		events: make(eventHeap, 0, eventHeapPrealloc),
 	}
 }
