@@ -7,48 +7,62 @@ import (
 	"inpg"
 )
 
-// buildBytes returns the bytes inpg.New allocates for cfg: the smallest
-// runtime.MemStats.TotalAlloc delta over three builds, so an allocation by
-// some other goroutine cannot inflate the reading.
-func buildBytes(t *testing.T, cfg inpg.Config) uint64 {
-	t.Helper()
-	var best uint64
+// heapCost returns the bytes and heap allocations f makes: the smallest
+// runtime.MemStats deltas over three calls, so an allocation by some
+// other goroutine cannot inflate the reading.
+func heapCost(f func()) (bytes, allocs uint64) {
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		sys, err := inpg.New(cfg)
+		f()
 		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		b, n := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		if i == 0 || b < bytes {
+			bytes = b
 		}
-		runtime.KeepAlive(sys)
-		if d := after.TotalAlloc - before.TotalAlloc; i == 0 || d < best {
-			best = d
+		if i == 0 || n < allocs {
+			allocs = n
 		}
 	}
-	return best
+	return bytes, allocs
 }
 
-// TestPlatformBuildFootprint caps the bytes a platform build allocates:
-// the 32×32, 256-thread BenchmarkLargeMeshPlatformBuild platform and the
-// Table 1 platform of BenchmarkTable1PlatformBuild. The network's router
-// slabs are about two thirds of either build. A thread's seeded stream is
-// 96 bytes until its 274th draw (DESIGN.md §16), so the thread count
-// barely moves either cap.
+// TestPlatformBuildFootprint caps the bytes and allocations a platform
+// build makes: the 32×32, 256-thread BenchmarkLargeMeshPlatformBuild
+// platform and the Table 1 platform of BenchmarkTable1PlatformBuild. The
+// network's router slabs are most of either build's bytes. A thread's
+// seeded stream is 96 bytes until its 274th draw (DESIGN.md §16), so the
+// thread count barely moves the byte caps. L1 line slabs, directory maps
+// and barrier tables are made on first use (DESIGN.md §15), so a node
+// no thread touches costs its structs alone.
 func TestPlatformBuildFootprint(t *testing.T) {
 	large := largeMeshConfig(32, inpg.LockQSL, 500)
 	large.Threads = 256
 	for _, tc := range []struct {
-		name string
-		cfg  inpg.Config
-		max  uint64
+		name      string
+		cfg       inpg.Config
+		maxBytes  uint64
+		maxAllocs uint64
 	}{
-		{"table1", inpg.DefaultConfig(), 450_000},
-		{"mesh32-256threads", large, 5_600_000},
+		{"table1", inpg.DefaultConfig(), 450_000, 600},
+		{"mesh32-256threads", large, 5_600_000, 6_000},
 	} {
-		if got := buildBytes(t, tc.cfg); got > tc.max {
-			t.Errorf("%s: inpg.New allocated %.2f MB, cap %.2f MB", tc.name, float64(got)/1e6, float64(tc.max)/1e6)
+		var err error
+		bytes, allocs := heapCost(func() {
+			var sys *inpg.System
+			sys, err = inpg.New(tc.cfg)
+			runtime.KeepAlive(sys)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if bytes > tc.maxBytes {
+			t.Errorf("%s: inpg.New allocated %.2f MB, cap %.2f MB", tc.name, float64(bytes)/1e6, float64(tc.maxBytes)/1e6)
+		}
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s: inpg.New made %d allocations, cap %d", tc.name, allocs, tc.maxAllocs)
+		}
+		t.Logf("%s: inpg.New %.3f MB in %d allocations", tc.name, float64(bytes)/1e6, allocs)
 	}
 }

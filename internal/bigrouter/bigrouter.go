@@ -90,7 +90,7 @@ type Gen struct {
 	// plain allocation when nil.
 	msgs *coherence.MsgPool
 
-	barriers map[uint64]*barrier
+	barriers map[uint64]*barrier // made when the first barrier opens
 	// spare holds expired barrier rows for reuse; their EI maps are empty.
 	spare    []*barrier
 	tokenSeq uint64
@@ -105,11 +105,10 @@ type Gen struct {
 // New builds a packet generator for the big router at node.
 func New(eng *sim.Engine, node noc.NodeID, homes coherence.HomeMap, cfg Config) *Gen {
 	return &Gen{
-		Node:     node,
-		eng:      eng,
-		homes:    homes,
-		cfg:      cfg,
-		barriers: make(map[uint64]*barrier),
+		Node:  node,
+		eng:   eng,
+		homes: homes,
+		cfg:   cfg,
 	}
 }
 
@@ -145,6 +144,9 @@ func (g *Gen) onLockGetX(now sim.Cycle, r *noc.Router, p *noc.Packet, m *coheren
 			// Locking barrier table full: behave like a normal router.
 			g.Stats.TableFullPasses++
 			return false, nil
+		}
+		if g.barriers == nil {
+			g.barriers = make(map[uint64]*barrier)
 		}
 		g.barriers[m.Addr] = g.newBarrier(m.Addr, now+g.cfg.TTL)
 		g.Stats.BarriersCreated++

@@ -357,3 +357,18 @@ func TestBarrierRoundAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocatesOnlyItself pins the first-write barrier table: it is
+// made when the first barrier opens, so building a generator costs its
+// struct alone.
+func TestNewAllocatesOnlyItself(t *testing.T) {
+	eng := sim.NewEngine(1)
+	homes := coherence.HomeMap{Nodes: 16, BlockBytes: 128}
+	var g *Gen
+	if n := testing.AllocsPerRun(20, func() { g = New(eng, 5, homes, DefaultConfig()) }); n != 1 {
+		t.Fatalf("New made %.1f allocations, want 1", n)
+	}
+	if g.barriers != nil {
+		t.Fatal("New made the barrier table")
+	}
+}

@@ -60,32 +60,42 @@ func (c Config) Sets() int { return c.SizeBytes / (c.Ways * c.BlockBytes) }
 
 // Cache is a set-associative array with true-LRU replacement.
 //
-// The lines live in one set-major array (set s occupies
-// lines[s*Ways:(s+1)*Ways]) that is allocated on the first fill: a
-// many-core platform builds an L1 per node, but only the nodes that run
-// threads ever fill theirs. Until then the cache reads as empty.
+// The lines live in one packed slab, in fill order, the way MSHR keeps
+// its entries: a many-core platform builds an L1 per node, but only the
+// nodes that run threads ever fill theirs, and a lock-bound thread's L1
+// holds a handful of lines. The slab is created on the first fill with
+// room for Ways lines and doubles as needed, never past Sets×Ways. Set
+// associativity is a replacement rule: a line belongs to the set its
+// Addr maps to, and no set holds more than Ways lines in the slab. An
+// invalidated line keeps its slot for the next fill of its set, so the
+// eviction choice is the set-major array's: the same candidates with the
+// same LRU stamps. Until the first fill the cache reads as empty.
+//
+// Growth moves lines: a *Line from Lookup, Peek or Victim is valid only
+// until the next Victim or Insert on the same cache. Use it within one
+// call that fills nothing in between.
 type Cache struct {
 	cfg     Config
-	lines   []Line // nil until the first Insert or Victim
+	lines   []Line // every line ever filled, in fill order
 	clock   uint64
 	blkOff  uint // log2(BlockBytes)
 	setMask uint64
 }
 
-// New builds a cache. The geometry must give a power-of-two number of sets
-// and a power-of-two block size.
-func New(cfg Config) (*Cache, error) {
+// Make builds a cache, by value for the controller to embed. The geometry
+// must give a power-of-two number of sets and a power-of-two block size.
+func Make(cfg Config) (Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes <= 0 {
-		return nil, fmt.Errorf("cache: invalid geometry %+v", cfg)
+		return Cache{}, fmt.Errorf("cache: invalid geometry %+v", cfg)
 	}
 	sets := cfg.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d is not a positive power of two", sets)
+		return Cache{}, fmt.Errorf("cache: set count %d is not a positive power of two", sets)
 	}
 	if cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: block size %d is not a power of two", cfg.BlockBytes)
+		return Cache{}, fmt.Errorf("cache: block size %d is not a power of two", cfg.BlockBytes)
 	}
-	c := &Cache{cfg: cfg, setMask: uint64(sets - 1)}
+	c := Cache{cfg: cfg, setMask: uint64(sets - 1)}
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.blkOff++
 	}
@@ -102,68 +112,74 @@ func (c *Cache) setIndex(addr uint64) uint64 {
 	return (addr >> c.blkOff) & c.setMask
 }
 
-// set returns the ways of addr's set; nil while the cache is unfilled.
-func (c *Cache) set(addr uint64) []Line {
-	if c.lines == nil {
-		return nil
-	}
-	s := int(c.setIndex(addr)) * c.cfg.Ways
-	return c.lines[s : s+c.cfg.Ways]
-}
-
 // Lookup returns the line holding addr (block-aligned internally), or nil.
 // A hit refreshes LRU state.
 func (c *Cache) Lookup(addr uint64) *Line {
-	addr = c.BlockAlign(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == addr {
-			c.clock++
-			set[i].lru = c.clock
-			return &set[i]
-		}
+	l := c.Peek(addr)
+	if l != nil {
+		c.clock++
+		l.lru = c.clock
 	}
-	return nil
+	return l
 }
 
 // Peek is Lookup without touching LRU state; for invariant checks.
 func (c *Cache) Peek(addr uint64) *Line {
 	addr = c.BlockAlign(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == addr {
-			return &set[i]
+	for i := range c.lines {
+		if c.lines[i].State != Invalid && c.lines[i].Addr == addr {
+			return &c.lines[i]
 		}
 	}
 	return nil
 }
 
 // Victim returns the line that would be evicted to make room for addr:
-// an invalid way if one exists, otherwise the LRU way. The returned line
-// may still hold live state; the caller is responsible for writeback.
-// The first call allocates the line array.
+// an invalid line of addr's set if one exists; while the set holds fewer
+// than Ways lines, a new invalid line stamped with addr; otherwise the
+// set's LRU line. The returned line may still hold live state; the
+// caller is responsible for writeback.
 func (c *Cache) Victim(addr uint64) *Line {
-	if c.lines == nil {
-		c.lines = make([]Line, c.cfg.Sets()*c.cfg.Ways)
-	}
 	addr = c.BlockAlign(addr)
-	set := c.set(addr)
+	set := c.setIndex(addr)
 	var victim *Line
-	for i := range set {
-		if set[i].State == Invalid {
-			return &set[i]
+	held := 0
+	for i := range c.lines {
+		l := &c.lines[i]
+		if c.setIndex(l.Addr) != set {
+			continue
 		}
-		if victim == nil || set[i].lru < victim.lru {
-			victim = &set[i]
+		if l.State == Invalid {
+			return l
 		}
+		held++
+		if victim == nil || l.lru < victim.lru {
+			victim = l
+		}
+	}
+	if held < c.cfg.Ways {
+		return c.appendLine(addr)
 	}
 	return victim
 }
 
-// Insert fills a way with a new line for addr, evicting the victim. It
-// returns the inserted line and, when ok, the valid line it displaced, by
-// value, for writeback handling. Inserting an address already present
-// updates the existing line in place instead of duplicating it.
+// appendLine adds an invalid line for addr to the slab, creating it with
+// room for Ways lines or doubling it, never past Sets×Ways.
+func (c *Cache) appendLine(addr uint64) *Line {
+	n := len(c.lines)
+	if n == cap(c.lines) {
+		grown := make([]Line, n, min(max(2*n, c.cfg.Ways), c.cfg.Sets()*c.cfg.Ways))
+		copy(grown, c.lines)
+		c.lines = grown
+	}
+	c.lines = append(c.lines, Line{Addr: addr})
+	return &c.lines[n]
+}
+
+// Insert fills a line for addr, evicting the victim. It returns the
+// inserted line and, when ok, the valid line it displaced, by value, for
+// writeback handling. Inserting an address already present updates the
+// existing line in place instead of duplicating it.
 func (c *Cache) Insert(addr uint64, st State, data uint64) (line *Line, evicted Line, ok bool) {
 	addr = c.BlockAlign(addr)
 	if l := c.Lookup(addr); l != nil {
@@ -187,19 +203,13 @@ func (c *Cache) Invalidate(addr uint64) {
 	}
 }
 
-// ForEach visits every valid line in (set, way) order; used by invariant
-// checkers.
-func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
-		}
-	}
-}
-
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	c.ForEach(func(*Line) { n++ })
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			n++
+		}
+	}
 	return n
 }

@@ -8,11 +8,11 @@ import (
 
 func small(t *testing.T) *Cache {
 	t.Helper()
-	c, err := New(Config{SizeBytes: 2048, Ways: 4, BlockBytes: 128}) // 4 sets
+	c, err := Make(Config{SizeBytes: 2048, Ways: 4, BlockBytes: 128}) // 4 sets
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return &c
 }
 
 func TestGeometry(t *testing.T) {
@@ -29,7 +29,7 @@ func TestRejectBadGeometry(t *testing.T) {
 		{SizeBytes: 2048, Ways: 4, BlockBytes: 100}, // non-power-of-two block
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := Make(cfg); err == nil {
 			t.Fatalf("config %d accepted, want error", i)
 		}
 	}
@@ -141,7 +141,6 @@ func TestUnfilledCacheReadsEmpty(t *testing.T) {
 	if c.Occupancy() != 0 {
 		t.Fatalf("unfilled cache occupancy = %d, want 0", c.Occupancy())
 	}
-	c.ForEach(func(l *Line) { t.Fatalf("ForEach visited %+v in an unfilled cache", l) })
 	if c.lines != nil {
 		t.Fatal("reads allocated the line array")
 	}
@@ -150,15 +149,35 @@ func TestUnfilledCacheReadsEmpty(t *testing.T) {
 	}
 }
 
-func TestNewDefersLineArray(t *testing.T) {
+func TestMakeAllocatesNothing(t *testing.T) {
 	cfg := Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 128}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := New(cfg); err != nil {
+		if _, err := Make(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("New made %.0f allocations, want at most 1: the line array waits for the first fill", allocs)
+	if allocs != 0 {
+		t.Fatalf("Make made %.0f allocations, want 0: the line slab waits for the first fill", allocs)
+	}
+}
+
+// TestFillingWaysLinesAllocatesOnce pins the slab's first size: a Table 1
+// L1 that fills Ways lines, in any sets, allocates once, for Ways lines.
+func TestFillingWaysLinesAllocatesOnce(t *testing.T) {
+	cfg := Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 128}
+	var c Cache
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if c, err = Make(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < cfg.Ways; i++ {
+			c.Insert(uint64(i*1000*cfg.BlockBytes), Modified, uint64(i))
+		}
+	})
+	if allocs != 1 || cap(c.lines) != cfg.Ways || c.Occupancy() != cfg.Ways {
+		t.Fatalf("filling %d lines: %.0f allocations, slab cap %d, occupancy %d; want 1, %d, %d",
+			cfg.Ways, allocs, cap(c.lines), c.Occupancy(), cfg.Ways, cfg.Ways)
 	}
 }
 
@@ -184,7 +203,7 @@ func TestCacheVsMapModel(t *testing.T) {
 		Data uint64
 	}
 	f := func(ops []op) bool {
-		c, err := New(Config{SizeBytes: 1024, Ways: 2, BlockBytes: 64})
+		c, err := Make(Config{SizeBytes: 1024, Ways: 2, BlockBytes: 64})
 		if err != nil {
 			return false
 		}

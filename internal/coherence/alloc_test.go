@@ -144,3 +144,17 @@ func TestDoubleReleaseIsProtocolError(t *testing.T) {
 		t.Fatalf("free list holds %d messages after a double release, want 1", n)
 	}
 }
+
+// TestNewDirAllocatesOnlyItself pins the first-write maps: a directory
+// makes its maps with the first line it homes, so building one costs its
+// struct alone.
+func TestNewDirAllocatesOnlyItself(t *testing.T) {
+	eng := sim.NewEngine(1)
+	var d *Dir
+	if n := testing.AllocsPerRun(20, func() { d = NewDir(eng, 0, nil, nil, DefaultDirConfig(), 64) }); n != 1 {
+		t.Fatalf("NewDir made %.1f allocations, want 1", n)
+	}
+	if d.lines != nil {
+		t.Fatal("NewDir made the line map")
+	}
+}

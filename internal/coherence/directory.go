@@ -161,6 +161,8 @@ type Dir struct {
 	// bank delivers received messages to handle after the L2 latency.
 	bank delayLine[*Message]
 
+	// lines and the three maps below are made with the first line (see
+	// line): most nodes home no line a run touches.
 	lines   map[uint64]*dirLine
 	invSent map[invKey]sim.Cycle
 	// floating holds the tokens of early-invalidation acks still in
@@ -185,26 +187,31 @@ type invKey struct {
 // nodes.
 func NewDir(eng *sim.Engine, node noc.NodeID, ni *noc.NI, mem Memory, cfg DirConfig, nodes int) *Dir {
 	return &Dir{
-		Node:       node,
-		eng:        eng,
-		ni:         ni,
-		mem:        mem,
-		cfg:        cfg,
-		nodes:      nodes,
-		lines:      make(map[uint64]*dirLine),
-		invSent:    make(map[invKey]sim.Cycle),
-		floating:   make(map[uint64]struct{}),
-		waitTokens: make(map[invKey]uint64),
+		Node:  node,
+		eng:   eng,
+		ni:    ni,
+		mem:   mem,
+		cfg:   cfg,
+		nodes: nodes,
 	}
 }
 
 // SetRTTRecorder installs the invalidation round-trip sampler.
 func (d *Dir) SetRTTRecorder(r RTTRecorder) { d.rtt = r }
 
-// line returns (creating if needed) the directory entry for addr.
+// line returns (creating if needed) the directory entry for addr. The
+// first line made also makes the directory's maps: every write to the
+// other three concerns a line this node homes, and until then they read
+// as empty.
 func (d *Dir) line(addr uint64) *dirLine {
 	ln := d.lines[addr]
 	if ln == nil {
+		if d.lines == nil {
+			d.lines = make(map[uint64]*dirLine)
+			d.invSent = make(map[invKey]sim.Cycle)
+			d.floating = make(map[uint64]struct{})
+			d.waitTokens = make(map[invKey]uint64)
+		}
 		ln = newDirLine(d.nodes)
 		d.lines[addr] = ln
 	}

@@ -97,7 +97,7 @@ func DefaultL1Config() L1Config {
 type L1 struct {
 	Node  noc.NodeID
 	eng   *sim.Engine
-	arr   *cache.Cache
+	arr   cache.Cache
 	mshr  cache.MSHR[pendingOp]
 	ni    *noc.NI
 	homes HomeMap
@@ -126,7 +126,7 @@ type L1 struct {
 
 // NewL1 builds an L1 controller for node, injecting through ni.
 func NewL1(eng *sim.Engine, node noc.NodeID, ni *noc.NI, homes HomeMap, cfg L1Config) (*L1, error) {
-	arr, err := cache.New(cfg.Cache)
+	arr, err := cache.Make(cfg.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("l1 node %d: %w", node, err)
 	}
@@ -142,7 +142,7 @@ func NewL1(eng *sim.Engine, node noc.NodeID, ni *noc.NI, homes HomeMap, cfg L1Co
 }
 
 // Cache exposes the underlying array for invariant checkers and tests.
-func (l *L1) Cache() *cache.Cache { return l.arr }
+func (l *L1) Cache() *cache.Cache { return &l.arr }
 
 // MSHR exposes the miss status holding register file (diagnostics,
 // telemetry occupancy gauges).

@@ -55,7 +55,11 @@ type qslWaiter struct {
 	done    func()
 	woken   bool // a release picked this waiter; wake is scheduled
 	settled bool // the post-enqueue probe already acquired the lock
-	pending int
+	// probing marks the probe's swap in flight; a switchedIn that finds
+	// it so sets deferred and leaves the outcome to the probe, which
+	// either acquires or resumes the deferred spin.
+	probing, deferred bool
+	pending           int
 
 	poll, switchedOut, wake, switchedIn   func()
 	polled, swapped, probed, probeSwapped func(uint64)
@@ -165,11 +169,17 @@ func (l *qsl) bind(t *cpu.Thread) *qslWaiter {
 			return // a holder exists or a wakeup is already scheduled
 		}
 		w.pending++
+		w.probing = true
 		t.Port.Atomic(l.addr, coherence.Swap, 1, 0, 0, w.probeSwapped)
 	}
 	w.probeSwapped = func(old uint64) {
 		w.pending--
+		deferred := w.deferred
+		w.probing, w.deferred = false, false
 		if old != 0 {
+			if deferred {
+				w.resume() // a release woke us while the swap flew
+			}
 			return // lost the probe; a release will wake us
 		}
 		// Acquired on the probe: leave the queue (if a release raced and
@@ -193,10 +203,13 @@ func (l *qsl) bind(t *cpu.Thread) *qslWaiter {
 		if w.settled {
 			return // the probe acquired while we switched back in
 		}
-		t.EndSleep()
-		t.ResetRetries()
-		l.spinStart[t.ID] = t.Eng().Now()
-		w.spin()
+		if w.probing {
+			// Spinning now would race the probe's swap: if the probe won,
+			// both would complete this acquire.
+			w.deferred = true
+			return
+		}
+		w.resume()
 	}
 	w.released = func() {
 		if n := len(l.sleepers); n > 0 {
@@ -211,6 +224,14 @@ func (l *qsl) bind(t *cpu.Thread) *qslWaiter {
 		w.relDone()
 	}
 	return w
+}
+
+// resume returns a woken thread to its spin phase with a fresh budget.
+func (w *qslWaiter) resume() {
+	w.t.EndSleep()
+	w.t.ResetRetries()
+	w.l.spinStart[w.t.ID] = w.t.Eng().Now()
+	w.spin()
 }
 
 // remove deletes a waiter from the queue.

@@ -3,6 +3,8 @@ package inpg
 import (
 	"strings"
 	"testing"
+
+	"inpg/internal/fault"
 )
 
 // contended returns a config with heavy lock contention: short parallel
@@ -314,6 +316,50 @@ func TestBarrierSynchronization(t *testing.T) {
 	for _, th := range sys.Threads() {
 		if th.BarrierJoins != 2 { // 4 CS / every 2
 			t.Fatalf("thread %d joined %d barriers, want 2", th.ID, th.BarrierJoins)
+		}
+	}
+}
+
+// TestQSLCompletesEachAcquireOnce replays the sleep-probe race across
+// every mechanism, 40 seeds and four fault rates: a release wakes a
+// sleeping QSL waiter whose post-enqueue probe swap is still in flight,
+// and with one-cycle context switches and wakeups the waiter is back in
+// before the swap returns. Exactly one of the probe and the resumed spin
+// may complete the acquire, so every thread runs exactly CSPerThread
+// critical sections.
+func TestQSLCompletesEachAcquireOnce(t *testing.T) {
+	for _, rate := range []float64{0, 0.01, 0.02, 0.05} {
+		for _, mech := range Mechanisms {
+			for seed := int64(1); seed <= 40; seed++ {
+				cfg := DefaultConfig()
+				cfg.MeshWidth, cfg.MeshHeight = 4, 4
+				cfg.Lock = LockQSL
+				cfg.Mechanism = mech
+				cfg.LockCount = 3
+				cfg.CtxSwitchCycles, cfg.WakeupCycles = 1, 1
+				cfg.QSLRetries = 4
+				cfg.CSPerThread = 3
+				cfg.Seed = seed
+				cfg.Fault = fault.AtRate(rate, seed)
+				sys, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Run()
+				if err != nil {
+					t.Errorf("%v seed %d fault rate %g: %v", mech, seed, rate, err)
+					continue
+				}
+				for _, th := range res.PerThread {
+					if th.CSCompleted != cfg.CSPerThread {
+						t.Errorf("%v seed %d fault rate %g: thread %d completed %d critical sections, want %d",
+							mech, seed, rate, th.ID, th.CSCompleted, cfg.CSPerThread)
+					}
+				}
+				if want := res.Threads * cfg.CSPerThread; res.CSCompleted != want {
+					t.Errorf("%v seed %d fault rate %g: %d critical sections, want %d", mech, seed, rate, res.CSCompleted, want)
+				}
+			}
 		}
 	}
 }
