@@ -84,7 +84,7 @@ func TestRegistrySealedPanics(t *testing.T) {
 }
 
 // The sampler reads the registry exactly every interval cycles through the
-// engine's ordinary event heap.
+// engine's ordinary scheduled events.
 func TestSamplerPeriod(t *testing.T) {
 	eng := sim.NewEngine(1)
 	r := NewRegistry()

@@ -33,8 +33,9 @@ func pointerField(t reflect.Type) string {
 
 // TestSlabTypesHoldNoPointers guards the compact router layout: the types
 // stored per VC slot, per flit and per link arrival must stay pointer-free
-// so the slabs are never scanned by the garbage collector, and the flit
-// and VC records must keep their sizes.
+// so the slabs are never scanned by the garbage collector, the flit, VC
+// and arrival records must keep their sizes, and the occupancy mask must
+// stay a fixed array of words.
 func TestSlabTypesHoldNoPointers(t *testing.T) {
 	for _, v := range []any{flit{}, inputVC{}, outputVC{}, linkRetry{}, arrival{}, injection{}} {
 		typ := reflect.TypeOf(v)
@@ -51,8 +52,11 @@ func TestSlabTypesHoldNoPointers(t *testing.T) {
 	if s := unsafe.Sizeof(outputVC{}); s > 16 {
 		t.Errorf("outputVC is %d bytes, want at most 16", s)
 	}
-	if s := reflect.TypeOf(Router{}.occ).Elem().Size(); s != 1 {
-		t.Errorf("occupied-VC slot ids are %d bytes, want 1", s)
+	if typ := reflect.TypeOf(Router{}.occ); typ.Kind() != reflect.Array || typ.Elem().Kind() != reflect.Uint64 {
+		t.Errorf("Router.occ is a %s, want an array of uint64 words", typ)
+	}
+	if s := unsafe.Sizeof(arrival{}); s > 12 {
+		t.Errorf("arrival is %d bytes, want at most 12", s)
 	}
 }
 

@@ -62,10 +62,10 @@ type Network struct {
 // New builds and wires a mesh network and registers it with the engine.
 //
 // Router and NI state lives in a few network-wide slabs — routers, NIs,
-// input VCs, output VCs, flit buffers, occupied-VC lists and NI injection
-// slots, plus link-retry state when faults are injected — and each router
-// or NI holds fixed windows into them, so the allocation count does not
-// grow with the VCs per router. These slabs hold no Go pointers: flits
+// input VCs, output VCs, flit buffers and NI injection slots, plus
+// link-retry state when faults are injected — and each router or NI
+// holds fixed windows into them, so the allocation count does not grow
+// with the VCs per router. These slabs hold no Go pointers: flits
 // name their packet by handle, so the garbage collector never scans them.
 func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	if cfg.VCsPerPort%int(NumVNets) != 0 || cfg.VCsPerPort <= 0 {
@@ -93,7 +93,6 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	vcs := make([]inputVC, nodes*slots)
 	outs := make([]outputVC, nodes*slots)
 	flits := make([]flit, nodes*slots*cfg.VCDepth)
-	occ := make([]uint8, nodes*slots)
 	active := make([]injection, nodes*nvc)
 	var retry []linkRetry
 	if n.fault != nil {
@@ -106,7 +105,7 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 		lo, hi := id*slots, (id+1)*slots
 		*r = Router{
 			ID: NodeID(id), net: n, at: n.coords[id],
-			vcs: vcs[lo:hi:hi], out: outs[lo:hi:hi], occ: occ[lo:lo:hi],
+			vcs: vcs[lo:hi:hi], out: outs[lo:hi:hi],
 			flits: flits[lo*cfg.VCDepth : hi*cfg.VCDepth : hi*cfg.VCDepth], depth: cfg.VCDepth,
 		}
 		if retry != nil {
@@ -147,8 +146,8 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Limits of the compact router state: slot ids are uint8 and VC ring
-// positions uint16.
+// Limits of the compact router state: slot ids are uint8, the occupancy
+// mask has one bit per slot, and VC ring positions are uint16.
 const (
 	maxSlots   = 1 << 8
 	maxVCDepth = 1<<16 - 1

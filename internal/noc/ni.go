@@ -188,6 +188,9 @@ func (ni *NI) sendFlit(now sim.Cycle, v int, inj *injection) {
 	}
 	f := flit{pkt: inj.pkt, idx: inj.next}
 	consumed := ni.r.acceptFlit(now, int(Local)*ni.r.net.cfg.VCsPerPort+v, f)
+	if !consumed {
+		ni.r.wake()
+	}
 	if consumed || int(inj.next) == p.Size-1 {
 		*inj = injection{}
 		ni.activeCount--

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/bits"
+
 	"inpg/internal/fault"
 	"inpg/internal/sim"
 )
@@ -94,10 +96,12 @@ func (o *outputVC) returnCredit(now sim.Cycle) {
 }
 
 // arrival is a flit in flight on a link toward this router, bound for
-// input VC slot.
+// input VC slot: the flit without its buffered cycle, which acceptFlit
+// stamps. Its arrival cycle is implied by the bank that holds it (see
+// Router.inbox).
 type arrival struct {
-	f    flit
-	at   sim.Cycle
+	pkt  uint32
+	idx  uint32
 	slot uint8
 }
 
@@ -135,7 +139,15 @@ type Router struct {
 	// coordinates instead of dividing node ids.
 	at coord
 
-	inbox []arrival
+	// inbox holds the flits in flight on the links toward this router, in
+	// two banks indexed by arrival-cycle parity, with inboxN[b] entries in
+	// bank b. A link has one cycle of latency and carries at most one flit
+	// a cycle, so a cycle's arrivals number at most one per link, and only
+	// two cycles' arrivals — this one's and the next's — can be pending
+	// while the router ticks. Each bank fills in send order, which is
+	// ascending upstream-router order.
+	inbox  [2][NumPorts - 1]arrival
+	inboxN [2]uint8
 
 	interceptor Interceptor
 	ni          *NI
@@ -145,11 +157,12 @@ type Router struct {
 
 	buffered int // flits currently buffered; 0 lets Tick exit early
 
-	// occ lists the occupied input VCs as sorted slot ids, so the
-	// allocation stages visit only live VCs instead of scanning all
-	// NumPorts×VCsPerPort slots. The ascending order preserves the exact
-	// visit order of the full scan.
-	occ []uint8
+	// occ marks the occupied input VCs, slot s as bit s%64 of word s/64,
+	// so the allocation stages visit only live VCs instead of scanning all
+	// NumPorts×VCsPerPort slots. Visiting set bits in ascending order
+	// preserves the exact visit order of the full scan. Only the words
+	// covering len(vcs) slots are in use.
+	occ [maxSlots / 64]uint64
 
 	// handle is the router's wake/sleep handle. A router sleeps when it
 	// holds no flits and no flit is in flight toward it, and is woken only
@@ -192,27 +205,6 @@ func (r *Router) route(dst NodeID) Port {
 	}
 }
 
-// occInsert adds slot s to the occupied-VC list, keeping it sorted.
-func (r *Router) occInsert(s int) {
-	i := 0
-	for i < len(r.occ) && int(r.occ[i]) < s {
-		i++
-	}
-	r.occ = append(r.occ, 0)
-	copy(r.occ[i+1:], r.occ[i:])
-	r.occ[i] = uint8(s)
-}
-
-// occRemove drops slot s from the occupied-VC list.
-func (r *Router) occRemove(s int) {
-	for i, v := range r.occ {
-		if int(v) == s {
-			r.occ = append(r.occ[:i], r.occ[i+1:]...)
-			return
-		}
-	}
-}
-
 // SetInterceptor installs (or removes, with nil) the packet-generation hook
 // that turns this normal router into a big router.
 func (r *Router) SetInterceptor(i Interceptor) { r.interceptor = i }
@@ -232,7 +224,9 @@ func (r *Router) vcClass(v VNet) (lo, hi int) {
 
 // acceptFlit places an arriving flit into input VC slot, first giving the
 // interceptor a chance to consume or rewrite the packet. It reports
-// whether the flit was consumed (not buffered).
+// whether the flit was consumed (not buffered). It does not wake the
+// router: link arrivals are accepted by the router's own tick, and the NI
+// wakes it after a push.
 func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
 	if f.head() {
 		r.Stats.PacketsSeen++
@@ -259,10 +253,9 @@ func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
 	r.flits[slot*r.depth+i] = f
 	vc.n++
 	if vc.n == 1 {
-		r.occInsert(slot)
+		r.occ[slot/64] |= 1 << (slot % 64)
 	}
 	r.buffered++
-	r.wake()
 	return false
 }
 
@@ -270,27 +263,22 @@ func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
 // and allocate output VCs for new heads, then run switch allocation and
 // traversal for one flit per input port and one flit per output (port, VC).
 func (r *Router) Tick(now sim.Cycle) {
-	// Link arrivals.
-	if len(r.inbox) > 0 {
-		kept := r.inbox[:0]
-		for _, a := range r.inbox {
-			if a.at <= now {
-				if r.acceptFlit(now, int(a.slot), a.f) {
-					// Consumed by the interceptor: the buffer slot is free
-					// again, so return the credit upstream immediately.
-					r.returnCredit(now, int(a.slot))
-				}
-			} else {
-				kept = append(kept, a)
+	// Link arrivals due this cycle: the bank of this cycle's parity.
+	if b := now % 2; r.inboxN[b] > 0 {
+		for _, a := range r.inbox[b][:r.inboxN[b]] {
+			if r.acceptFlit(now, int(a.slot), flit{pkt: a.pkt, idx: a.idx}) {
+				// Consumed by the interceptor: the buffer slot is free
+				// again, so return the credit upstream immediately.
+				r.returnCredit(now, int(a.slot))
 			}
 		}
-		r.inbox = kept
+		r.inboxN[b] = 0
 	}
 
 	if r.buffered == 0 {
 		// Quiescent: no flits buffered. Drop out of the tick set unless a
 		// flit is still in flight toward us; arrivals and NI pushes wake us.
-		if len(r.inbox) == 0 {
+		if r.inboxN == [2]uint8{} {
 			r.net.eng.Sleep(r.handle)
 		}
 		return
@@ -299,29 +287,32 @@ func (r *Router) Tick(now sim.Cycle) {
 	// Stage 1: route computation + output VC allocation for front heads.
 	// Only occupied VCs are visited, in the same ascending (port, vc)
 	// order as a full scan.
-	for _, s8 := range r.occ {
-		s := int(s8)
-		vc := &r.vcs[s]
-		if vc.routed && vc.outVC >= 0 {
-			continue // the front packet already holds an output VC
-		}
-		f := r.front(s)
-		if !f.head() {
-			continue
-		}
-		pkt := r.net.packet(f.pkt)
-		if !vc.routed {
-			vc.outPort = uint8(r.route(pkt.Dst))
-			vc.routed = true
-			vc.headSince = now
-		}
-		if vc.outVC < 0 {
-			lo, hi := r.vcClass(pkt.VNet)
-			for ov := lo; ov < hi; ov++ {
-				if o := r.outVC(Port(vc.outPort), ov); !o.busy {
-					o.busy = true
-					vc.outVC = int8(ov)
-					break
+	nw := (len(r.vcs) + 63) / 64
+	for w := 0; w < nw; w++ {
+		for m := r.occ[w]; m != 0; m &= m - 1 {
+			s := w*64 + bits.TrailingZeros64(m)
+			vc := &r.vcs[s]
+			if vc.routed && vc.outVC >= 0 {
+				continue // the front packet already holds an output VC
+			}
+			f := r.front(s)
+			if !f.head() {
+				continue
+			}
+			pkt := r.net.packet(f.pkt)
+			if !vc.routed {
+				vc.outPort = uint8(r.route(pkt.Dst))
+				vc.routed = true
+				vc.headSince = now
+			}
+			if vc.outVC < 0 {
+				lo, hi := r.vcClass(pkt.VNet)
+				for ov := lo; ov < hi; ov++ {
+					if o := r.outVC(Port(vc.outPort), ov); !o.busy {
+						o.busy = true
+						vc.outVC = int8(ov)
+						break
+					}
 				}
 			}
 		}
@@ -329,67 +320,75 @@ func (r *Router) Tick(now sim.Cycle) {
 
 	// Stage 2: switch allocation + traversal. One flit per input port and
 	// one flit per output port per cycle (single crossbar connection each).
-	// The round-robin scan starts at the first occupied slot at or after
-	// saRR and wraps; restricting it to the occupied-VC list visits the
-	// same candidates in the same order as the full slot scan.
+	// The round-robin scan takes the occupied slots at or after saRR in a
+	// first lap over the mask words and the ones before it in a second,
+	// visiting the same candidates in the same order as the full slot scan
+	// that starts at saRR and wraps.
 	var grantedIn [NumPorts]bool
 	var grantedOut [NumPorts]bool
 	// Collect one winning slot per output port.
 	var winners [NumPorts]int
 	var hasWinner [NumPorts]bool
-	nocc := len(r.occ)
-	j := 0
-	for j < nocc && int(r.occ[j]) < r.saRR {
-		j++
-	}
-	if j == nocc {
-		j = 0
-	}
-	for i := 0; i < nocc; i++ {
-		slot := int(r.occ[j])
-		if j++; j == nocc {
-			j = 0
+	for k := 0; k < 2*nw; k++ {
+		w := k
+		if w >= nw {
+			w -= nw
 		}
-		vc := &r.vcs[slot]
-		p := vc.port
-		if grantedIn[p] || !vc.routed || vc.outVC < 0 {
-			continue
+		m := r.occ[w]
+		atOrAfter := m
+		if d := r.saRR - w*64; d >= 64 {
+			atOrAfter = 0
+		} else if d > 0 {
+			atOrAfter &^= 1<<d - 1
 		}
-		if r.net.fault != nil {
-			if lr := &r.retry[slot]; lr.dead || lr.nextTry > now {
-				continue // failed link, or retransmission backoff still running
-			}
+		if k < nw {
+			m = atOrAfter
+		} else {
+			m &^= atOrAfter
 		}
-		if r.front(slot).bufferedAt >= now {
-			continue // models the 2-stage pipeline: never same-cycle switch
-		}
-		op := Port(vc.outPort)
-		if r.net.fault != nil && op != Local && r.net.fault.PortStalled(now, int(r.ID), int(op)) {
-			continue // output port transiently stalled: no grant crosses it
-		}
-		if r.outVC(op, int(vc.outVC)).credits(now) <= 0 {
-			r.Stats.VCStalls++
-			continue
-		}
-		if grantedOut[op] {
-			// An earlier round-robin candidate holds this output; under
-			// priority arbitration a strictly better packet may steal it.
-			if !r.net.cfg.PriorityArb {
+		for ; m != 0; m &= m - 1 {
+			slot := w*64 + bits.TrailingZeros64(m)
+			vc := &r.vcs[slot]
+			p := vc.port
+			if grantedIn[p] || !vc.routed || vc.outVC < 0 {
 				continue
 			}
-			w := winners[op]
-			if !r.betterPriority(now, slot, w) {
+			if r.net.fault != nil {
+				if lr := &r.retry[slot]; lr.dead || lr.nextTry > now {
+					continue // failed link, or retransmission backoff still running
+				}
+			}
+			if r.front(slot).bufferedAt >= now {
+				continue // models the 2-stage pipeline: never same-cycle switch
+			}
+			op := Port(vc.outPort)
+			if r.net.fault != nil && op != Local && r.net.fault.PortStalled(now, int(r.ID), int(op)) {
+				continue // output port transiently stalled: no grant crosses it
+			}
+			if r.outVC(op, int(vc.outVC)).credits(now) <= 0 {
+				r.Stats.VCStalls++
 				continue
 			}
-			grantedIn[r.vcs[w].port] = false
-			winners[op] = slot
+			if grantedOut[op] {
+				// An earlier round-robin candidate holds this output; under
+				// priority arbitration a strictly better packet may steal it.
+				if !r.net.cfg.PriorityArb {
+					continue
+				}
+				prev := winners[op]
+				if !r.betterPriority(now, slot, prev) {
+					continue
+				}
+				grantedIn[r.vcs[prev].port] = false
+				winners[op] = slot
+				grantedIn[p] = true
+				continue
+			}
+			grantedOut[op] = true
 			grantedIn[p] = true
-			continue
+			winners[op] = slot
+			hasWinner[op] = true
 		}
-		grantedOut[op] = true
-		grantedIn[p] = true
-		winners[op] = slot
-		hasWinner[op] = true
 	}
 	for op := Port(0); op < NumPorts; op++ {
 		if hasWinner[op] {
@@ -400,7 +399,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		r.saRR = 0
 	}
 
-	if r.buffered == 0 && len(r.inbox) == 0 {
+	if r.buffered == 0 && r.inboxN == [2]uint8{} {
 		r.net.eng.Sleep(r.handle)
 	}
 }
@@ -481,7 +480,7 @@ func (r *Router) traverse(now sim.Cycle, slot int) {
 		vc.head = 0
 	}
 	if vc.n--; vc.n == 0 {
-		r.occRemove(slot)
+		r.occ[slot/64] &^= 1 << (slot % 64)
 	}
 	r.buffered--
 	r.Stats.FlitsSwitched++
@@ -496,7 +495,9 @@ func (r *Router) traverse(now sim.Cycle, slot int) {
 	} else {
 		o.cred--
 		nb := r.neighbors[op]
-		nb.inbox = append(nb.inbox, arrival{f: f, at: now + 1, slot: uint8(int(op.opposite())*r.net.cfg.VCsPerPort + ov)})
+		b := (now + 1) % 2
+		nb.inbox[b][nb.inboxN[b]] = arrival{pkt: f.pkt, idx: f.idx, slot: uint8(int(op.opposite())*r.net.cfg.VCsPerPort + ov)}
+		nb.inboxN[b]++
 		nb.wake()
 		if f.head() {
 			pkt.Hops++

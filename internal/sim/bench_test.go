@@ -1,10 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
-// BenchmarkScheduleStep measures the event-heap round trip: schedule one
-// future callback, advance one cycle, fire it. With the preallocated heap
-// backing, steady-state push/pop must not grow the slice.
+// BenchmarkScheduleStep measures the event round trip: schedule one
+// callback for the next cycle, advance one cycle, fire it. The node goes
+// back to the wheel's free list, so steady state must not grow the slab.
 func BenchmarkScheduleStep(b *testing.B) {
 	e := NewEngine(1)
 	sink := 0
@@ -21,8 +24,8 @@ func BenchmarkScheduleStep(b *testing.B) {
 
 // BenchmarkScheduleBurst pushes a burst of same-cycle events and drains
 // it, the shape the NoC produces under contention (many deliveries landing
-// on one cycle). Exercises heap growth up to the burst size and reuse of
-// the backing array across iterations.
+// on one cycle). Exercises one long chain and reuse of its nodes across
+// iterations.
 func BenchmarkScheduleBurst(b *testing.B) {
 	e := NewEngine(1)
 	sink := 0
@@ -37,6 +40,40 @@ func BenchmarkScheduleBurst(b *testing.B) {
 	}
 	if sink != 64*b.N {
 		b.Fatalf("fired %d of %d events", sink, 64*b.N)
+	}
+}
+
+// BenchmarkScheduleSpread schedules one event a cycle with the delays the
+// Table 1 platform schedules: 48% at 0 cycles, 33% at 1–6, 16% at 7–14,
+// 1% at 15–255 and 2% at 511 or more (beyond the wheel's span, so through
+// the far heap), then steps one cycle.
+func BenchmarkScheduleSpread(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Cycle, 1000)
+	for i := range delays {
+		switch p := rng.Intn(100); {
+		case p < 48:
+		case p < 81:
+			delays[i] = Cycle(1 + rng.Intn(6))
+		case p < 97:
+			delays[i] = Cycle(7 + rng.Intn(8))
+		case p < 98:
+			delays[i] = Cycle(15 + rng.Intn(241))
+		default:
+			delays[i] = Cycle(511 + rng.Intn(1024))
+		}
+	}
+	e := NewEngine(1)
+	sink := 0
+	fn := func() { sink++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(delays[i%len(delays)], fn)
+		e.Step()
+	}
+	if sink+e.PendingEvents() != b.N {
+		b.Fatalf("fired %d and hold %d of %d events", sink, e.PendingEvents(), b.N)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sim provides the deterministic cycle-driven simulation engine
 // that underlies the whole iNPG reproduction: a global clock, tickable
-// components, a lightweight future-event scheduler and a seeded random
-// number source.
+// components, a future-event scheduler (a timing wheel for the next
+// wheelSpan cycles, a heap beyond it) and a seeded random number source.
 //
 // The engine is strictly single-threaded. Every component in the active
 // set is ticked once per cycle in registration order, which makes runs
@@ -36,10 +36,22 @@
 // check precisely that (see the differential tests at the repository
 // root).
 //
-// The tick set is a bitset, one bit per handle. A pass walks it a 64-bit
-// word at a time and visits only the set bits, so a stepped cycle costs
-// O(tickers/64 + awake) rather than one check per registered component:
-// a large, mostly idle mesh pays for the components that work.
+// The tick set is a bitset, one bit per handle, with a summary bit per
+// nonzero 64-bit word. A pass walks the summary words and visits only the
+// set bits of the words they mark, so a stepped cycle costs
+// O(tickers/4096 + awake words + awake) rather than one check per
+// registered component: a large, mostly idle mesh pays for the components
+// that work.
+//
+// # Events
+//
+// Events due within wheelSpan cycles sit in a timing wheel: one FIFO
+// chain per cycle, linked through a node slab with a free list, so
+// scheduling and firing are O(1) and allocate nothing once the slab has
+// grown to the peak number pending. Later events wait in a (cycle,
+// schedule order) heap and move into their cycle's chain at the start of
+// the step in which that cycle enters the span — before anything can
+// schedule there — so every cycle's events still fire in schedule order.
 //
 // When the active set is empty, Run fast-forwards the clock directly to
 // the next scheduled event instead of stepping through empty cycles.
@@ -77,14 +89,26 @@ func (f TickFunc) Tick(now Cycle) { f(now) }
 // dense indices issued by Register in registration order.
 type Handle int
 
-// event is a scheduled callback.
+// wheelSpan is the timing wheel's span in cycles: an event due less than
+// wheelSpan cycles after the current cycle goes into the wheel, a later one
+// into the far heap. A power of two, and a whole number of bitmap words.
+const wheelSpan = 256
+
+// wheelNode is one scheduled callback in the wheel's node slab. next links
+// the node into its cycle's chain, or into the free list; 0 ends either.
+type wheelNode struct {
+	fn   func()
+	next int32
+}
+
+// event is a scheduled callback beyond the wheel's span.
 type event struct {
 	at  Cycle
 	seq uint64 // tie-break so same-cycle events fire in schedule order
 	fn  func()
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq).
+// eventHeap is a min-heap of far events ordered by (at, seq).
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
@@ -138,10 +162,24 @@ type Engine struct {
 	now     Cycle
 	tickers []Ticker
 	awake   []uint64 // bit h%64 of word h/64 is set while handle h is awake
+	summary []uint64 // bit w%64 of word w/64 is set while awake[w] != 0
 	nAwake  int
-	events  eventHeap
-	seq     uint64
 	rng     *rand.Rand
+
+	// The timing wheel: the chain of cycle c runs from head[c%wheelSpan]
+	// to tail[c%wheelSpan] through nodes (node 0 is unused, so 0 means
+	// none), and bit b of used is set while chain b is nonempty. free heads
+	// the chain of released nodes; nWheel counts the scheduled ones.
+	head, tail [wheelSpan]int32
+	used       [wheelSpan / 64]uint64
+	nodes      []wheelNode
+	free       int32
+	nWheel     int
+
+	// far holds the events due wheelSpan or more cycles after the cycle
+	// they were scheduled in, until their cycle enters the span.
+	far eventHeap
+	seq uint64
 
 	// alwaysTick disables activity-driven scheduling: Sleep becomes a
 	// no-op and Run never fast-forwards. The reference mode differential
@@ -171,18 +209,20 @@ type Engine struct {
 	nextAbortAt Cycle
 }
 
-// eventHeapPrealloc sizes the event heap's initial backing array. A full
-// Table 1 platform keeps a few hundred events outstanding (thread wakeups,
-// DRAM completions, NI deliveries); starting near that bound avoids the
-// doubling reallocations of a cold heap on every run.
-const eventHeapPrealloc = 1024
+// eventSlabPrealloc sizes the wheel's initial node slab. At most 73
+// events are pending at once on the Table 1 platform (seeds 1–8 of the
+// throughput benchmark) and 258–262 on the 16×16 TTL and 32×32 QSL
+// benchmark meshes (thread wakeups, DRAM completions, NI deliveries);
+// starting above that bound avoids the doubling reallocations of a cold
+// slab on every run.
+const eventSlabPrealloc = 1024
 
 // NewEngine returns an engine with its clock at cycle 0 and a deterministic
 // random source derived from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:    NewRand(seed),
-		events: make(eventHeap, 0, eventHeapPrealloc),
+		rng:   NewRand(seed),
+		nodes: make([]wheelNode, 1, eventSlabPrealloc),
 	}
 }
 
@@ -199,13 +239,9 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) SetAlwaysTick(on bool) {
 	e.alwaysTick = on
 	if on {
-		for w := range e.awake {
-			e.awake[w] = ^uint64(0)
+		for h := range e.tickers {
+			e.Wake(Handle(h))
 		}
-		if r := len(e.tickers) % 64; r != 0 {
-			e.awake[len(e.awake)-1] = 1<<r - 1
-		}
-		e.nAwake = len(e.tickers)
 	}
 }
 
@@ -218,10 +254,12 @@ func (e *Engine) Register(t Ticker) Handle {
 	h := len(e.tickers)
 	e.tickers = append(e.tickers, t)
 	if h%64 == 0 {
+		if h%(64*64) == 0 {
+			e.summary = append(e.summary, 0)
+		}
 		e.awake = append(e.awake, 0)
 	}
-	e.awake[h/64] |= 1 << (h % 64)
-	e.nAwake++
+	e.Wake(Handle(h))
 	return Handle(h)
 }
 
@@ -231,6 +269,7 @@ func (e *Engine) Wake(h Handle) {
 	w, bit := h/64, uint64(1)<<(h%64)
 	if e.awake[w]&bit == 0 {
 		e.awake[w] |= bit
+		e.summary[w/64] |= 1 << (w % 64)
 		e.nAwake++
 	}
 }
@@ -245,7 +284,9 @@ func (e *Engine) Sleep(h Handle) {
 	}
 	w, bit := h/64, uint64(1)<<(h%64)
 	if e.awake[w]&bit != 0 {
-		e.awake[w] &^= bit
+		if e.awake[w] &^= bit; e.awake[w] == 0 {
+			e.summary[w/64] &^= 1 << (w % 64)
+		}
 		e.nAwake--
 	}
 }
@@ -265,8 +306,7 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule(nil)")
 	}
-	e.seq++
-	e.events.push(event{at: e.now + 1 + delay, seq: e.seq, fn: fn})
+	e.schedule(e.now+1+delay, fn)
 }
 
 // ScheduleAt arranges for fn to run at absolute cycle at. Scheduling at or
@@ -276,8 +316,60 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 		e.Schedule(0, fn)
 		return
 	}
-	e.seq++
-	e.events.push(event{at: at, seq: e.seq, fn: fn})
+	e.schedule(at, fn)
+}
+
+// schedule files fn for cycle at > now: at the end of cycle at's chain
+// when at is inside the span, in the far heap otherwise. The current
+// cycle's step already moved every far event due inside the span into the
+// wheel, so appending keeps each chain in schedule order.
+func (e *Engine) schedule(at Cycle, fn func()) {
+	if at-e.now >= wheelSpan {
+		e.seq++
+		e.far.push(event{at: at, seq: e.seq, fn: fn})
+		return
+	}
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+		e.nodes[i] = wheelNode{fn: fn}
+	} else {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, wheelNode{fn: fn})
+	}
+	b := at % wheelSpan
+	if t := e.tail[b]; t != 0 {
+		e.nodes[t].next = i
+	} else {
+		e.head[b] = i
+		e.used[b/64] |= 1 << (b % 64)
+	}
+	e.tail[b] = i
+	e.nWheel++
+}
+
+// nextEvent returns the cycle of the earliest pending event, which must
+// exist. Between steps the wheel holds only cycles now+1 … now+wheelSpan-1
+// and the far heap only later ones, so a wheel event, if any, comes first:
+// the first nonempty chain at or after now+1, found by a circular scan of
+// the used bitmap.
+func (e *Engine) nextEvent() Cycle {
+	if e.nWheel == 0 {
+		return e.far[0].at
+	}
+	start := int((e.now + 1) % wheelSpan)
+	for k := 0; k <= len(e.used); k++ {
+		w := (start/64 + k) % len(e.used)
+		m := e.used[w]
+		if k == 0 {
+			m &^= 1<<(start%64) - 1 // chains before start wait for the last pass
+		}
+		if m != 0 {
+			b := w*64 + bits.TrailingZeros64(m)
+			return e.now + 1 + Cycle((b-start+wheelSpan)%wheelSpan)
+		}
+	}
+	panic("sim: wheel count and bitmap disagree")
 }
 
 // Stop requests that the current Run loop exit at the end of this cycle.
@@ -341,15 +433,35 @@ func (e *Engine) SetAbortCheck(every Cycle, fn func() error) {
 // higher-index component ticks from the next cycle, matching when its
 // first non-no-op tick would have landed under always-tick.
 //
-// The pass finds set bits word by word. After each tick it re-reads the
-// current word and masks off every bit at or below the one just ticked,
-// so a same-word wake from a lower index is seen in this pass while wakes
-// of already-passed indices wait for the next cycle.
+// Before anything fires, every far event whose cycle has entered the span
+// moves to the end of its chain. Nothing can have scheduled into that
+// cycle yet — the span reached it only now — so the chain keeps schedule
+// order. The current cycle's chain then fires front to back; callbacks
+// schedule only into later cycles, never onto it.
+//
+// The pass finds set bits word by word, through the summary words. After
+// each tick it re-reads the current word and masks off every bit at or
+// below the one just ticked, and after each word it re-reads the summary
+// word the same way, so a wake from a lower index is seen in this pass
+// while wakes of already-passed indices wait for the next cycle.
 func (e *Engine) Step() {
 	e.now++
-	for len(e.events) > 0 && e.events[0].at <= e.now {
-		ev := e.events.pop()
-		ev.fn()
+	for len(e.far) > 0 && e.far[0].at-e.now < wheelSpan {
+		ev := e.far.pop()
+		e.schedule(ev.at, ev.fn) // inside the span now: onto its chain
+	}
+	if b := e.now % wheelSpan; e.head[b] != 0 {
+		for i := e.head[b]; i != 0; i = e.head[b] {
+			n := &e.nodes[i]
+			fn := n.fn
+			e.head[b] = n.next
+			n.next = e.free
+			e.free = i
+			e.nWheel--
+			fn()
+		}
+		e.tail[b] = 0
+		e.used[b/64] &^= 1 << (b % 64)
 	}
 	if e.nAwake == len(e.tickers) {
 		for _, t := range e.tickers {
@@ -357,11 +469,16 @@ func (e *Engine) Step() {
 		}
 		return
 	}
-	for w := range e.awake {
-		for word := e.awake[w]; word != 0; {
-			b := bits.TrailingZeros64(word)
-			e.tickers[w*64+b].Tick(e.now)
-			word = e.awake[w] &^ (uint64(2)<<b - 1)
+	for s := range e.summary {
+		for sw := e.summary[s]; sw != 0; {
+			j := bits.TrailingZeros64(sw)
+			w := s*64 + j
+			for word := e.awake[w]; word != 0; {
+				b := bits.TrailingZeros64(word)
+				e.tickers[w*64+b].Tick(e.now)
+				word = e.awake[w] &^ (uint64(2)<<b - 1)
+			}
+			sw = e.summary[s] &^ (uint64(2)<<j - 1)
 		}
 	}
 }
@@ -383,8 +500,10 @@ func (e *Engine) Run(maxCycles Cycle, cond func() bool) (Cycle, error) {
 	for e.now < end {
 		if e.nAwake == 0 && !e.alwaysTick {
 			next := end
-			if len(e.events) > 0 && e.events[0].at < next {
-				next = e.events[0].at
+			if e.PendingEvents() > 0 {
+				if at := e.nextEvent(); at < next {
+					next = at
+				}
 			}
 			// The watchdog boundary caps the jump too: a fully quiescent
 			// but wedged simulation must still trip at exactly
@@ -427,4 +546,4 @@ func (e *Engine) Run(maxCycles Cycle, cond func() bool) (Cycle, error) {
 
 // PendingEvents reports the number of scheduled events not yet fired.
 // It is intended for tests and diagnostics.
-func (e *Engine) PendingEvents() int { return len(e.events) }
+func (e *Engine) PendingEvents() int { return e.nWheel + len(e.far) }

@@ -412,6 +412,34 @@ func TestWakeAcrossWordBoundaryBackwardTicksNextCycle(t *testing.T) {
 	}
 }
 
+func TestWakeAcrossSummaryWordForwardTicksSameCycle(t *testing.T) {
+	// Handle 4095 is the last bit of the last word under summary word 0,
+	// handle 4096 the first bit of the first word under summary word 1.
+	e := NewEngine(1)
+	ks := sleepers(e, 4097)
+	ks[4095].hook = func(now Cycle) { e.Wake(ks[4096].h) }
+	e.Schedule(1, func() { e.Wake(ks[4095].h) }) // fires at cycle 3
+	for e.Now() < 5 {
+		e.Step()
+	}
+	if want := []Cycle{1, 3}; !reflect.DeepEqual(ks[4096].ticks, want) {
+		t.Fatalf("handle 4096 ticks = %v, want %v (woken by 4095 in the same pass)", ks[4096].ticks, want)
+	}
+}
+
+func TestWakeAcrossSummaryWordBackwardTicksNextCycle(t *testing.T) {
+	e := NewEngine(1)
+	ks := sleepers(e, 4097)
+	ks[4096].hook = func(now Cycle) { e.Wake(ks[4095].h) }
+	e.Schedule(1, func() { e.Wake(ks[4096].h) }) // fires at cycle 3
+	for e.Now() < 5 {
+		e.Step()
+	}
+	if want := []Cycle{1, 4}; !reflect.DeepEqual(ks[4095].ticks, want) {
+		t.Fatalf("handle 4095 ticks = %v, want %v (woken by 4096, so from the next cycle)", ks[4095].ticks, want)
+	}
+}
+
 func TestWakeWithinWordBackwardTicksNextCycle(t *testing.T) {
 	// A wake of an already-passed bit in the word being walked must not be
 	// picked up when the pass re-reads that word.
@@ -556,10 +584,14 @@ func randomTickers(n int, rng *rand.Rand, wake, sleep func(int), log *[]tickReco
 // TestTickPassMatchesReferenceScheduler drives the engine and the
 // reference scheduler with the same seeded random wake/sleep traffic
 // (plus random wakes before each pass, as event callbacks would issue)
-// and requires identical tick logs and tick sets.
+// and requires identical tick logs and tick sets. The 4,200-ticker case
+// spans two summary words.
 func TestTickPassMatchesReferenceScheduler(t *testing.T) {
-	const n, cycles = 200, 400
-	for _, seed := range []int64{1, 2, 3} {
+	for _, tc := range []struct {
+		n, cycles int
+		seed      int64
+	}{{200, 400, 1}, {200, 400, 2}, {200, 400, 3}, {4200, 60, 4}} {
+		n, cycles, seed := tc.n, tc.cycles, tc.seed
 		var engLog, refLog []tickRecord
 
 		e := NewEngine(seed)
