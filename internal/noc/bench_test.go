@@ -35,11 +35,15 @@ func BenchmarkTrafficSteadyState(b *testing.B) {
 
 // BenchmarkRouterStream measures the router pipeline's host cost per
 // switched flit: an 8×8 mesh under uniform random traffic, loaded enough
-// that most routers hold flits most cycles (about 3 in 4 router-cycles in
-// both cases). flits=1 is the traffic the simulator carries — coherence
-// control messages, lock-word replies included, are single-flit packets —
-// and flits=8 streams cache-block data packets. Network construction is
-// excluded from the timing.
+// that most routers hold flits most cycles (0.90 of router-cycles for
+// flits=1 and 0.72 for flits=8, over seeds 1–4). flits=1 is the traffic
+// the simulator carries — coherence control messages, lock-word replies
+// included, are single-flit packets — and flits=8 streams cache-block data
+// packets. Only 24% (flits=1) and 48% (flits=8) of those busy router ticks
+// hold a single occupied input VC, against 82–92% on the simulator's own
+// runs, so this is the benchmark where the sole-requester shortcut in
+// Router.Tick applies least. Network construction is excluded from the
+// timing.
 func BenchmarkRouterStream(b *testing.B) {
 	for _, c := range []struct {
 		flits int

@@ -159,9 +159,10 @@ type Router struct {
 
 	// occ marks the occupied input VCs, slot s as bit s%64 of word s/64,
 	// so the allocation stages visit only live VCs instead of scanning all
-	// NumPorts×VCsPerPort slots. Visiting set bits in ascending order
-	// preserves the exact visit order of the full scan. Only the words
-	// covering len(vcs) slots are in use.
+	// NumPorts×VCsPerPort slots, and a single set bit lets Tick skip
+	// arbitration. Visiting set bits in ascending order preserves the
+	// exact visit order of the full scan. Only the words covering len(vcs)
+	// slots are in use.
 	occ [maxSlots / 64]uint64
 
 	// handle is the router's wake/sleep handle. A router sleeps when it
@@ -261,7 +262,7 @@ func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
 
 // Tick advances the router one cycle: drain link arrivals, compute routes
 // and allocate output VCs for new heads, then run switch allocation and
-// traversal for one flit per input port and one flit per output (port, VC).
+// traversal for at most one flit per input port and one per output port.
 func (r *Router) Tick(now sim.Cycle) {
 	// Link arrivals due this cycle: the bank of this cycle's parity.
 	if b := now % 2; r.inboxN[b] > 0 {
@@ -284,51 +285,118 @@ func (r *Router) Tick(now sim.Cycle) {
 		return
 	}
 
-	// Stage 1: route computation + output VC allocation for front heads.
-	// Only occupied VCs are visited, in the same ascending (port, vc)
-	// order as a full scan.
+	// A sole occupied VC has no one to conflict with: it wins the switch
+	// whenever it requests it, so the arbitration stages reduce to its own
+	// allocation, request checks and traversal.
 	nw := (len(r.vcs) + 63) / 64
+	if s := r.soleSlot(nw); s >= 0 {
+		r.allocate(now, s)
+		if r.requests(now, s) {
+			r.traverse(now, s)
+		}
+	} else {
+		r.arbitrate(now, nw)
+	}
+	if r.saRR++; r.saRR == len(r.vcs) {
+		r.saRR = 0
+	}
+
+	if r.buffered == 0 && r.inboxN == [2]uint8{} {
+		r.net.eng.Sleep(r.handle)
+	}
+}
+
+// soleSlot returns the only occupied input VC slot among the first nw
+// occupancy words, or -1 when more than one is occupied.
+func (r *Router) soleSlot(nw int) int {
+	s := -1
 	for w := 0; w < nw; w++ {
-		for m := r.occ[w]; m != 0; m &= m - 1 {
-			s := w*64 + bits.TrailingZeros64(m)
-			vc := &r.vcs[s]
-			if vc.routed && vc.outVC >= 0 {
-				continue // the front packet already holds an output VC
+		if m := r.occ[w]; m != 0 {
+			if s >= 0 || m&(m-1) != 0 {
+				return -1
 			}
-			f := r.front(s)
-			if !f.head() {
-				continue
-			}
-			pkt := r.net.packet(f.pkt)
-			if !vc.routed {
-				vc.outPort = uint8(r.route(pkt.Dst))
-				vc.routed = true
-				vc.headSince = now
-			}
-			if vc.outVC < 0 {
-				lo, hi := r.vcClass(pkt.VNet)
-				for ov := lo; ov < hi; ov++ {
-					if o := r.outVC(Port(vc.outPort), ov); !o.busy {
-						o.busy = true
-						vc.outVC = int8(ov)
-						break
-					}
-				}
+			s = w*64 + bits.TrailingZeros64(m)
+		}
+	}
+	return s
+}
+
+// allocate is stage 1 for occupied slot s: route computation and output VC
+// allocation for the head flit at its front, unless its packet already
+// holds an output VC.
+func (r *Router) allocate(now sim.Cycle, s int) {
+	vc := &r.vcs[s]
+	if vc.routed && vc.outVC >= 0 {
+		return // the front packet already holds an output VC
+	}
+	f := r.front(s)
+	if !f.head() {
+		return
+	}
+	pkt := r.net.packet(f.pkt)
+	if !vc.routed {
+		vc.outPort = uint8(r.route(pkt.Dst))
+		vc.routed = true
+		vc.headSince = now
+	}
+	if vc.outVC < 0 {
+		lo, hi := r.vcClass(pkt.VNet)
+		for ov := lo; ov < hi; ov++ {
+			if o := r.outVC(Port(vc.outPort), ov); !o.busy {
+				o.busy = true
+				vc.outVC = int8(ov)
+				break
 			}
 		}
 	}
+}
 
-	// Stage 2: switch allocation + traversal. One flit per input port and
-	// one flit per output port per cycle (single crossbar connection each).
-	// The round-robin scan takes the occupied slots at or after saRR in a
-	// first lap over the mask words and the ones before it in a second,
-	// visiting the same candidates in the same order as the full slot scan
-	// that starts at saRR and wraps.
-	var grantedIn [NumPorts]bool
-	var grantedOut [NumPorts]bool
-	// Collect one winning slot per output port.
+// requests reports whether occupied slot s bids for the switch this cycle,
+// running stage 2's per-candidate checks. A denied credit counts a VC
+// stall. Tick's sole-requester path and arbitrate both call it, so they
+// check and count alike.
+func (r *Router) requests(now sim.Cycle, s int) bool {
+	vc := &r.vcs[s]
+	if !vc.routed || vc.outVC < 0 {
+		return false
+	}
+	if r.net.fault != nil {
+		if lr := &r.retry[s]; lr.dead || lr.nextTry > now {
+			return false // failed link, or retransmission backoff still running
+		}
+	}
+	if r.front(s).bufferedAt >= now {
+		return false // models the 2-stage pipeline: never same-cycle switch
+	}
+	op := Port(vc.outPort)
+	if r.net.fault != nil && op != Local && r.net.fault.PortStalled(now, int(r.ID), int(op)) {
+		return false // output port transiently stalled: no grant crosses it
+	}
+	if r.outVC(op, int(vc.outVC)).credits(now) <= 0 {
+		r.Stats.VCStalls++
+		return false
+	}
+	return true
+}
+
+// arbitrate runs stage 1 over the occupied slots in ascending (port, vc)
+// order, then stage 2: switch allocation and traversal of one flit per
+// input port and one per output port (a single crossbar connection each).
+// The round-robin scan takes the occupied slots at or after saRR in a
+// first lap over the mask words and the ones before it in a second,
+// visiting the same candidates in the same order as the full slot scan
+// that starts at saRR and wraps.
+func (r *Router) arbitrate(now sim.Cycle, nw int) {
+	for w := 0; w < nw; w++ {
+		for m := r.occ[w]; m != 0; m &= m - 1 {
+			r.allocate(now, w*64+bits.TrailingZeros64(m))
+		}
+	}
+
+	// grantedIn and grantedOut are port bitmasks; winners holds the slot
+	// granted each output port.
+	var grantedIn, grantedOut uint8
 	var winners [NumPorts]int
-	var hasWinner [NumPorts]bool
 	for k := 0; k < 2*nw; k++ {
 		w := k
 		if w >= nw {
@@ -348,59 +416,28 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 		for ; m != 0; m &= m - 1 {
 			slot := w*64 + bits.TrailingZeros64(m)
-			vc := &r.vcs[slot]
-			p := vc.port
-			if grantedIn[p] || !vc.routed || vc.outVC < 0 {
+			p := r.vcs[slot].port
+			if grantedIn&(1<<p) != 0 || !r.requests(now, slot) {
 				continue
 			}
-			if r.net.fault != nil {
-				if lr := &r.retry[slot]; lr.dead || lr.nextTry > now {
-					continue // failed link, or retransmission backoff still running
-				}
-			}
-			if r.front(slot).bufferedAt >= now {
-				continue // models the 2-stage pipeline: never same-cycle switch
-			}
-			op := Port(vc.outPort)
-			if r.net.fault != nil && op != Local && r.net.fault.PortStalled(now, int(r.ID), int(op)) {
-				continue // output port transiently stalled: no grant crosses it
-			}
-			if r.outVC(op, int(vc.outVC)).credits(now) <= 0 {
-				r.Stats.VCStalls++
-				continue
-			}
-			if grantedOut[op] {
+			op := r.vcs[slot].outPort
+			if grantedOut&(1<<op) != 0 {
 				// An earlier round-robin candidate holds this output; under
 				// priority arbitration a strictly better packet may steal it.
-				if !r.net.cfg.PriorityArb {
+				if !r.net.cfg.PriorityArb || !r.betterPriority(now, slot, winners[op]) {
 					continue
 				}
-				prev := winners[op]
-				if !r.betterPriority(now, slot, prev) {
-					continue
-				}
-				grantedIn[r.vcs[prev].port] = false
-				winners[op] = slot
-				grantedIn[p] = true
-				continue
+				grantedIn &^= 1 << r.vcs[winners[op]].port
 			}
-			grantedOut[op] = true
-			grantedIn[p] = true
+			grantedOut |= 1 << op
+			grantedIn |= 1 << p
 			winners[op] = slot
-			hasWinner[op] = true
 		}
 	}
 	for op := Port(0); op < NumPorts; op++ {
-		if hasWinner[op] {
+		if grantedOut&(1<<op) != 0 {
 			r.traverse(now, winners[op])
 		}
-	}
-	if r.saRR++; r.saRR == len(r.vcs) {
-		r.saRR = 0
-	}
-
-	if r.buffered == 0 && r.inboxN == [2]uint8{} {
-		r.net.eng.Sleep(r.handle)
 	}
 }
 

@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
+	"inpg/internal/fault"
 	"inpg/internal/sim"
 )
 
@@ -267,6 +269,48 @@ func TestSameCycleArrivalsAcceptedInUpstreamOrder(t *testing.T) {
 	for i, want := range []NodeID{1, 3, 5, 7} {
 		if log[i].at != log[0].at || log[i].src != want {
 			t.Fatalf("centre router intercepted %v, want sources [1 3 5 7] in one cycle", log)
+		}
+	}
+}
+
+// TestSoleRequesterMatchesArbitration checks that a router with a single
+// occupied input VC switches it exactly as full switch arbitration would.
+// Flow A crosses the centre router of a 3×3 mesh west to east (node 3 to
+// node 5), flow B north to south (node 1 to node 7). They share no input
+// or output port there, so B cannot delay A: A's delivery cycles must be
+// the same with and without B. Alone, A is often the centre router's only
+// occupied VC; beside B, the router arbitrates between the two flows. A is
+// injected first, so its packet ids, and with them its fault decisions,
+// match in both runs.
+func TestSoleRequesterMatchesArbitration(t *testing.T) {
+	for _, flits := range []int{1, 8} {
+		for _, fc := range []fault.Config{{}, fault.AtRate(0.05, 5)} {
+			run := func(withB bool) []sim.Cycle {
+				eng := sim.NewEngine(1)
+				n, err := New(eng, Config{Mesh: Mesh{Width: 3, Height: 3}, VCsPerPort: 6, VCDepth: 1, PriorityArb: true, Fault: fc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var at []sim.Cycle
+				n.NI(5).SetSink(SinkFunc(func(now sim.Cycle, _ *Packet) { at = append(at, now) }))
+				n.NI(7).SetSink(SinkFunc(func(sim.Cycle, *Packet) {}))
+				for i := 0; i < 6; i++ {
+					n.NI(3).Inject(&Packet{Dst: 5, VNet: VNetRequest, Size: flits, Priority: i % 3})
+				}
+				if withB {
+					for i := 0; i < 6; i++ {
+						n.NI(1).Inject(&Packet{Dst: 7, VNet: VNetRequest, Size: flits, Priority: 2 - i%3})
+					}
+				}
+				eng.Run(100000, func() bool { return n.InFlight() == 0 })
+				if n.InFlight() != 0 || len(at) != 6 {
+					t.Fatalf("flits=%d faults=%t B=%t: flow A delivered %d of 6, %d packets in flight", flits, fc.Enabled(), withB, len(at), n.InFlight())
+				}
+				return at
+			}
+			if alone, beside := run(false), run(true); !slices.Equal(alone, beside) {
+				t.Errorf("flits=%d faults=%t: flow A delivered at %v alone, at %v beside flow B", flits, fc.Enabled(), alone, beside)
+			}
 		}
 	}
 }
