@@ -109,7 +109,7 @@ func main() {
 		metrics = flag.Bool("metrics", false, "enable the per-run telemetry registry")
 		mEvery  = flag.Int("metrics-every", 0, "sample the registry every N cycles (requires -metrics)")
 		manDir  = flag.String("manifest-dir", "", "write one JSON run manifest per simulation into this directory; with -coordinator it is the fleet's durable store, and a coordinator restarted on it resolves finished cells from the manifests")
-		monAddr = flag.String("monitor", "", "serve the live sweep monitor (progress page, /vars JSON, /events SSE, pprof) on this address, e.g. :8080")
+		monAddr = flag.String("monitor", "", "serve the live sweep monitor (progress page, Prometheus /metrics, /healthz, pprof) on this address, e.g. :8080")
 		retries = flag.Int("retries", 0, "re-run each failed cell up to N times with deterministic backoff before quarantining it")
 		runTO   = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); overruns fail their cell with diagnostics")
 		resume  = flag.String("resume", "", "resume from this manifest directory: skip cells whose manifest records a successful run with a matching config digest")

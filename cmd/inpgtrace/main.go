@@ -19,7 +19,6 @@ import (
 
 	"inpg"
 	"inpg/internal/metrics"
-	"inpg/internal/noc"
 	"inpg/internal/sim"
 	"inpg/internal/trace"
 )
@@ -54,10 +53,7 @@ func main() {
 	cfg.Seed = *seed
 	cfg.TraceCapacity = 1 << 16
 	cfg.JourneyRate = *jRate
-	// Trace only the primary lock block: its home is the Figure 10
-	// default, core (5,6) = node 53, block 0.
-	home := noc.NodeID(53)
-	cfg.TraceAddr = uint64(home) * 128 // first block homed at node 53
+	cfg.TraceAddr = inpg.PrimaryLockAddr(cfg) // trace only the primary lock block
 
 	sys, err := inpg.New(cfg)
 	fatal(err)
@@ -91,14 +87,17 @@ func main() {
 		shown = shown[:*maxEv]
 	}
 	fmt.Printf("lock block %#x (home node %d), %s over %s, %d threads\n",
-		cfg.TraceAddr, home, lk, mech, *threads)
+		cfg.TraceAddr, sys.Fabric().Homes.Home(cfg.TraceAddr), lk, mech, *threads)
 	fmt.Printf("showing %d of %d traced events (window %d..%d)\n\n",
 		len(shown), buf.Len(), start, start+sim.Cycle(*window))
 	fmt.Print(trace.Render(shown))
 
 	fmt.Println("\nevent totals in window:")
-	for kind, n := range trace.CountByKind(shown) {
-		fmt.Printf("  %-10s %d\n", kind, n)
+	counts := trace.CountByKind(shown)
+	for kind := trace.PktInject; kind <= trace.LinkDead; kind++ {
+		if n := counts[kind]; n > 0 {
+			fmt.Printf("  %-10s %d\n", kind, n)
+		}
 	}
 }
 

@@ -354,8 +354,8 @@ func (o Options) observer(sweep string) runner.Observer {
 		// Skipped cells are resume hits: their manifest on disk is the
 		// good record being reused — never overwrite it with a blank one.
 		// Nor may an outcome with neither results nor an error: the fleet
-		// emits one for a dropped duplicate completion, after the winning
-		// completion's manifest is already on disk.
+		// emits one to close the claim of a worker whose cell another
+		// worker's report resolved, and that report writes the manifest.
 		if out.Done && out.Status != runner.StatusSkipped && (out.Res != nil || out.Err != nil) && o.ManifestDir != "" {
 			m := manifest.Build(sweep, out.Index, out.Cfg, out.Res, out.Snapshot, out.WallSeconds, out.Err)
 			if _, err := m.WriteFile(o.ManifestDir); err != nil {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -122,10 +123,6 @@ type workerInfo struct {
 	lastSeen  time.Time
 	completed int
 	failed    int
-	// snap is the latest metric snapshot the worker attached to a
-	// heartbeat — its most recent completed cell's telemetry, the live
-	// component of the coordinator's /metrics view.
-	snap *metrics.Snapshot
 }
 
 // campaign is one sweep's dispatch ledger.
@@ -551,18 +548,19 @@ func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, bool) {
 // adoptLocked takes over a lease a previous coordinator incarnation
 // granted, when the cell it names is still pending here under the same
 // digest: the worker's in-flight run then stands for this incarnation's
-// dispatch instead of being redone. A lease carrying this coordinator's
-// own nonce is never adopted — it was reclaimed or resolved. Caller
-// holds mu.
-func (c *Coordinator) adoptLocked(id, worker, sweep string, index int, digest string) bool {
+// dispatch instead of being redone. It returns the claim outcome the
+// adoption opens, or nil when the lease is not adopted. A lease carrying
+// this coordinator's own nonce is never adopted — it was reclaimed or
+// resolved. Caller holds mu.
+func (c *Coordinator) adoptLocked(id, worker, sweep string, index int, digest string) *runner.Outcome {
 	camp := c.camp
 	if camp == nil || strings.HasPrefix(id, c.nonce+"-") || camp.sweep != sweep ||
 		index < 0 || index >= len(camp.cells) {
-		return false
+		return nil
 	}
 	cl := camp.cells[index]
 	if cl.state != cellPending || cl.digest != digest {
-		return false
+		return nil
 	}
 	cl.state = cellLeased
 	cl.leaseID = id
@@ -571,7 +569,8 @@ func (c *Coordinator) adoptLocked(id, worker, sweep string, index int, digest st
 		expires: c.now().Add(c.cfg.LeaseTTL)}
 	camp.adopted++
 	c.totAdopted++
-	return true
+	return &runner.Outcome{Index: index, Worker: c.workerNumLocked(worker),
+		Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg}
 }
 
 // touchWorker records a worker contact and returns its info. Caller
@@ -732,10 +731,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no campaign yet", http.StatusServiceUnavailable)
 		return
 	}
-	wi := c.touchWorkerLocked(req.Worker)
-	if req.Snapshot != nil {
-		wi.snap = req.Snapshot
-	}
+	c.touchWorkerLocked(req.Worker)
 	var emit *runner.Outcome
 	var obs runner.Observer
 	resp := HeartbeatResponse{}
@@ -744,7 +740,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	l := c.leases[req.LeaseID]
 	switch {
 	case l == nil:
-		adopted = c.adoptLocked(req.LeaseID, req.Worker, req.Sweep, req.Index, req.Digest)
+		emit = c.adoptLocked(req.LeaseID, req.Worker, req.Sweep, req.Index, req.Digest)
+		adopted = emit != nil
 		resp.OK, resp.Gone = adopted, !adopted
 	case now.Before(l.expires):
 		l.expires = now.Add(c.cfg.LeaseTTL)
@@ -809,35 +806,29 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "digest mismatch", http.StatusConflict)
 		return
 	}
-	l, hadLease := c.leases[rep.LeaseID]
-	adopted := false
-	if !hadLease {
-		// A previous incarnation's lease on a still-pending cell: the
-		// in-flight work survived the outage; adopt it and complete it.
-		adopted = c.adoptLocked(rep.LeaseID, rep.Worker, rep.Sweep, rep.Index, rep.Digest)
-		l, hadLease = c.leases[rep.LeaseID]
-	}
-	if hadLease {
-		delete(c.leases, rep.LeaseID)
-	}
-
 	obs := camp.observer
 	var emit []runner.Outcome
 	resp := CompletionResponse{}
 
+	adopted := false
+	if c.leases[rep.LeaseID] == nil {
+		// A previous incarnation's lease on a still-pending cell: the
+		// in-flight work survived the outage; adopt it and complete it.
+		if claim := c.adoptLocked(rep.LeaseID, rep.Worker, rep.Sweep, rep.Index, rep.Digest); claim != nil {
+			adopted = true
+			emit = append(emit, *claim)
+		}
+	}
+	delete(c.leases, rep.LeaseID)
+
 	if cl.state == cellDone {
 		// Duplicate: the cell was already resolved (reclaimed and re-run
 		// elsewhere, or a resent report). First write won; drop this one.
+		// The worker holds no claim: a lease on a cell is gone once the
+		// cell resolves.
 		camp.duplicates++
 		c.totDuplicates++
 		resp.Duplicate = true
-		if hadLease && l.index == rep.Index {
-			// The dropped worker held a live claim; balance it for
-			// observers with the discarded-completion status.
-			emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
-				Done: true, Status: runner.StatusAbandoned, Cfg: cl.cfg,
-				WallSeconds: rep.WallSeconds})
-		}
 	} else {
 		resp.Accepted = true
 		// Late: the worker's lease was reclaimed, so its claim is already
@@ -847,9 +838,19 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if rep.OK {
 			if late {
 				// Its work is still valid (digest matched) and it got here
-				// first.
+				// first. A worker holding the cell now loses its lease and
+				// its claim closes without a result; the late worker claims
+				// the cell afresh.
 				camp.lateAccepts++
 				c.totLate++
+				if h := c.leases[cl.leaseID]; h != nil {
+					delete(c.leases, cl.leaseID)
+					emit = append(emit, runner.Outcome{Index: rep.Index,
+						Worker: c.workerNumLocked(h.worker), Done: true,
+						Status: runner.StatusAbandoned, Cfg: cl.cfg})
+				}
+				emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
+					Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg})
 			}
 			cl.state = cellDone
 			cl.leaseID = ""
@@ -915,6 +916,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.statusLocked()
+}
+
+// statusLocked assembles the public Status. Caller holds mu.
+func (c *Coordinator) statusLocked() Status {
 	st := Status{
 		Shutdown:          c.shutdown,
 		LeasesOutstanding: len(c.leases),
@@ -960,37 +966,13 @@ func (camp *campaign) doneCount() int {
 
 // handleMetrics serves the coordinator's telemetry in the Prometheus
 // text exposition format: cumulative counters folded from every accepted
-// successful completion (inpg_<instrument>), fleet dispatch gauges
-// (inpg_fleet_*), and a live view summed across each worker's latest
-// heartbeat snapshot (inpg_live_<instrument>).
+// successful completion (inpg_<instrument>) and the Status gauges
+// (inpg_fleet_*), both read under one hold of the lock.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Lock()
-	counters := make(map[string]uint64, len(c.counters))
-	for k, v := range c.counters {
-		counters[k] = v
-	}
-	gauges := map[string]float64{
-		"fleet.leases_outstanding": float64(len(c.leases)),
-		"fleet.workers":            float64(len(c.workers)),
-		"fleet.reclaims":           float64(c.totReclaims),
-		"fleet.duplicates":         float64(c.totDuplicates),
-		"fleet.late_accepts":       float64(c.totLate),
-		"fleet.quarantined":        float64(c.totQuarantined),
-		"fleet.digest_conflicts":   float64(c.totConflicts),
-		"fleet.adopted":            float64(c.totAdopted),
-	}
-	if c.camp != nil {
-		gauges["fleet.cells"] = float64(len(c.camp.cells))
-		gauges["fleet.cells_done"] = float64(c.camp.doneCount())
-	}
-	live := map[string]uint64{}
-	for _, wi := range c.workers {
-		metrics.FoldSnapshot(live, wi.snap)
-	}
+	counters := maps.Clone(c.counters)
+	gauges := c.statusLocked().Gauges()
 	c.mu.Unlock()
-	for k, v := range live {
-		gauges["live."+k] = float64(v)
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.WritePrometheus(w, counters, gauges)
 }

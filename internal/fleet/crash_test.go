@@ -114,7 +114,7 @@ func TestCoordinatorCrashReplayAdoptsLease(t *testing.T) {
 		Sweep: l1.Sweep, Index: l1.Index, Digest: l1.Digest}, &hb); status != http.StatusServiceUnavailable {
 		t.Fatalf("heartbeat before the campaign is published: status %d, want 503", status)
 	}
-	waitB := startCampaign(t, b, "crash", cfgs, manifestPolicy(t, dir, "crash"))
+	waitB := startCampaign(t, b, "crash", cfgs, pairClaims(t, manifestPolicy(t, dir, "crash")))
 
 	if l := w.lease(); l != nil {
 		t.Fatalf("lease granted during the restart hold: %+v", l)
@@ -371,7 +371,7 @@ func TestForeignHeartbeatAdoptsOpenCell(t *testing.T) {
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 	cfgs := tinyCfgs(2)
-	wait := startCampaign(t, c, "adopt", cfgs, runner.Policy{})
+	wait := startCampaign(t, c, "adopt", cfgs, pairClaims(t, runner.Policy{}))
 
 	survivor := &fakeWorker{t: t, url: srv.URL, id: "survivor"}
 	other := &fakeWorker{t: t, url: srv.URL, id: "other"}

@@ -210,6 +210,45 @@ func (f *fakeWorker) complete(l *Lease, ok bool, runtime uint64) (CompletionResp
 	return resp, status
 }
 
+// pairClaims wraps p's observer with runner.Outcome's pairing contract:
+// a claim opens one per (worker, cell), every Done except StatusSkipped
+// must close an open one, and none may be left open when the test ends.
+func pairClaims(t *testing.T, p runner.Policy) runner.Policy {
+	t.Helper()
+	var mu sync.Mutex
+	open := map[[2]int]int{}
+	inner := p.Observer
+	p.Observer = func(o runner.Outcome) {
+		if inner != nil {
+			inner(o)
+		}
+		if o.Status == runner.StatusSkipped {
+			return
+		}
+		key := [2]int{o.Worker, o.Index}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case !o.Done:
+			open[key]++
+		case open[key] == 0:
+			t.Errorf("Done without a claim: worker %d cell %d status %s", o.Worker, o.Index, o.Status)
+		default:
+			open[key]--
+		}
+	}
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for key, n := range open {
+			if n > 0 {
+				t.Errorf("worker %d cell %d: %d claims never closed", key[0], key[1], n)
+			}
+		}
+	})
+	return p
+}
+
 // TestHeartbeatJustAfterExpiry: a heartbeat that arrives after the lease
 // deadline — even before the periodic reclaimer ran — finds the lease
 // gone and the cell back in the queue; the original holder's eventual
@@ -224,7 +263,7 @@ func TestHeartbeatJustAfterExpiry(t *testing.T) {
 	defer srv.Close()
 	// Two cells so the duplicate arrives while the campaign is active.
 	cfgs := tinyCfgs(2)
-	wait := startCampaign(t, c, "hb", cfgs, manifestPolicy(t, dir, "hb"))
+	wait := startCampaign(t, c, "hb", cfgs, pairClaims(t, manifestPolicy(t, dir, "hb")))
 
 	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
 	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
@@ -301,7 +340,7 @@ func TestLateCompletionAfterReclaimWins(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clk.Now})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
-	wait := startCampaign(t, c, "race", tinyCfgs(1), runner.Policy{})
+	wait := startCampaign(t, c, "race", tinyCfgs(1), pairClaims(t, runner.Policy{}))
 
 	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
 	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
@@ -608,9 +647,8 @@ func TestWorkerDrainFinishesInFlightCell(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMetricsEndpoint: worker heartbeats carry metric
-// snapshots that surface as live gauges, accepted completions fold into
-// cumulative counters, and both render on /metrics in Prometheus text
+// TestCoordinatorMetricsEndpoint: accepted completions fold into
+// cumulative counters, which render on /metrics in Prometheus text
 // exposition format alongside the fleet dispatch gauges.
 func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: time.Minute})
@@ -628,11 +666,6 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 		Values:     []metrics.KV{{Name: "journey.completed", Value: 7}},
 		Histograms: []metrics.HistSummary{{Name: "journey.e2e_cycles", Count: 7, Sum: 350}},
 	}
-	var hb HeartbeatResponse
-	w.post(PathHeartbeat, HeartbeatRequest{Worker: w.id, LeaseID: l.ID, Snapshot: snap}, &hb)
-	if !hb.OK {
-		t.Fatalf("heartbeat = %+v", hb)
-	}
 
 	page := func() string {
 		resp, err := http.Get(srv.URL + PathMetrics)
@@ -647,13 +680,10 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 		return b.String()
 	}
 
-	// Before any completion: the heartbeat snapshot shows up as live
-	// gauges; no cumulative counters yet.
+	// Before any completion: dispatch gauges, no cumulative counters yet.
 	got := page()
 	for _, want := range []string{
-		"# TYPE inpg_live_journey_completed gauge",
-		"inpg_live_journey_completed 7",
-		"inpg_live_journey_e2e_cycles_sum 350",
+		"# TYPE inpg_fleet_cells gauge",
 		"inpg_fleet_cells 1",
 		"inpg_fleet_leases_outstanding 1",
 	} {

@@ -42,10 +42,9 @@ const (
 	PathComplete  = "/fleet/complete"
 	PathStatus    = "/fleet/status"
 	PathHealthz   = "/healthz"
-	// PathMetrics serves the coordinator's aggregated telemetry —
-	// campaign counters folded from accepted completions plus a live view
-	// assembled from worker heartbeat snapshots — in the Prometheus text
-	// exposition format.
+	// PathMetrics serves the coordinator's telemetry — counters folded
+	// from accepted completions plus the Status gauges — in the
+	// Prometheus text exposition format.
 	PathMetrics = "/metrics"
 )
 
@@ -92,12 +91,6 @@ type HeartbeatRequest struct {
 	Sweep   string `json:"sweep"`
 	Index   int    `json:"index"`
 	Digest  string `json:"digest"`
-	// Snapshot, when present, is the worker's most recent completed-cell
-	// metric snapshot, piggybacked on the heartbeat so the coordinator
-	// can serve a live fleet-wide telemetry view on /metrics without a
-	// separate reporting channel. Purely observational: the coordinator
-	// never acts on it.
-	Snapshot *metrics.Snapshot `json:"snapshot,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat. Gone reports that the lease
@@ -154,7 +147,8 @@ type WorkerStatus struct {
 
 // Status is the coordinator's public state: the active campaign's
 // progress plus the counters of this coordinator process, served on
-// /fleet/status and embedded in the sweep monitor's /vars frame.
+// /fleet/status, folded into the fleet gauges of /metrics (Gauges) and
+// rendered on the sweep monitor's progress page.
 type Status struct {
 	Sweep     string `json:"sweep,omitempty"`
 	Cells     int    `json:"cells"`
@@ -176,4 +170,21 @@ type Status struct {
 	Adopted         int `json:"adopted"`
 
 	Workers []WorkerStatus `json:"workers,omitempty"`
+}
+
+// Gauges folds the status into the fleet.* gauges that the
+// coordinator's and the sweep monitor's /metrics both serve.
+func (s Status) Gauges() map[string]float64 {
+	return map[string]float64{
+		"fleet.cells":              float64(s.Cells),
+		"fleet.cells_done":         float64(s.Completed),
+		"fleet.leases_outstanding": float64(s.LeasesOutstanding),
+		"fleet.workers":            float64(len(s.Workers)),
+		"fleet.reclaims":           float64(s.Reclaims),
+		"fleet.duplicates":         float64(s.Duplicates),
+		"fleet.late_accepts":       float64(s.LateAccepts),
+		"fleet.quarantined":        float64(s.Quarantined),
+		"fleet.digest_conflicts":   float64(s.DigestConflicts),
+		"fleet.adopted":            float64(s.Adopted),
+	}
 }

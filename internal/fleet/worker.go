@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"inpg/internal/metrics"
 	"inpg/internal/runner"
 )
 
@@ -96,11 +95,6 @@ type Worker struct {
 
 	leasesAcquired atomic.Int64
 	completed      atomic.Int64
-
-	// lastSnap caches the most recent completed cell's metric snapshot;
-	// heartbeats attach it so the coordinator's /metrics endpoint has a
-	// live fleet-wide telemetry view.
-	lastSnap atomic.Pointer[metrics.Snapshot]
 }
 
 // NewWorker builds a worker; Run starts it.
@@ -242,9 +236,6 @@ func (w *Worker) execute(l *Lease) {
 	})
 	close(stopHB)
 	hbWG.Wait()
-	if snap != nil {
-		w.lastSnap.Store(snap)
-	}
 
 	rep := CompletionReport{
 		Worker: w.cfg.ID, LeaseID: l.ID, Sweep: l.Sweep, Index: l.Index,
@@ -280,7 +271,6 @@ func (w *Worker) heartbeatLoop(l *Lease, stop chan struct{}) {
 			status, err := w.postJSON(PathHeartbeat, HeartbeatRequest{
 				Worker: w.cfg.ID, LeaseID: l.ID,
 				Sweep: l.Sweep, Index: l.Index, Digest: l.Digest,
-				Snapshot: w.lastSnap.Load(),
 			}, &resp)
 			if err != nil || status/100 != 2 {
 				continue // transient; the next tick retries

@@ -1,19 +1,19 @@
-// Package monitor serves a live view of a running experiment sweep: an
-// expvar-style JSON endpoint, a plain-text progress page, a Server-Sent
-// Events stream, and net/http/pprof — all on one address the user picks
-// with inpgbench -monitor.
+// Package monitor serves a live view of a running experiment sweep: a
+// plain-text progress page, the Prometheus text exposition on /metrics,
+// a liveness probe and net/http/pprof — all on one address the user
+// picks with inpgbench -monitor.
 //
-// The monitor never touches a simulation: runner workers hand finished
-// Outcomes to the Observer, which forwards them over a buffered channel
-// to a single aggregator goroutine. All shared state lives behind the
-// aggregator's mutex, which only it and HTTP handlers take — there are no
-// locks or channels on any sim hot path.
+// The monitor never touches a simulation. Its Observer folds each
+// Outcome into the state under the monitor's mutex, on the goroutine
+// that reports it: a runner.RunResilient worker or a fleet coordinator
+// handler, both between simulations, so there are no locks on any sim
+// hot path.
 package monitor
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -38,45 +38,42 @@ const closeGrace = 2 * time.Second
 
 // WorkerStatus is one worker goroutine's current activity.
 type WorkerStatus struct {
-	Worker int    `json:"worker"`
-	Busy   bool   `json:"busy"`
-	Index  int    `json:"index"`
-	Label  string `json:"label,omitempty"`
+	Worker int
+	Busy   bool
+	Index  int
+	Label  string
 }
 
-// Status is the monitor's public state, served as JSON on /vars and as a
-// data frame on every /events message.
+// Status is the monitor's public state, rendered by the progress page
+// and /metrics.
 type Status struct {
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	InFlight  int `json:"in_flight"`
+	Completed int
+	Failed    int
+	InFlight  int
 	// Retried counts failed attempts that re-ran; Quarantined the runs
 	// that exhausted every attempt; Skipped the cells resume satisfied
-	// from prior manifests; Abandoned the clean completions whose results
-	// were discarded because the sweep had already failed.
-	Retried        int     `json:"retried"`
-	Quarantined    int     `json:"quarantined"`
-	Skipped        int     `json:"skipped"`
-	Abandoned      int     `json:"abandoned"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	// from prior manifests; Abandoned the fleet claims closed without a
+	// result because another worker's report resolved the cell.
+	Retried        int
+	Quarantined    int
+	Skipped        int
+	Abandoned      int
+	ElapsedSeconds float64
 	// RunsPerSecond is throughput over the rolling window (not the whole
 	// sweep), so it tracks slowdowns as heavier configurations start.
-	RunsPerSecond float64        `json:"runs_per_second"`
-	Workers       []WorkerStatus `json:"workers"`
+	RunsPerSecond float64
+	Workers       []WorkerStatus
 	// Counters aggregates the final telemetry snapshots of completed
 	// metered runs (empty when metrics are off).
-	Counters map[string]uint64 `json:"counters,omitempty"`
+	Counters map[string]uint64
 	// Fleet is the coordinator's live state when this monitor fronts a
 	// distributed campaign (SetFleet): per-worker liveness, leases
 	// outstanding, reclaims, quarantines. Nil on local sweeps.
-	Fleet *fleet.Status `json:"fleet,omitempty"`
+	Fleet *fleet.Status
 }
 
 // Monitor aggregates run outcomes and serves them over HTTP.
 type Monitor struct {
-	ch    chan runner.Outcome
-	drain sync.WaitGroup
-
 	mu          sync.Mutex
 	start       time.Time
 	workers     map[int]*WorkerStatus
@@ -89,37 +86,34 @@ type Monitor struct {
 	quarantined int
 	skipped     int
 	abandoned   int
-	subs        map[chan []byte]struct{}
-	closed      bool
 	fleetFn     func() fleet.Status
 
-	ln  net.Listener
 	srv *http.Server
 }
 
-// New builds a monitor and starts its aggregator goroutine.
+// New builds an idle monitor; Serve exposes it.
 func New() *Monitor {
-	m := &Monitor{
-		ch:       make(chan runner.Outcome, 256),
+	return &Monitor{
 		start:    time.Now(),
 		workers:  map[int]*WorkerStatus{},
 		counters: map[string]uint64{},
-		subs:     map[chan []byte]struct{}{},
 	}
-	m.drain.Add(1)
-	go m.loop()
-	return m
 }
 
-// Observer returns the runner.Observer feeding this monitor. All it does
-// on the worker's goroutine is a buffered channel send.
+// Observer returns the runner.Observer feeding this monitor: it folds
+// each outcome into the state under the monitor's mutex, on the calling
+// goroutine.
 func (m *Monitor) Observer() runner.Observer {
-	return func(o runner.Outcome) { m.ch <- o }
+	return func(o runner.Outcome) {
+		m.mu.Lock()
+		m.apply(o)
+		m.mu.Unlock()
+	}
 }
 
 // SetFleet installs the fleet-status provider — the coordinator's Status
-// method — turning /vars, /events and the progress page into the fleet
-// dashboard. Call before the campaign starts.
+// method — adding the fleet section to the progress page and the fleet
+// gauges to /metrics. Call before the campaign starts.
 func (m *Monitor) SetFleet(fn func() fleet.Status) {
 	m.mu.Lock()
 	m.fleetFn = fn
@@ -127,8 +121,8 @@ func (m *Monitor) SetFleet(fn func() fleet.Status) {
 }
 
 // Serve starts the HTTP server on addr (e.g. ":8080") and returns the
-// bound address. Endpoints: / (plain-text progress), /vars (JSON),
-// /metrics (Prometheus text exposition), /events (SSE), /debug/pprof/
+// bound address. Endpoints: / (plain-text progress), /metrics
+// (Prometheus text exposition), /healthz (liveness), /debug/pprof/
 // (profiling).
 func (m *Monitor) Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -137,66 +131,30 @@ func (m *Monitor) Serve(addr string) (string, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", m.handleText)
-	mux.HandleFunc("/vars", m.handleVars)
 	mux.HandleFunc("/metrics", m.handleMetrics)
-	mux.HandleFunc("/events", m.handleEvents)
 	mux.HandleFunc("/healthz", m.handleHealthz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	m.ln = ln
 	m.srv = &http.Server{Handler: mux}
 	go m.srv.Serve(ln)
 	return ln.Addr().String(), nil
 }
 
-// Close stops the monitor gracefully: the aggregator drains its queued
-// outcomes, SSE subscribers are flushed and released (their channels
-// closed, so streams end cleanly rather than mid-frame), and the HTTP
-// server gets a bounded graceful shutdown (closeGrace) before being torn
-// down hard. The caller must not invoke the Observer after Close — in
-// practice: close after every sweep using it has returned.
+// Close shuts the HTTP server down gracefully: in-flight handlers get
+// closeGrace to finish before the server is torn down hard.
 func (m *Monitor) Close() error {
-	close(m.ch)
-	m.drain.Wait()
-	m.mu.Lock()
-	m.closed = true
-	for sub := range m.subs {
-		close(sub)
+	if m.srv == nil {
+		return nil
 	}
-	m.subs = map[chan []byte]struct{}{}
-	m.mu.Unlock()
-	if m.srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
-		defer cancel()
-		if err := m.srv.Shutdown(ctx); err != nil {
-			return m.srv.Close()
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	if err := m.srv.Shutdown(ctx); err != nil {
+		return m.srv.Close()
 	}
 	return nil
-}
-
-// loop is the aggregator: the only writer of monitor state.
-func (m *Monitor) loop() {
-	defer m.drain.Done()
-	for o := range m.ch {
-		m.mu.Lock()
-		m.apply(o)
-		if len(m.subs) > 0 {
-			frame, err := json.Marshal(m.statusLocked())
-			if err == nil {
-				for sub := range m.subs {
-					select {
-					case sub <- frame:
-					default: // slow subscriber: drop the frame, not the sweep
-					}
-				}
-			}
-		}
-		m.mu.Unlock()
-	}
 }
 
 // apply folds one outcome into the state. Caller holds mu.
@@ -221,20 +179,22 @@ func (m *Monitor) apply(o runner.Outcome) {
 	}
 	m.inFlight--
 	w.Busy, w.Label = false, ""
-	if o.Status == runner.StatusRetrying {
+	switch o.Status {
+	case runner.StatusRetrying:
 		// The attempt finished but the run is unresolved: a fresh claim
 		// for the next attempt follows.
 		m.retried++
-	} else {
+	case runner.StatusAbandoned:
+		// The claim closed without a result: another worker's report
+		// resolved the cell and counts as its completion.
+		m.abandoned++
+	default:
 		m.complete++
 		if o.Err != nil {
 			m.failed++
 		}
-		switch o.Status {
-		case runner.StatusQuarantined:
+		if o.Status == runner.StatusQuarantined {
 			m.quarantined++
-		case runner.StatusAbandoned:
-			m.abandoned++
 		}
 	}
 	now := time.Now()
@@ -250,8 +210,11 @@ func (m *Monitor) apply(o runner.Outcome) {
 	metrics.FoldSnapshot(m.counters, o.Snapshot)
 }
 
-// statusLocked assembles the public Status. Caller holds mu.
-func (m *Monitor) statusLocked() Status {
+// Status returns a consistent copy of the current state. The fleet
+// provider is called after the monitor's mutex is released, so the
+// monitor never holds it while waiting for the coordinator's lock.
+func (m *Monitor) Status() Status {
+	m.mu.Lock()
 	st := Status{
 		Completed:      m.complete,
 		Failed:         m.failed,
@@ -274,31 +237,15 @@ func (m *Monitor) statusLocked() Status {
 	}
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Worker < st.Workers[j].Worker })
 	if len(m.counters) > 0 {
-		st.Counters = make(map[string]uint64, len(m.counters))
-		for k, v := range m.counters {
-			st.Counters[k] = v
-		}
+		st.Counters = maps.Clone(m.counters)
 	}
-	if m.fleetFn != nil {
-		fs := m.fleetFn()
+	fleetFn := m.fleetFn
+	m.mu.Unlock()
+	if fleetFn != nil {
+		fs := fleetFn()
 		st.Fleet = &fs
 	}
 	return st
-}
-
-// Status returns a consistent copy of the current state.
-func (m *Monitor) Status() Status {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.statusLocked()
-}
-
-// handleVars serves the full status as JSON (expvar-style).
-func (m *Monitor) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(m.Status())
 }
 
 // handleMetrics serves the monitor's state in the Prometheus text
@@ -319,17 +266,8 @@ func (m *Monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"sweep.elapsed_seconds": st.ElapsedSeconds,
 		"sweep.runs_per_second": st.RunsPerSecond,
 	}
-	if fs := st.Fleet; fs != nil {
-		gauges["fleet.cells"] = float64(fs.Cells)
-		gauges["fleet.cells_done"] = float64(fs.Completed)
-		gauges["fleet.leases_outstanding"] = float64(fs.LeasesOutstanding)
-		gauges["fleet.workers"] = float64(len(fs.Workers))
-		gauges["fleet.reclaims"] = float64(fs.Reclaims)
-		gauges["fleet.duplicates"] = float64(fs.Duplicates)
-		gauges["fleet.late_accepts"] = float64(fs.LateAccepts)
-		gauges["fleet.quarantined"] = float64(fs.Quarantined)
-		gauges["fleet.digest_conflicts"] = float64(fs.DigestConflicts)
-		gauges["fleet.adopted"] = float64(fs.Adopted)
+	if st.Fleet != nil {
+		maps.Copy(gauges, st.Fleet.Gauges())
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.WritePrometheus(w, st.Counters, gauges)
@@ -402,53 +340,8 @@ func (m *Monitor) handleText(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, b.String())
 }
 
-// handleEvents serves an SSE stream: one status frame per drained
-// outcome, until the client disconnects or the monitor closes.
-func (m *Monitor) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-
-	sub := make(chan []byte, 16)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		http.Error(w, "monitor closed", http.StatusServiceUnavailable)
-		return
-	}
-	m.subs[sub] = struct{}{}
-	first, _ := json.Marshal(m.statusLocked())
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.subs, sub)
-		m.mu.Unlock()
-	}()
-
-	fmt.Fprintf(w, "data: %s\n\n", first)
-	fl.Flush()
-	for {
-		select {
-		case frame, ok := <-sub:
-			if !ok {
-				// Monitor closing: the stream ends cleanly after the last
-				// flushed frame.
-				return
-			}
-			fmt.Fprintf(w, "data: %s\n\n", frame)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// handleHealthz answers liveness probes: the monitor is healthy exactly
-// while its aggregator accepts outcomes.
+// handleHealthz answers liveness probes: the monitor is healthy while it
+// serves.
 func (m *Monitor) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintln(w, `{"status":"ok"}`)

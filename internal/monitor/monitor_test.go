@@ -1,14 +1,15 @@
 package monitor
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,23 +28,6 @@ func feed(obs runner.Observer, worker, i int, err error, snap *metrics.Snapshot)
 		Err: err, Snapshot: snap, WallSeconds: 0.01})
 }
 
-// waitFor polls the monitor until cond holds or the deadline passes —
-// outcomes are applied asynchronously by the aggregator goroutine.
-func waitFor(t *testing.T, m *Monitor, cond func(Status) bool) Status {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := m.Status()
-		if cond(st) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("monitor state never converged: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestMonitorAggregatesOutcomes(t *testing.T) {
 	m := New()
 	defer m.Close()
@@ -56,15 +40,20 @@ func TestMonitorAggregatesOutcomes(t *testing.T) {
 	// Leave run 3 in flight on worker 1.
 	cfg := inpg.DefaultConfig()
 	obs(runner.Outcome{Index: 3, Worker: 1, Cfg: cfg})
+	// A fleet claim that closes without a result, because another
+	// worker's report resolved the cell, is not a completion.
+	obs(runner.Outcome{Index: 0, Worker: 2, Cfg: cfg})
+	obs(runner.Outcome{Index: 0, Worker: 2, Done: true, Status: runner.StatusAbandoned, Cfg: cfg})
 
-	st := waitFor(t, m, func(st Status) bool { return st.Completed == 3 && st.InFlight == 1 })
-	if st.Failed != 1 {
-		t.Fatalf("failed = %d, want 1", st.Failed)
+	st := m.Status()
+	if st.Completed != 3 || st.InFlight != 1 || st.Failed != 1 || st.Abandoned != 1 {
+		t.Fatalf("completed %d, in flight %d, failed %d, abandoned %d; want 3/1/1/1",
+			st.Completed, st.InFlight, st.Failed, st.Abandoned)
 	}
 	if st.Counters["noc.injected"] != 20 {
 		t.Fatalf("aggregated counter = %d, want 20", st.Counters["noc.injected"])
 	}
-	if len(st.Workers) != 2 {
+	if len(st.Workers) != 3 {
 		t.Fatalf("workers = %+v", st.Workers)
 	}
 	var busy *WorkerStatus
@@ -81,6 +70,37 @@ func TestMonitorAggregatesOutcomes(t *testing.T) {
 	}
 }
 
+// TestMonitorObserverConcurrent: runner workers call the Observer
+// concurrently while the page is read; every outcome folds exactly once.
+func TestMonitorObserverConcurrent(t *testing.T) {
+	m := New()
+	obs := m.Observer()
+	snap := &metrics.Snapshot{Values: []metrics.KV{{Name: "noc.injected", Value: 3}}}
+	const workers, runs = 4, 50
+	var wg sync.WaitGroup
+	wg.Add(workers + 1)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				feed(obs, w, w*runs+i, nil, snap)
+			}
+		}(w)
+	}
+	go func() {
+		defer wg.Done()
+		for i := 0; i < runs; i++ {
+			m.Status()
+		}
+	}()
+	wg.Wait()
+	st := m.Status()
+	if st.Completed != workers*runs || st.InFlight != 0 || st.Counters["noc.injected"] != 3*workers*runs {
+		t.Fatalf("completed %d, in flight %d, noc.injected %d; want %d/0/%d",
+			st.Completed, st.InFlight, st.Counters["noc.injected"], workers*runs, 3*workers*runs)
+	}
+}
+
 func TestMonitorHTTPEndpoints(t *testing.T) {
 	m := New()
 	addr, err := m.Serve("127.0.0.1:0")
@@ -88,26 +108,10 @@ func TestMonitorHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	obs := m.Observer()
-	feed(obs, 0, 0, nil, nil)
-	waitFor(t, m, func(st Status) bool { return st.Completed == 1 })
-
-	// /vars serves the status as JSON.
-	resp, err := http.Get("http://" + addr + "/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Completed != 1 {
-		t.Fatalf("/vars completed = %d", st.Completed)
-	}
+	feed(m.Observer(), 0, 0, nil, nil)
 
 	// / serves the plain-text progress page.
-	resp, err = http.Get("http://" + addr + "/")
+	resp, err := http.Get("http://" + addr + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,56 +133,16 @@ func TestMonitorHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof status = %d", resp.StatusCode)
 	}
-}
 
-func TestMonitorSSEStream(t *testing.T) {
-	m := New()
-	addr, err := m.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	resp, err := http.Get("http://" + addr + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-	r := bufio.NewReader(resp.Body)
-
-	// The stream opens with the current state...
-	line, err := r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(line), "data: ")), &st); err != nil {
-		t.Fatalf("first frame %q: %v", line, err)
-	}
-
-	// ...and pushes a frame when an outcome lands.
-	feed(m.Observer(), 0, 0, nil, nil)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		line, err = r.ReadString('\n')
+	// The JSON and event-stream views are gone.
+	for _, path := range []string{"/vars", "/events"} {
+		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			if time.Now().After(deadline) {
-				t.Fatal("no completion frame before deadline")
-			}
-			continue
-		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &st); err != nil {
-			t.Fatalf("frame %q: %v", line, err)
-		}
-		if st.Completed == 1 {
-			return
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s status = %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
@@ -199,8 +163,8 @@ func readAll(t *testing.T, resp *http.Response) string {
 }
 
 // TestMonitorHealthzAndFleetStatus: /healthz answers liveness probes,
-// and an installed fleet provider turns /vars and the progress page into
-// the fleet dashboard.
+// and an installed fleet provider adds the fleet gauges to /metrics and
+// the fleet section to the progress page.
 func TestMonitorHealthzAndFleetStatus(t *testing.T) {
 	m := New()
 	addr, err := m.Serve("127.0.0.1:0")
@@ -222,17 +186,20 @@ func TestMonitorHealthzAndFleetStatus(t *testing.T) {
 		t.Fatalf("healthz = %d %q", resp.StatusCode, body)
 	}
 
-	resp, err = http.Get("http://" + addr + "/vars")
+	resp, err = http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Fleet == nil || st.Fleet.Sweep != "fig2" || st.Fleet.Reclaims != 3 {
-		t.Fatalf("/vars fleet = %+v", st.Fleet)
+	prom := readAll(t, resp)
+	for _, want := range []string{
+		"inpg_fleet_cells 15\n",
+		"inpg_fleet_cells_done 7\n",
+		"inpg_fleet_reclaims 3\n",
+		"inpg_fleet_workers 1\n",
+	} {
+		if !strings.Contains(prom, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, prom)
+		}
 	}
 
 	resp, err = http.Get("http://" + addr + "/")
@@ -246,9 +213,8 @@ func TestMonitorHealthzAndFleetStatus(t *testing.T) {
 	}
 }
 
-// TestMonitorGracefulCloseNoLeaks: Close with a live SSE subscriber
-// flushes and ends the stream cleanly (EOF, not an aborted connection)
-// and leaves no goroutines behind.
+// TestMonitorGracefulCloseNoLeaks: Close after serving a scrape closes
+// the listener and leaves no goroutines behind.
 func TestMonitorGracefulCloseNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -259,36 +225,20 @@ func TestMonitorGracefulCloseNoLeaks(t *testing.T) {
 	}
 	tr := &http.Transport{DisableKeepAlives: true}
 	client := &http.Client{Transport: tr}
-
-	resp, err := client.Get("http://" + addr + "/events")
+	feed(m.Observer(), 0, 0, nil, nil)
+	resp, err := client.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(resp.Body)
-	if _, err := r.ReadString('\n'); err != nil { // initial frame
-		t.Fatal(err)
+	if body := readAll(t, resp); !strings.Contains(body, "inpg_sweep_completed 1\n") {
+		t.Fatalf("/metrics before close:\n%s", body)
 	}
-	feed(m.Observer(), 0, 0, nil, nil)
-	waitFor(t, m, func(st Status) bool { return st.Completed == 1 })
+	tr.CloseIdleConnections()
 
 	if err := m.Close(); err != nil {
 		t.Fatalf("graceful close: %v", err)
 	}
-	// The subscriber's stream must end cleanly: reads drain any flushed
-	// frames and then hit EOF rather than a reset.
-	for {
-		if _, err := r.ReadString('\n'); err != nil {
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("SSE stream ended with %v, want EOF", err)
-			}
-			break
-		}
-	}
-	resp.Body.Close()
-	tr.CloseIdleConnections()
-
-	// A late subscriber is refused rather than left hanging.
-	if _, err := http.Get("http://" + addr + "/events"); err == nil {
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("post-close connect should fail (listener closed)")
 	}
 
@@ -326,7 +276,6 @@ func TestMonitorPrometheusAndJourneyBreakdown(t *testing.T) {
 	}
 	feed(obs, 0, 0, nil, snap)
 	feed(obs, 0, 1, nil, snap)
-	waitFor(t, m, func(st Status) bool { return st.Completed == 2 })
 
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -359,5 +308,111 @@ func TestMonitorPrometheusAndJourneyBreakdown(t *testing.T) {
 	if !strings.Contains(page, "stall") || !strings.Contains(page, "120.0") ||
 		!strings.Contains(page, "60.0%") {
 		t.Fatalf("stage line wrong:\n%s", page)
+	}
+}
+
+// fleetLines keeps the inpg_fleet_* lines of a /metrics page.
+func fleetLines(page string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(page, "\n") {
+		if strings.Contains(line, "inpg_fleet_") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// postJSON posts one fleet request and decodes the answer into out.
+func postJSON(t *testing.T, url string, in, out any) {
+	t.Helper()
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMonitorFleetGaugesMatchCoordinator: a monitor fronting a
+// coordinator and the coordinator itself serve byte-identical
+// inpg_fleet_* lines on /metrics, mid-campaign.
+func TestMonitorFleetGaugesMatchCoordinator(t *testing.T) {
+	coord := fleet.NewCoordinator(fleet.Config{LeaseTTL: time.Minute})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	m := New()
+	addr, err := m.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.SetFleet(coord.Status)
+
+	cfgs := []inpg.Config{inpg.DefaultConfig(), inpg.DefaultConfig()}
+	cfgs[1].Seed++
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		coord.RunCampaign("gauges", cfgs, runner.Policy{Observer: m.Observer()})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for coord.Status().Cells != len(cfgs) {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var leases [2]fleet.LeaseResponse
+	for i := range leases {
+		postJSON(t, srv.URL+fleet.PathLease, fleet.LeaseRequest{Worker: "w1"}, &leases[i])
+		if leases[i].Lease == nil {
+			t.Fatalf("lease %d not granted", i)
+		}
+	}
+	complete := func(l *fleet.Lease) {
+		var resp fleet.CompletionResponse
+		postJSON(t, srv.URL+fleet.PathComplete, fleet.CompletionReport{Worker: "w1",
+			LeaseID: l.ID, Sweep: l.Sweep, Index: l.Index, Digest: l.Digest,
+			OK: true, Res: &inpg.Results{Runtime: 1}}, &resp)
+		if !resp.Accepted {
+			t.Fatalf("completion of cell %d = %+v", l.Index, resp)
+		}
+	}
+	complete(leases[0].Lease)
+
+	scrape := func(url string) string {
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fleetLines(readAll(t, resp))
+	}
+	fromCoord, fromMonitor := scrape(srv.URL), scrape("http://"+addr)
+	if !strings.Contains(fromCoord, "inpg_fleet_cells_done 1\n") ||
+		!strings.Contains(fromCoord, "inpg_fleet_leases_outstanding 1\n") {
+		t.Fatalf("coordinator fleet gauges mid-campaign:\n%s", fromCoord)
+	}
+	if fromMonitor != fromCoord {
+		t.Fatalf("fleet gauges differ mid-campaign\ncoordinator:\n%s\nmonitor:\n%s", fromCoord, fromMonitor)
+	}
+
+	complete(leases[1].Lease)
+	<-done
+	// With no campaign active, both still serve every gauge.
+	fromCoord, fromMonitor = scrape(srv.URL), scrape("http://"+addr)
+	if !strings.Contains(fromCoord, "inpg_fleet_cells 0\n") {
+		t.Fatalf("coordinator fleet gauges after the campaign:\n%s", fromCoord)
+	}
+	if fromMonitor != fromCoord {
+		t.Fatalf("fleet gauges differ after the campaign\ncoordinator:\n%s\nmonitor:\n%s", fromCoord, fromMonitor)
+	}
+	if st := m.Status(); st.Completed != 2 || st.InFlight != 0 {
+		t.Fatalf("monitor completed %d, in flight %d; want 2/0", st.Completed, st.InFlight)
 	}
 }

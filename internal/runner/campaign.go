@@ -192,7 +192,7 @@ func RunOne(cfg inpg.Config, p Policy) (*inpg.Results, *metrics.Snapshot, float6
 func RunResilient(cfgs []inpg.Config, p Policy) ([]*inpg.Results, []*RunError) {
 	results := make([]*inpg.Results, len(cfgs))
 	finalErrs := make([]*RunError, len(cfgs))
-	loopErrs := forEachWorker(len(cfgs), p.Workers, true, func(worker, i int, _ func() bool) error {
+	loopErrs := forEachWorker(len(cfgs), p.Workers, true, func(worker, i int) error {
 		cfg := cfgs[i]
 		if p.PreRun != nil {
 			cfg = p.PreRun(i, cfg)

@@ -29,7 +29,7 @@ func longConfig(seed int64) inpg.Config {
 
 func TestForEachAllKeepGoingIsolatesPanics(t *testing.T) {
 	var ran atomic.Int64
-	errs := ForEachAll(6, 2, func(_, i int) error {
+	errs := forEachWorker(6, 2, true, func(_, i int) error {
 		ran.Add(1)
 		switch i {
 		case 2:
@@ -250,60 +250,6 @@ func TestRunResilientMatchesRunOnCleanSweep(t *testing.T) {
 					workers, i, results[i], ref[i])
 			}
 		}
-	}
-}
-
-// TestForEachWorkerReportsFailedSoFar exercises the tagging primitive
-// deterministically: run 0 spins until run 1's failure is visible through
-// failedSoFar, proving in-flight runs observe earlier failures.
-func TestForEachWorkerReportsFailedSoFar(t *testing.T) {
-	errs := forEachWorker(2, 2, false, func(_, i int, failedSoFar func() bool) error {
-		if i == 1 {
-			return errors.New("boom")
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for !failedSoFar() {
-			if time.Now().After(deadline) {
-				return errors.New("never observed the sweep failure")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	})
-	if errs[0] != nil {
-		t.Fatalf("run 0: %v", errs[0])
-	}
-	if errs[1] == nil {
-		t.Fatal("run 1's failure was lost")
-	}
-}
-
-// TestRunObservedTagsAbandoned: the slow clean run at index 0 completes
-// after index 1 has already failed, so its completion outcome must be
-// tagged StatusAbandoned — its results are about to be discarded.
-func TestRunObservedTagsAbandoned(t *testing.T) {
-	slow := inpg.DefaultConfig() // full 8x8 run: plenty of wall time
-	slow.Seed = 11
-	bad := tinyConfig(2, 1)
-	bad.CSPerThread = 0 // rejected by inpg.New in microseconds
-	statuses := map[int]Status{}
-	var mu sync.Mutex
-	_, err := RunObserved([]inpg.Config{slow, bad}, 2, func(o Outcome) {
-		if !o.Done {
-			return
-		}
-		mu.Lock()
-		statuses[o.Index] = o.Status
-		mu.Unlock()
-	})
-	if err == nil {
-		t.Fatal("sweep with an invalid config must fail")
-	}
-	if statuses[1] != StatusFailed {
-		t.Fatalf("index 1 status = %q, want failed", statuses[1])
-	}
-	if statuses[0] != StatusAbandoned {
-		t.Fatalf("index 0 status = %q, want abandoned (clean completion after the sweep failed)", statuses[0])
 	}
 }
 

@@ -9,12 +9,12 @@
 // returns results in submission order for deterministic aggregation.
 //
 // Two failure disciplines are offered. The fail-fast modes (ForEach,
-// ForEachWorker, Run, RunObserved) abandon unstarted runs once any run
-// fails and propagate the lowest-index error. The keep-going modes
-// (ForEachAll, RunResilient) isolate every failure — including panics,
-// which are recovered and converted to typed *RunError values with their
-// stacks — and report a complete per-index outcome vector, so one bad
-// cell cannot take down a thousand-run sweep.
+// Run) abandon unstarted runs once any run fails and propagate the
+// lowest-index error. The keep-going mode (RunResilient) isolates every
+// failure — including panics, which are recovered and converted to typed
+// *RunError values with their stacks — retries and quarantines cells,
+// reports every attempt to an Observer, and returns a complete per-index
+// outcome vector, so one bad cell cannot take down a thousand-run sweep.
 package runner
 
 import (
@@ -23,7 +23,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"inpg"
 	"inpg/internal/metrics"
@@ -61,9 +60,8 @@ func protect(index int, fn func() error) (rerr *RunError) {
 // per-index failures land in the returned slice. With keepGoing false a
 // failure abandons all unstarted indices (in-flight ones run to
 // completion); with keepGoing true every index executes regardless.
-// fn's failedSoFar reports whether any earlier-completing run has failed,
-// letting callers tag post-failure completions.
-func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int, failedSoFar func() bool) error) []*RunError {
+// fn receives the claiming goroutine's 0-based worker number.
+func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int) error) []*RunError {
 	if n <= 0 {
 		return nil
 	}
@@ -85,7 +83,7 @@ func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int, failed
 				if i >= n || (!keepGoing && failed.Load()) {
 					return
 				}
-				if err := protect(i, func() error { return fn(g, i, failed.Load) }); err != nil {
+				if err := protect(i, func() error { return fn(g, i) }); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}
@@ -103,31 +101,12 @@ func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int, failed
 // invocation fails, unstarted indices are abandoned (in-flight ones run
 // to completion). Panics in fn are recovered and reported the same way.
 func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachWorker(n, workers, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with the claiming worker's index (0-based,
-// stable for the call's duration) passed alongside the run index, for
-// callers that report per-worker status.
-func ForEachWorker(n, workers int, fn func(worker, i int) error) error {
-	errs := forEachWorker(n, workers, false, func(worker, i int, _ func() bool) error {
-		return fn(worker, i)
-	})
-	for _, err := range errs {
+	for _, err := range forEachWorker(n, workers, false, func(_, i int) error { return fn(i) }) {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// ForEachAll is the keep-going ForEachWorker: every index in [0, n) is
-// executed even after failures, and the result is the complete per-index
-// error vector (nil entries for successes). Panics are isolated per index.
-func ForEachAll(n, workers int, fn func(worker, i int) error) []*RunError {
-	return forEachWorker(n, workers, true, func(worker, i int, _ func() bool) error {
-		return fn(worker, i)
-	})
 }
 
 // Status is an Outcome's position in the run lifecycle.
@@ -147,9 +126,10 @@ const (
 	// StatusQuarantined: every configured attempt failed; the cell is
 	// excluded from aggregation and reported as missing.
 	StatusQuarantined Status = "quarantined"
-	// StatusAbandoned: the run completed without error, but only after the
-	// sweep had already failed — in fail-fast mode its results are
-	// discarded, so observers must not count it as a clean completion.
+	// StatusAbandoned: a fleet worker's claim closed without a result —
+	// another worker's report resolved the cell while it still held the
+	// lease, so its own report will be dropped as a duplicate. Observers
+	// must not count it as a completion.
 	StatusAbandoned Status = "abandoned"
 	// StatusSkipped: the run was never executed (resume found a valid
 	// prior result). Skipped runs emit a single Done outcome.
@@ -181,7 +161,7 @@ type Outcome struct {
 
 // Observer receives run outcomes. It is invoked from worker goroutines —
 // up to `workers` concurrently — so implementations must be safe for
-// concurrent use (the sweep monitor forwards into a channel; the manifest
+// concurrent use (the sweep monitor folds under its mutex; the manifest
 // writer touches only per-index files). The simulations themselves never
 // see the observer: there are no locks or channels on any sim hot path.
 type Observer func(Outcome)
@@ -191,60 +171,20 @@ type Observer func(Outcome)
 // returns the results in submission order. On failure the remaining
 // unstarted runs are abandoned and the lowest-index error is returned.
 func Run(cfgs []inpg.Config, workers int) ([]*inpg.Results, error) {
-	return RunObserved(cfgs, workers, nil)
-}
-
-// RunObserved is Run with per-run lifecycle reporting: obs (when non-nil)
-// sees a claim outcome and a completion outcome for every run, carrying
-// the run's results, error, wall time and — on metered configurations —
-// its final counter snapshot. Runs that complete cleanly after another
-// run has already failed are tagged StatusAbandoned: their results are
-// about to be discarded, so observers must not count them as clean.
-func RunObserved(cfgs []inpg.Config, workers int, obs Observer) ([]*inpg.Results, error) {
 	results := make([]*inpg.Results, len(cfgs))
-	errs := forEachWorker(len(cfgs), workers, false, func(worker, i int, failedSoFar func() bool) error {
-		if obs != nil {
-			obs(Outcome{Index: i, Worker: worker, Status: StatusRunning, Cfg: cfgs[i]})
-		}
-		start := time.Now()
-		var res *inpg.Results
-		var snap *metrics.Snapshot
-		rerr := protect(i, func() error {
-			sys, err := inpg.New(cfgs[i])
-			if err != nil {
-				return &RunError{Index: i, Cause: CauseConfig, Err: err}
-			}
-			res, err = sys.Run()
-			results[i] = res
-			snap = sys.MetricsSnapshot()
-			return err
-		})
-		if rerr != nil && rerr.Digest == "" {
-			rerr.Digest = cfgs[i].Digest()
-		}
-		if obs != nil {
-			status := StatusOK
-			switch {
-			case rerr != nil:
-				status = StatusFailed
-			case failedSoFar():
-				status = StatusAbandoned
-			}
-			var err error
-			if rerr != nil {
-				err = rerr
-			}
-			obs(Outcome{Index: i, Worker: worker, Done: true, Status: status,
-				Cfg: cfgs[i], Res: res, Err: err, Snapshot: snap,
-				WallSeconds: time.Since(start).Seconds()})
-		}
-		if rerr != nil {
-			return rerr
-		}
-		return nil
-	})
-	for _, err := range errs {
+	errs := forEachWorker(len(cfgs), workers, false, func(_, i int) error {
+		sys, err := inpg.New(cfgs[i])
 		if err != nil {
+			return &RunError{Index: i, Cause: CauseConfig, Err: err}
+		}
+		results[i], err = sys.Run()
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
+			if err.Digest == "" {
+				err.Digest = cfgs[i].Digest()
+			}
 			return nil, err
 		}
 	}

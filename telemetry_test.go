@@ -25,13 +25,14 @@ func meteredConfig(mech inpg.Mechanism, seed int64) inpg.Config {
 	return cfg
 }
 
-// snapshotTexts runs cfgs through RunObserved and collects each run's
-// final counter snapshot in canonical text form, by submission index.
+// snapshotTexts runs cfgs through RunResilient, the path sweeps use, and
+// collects each run's final counter snapshot from its observed outcome in
+// canonical text form, by submission index.
 func snapshotTexts(t *testing.T, cfgs []inpg.Config, workers int) []string {
 	t.Helper()
 	texts := make([]string, len(cfgs))
 	var mu sync.Mutex
-	_, err := runner.RunObserved(cfgs, workers, func(o runner.Outcome) {
+	_, errs := runner.RunResilient(cfgs, runner.Policy{Workers: workers, Observer: func(o runner.Outcome) {
 		if !o.Done {
 			return
 		}
@@ -42,9 +43,11 @@ func snapshotTexts(t *testing.T, cfgs []inpg.Config, workers int) []string {
 		mu.Lock()
 		texts[o.Index] = o.Snapshot.Text()
 		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
+	}})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	return texts
 }
