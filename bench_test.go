@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"inpg"
-	"inpg/internal/analytic"
 	"inpg/internal/experiments"
 )
 
@@ -390,45 +389,6 @@ func BenchmarkSimulatorLargeMesh(b *testing.B) {
 				cycles += res.Runtime
 			}
 			b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/run")
-		})
-	}
-}
-
-// BenchmarkAnalyticEstimate measures the analytic fast model's per-cell
-// cost: what a sweep cell answered by internal/analytic costs instead
-// of a detailed simulation. Cycling the contention level defeats any
-// accidental memoization without changing what is measured.
-func BenchmarkAnalyticEstimate(b *testing.B) {
-	cfg := inpg.DefaultConfig()
-	var sink analytic.Estimate
-	for i := 0; i < b.N; i++ {
-		cfg.ParallelCycles = 200 << (i % 12)
-		sink = analytic.For(cfg)
-	}
-	_ = sink
-}
-
-// BenchmarkPreSweep runs the quick contention ladder both ways: the
-// exhaustive reference and the analytically pre-screened hybrid. The
-// figure bytes are identical (pinned by test); the ns/op gap and the
-// sim-cells metric are the pre-screening payoff.
-func BenchmarkPreSweep(b *testing.B) {
-	for _, pre := range []bool{false, true} {
-		name := "exhaustive"
-		if pre {
-			name = "prescreened"
-		}
-		b.Run(name, func(b *testing.B) {
-			o := benchOpts()
-			var cells float64
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunPre(o, pre)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells = float64(r.SimCells)
-			}
-			b.ReportMetric(cells, "sim-cells")
 		})
 	}
 }

@@ -9,7 +9,7 @@
 //	inpgbench -fig 11,12       # the shared 24-program × 4-mechanism suite
 //	inpgbench -all             # everything (several minutes)
 //	inpgbench -all -quick      # reduced-size runs
-//	inpgbench -fig pre -prescreen  # analytically pre-screened contention sweep
+//	inpgbench -fig res,lat     # fault resilience and lock-latency breakdown
 package main
 
 import (
@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -70,6 +71,46 @@ func runWorker(log *slog.Logger, url, token string, slots, killAfter int, dropRa
 	fmt.Fprintf(os.Stderr, "[inpgbench: fleet worker %s exiting after %d completions]\n", w.ID(), w.Completed())
 }
 
+// paperFigures are the -fig names -all runs, in output order. The
+// extraFigures views (fault resilience, latency breakdown) are not paper
+// figures: -all leaves them out, so fault-free, untraced suite output
+// stays byte-comparable.
+var (
+	paperFigures = []string{"t1", "2", "7", "8", "9", "10", "11", "12", "13", "14", "15", "abl"}
+	extraFigures = []string{"res", "lat"}
+	knownFigures = slices.Concat(paperFigures, extraFigures)
+)
+
+// parseFigures resolves -all or a comma-separated -fig list into the set
+// of figures to run. Empty list elements are skipped ("2," is "2"); an
+// unknown name is fatal, so a mistyped figure never exits 0 having
+// printed nothing.
+func parseFigures(all bool, list string) map[string]bool {
+	want := map[string]bool{}
+	if all {
+		for _, f := range paperFigures {
+			want[f] = true
+		}
+		return want
+	}
+	for _, f := range strings.Split(list, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		if !slices.Contains(knownFigures, f) {
+			fmt.Fprintf(os.Stderr, "inpgbench: unknown figure %q (known: %s)\n", f, strings.Join(knownFigures, ","))
+			os.Exit(2)
+		}
+		want[f] = true
+	}
+	if len(want) == 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	return want
+}
+
 // parseCells parses a comma-separated list of non-negative cell indexes;
 // a bad element is fatal (a silently ignored chaos cell would fake a pass).
 func parseCells(s string) []int {
@@ -90,7 +131,7 @@ func parseCells(s string) []int {
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "comma-separated figure list: t1,2,7,8,9,10,11,12,13,14,15,abl,res,pre,lat")
+		fig     = flag.String("fig", "", "comma-separated figure list: "+strings.Join(knownFigures, ","))
 		all     = flag.Bool("all", false, "run every figure")
 		quick   = flag.Bool("quick", false, "smaller runs (for smoke testing)")
 		full    = flag.Bool("full13", false, "run Figure 13 over all 24 programs instead of 9")
@@ -98,7 +139,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "random seed")
 		seeds   = flag.Int("seeds", 1, "seeds to average over (figures 11/12)")
 		workers = flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
-		prescr  = flag.Bool("prescreen", false, "figure pre: analytically pre-select interesting cells and run only those in the detailed simulator (byte-identical output, skipped cells get estimate manifests)")
 		compat  = flag.Bool("compat", false, "always-tick engine mode (slow reference scheduler; identical output)")
 		fRate   = flag.Float64("faultrate", 0, "combined transient link/port fault rate (0 = faults off)")
 		fSeed   = flag.Int64("faultseed", 0, "fault injector seed (0 = derived from -seed)")
@@ -137,6 +177,7 @@ func main() {
 		runWorker(logger, *workerURL, *fleetTok, runner.Workers(*workers), *chKill, *chDrop, *seed)
 		return
 	}
+	want := parseFigures(*all, *fig)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -235,19 +276,6 @@ func main() {
 	}
 	// Stderr so the figure tables on stdout stay byte-comparable across runs.
 	fmt.Fprintf(os.Stderr, "[inpgbench: %d workers]\n", runner.Workers(*workers))
-	want := map[string]bool{}
-	if *all {
-		for _, f := range []string{"t1", "2", "7", "8", "9", "10", "11", "12", "13", "14", "15", "abl"} {
-			want[f] = true
-		}
-	} else if *fig == "" {
-		flag.Usage()
-		os.Exit(2)
-	} else {
-		for _, f := range strings.Split(*fig, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
 
 	show := func(name string, run func() (string, error)) {
 		if !want[name] {
@@ -359,18 +387,6 @@ func main() {
 		if err != nil {
 			return "", err
 		}
-		return r.Render(), nil
-	})
-	// The pre-screened contention sweep (not a paper figure, excluded
-	// from -all): the analytic fast model screens the ladder; with
-	// -prescreen only the interesting cells reach the detailed
-	// simulator. Output is byte-identical either way (pinned by test).
-	show("pre", func() (string, error) {
-		r, err := experiments.RunPre(o, *prescr)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(os.Stderr, "[pre: %d of %d cells simulated in detail]\n", r.SimCells, r.TotalCells)
 		return r.Render(), nil
 	})
 	show("abl", func() (string, error) {

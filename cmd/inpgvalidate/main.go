@@ -1,16 +1,16 @@
-// Command inpgvalidate checks generated telemetry artifacts: run and
-// estimate manifests against the internal/manifest schema, and exported
+// Command inpgvalidate checks generated telemetry artifacts: run
+// manifests against the internal/manifest schema, and exported
 // .trace.json files against the Chrome trace-event structure checker.
 // CI runs it over everything a sweep produced; it exits nonzero on the
 // first invalid artifact.
 //
-// Each argument is either a manifest file, a .trace.json file, or a
-// directory scanned (non-recursively) for both; other files (figure
-// CSVs, a fleet campaign's restart marker) are skipped. Across
-// everything checked, one cross-file property is enforced: the same
-// sweep cell (sweep/index) must never appear with two different config
-// digests — the corruption a fleet's idempotency-by-digest is supposed
-// to make impossible.
+// Each argument is either a manifest-*.json file, a .trace.json file,
+// or a directory scanned (non-recursively) for both; other files (figure
+// CSVs, a fleet campaign's restart marker, the estimate-*.json files of
+// older releases) are skipped. Across everything checked, one
+// cross-file property is enforced: the same sweep cell (sweep/index)
+// must never appear with two different config digests — the corruption
+// a fleet's idempotency-by-digest is supposed to make impossible.
 //
 // Example:
 //
@@ -37,14 +37,14 @@ type cellRecord struct {
 
 // validator accumulates cross-file state over every checked artifact.
 type validator struct {
-	checked, failedRuns, estimates int
+	checked, failedRuns int
 	// cells maps "sweep/index" to the first digest seen for that cell.
 	cells map[string]cellRecord
 }
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: inpgvalidate <manifest.json|trace.json|dir>...")
+		fmt.Fprintln(os.Stderr, "usage: inpgvalidate <manifest-*.json|*.trace.json|dir>...")
 		os.Exit(2)
 	}
 	v := &validator{cells: map[string]cellRecord{}}
@@ -68,15 +68,10 @@ func main() {
 		fatal(fmt.Errorf("no manifests or traces found"))
 	}
 	// A failed-run manifest is a valid artifact — the record of a
-	// quarantined cell — and so is an estimate manifest — the record of
-	// an analytically pre-screened cell; both count toward validity but
-	// are reported.
+	// quarantined cell — so it counts toward validity but is reported.
 	extra := ""
 	if v.failedRuns > 0 {
-		extra += fmt.Sprintf(" (%d record failed runs)", v.failedRuns)
-	}
-	if v.estimates > 0 {
-		extra += fmt.Sprintf(" (%d analytic estimates)", v.estimates)
+		extra = fmt.Sprintf(" (%d record failed runs)", v.failedRuns)
 	}
 	fmt.Printf("inpgvalidate: %d artifacts valid%s\n", v.checked, extra)
 }
@@ -124,18 +119,6 @@ func (v *validator) checkFile(path string) {
 			return
 		}
 		fmt.Printf("ok %s (%s/%d, %s/%s)\n", path, m.Sweep, m.Index, m.Mechanism, m.Lock)
-	case strings.HasPrefix(base, "estimate-") && strings.HasSuffix(base, ".json"):
-		m, err := manifest.ReadFile(path)
-		fatal(err)
-		if m.Kind != manifest.EstimateKind {
-			fatal(fmt.Errorf("%s: kind %q under an estimate filename, want %q", path, m.Kind, manifest.EstimateKind))
-		}
-		v.recordCell(m.Sweep, m.Index, m.ConfigDigest, path)
-		v.checked++
-		v.estimates++
-		fmt.Printf("ok %s (%s/%d, %s/%s) ESTIMATE runtime=%.0f cs/kcyc=%.2f bounds=%d metrics\n",
-			path, m.Sweep, m.Index, m.Mechanism, m.Lock,
-			m.Estimate.Runtime, m.Estimate.CSPerKCycle, len(m.Estimate.Bounds))
 	case strings.HasSuffix(base, ".trace.json"):
 		data, err := os.ReadFile(path)
 		fatal(err)

@@ -680,8 +680,7 @@ type Results struct {
 
 	// FlitsSwitched is the total flit-switch operations across all routers
 	// — the network's aggregate switching activity. Divided by Runtime ×
-	// router count it is the mean link/crossbar utilization the analytic
-	// fast model (internal/analytic) estimates and validates against.
+	// router count it is the mean link/crossbar utilization.
 	FlitsSwitched uint64
 
 	// Link-layer fault counters, all zero when fault injection is disabled:

@@ -105,9 +105,9 @@ type Options struct {
 	// Campaign, when set, dispatches every sweep through a distributed
 	// campaign runner — the fleet coordinator — instead of the local
 	// worker pool. The runner receives the same Policy a local sweep
-	// would (Skip/PreRun/Observer, so resume, pre-screening, manifests
-	// and the monitor work unchanged); Workers and PreAttempt apply only
-	// to local execution.
+	// would (Skip/PreRun/Observer, so resume, manifests and the monitor
+	// work unchanged); Workers and PreAttempt apply only to local
+	// execution.
 	Campaign CampaignRunner
 	// Log, when set, receives the retry machinery's structured records
 	// (runner.Policy.Log). Nil discards.
@@ -252,16 +252,6 @@ func Run(cfg inpg.Config) (*inpg.Results, error) {
 // reserved for infrastructure failures (an unreadable resume directory),
 // never for individual runs.
 func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Missing, error) {
-	return runAllSkip(o, sweep, cfgs, nil)
-}
-
-// runAllSkip is runAll with a caller-supplied skip predicate: cells
-// where skip(i) is true never execute and return nil results with no
-// Missing annotation. The analytic pre-screener uses it to dispatch
-// only a sweep's interesting cells while keeping submission indexes —
-// and thus manifest filenames and resume digests — identical to the
-// exhaustive grid.
-func runAllSkip(o Options, sweep string, cfgs []inpg.Config, skip func(int) bool) ([]*inpg.Results, []Missing, error) {
 	p := runner.Policy{
 		Workers:    o.Workers,
 		Retries:    o.Retries,
@@ -269,7 +259,6 @@ func runAllSkip(o Options, sweep string, cfgs []inpg.Config, skip func(int) bool
 		Observer:   o.observer(sweep),
 		PreRun:     o.chaosPreRun(),
 		PreAttempt: o.chaosPreAttempt(),
-		Skip:       skip,
 		Log:        o.Log,
 	}
 	var prefill []*inpg.Results
@@ -287,7 +276,7 @@ func runAllSkip(o Options, sweep string, cfgs []inpg.Config, skip func(int) bool
 				prefill[i] = m.ToResults()
 			}
 		}
-		p.Skip = func(i int) bool { return prefill[i] != nil || (skip != nil && skip(i)) }
+		p.Skip = func(i int) bool { return prefill[i] != nil }
 	}
 	var results []*inpg.Results
 	var errs []*runner.RunError

@@ -135,6 +135,10 @@ type campaign struct {
 	runTimeout time.Duration
 	observer   runner.Observer
 	done       chan struct{}
+	// emitting counts handlers that took outcomes of this campaign under
+	// mu and are still handing them to observer; RunCampaign waits for
+	// it, so no observer call outlives the campaign it reports on.
+	emitting sync.WaitGroup
 
 	// crash is closed when the coordinator chaos-crashes mid-campaign;
 	// RunCampaign unblocks on it and returns typed errors for the
@@ -342,6 +346,9 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 	// to workers whose completions will now be answered as duplicates.
 	c.leases = map[string]*lease{}
 	c.mu.Unlock()
+	// The last completion closes done while other handlers may still be
+	// emitting their outcomes (a manifest write, the caller's observer).
+	camp.emitting.Wait()
 
 	results := make([]*inpg.Results, len(cfgs))
 	errs := make([]*runner.RunError, len(cfgs))
@@ -493,7 +500,6 @@ func (c *Coordinator) reclaimExpired() {
 	c.mu.Lock()
 	now := c.now()
 	var emit []runner.Outcome
-	var obs runner.Observer
 	for id, l := range c.leases {
 		if now.Before(l.expires) {
 			continue
@@ -503,13 +509,24 @@ func (c *Coordinator) reclaimExpired() {
 		}
 		delete(c.leases, id)
 	}
-	if c.camp != nil {
-		obs = c.camp.observer
-	}
+	flush := c.emitLocked(emit...)
 	c.mu.Unlock()
-	if obs != nil {
-		for _, o := range emit {
-			obs(o)
+	flush()
+}
+
+// emitLocked takes outcomes of the current campaign for its observer and
+// returns the func that delivers them once mu is released. Until that
+// func returns, RunCampaign cannot return. Caller holds mu.
+func (c *Coordinator) emitLocked(outs ...runner.Outcome) func() {
+	camp := c.camp
+	if camp == nil || camp.observer == nil || len(outs) == 0 {
+		return func() {}
+	}
+	camp.emitting.Add(1)
+	return func() {
+		defer camp.emitting.Done()
+		for _, o := range outs {
+			camp.observer(o)
 		}
 	}
 }
@@ -652,21 +669,20 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	wi := c.touchWorkerLocked(req.Worker)
 	var resp LeaseResponse
-	var claim *runner.Outcome
-	var obs runner.Observer
+	flush := func() {}
 	switch {
 	case c.shutdown:
 		resp.Shutdown = true
 	case c.camp != nil:
-		obs = c.camp.observer
-		resp.Lease, claim = c.grantLocked(req.Worker, wi.num)
+		var claim *runner.Outcome
+		if resp.Lease, claim = c.grantLocked(req.Worker, wi.num); claim != nil {
+			flush = c.emitLocked(*claim)
+		}
 	}
 	killNow := resp.Lease != nil && c.cfg.ChaosKillAfter > 0 && c.grants == c.cfg.ChaosKillAfter
 	c.mu.Unlock()
 
-	if claim != nil && obs != nil {
-		obs(*claim)
-	}
+	flush()
 	writeJSON(w, resp)
 	if killNow {
 		// Chaos: die after the grant response is flushed, so the worker
@@ -733,7 +749,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.touchWorkerLocked(req.Worker)
 	var emit *runner.Outcome
-	var obs runner.Observer
 	resp := HeartbeatResponse{}
 	adopted := false
 	now := c.now()
@@ -753,17 +768,16 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		delete(c.leases, req.LeaseID)
 		resp.Gone = true
 	}
-	if c.camp != nil {
-		obs = c.camp.observer
+	flush := func() {}
+	if emit != nil {
+		flush = c.emitLocked(*emit)
 	}
 	c.mu.Unlock()
 	if adopted {
 		c.log.Info("lease adopted", "sweep", req.Sweep, "cell", req.Index,
 			"worker", req.Worker, "lease", req.LeaseID, "via", "heartbeat")
 	}
-	if emit != nil && obs != nil {
-		obs(*emit)
-	}
+	flush()
 	writeJSON(w, resp)
 }
 
@@ -806,7 +820,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "digest mismatch", http.StatusConflict)
 		return
 	}
-	obs := camp.observer
 	var emit []runner.Outcome
 	resp := CompletionResponse{}
 
@@ -898,17 +911,14 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			defer close(camp.done)
 		}
 	}
+	flush := c.emitLocked(emit...)
 	c.mu.Unlock()
 
 	if adopted {
 		c.log.Info("lease adopted", "sweep", rep.Sweep, "cell", rep.Index,
 			"worker", rep.Worker, "lease", rep.LeaseID, "via", "completion")
 	}
-	if obs != nil {
-		for _, o := range emit {
-			obs(o)
-		}
-	}
+	flush()
 	writeJSON(w, resp)
 }
 

@@ -511,6 +511,87 @@ func TestLateFailureKeepsCurrentHolder(t *testing.T) {
 	}
 }
 
+// TestCampaignWaitsForObservers: RunCampaign returns only after every
+// observer call on its outcomes has returned. Here the last completion
+// closes the campaign while the handler of an earlier one is still
+// inside the observer — where a sweep writes the cell's manifest and
+// updates the caller's state, which the caller reads once RunCampaign
+// returns.
+func TestCampaignWaitsForObservers(t *testing.T) {
+	c := NewCoordinator(Config{})
+	srv := serve(t, c)
+	blocked := make(chan struct{})
+	release := make(chan struct{})
+	// Released on every exit path: serve's cleanup waits for the blocked
+	// handler.
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	p := runner.Policy{Observer: func(o runner.Outcome) {
+		if o.Index == 0 && o.Done {
+			close(blocked)
+			<-release
+		}
+	}}
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		c.RunCampaign("drain", tinyCfgs(2), p)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); c.Status().Cells != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never registered")
+		}
+	}
+
+	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
+	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
+	la, lb := a.lease(), b.lease()
+	if la == nil || lb == nil || la.Index != 0 || lb.Index != 1 {
+		t.Fatalf("leases = %+v, %+v; want cells 0 and 1", la, lb)
+	}
+	// Posted by hand, not with a.complete: only the test goroutine may
+	// call t.Fatal.
+	completedA := make(chan error, 1)
+	go func() {
+		body, err := json.Marshal(CompletionReport{Worker: a.id, LeaseID: la.ID, Sweep: la.Sweep,
+			Index: la.Index, Digest: la.Digest, OK: true, Res: &inpg.Results{Runtime: 111}})
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.Post(srv.URL+PathComplete, "application/json", bytes.NewReader(body)); err == nil {
+				resp.Body.Close()
+			}
+		}
+		completedA <- err
+	}()
+	select {
+	case <-blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("cell 0's completion never reached the observer")
+	}
+	if resp, _ := b.complete(lb, true, 222); !resp.Accepted {
+		t.Fatalf("last completion = %+v", resp)
+	}
+	select {
+	case <-returned:
+		t.Fatal("RunCampaign returned while the observer still held cell 0's outcome")
+	case <-time.After(200 * time.Millisecond):
+	}
+	unblock()
+	select {
+	case err := <-completedA:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cell 0's completion did not return after the observer did")
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunCampaign did not return after the observer did")
+	}
+}
+
 // TestWorkerFleetMatchesLocalRun: two real workers executing real cells
 // produce exactly the results a local RunResilient produces — the fleet's
 // bit-identity contract.

@@ -23,25 +23,17 @@ import (
 // SchemaVersion identifies the manifest layout; bump on breaking change.
 // v2 added failure records: status, cause class, attempt, config digest
 // and the diagnostics summary. v3 added the network switching-activity
-// summary field and the estimate manifest kind (analytic pre-screening).
-// v4 added the lock-journey summary (per-stage latency attribution);
-// Validate still accepts v3 manifests, which predate journeys.
+// summary field. v4 added the lock-journey summary (per-stage latency
+// attribution); Validate still accepts v3 manifests, which predate
+// journeys.
 const SchemaVersion = 4
 
 // minSchemaVersion is the oldest layout Validate accepts: v3 manifests
 // on disk stay resumable, they just carry no journey summary.
 const minSchemaVersion = 3
 
-// Kind is the detailed-run manifest's type tag.
+// Kind is the manifest's type tag.
 const Kind = "inpg-run-manifest"
-
-// EstimateKind tags a cell the pre-screener answered with the analytic
-// fast model instead of a detailed simulation: the cell is covered — by
-// an estimate with recorded error bounds, not by cycle-accurate results.
-// Estimate manifests live under a distinct filename prefix
-// (EstimateFilename) so ScanDir-driven resume never mistakes one for a
-// completed detailed run.
-const EstimateKind = "inpg-estimate-manifest"
 
 // Run statuses recorded in a manifest.
 const (
@@ -50,9 +42,6 @@ const (
 	// StatusFailed marks a run whose final attempt failed; Error, Cause
 	// and (when available) Diag describe how.
 	StatusFailed = "failed"
-	// StatusEstimated marks an EstimateKind manifest: no simulation ran;
-	// Estimate carries the model's answer and its error bounds.
-	StatusEstimated = "estimated"
 )
 
 // EngineStats records what the engine did over the run.
@@ -147,10 +136,6 @@ type Manifest struct {
 	// journey.* instruments so a figure's latency breakdown is auditable
 	// from the manifest alone.
 	Journey *JourneySummary `json:"journey,omitempty"`
-
-	// Estimate is present on EstimateKind manifests only: the analytic
-	// model's answer for this cell and the model's recorded error bounds.
-	Estimate *EstimateRecord `json:"estimate,omitempty"`
 }
 
 // JourneySummary aggregates a run's sampled lock journeys: how many
@@ -199,28 +184,6 @@ func JourneyFromSnapshot(snap *metrics.Snapshot) *JourneySummary {
 		return nil
 	}
 	return js
-}
-
-// EstimateBound is one metric's recorded relative error level (mean and
-// worst case over the analytic model's validation grid).
-type EstimateBound struct {
-	Mean float64 `json:"mean"`
-	Max  float64 `json:"max"`
-}
-
-// EstimateRecord is the analytic fast model's answer for a pre-screened
-// cell. Fields mirror the Summary quantities the figure drivers consume,
-// as model expectations; Bounds says how far each may sit from a
-// detailed simulation (keyed by the analytic package's metric names).
-type EstimateRecord struct {
-	Runtime         float64                  `json:"runtime_cycles"`
-	CSPerKCycle     float64                  `json:"cs_per_kcycle"`
-	NetMeanLatency  float64                  `json:"net_mean_latency_cycles"`
-	LinkUtilization float64                  `json:"link_utilization"`
-	CSTime          float64                  `json:"cs_time_cycles"`
-	Contended       bool                     `json:"contended"`
-	Reason          string                   `json:"reason,omitempty"`
-	Bounds          map[string]EstimateBound `json:"error_bounds"`
 }
 
 // Build assembles a manifest from one finished run. res and snap may be
@@ -290,25 +253,6 @@ func Build(sweep string, index int, cfg inpg.Config, res *inpg.Results, snap *me
 	return m
 }
 
-// BuildEstimate assembles an EstimateKind manifest for a cell the
-// pre-screener covered with the analytic model instead of a detailed
-// run. The caller supplies the model's answer; no simulation is implied.
-func BuildEstimate(sweep string, index int, cfg inpg.Config, rec EstimateRecord) Manifest {
-	return Manifest{
-		SchemaVersion: SchemaVersion,
-		Kind:          EstimateKind,
-		Sweep:         sweep,
-		Index:         index,
-		Mechanism:     cfg.Mechanism.String(),
-		Lock:          cfg.Lock.String(),
-		Seed:          cfg.Seed,
-		Config:        cfg,
-		ConfigDigest:  cfg.Digest(),
-		Status:        StatusEstimated,
-		Estimate:      &rec,
-	}
-}
-
 // ToResults reconstructs an inpg.Results from the manifest's summary, the
 // inverse of Build for every field the figure drivers consume. PerThread
 // and Energy are not carried by manifests and stay zero; resume callers
@@ -350,8 +294,8 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("manifest: schema_version %d, want %d..%d", m.SchemaVersion, minSchemaVersion, SchemaVersion)
 	case m.SchemaVersion < 4 && m.Journey != nil:
 		return fmt.Errorf("manifest: journey summary on schema_version %d (needs 4)", m.SchemaVersion)
-	case m.Kind != Kind && m.Kind != EstimateKind:
-		return fmt.Errorf("manifest: kind %q, want %q or %q", m.Kind, Kind, EstimateKind)
+	case m.Kind != Kind:
+		return fmt.Errorf("manifest: kind %q, want %q", m.Kind, Kind)
 	case m.Sweep == "":
 		return fmt.Errorf("manifest: empty sweep")
 	case m.Index < 0:
@@ -369,19 +313,6 @@ func (m *Manifest) Validate() error {
 	if _, err := inpg.ParseLockKind(m.Lock); err != nil {
 		return fmt.Errorf("manifest: %w", err)
 	}
-	if m.Kind == EstimateKind {
-		switch {
-		case m.Status != StatusEstimated:
-			return fmt.Errorf("manifest: estimate with status %q, want %q", m.Status, StatusEstimated)
-		case m.Estimate == nil:
-			return fmt.Errorf("manifest: estimate manifest without estimate record")
-		case m.Estimate.Runtime <= 0:
-			return fmt.Errorf("manifest: estimate with non-positive runtime")
-		case len(m.Estimate.Bounds) == 0:
-			return fmt.Errorf("manifest: estimate without error bounds")
-		}
-		return nil
-	}
 	switch m.Status {
 	case StatusOK:
 		if m.Error != "" {
@@ -394,8 +325,6 @@ func (m *Manifest) Validate() error {
 		if m.Error == "" {
 			return fmt.Errorf("manifest: failed run without error text")
 		}
-	case StatusEstimated:
-		return fmt.Errorf("manifest: status %q requires kind %q", m.Status, EstimateKind)
 	default:
 		return fmt.Errorf("manifest: status %q, want %q or %q", m.Status, StatusOK, StatusFailed)
 	}
@@ -444,18 +373,10 @@ func (m Manifest) Canonical() Manifest {
 	return m
 }
 
-// Filename returns the detailed-run manifest's conventional file name
-// within a sweep output directory.
+// Filename returns the manifest's conventional file name within a sweep
+// output directory.
 func Filename(sweep string, index int) string {
 	return fmt.Sprintf("manifest-%s-%04d.json", sweep, index)
-}
-
-// EstimateFilename returns an estimate manifest's conventional file
-// name. The distinct prefix keeps estimates out of ScanDir's resume
-// scan, which matches the detailed "manifest-" prefix only — a resumed
-// sweep re-runs estimated cells in full rather than trusting the model.
-func EstimateFilename(sweep string, index int) string {
-	return fmt.Sprintf("estimate-%s-%04d.json", sweep, index)
 }
 
 // WriteFile writes the manifest as indented JSON into dir under its
@@ -464,11 +385,7 @@ func (m *Manifest) WriteFile(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	name := Filename(m.Sweep, m.Index)
-	if m.Kind == EstimateKind {
-		name = EstimateFilename(m.Sweep, m.Index)
-	}
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, Filename(m.Sweep, m.Index))
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return "", err

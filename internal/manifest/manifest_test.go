@@ -74,81 +74,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEstimateManifestRoundTrip(t *testing.T) {
-	cfg := inpg.DefaultConfig()
-	rec := EstimateRecord{
-		Runtime:        123456,
-		CSPerKCycle:    2.5,
-		NetMeanLatency: 31.5,
-		CSTime:         4200,
-		Contended:      true,
-		Reason:         "analytic pre-screen: outside the interest region",
-		Bounds:         map[string]EstimateBound{"cs_throughput": {Mean: 0.035, Max: 0.19}},
-	}
-	m := BuildEstimate("pre", 11, cfg, rec)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind != EstimateKind || m.Status != StatusEstimated {
-		t.Fatalf("kind/status = %q/%q", m.Kind, m.Status)
-	}
-	if m.ConfigDigest != cfg.Digest() {
-		t.Fatal("estimate manifest must carry the config digest for promotion checks")
-	}
-
-	dir := t.TempDir()
-	path, err := m.WriteFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The estimate prefix keeps ScanDir-driven resume from ever reading
-	// an estimated cell as a completed detailed run.
-	if filepath.Base(path) != "estimate-pre-0011.json" {
-		t.Fatalf("file name = %s", filepath.Base(path))
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Estimate, m.Estimate) {
-		t.Fatalf("estimate record changed across round trip: %+v vs %+v", got.Estimate, m.Estimate)
-	}
-	prior, skipped, err := ScanDir(dir, "pre")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prior) != 0 || len(skipped) != 0 {
-		t.Fatalf("resume scan picked up an estimate manifest: prior=%v skipped=%v", prior, skipped)
-	}
-}
-
-func TestEstimateManifestValidateRejects(t *testing.T) {
-	good := BuildEstimate("pre", 0, inpg.DefaultConfig(), EstimateRecord{
-		Runtime: 1000,
-		Bounds:  map[string]EstimateBound{"runtime": {Mean: 0.04, Max: 0.23}},
-	})
-	cases := map[string]func(*Manifest){
-		"status":      func(m *Manifest) { m.Status = StatusOK },
-		"no-record":   func(m *Manifest) { m.Estimate = nil },
-		"zero-rt":     func(m *Manifest) { m.Estimate.Runtime = 0 },
-		"no-bounds":   func(m *Manifest) { m.Estimate.Bounds = nil },
-		"run-kind":    func(m *Manifest) { m.Kind = Kind },
-		"wrong-kind2": func(m *Manifest) { m.Kind = "bogus" },
-	}
-	for name, mutate := range cases {
-		m := good
-		rec := *good.Estimate
-		m.Estimate = &rec
-		mutate(&m)
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s: invalid estimate manifest accepted", name)
-		}
-	}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("fixture invalid: %v", err)
-	}
-}
-
 func TestManifestFailedRun(t *testing.T) {
 	cfg := inpg.DefaultConfig()
 	m := Build("res", 0, cfg, nil, nil, 0.1, os.ErrDeadlineExceeded)
@@ -167,6 +92,7 @@ func TestManifestValidateRejects(t *testing.T) {
 	cases := map[string]func(*Manifest){
 		"schema":      func(m *Manifest) { m.SchemaVersion = 99 },
 		"kind":        func(m *Manifest) { m.Kind = "bogus" },
+		"kind-est":    func(m *Manifest) { m.Kind = "inpg-estimate-manifest" },
 		"sweep":       func(m *Manifest) { m.Sweep = "" },
 		"index":       func(m *Manifest) { m.Index = -1 },
 		"mechanism":   func(m *Manifest) { m.Mechanism = "warp-drive" },
