@@ -148,7 +148,7 @@ func main() {
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		metrics = flag.Bool("metrics", false, "enable the per-run telemetry registry")
 		mEvery  = flag.Int("metrics-every", 0, "sample the registry every N cycles (requires -metrics)")
-		manDir  = flag.String("manifest-dir", "", "write one JSON run manifest per simulation into this directory; with -coordinator it is the fleet's durable store, and a coordinator restarted on it resolves finished cells from the manifests")
+		manDir  = flag.String("manifest-dir", "", "write one JSON run manifest per simulation into this directory, created when a sweep starts; -resume on it restarts a killed sweep, local or -coordinator")
 		monAddr = flag.String("monitor", "", "serve the live sweep monitor (progress page, Prometheus /metrics, /healthz, pprof) on this address, e.g. :8080")
 		retries = flag.Int("retries", 0, "re-run each failed cell up to N times with deterministic backoff before quarantining it")
 		runTO   = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); overruns fail their cell with diagnostics")
@@ -166,7 +166,7 @@ func main() {
 		chKill     = flag.Int("chaos-kill-after", 0, "worker: die holding the Nth acquired lease without completing it (chaos testing)")
 		chDrop     = flag.Float64("chaos-drop-rate", 0, "worker: probability a completion acknowledgement is deterministically dropped and the report resent (chaos testing)")
 		fleetTok   = flag.String("fleet-token", "", "shared bearer secret for all /fleet/* endpoints: the coordinator requires it, workers send it (/healthz stays open)")
-		chKillCoor = flag.Int("chaos-kill-coordinator-after", 0, "coordinator: crash immediately after granting the Nth lease (chaos testing); a coordinator restarted on the same -manifest-dir resolves finished cells from the manifests, grants nothing for one -lease-ttl (the restart hold) and adopts the outstanding leases")
+		chKillCoor = flag.Int("chaos-kill-coordinator-after", 0, "coordinator: crash immediately after granting the Nth lease (chaos testing); restart the sweep with -resume on its -manifest-dir, and a surviving worker's report on the dead coordinator's lease is accepted late or dropped as a duplicate")
 	)
 	flag.Parse()
 	logger := newLogger(*logLvl)
@@ -233,8 +233,7 @@ func main() {
 	}
 	if *coordAddr != "" {
 		coord := fleet.NewCoordinator(fleet.Config{
-			LeaseTTL: *leaseTTL, QuarantineAfter: *quarAfter,
-			ManifestDir: o.ManifestDir, Token: *fleetTok,
+			LeaseTTL: *leaseTTL, QuarantineAfter: *quarAfter, Token: *fleetTok,
 			ChaosKillAfter: *chKillCoor, Log: logger,
 		})
 		ln, err := net.Listen("tcp", *coordAddr)

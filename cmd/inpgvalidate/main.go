@@ -6,8 +6,8 @@
 //
 // Each argument is either a manifest-*.json file, a .trace.json file,
 // or a directory scanned (non-recursively) for both; other files (figure
-// CSVs, a fleet campaign's restart marker, the estimate-*.json files of
-// older releases) are skipped. Across everything checked, one
+// CSVs, and the restart markers and estimate-*.json files of older
+// releases) are skipped. Across everything checked, one
 // cross-file property is enforced: the same sweep cell (sweep/index)
 // must never appear with two different config digests — the corruption
 // a fleet's idempotency-by-digest is supposed to make impossible.

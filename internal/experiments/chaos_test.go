@@ -51,8 +51,9 @@ func wedgeCell() inpg.Config {
 // a sweep with a wedging cell, a panicking cell and a deadline cell
 // completes without an infrastructure error, reports exactly those three
 // cells MISSING with three distinct cause classes, and a -resume-style
-// second pass re-executes only the three failed cells, skipping every
-// clean one from its manifest.
+// second pass re-executes only the three failed cells and the clean cell
+// whose configuration changed, skipping every other clean one from its
+// manifest.
 func TestChaosSweepQuarantinesAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	cfgs := []inpg.Config{
@@ -96,10 +97,12 @@ func TestChaosSweepQuarantinesAndResumes(t *testing.T) {
 	}
 
 	// Second pass: chaos lifted and the wedge replaced by a fixed
-	// configuration — the resume of a repaired sweep. Only the three
-	// failed cells may execute; the clean three are satisfied from their
-	// manifests.
+	// configuration — the resume of a repaired sweep. Cell 5's
+	// configuration changed too, so its OK manifest records another
+	// digest. Only the three failed cells and cell 5 may execute; clean
+	// cells 0 and 4 are satisfied from their manifests.
 	cfgs[1] = chaosCell(2)
+	cfgs[5] = chaosCell(7)
 	var mu sync.Mutex
 	claimed, skipped := map[int]int{}, map[int]int{}
 	o2 := Options{
@@ -129,13 +132,13 @@ func TestChaosSweepQuarantinesAndResumes(t *testing.T) {
 			t.Fatalf("resumed sweep has no results for cell %d", i)
 		}
 	}
-	for _, i := range []int{1, 2, 3} {
+	for _, i := range []int{1, 2, 3, 5} {
 		if claimed[i] != 1 || skipped[i] != 0 {
-			t.Fatalf("failed cell %d: claimed %d, skipped %d; want exactly one re-execution",
+			t.Fatalf("failed or changed cell %d: claimed %d, skipped %d; want exactly one re-execution",
 				i, claimed[i], skipped[i])
 		}
 	}
-	for _, i := range []int{0, 4, 5} {
+	for _, i := range []int{0, 4} {
 		if claimed[i] != 0 || skipped[i] != 1 {
 			t.Fatalf("clean cell %d: claimed %d, skipped %d; want a manifest skip",
 				i, claimed[i], skipped[i])

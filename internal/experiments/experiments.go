@@ -75,7 +75,9 @@ type Options struct {
 	JourneyRate float64
 	// ManifestDir, when set, writes one JSON run manifest per simulation
 	// (internal/manifest) into this directory, named after the sweep and
-	// the run's submission index.
+	// the run's submission index. Each sweep creates the directory when
+	// it starts, so a sweep killed before its first manifest can still
+	// be restarted with Resume on it.
 	ManifestDir string
 	// Observer, when set, receives every run's lifecycle outcomes — the
 	// live sweep monitor's feed. It is called from worker goroutines and
@@ -249,8 +251,9 @@ func Run(cfg inpg.Config) (*inpg.Results, error) {
 // identical for any worker count; on fault-free sweeps the Missing list
 // is empty and results match the fail-fast path bit for bit. sweep names
 // the batch in run manifests and monitor feeds. The error return is
-// reserved for infrastructure failures (an unreadable resume directory),
-// never for individual runs.
+// reserved for infrastructure failures (an unreadable resume directory,
+// a manifest directory that cannot be created), never for individual
+// runs.
 func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Missing, error) {
 	p := runner.Policy{
 		Workers:    o.Workers,
@@ -277,6 +280,13 @@ func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Mis
 			}
 		}
 		p.Skip = func(i int) bool { return prefill[i] != nil }
+	}
+	// After the resume scan, which must still fail on a directory nobody
+	// created.
+	if o.ManifestDir != "" {
+		if err := os.MkdirAll(o.ManifestDir, 0o755); err != nil {
+			return nil, nil, fmt.Errorf("%s: manifest dir: %w", sweep, err)
+		}
 	}
 	var results []*inpg.Results
 	var errs []*runner.RunError

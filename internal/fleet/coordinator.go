@@ -8,10 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"maps"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,8 +18,6 @@ import (
 	"time"
 
 	"inpg"
-	"inpg/internal/manifest"
-	"inpg/internal/metrics"
 	"inpg/internal/runner"
 )
 
@@ -41,8 +37,7 @@ const (
 
 // Config tunes a Coordinator. The zero value selects every default.
 type Config struct {
-	// LeaseTTL is the lease time-to-live (DefaultLeaseTTL when 0). It is
-	// also the length of the restart hold.
+	// LeaseTTL is the lease time-to-live (DefaultLeaseTTL when 0).
 	LeaseTTL time.Duration
 	// QuarantineAfter quarantines a cell once this many distinct workers
 	// have failed its digest (DefaultQuarantineAfter when 0). As a
@@ -50,25 +45,23 @@ type Config struct {
 	// forever, a cell is also quarantined after 2×QuarantineAfter total
 	// failures regardless of how many workers produced them.
 	QuarantineAfter int
-	// ManifestDir, when set, is the campaign's durable store. Per-run
-	// manifests land there through the observer plumbing local sweeps use
-	// (the coordinator does not write them), and while a campaign runs the
-	// coordinator keeps an empty restart marker, campaign-<sweep>.open,
-	// next to them. A coordinator that starts a campaign and finds the
-	// marker knows its predecessor died mid-campaign: it resolves cells
-	// from digest-matched OK manifests and grants no lease for one
-	// LeaseTTL (the restart hold), so surviving workers re-attach their
-	// leases first. Without a manifest dir a crash loses the campaign.
+	// ManifestDir is ignored. Per-run manifests land through the
+	// observer plumbing local sweeps use (the coordinator does not write
+	// them), and a killed coordinator is restarted with -resume on their
+	// directory.
+	//
+	// Deprecated: ManifestDir has no effect; leave it empty.
 	ManifestDir string
 	// Token, when non-empty, is the shared bearer secret every /fleet/*
 	// request must present (Authorization: Bearer <token>, compared in
-	// constant time). /healthz and /metrics stay open.
+	// constant time). /healthz stays open.
 	Token string
 	// ChaosKillAfter, when > 0, crashes the coordinator (via Exit)
 	// immediately after granting its Nth lease — mirroring the worker's
-	// chaos hook — to exercise the restart hold and lease adoption. The
-	// response for the Nth lease is flushed first, so the worker
-	// genuinely holds the lease across the crash.
+	// chaos hook — to exercise a -resume restart while a worker still
+	// runs a dead coordinator's lease. The response for the Nth lease is
+	// flushed first, so the worker genuinely holds the lease across the
+	// crash.
 	ChaosKillAfter int
 	// Exit is called to kill the process on chaos crash (default
 	// os.Exit); tests inject a no-op so the "crash" stays in-process
@@ -107,8 +100,7 @@ type cell struct {
 	failCount int
 }
 
-// lease is one outstanding grant, issued by this coordinator or adopted
-// from a previous incarnation.
+// lease is one outstanding grant.
 type lease struct {
 	id      string
 	index   int
@@ -119,7 +111,6 @@ type lease struct {
 // workerInfo is the coordinator's view of one worker.
 type workerInfo struct {
 	id        string
-	num       int
 	lastSeen  time.Time
 	completed int
 	failed    int
@@ -144,16 +135,6 @@ type campaign struct {
 	// RunCampaign unblocks on it and returns typed errors for the
 	// unresolved cells.
 	crash chan struct{}
-	// marker is the restart marker's path ("" without a manifest dir or
-	// when it could not be written). holdUntil ends the restart hold: no
-	// lease is granted before it. It is zero for a fresh campaign, which
-	// never holds.
-	marker    string
-	holdUntil time.Time
-	// adopted counts leases of a previous incarnation taken over by a
-	// heartbeat or a completion; replayed counts cells resolved from
-	// manifests at restart.
-	adopted, replayed int
 
 	reclaims, duplicates, lateAccepts, conflicts, quarantined, skipped int
 
@@ -168,10 +149,8 @@ type campaign struct {
 type Coordinator struct {
 	cfg Config
 	log *slog.Logger
-	// nonce prefixes every lease ID this coordinator grants. A lease with
-	// another prefix was granted by a previous incarnation and may be
-	// adopted; one with this prefix that is no longer outstanding was
-	// reclaimed or resolved, and is gone.
+	// nonce prefixes every lease ID this coordinator grants, so a lease
+	// another coordinator process granted never matches one of ours.
 	nonce string
 
 	// dead is set by a chaos crash: every handler answers 503 from then
@@ -184,24 +163,13 @@ type Coordinator struct {
 	leases   map[string]*lease
 	workers  map[string]*workerInfo
 	shutdown bool
-	// published flips once the first campaign is installed. Before that,
-	// heartbeats and completions are answered 503 (retry) rather than
-	// Gone or Duplicate (drop): a restarted coordinator's port may be
-	// reachable before its campaign is up, and a surviving worker's lease
-	// must stay adoptable in that window.
-	published bool
 	// grants counts leases granted over the coordinator's lifetime: it
 	// numbers lease IDs and trips the chaos kill.
 	grants int
 
 	// Counters for this coordinator process, across its campaigns; a
 	// restart starts them at zero.
-	totReclaims, totDuplicates, totLate, totQuarantined, totConflicts, totAdopted int
-
-	// counters aggregates the telemetry snapshots of every accepted
-	// successful completion across campaigns (metrics.FoldSnapshot
-	// naming), served on /metrics.
-	counters map[string]uint64
+	totReclaims, totDuplicates, totLate, totQuarantined, totConflicts int
 }
 
 // NewCoordinator builds a coordinator ready to serve workers; campaigns
@@ -218,17 +186,16 @@ func NewCoordinator(cfg Config) *Coordinator {
 		log = discardLog
 	}
 	return &Coordinator{
-		cfg:      cfg,
-		log:      log,
-		nonce:    newNonce(),
-		leases:   map[string]*lease{},
-		workers:  map[string]*workerInfo{},
-		counters: map[string]uint64{},
+		cfg:     cfg,
+		log:     log,
+		nonce:   newNonce(),
+		leases:  map[string]*lease{},
+		workers: map[string]*workerInfo{},
 	}
 }
 
 // newNonce draws a coordinator's lease-ID prefix: random, so that two
-// incarnations serving the same campaign never share one.
+// coordinator processes serving the same sweep never share one.
 func newNonce() string {
 	var b [6]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -260,12 +227,15 @@ func (c *Coordinator) Shutdown() {
 // exactly when the cell succeeded (skipped cells stay nil for the caller
 // to prefill), errs[i] is the final typed failure of a quarantined cell.
 // Policy semantics carried over: Skip elides cells (one StatusSkipped
-// outcome each), PreRun maps stored configurations before dispatch,
+// outcome each), which is how -resume restarts a killed coordinator's
+// sweep, PreRun maps stored configurations before dispatch,
 // Retries/RunTimeout ship to workers as the per-lease attempt policy,
 // and Observer sees claim and completion outcomes exactly as local
 // sweeps do — which is how manifest emission and the live monitor work
-// unchanged. PreAttempt cannot cross the wire and is ignored;
-// worker-side chaos uses the worker's own chaos flags.
+// unchanged. Outcome.Worker is always 0: a worker runs several cells at
+// once, and Status.Workers is the fleet's per-worker view. PreAttempt
+// cannot cross the wire and is ignored; worker-side chaos uses the
+// worker's own chaos flags.
 //
 // Dispatch is at-least-once: there is no campaign-wide deadline, and a
 // cell is re-dispatched until some worker completes it or enough
@@ -298,13 +268,6 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 		}
 		camp.cells = append(camp.cells, cl)
 	}
-	restarted := c.openMarker(camp)
-	if restarted {
-		settled = append(settled, c.resolveFromManifests(camp)...)
-		c.log.Info("campaign restarted from manifests",
-			"sweep", sweep, "resolved", camp.replayed, "remaining", camp.remaining,
-			"restart_hold", c.cfg.LeaseTTL)
-	}
 
 	// Captured before the campaign is published: once c.camp is set,
 	// handlers mutate remaining under mu.
@@ -315,11 +278,7 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 		c.mu.Unlock()
 		panic("fleet: RunCampaign while another campaign is active")
 	}
-	if restarted {
-		camp.holdUntil = c.now().Add(c.cfg.LeaseTTL)
-	}
 	c.camp = camp
-	c.published = true
 	c.mu.Unlock()
 
 	if p.Observer != nil {
@@ -360,98 +319,15 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 				Err:    errors.New("fleet: coordinator crashed mid-campaign")}
 		}
 	}
-	if crashed {
-		// The in-process equivalent of the process dying: the marker stays
-		// behind, so a restart holds for the surviving workers.
-		return results, errs
-	}
-
-	c.log.Info("campaign done",
-		"sweep", sweep, "cells", len(camp.cells), "skipped", camp.skipped,
-		"workers", len(camp.workerCompleted), "worker_completions", camp.workerCompleted,
-		"reclaimed", camp.reclaims, "quarantined", camp.quarantined,
-		"duplicates", camp.duplicates, "late_accepts", camp.lateAccepts,
-		"digest_conflicts", camp.conflicts, "adopted", camp.adopted,
-		"replayed", camp.replayed)
-	if camp.marker != "" {
-		if err := os.Remove(camp.marker); err != nil {
-			c.log.Error("restart marker not removed; the next run of this sweep will hold",
-				"sweep", sweep, "err", err)
-		}
+	if !crashed {
+		c.log.Info("campaign done",
+			"sweep", sweep, "cells", len(camp.cells), "skipped", camp.skipped,
+			"workers", len(camp.workerCompleted), "worker_completions", camp.workerCompleted,
+			"reclaimed", camp.reclaims, "quarantined", camp.quarantined,
+			"duplicates", camp.duplicates, "late_accepts", camp.lateAccepts,
+			"digest_conflicts", camp.conflicts)
 	}
 	return results, errs
-}
-
-// markerName is the restart marker's file name within the manifest
-// directory. The .open extension keeps it out of manifest.ScanDir and
-// inpgvalidate, which read .json files only.
-func markerName(sweep string) string {
-	return "campaign-" + sweep + ".open"
-}
-
-// openMarker reports whether a previous incarnation left this campaign's
-// restart marker behind, and otherwise puts one down. A marker that
-// cannot be written is logged and the campaign runs on: only a later
-// restart loses its hold.
-func (c *Coordinator) openMarker(camp *campaign) bool {
-	if c.cfg.ManifestDir == "" {
-		return false
-	}
-	path := filepath.Join(c.cfg.ManifestDir, markerName(camp.sweep))
-	if _, err := os.Stat(path); err == nil {
-		camp.marker = path
-		return true
-	}
-	err := os.MkdirAll(c.cfg.ManifestDir, 0o755)
-	if err == nil {
-		err = os.WriteFile(path, nil, 0o644)
-	}
-	if err != nil {
-		c.log.Error("restart marker not written; a restart will not hold",
-			"sweep", camp.sweep, "err", err)
-		return false
-	}
-	camp.marker = path
-	return false
-}
-
-// resolveFromManifests settles, at restart, every open cell whose OK
-// manifest with the matching digest is on disk, rebuilds the queue from
-// the rest, and returns the outcomes to emit for the settled cells.
-// Manifests are the only record of a result: a failed-run manifest, or
-// one recorded under another digest, leaves its cell to be dispatched
-// again.
-func (c *Coordinator) resolveFromManifests(camp *campaign) []runner.Outcome {
-	byIndex, warnings, err := manifest.ScanDir(c.cfg.ManifestDir, camp.sweep)
-	if err != nil {
-		c.log.Warn("restart: manifest scan failed", "sweep", camp.sweep, "err", err)
-		return nil
-	}
-	for _, warn := range warnings {
-		c.log.Warn("restart: manifest scan", "sweep", camp.sweep, "warning", warn)
-	}
-	var settled []runner.Outcome
-	camp.queue = camp.queue[:0]
-	for _, cl := range camp.cells {
-		if cl.state == cellDone { // skipped by policy
-			continue
-		}
-		m := byIndex[cl.index]
-		if m == nil || m.Status != manifest.StatusOK || m.ConfigDigest != cl.digest {
-			camp.queue = append(camp.queue, cl.index)
-			continue
-		}
-		cl.state = cellDone
-		cl.res = m.ToResults()
-		camp.remaining--
-		camp.replayed++
-		// StatusSkipped is the one claim-free Done status; observers (and
-		// the manifest emitter, which ignores skips) treat the cell as
-		// already settled.
-		settled = append(settled, runner.Outcome{
-			Index: cl.index, Done: true, Status: runner.StatusSkipped, Cfg: cl.cfg})
-	}
-	return settled
 }
 
 // crash kills the coordinator mid-campaign (chaos hook): it marks the
@@ -552,7 +428,7 @@ func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, bool) {
 	camp.reclaims++
 	c.totReclaims++
 	return runner.Outcome{
-		Index: l.index, Worker: c.workerNumLocked(l.worker), Done: true,
+		Index: l.index, Done: true,
 		Status: runner.StatusRetrying, Attempt: cl.dispatches - 1, Cfg: cl.cfg,
 		Err: &runner.RunError{
 			Index: l.index, Attempt: cl.dispatches - 1, Cause: runner.CauseTimeout,
@@ -562,58 +438,21 @@ func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, bool) {
 	}, true
 }
 
-// adoptLocked takes over a lease a previous coordinator incarnation
-// granted, when the cell it names is still pending here under the same
-// digest: the worker's in-flight run then stands for this incarnation's
-// dispatch instead of being redone. It returns the claim outcome the
-// adoption opens, or nil when the lease is not adopted. A lease carrying
-// this coordinator's own nonce is never adopted — it was reclaimed or
-// resolved. Caller holds mu.
-func (c *Coordinator) adoptLocked(id, worker, sweep string, index int, digest string) *runner.Outcome {
-	camp := c.camp
-	if camp == nil || strings.HasPrefix(id, c.nonce+"-") || camp.sweep != sweep ||
-		index < 0 || index >= len(camp.cells) {
-		return nil
-	}
-	cl := camp.cells[index]
-	if cl.state != cellPending || cl.digest != digest {
-		return nil
-	}
-	cl.state = cellLeased
-	cl.leaseID = id
-	cl.dispatches++
-	c.leases[id] = &lease{id: id, index: index, worker: worker,
-		expires: c.now().Add(c.cfg.LeaseTTL)}
-	camp.adopted++
-	c.totAdopted++
-	return &runner.Outcome{Index: index, Worker: c.workerNumLocked(worker),
-		Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg}
-}
-
 // touchWorker records a worker contact and returns its info. Caller
 // holds mu.
 func (c *Coordinator) touchWorkerLocked(id string) *workerInfo {
 	w := c.workers[id]
 	if w == nil {
-		w = &workerInfo{id: id, num: len(c.workers)}
+		w = &workerInfo{id: id}
 		c.workers[id] = w
 	}
 	w.lastSeen = c.now()
 	return w
 }
 
-// workerNumLocked maps a worker ID to its small integer for
-// runner.Outcome.Worker. Caller holds mu.
-func (c *Coordinator) workerNumLocked(id string) int {
-	if w := c.workers[id]; w != nil {
-		return w.num
-	}
-	return 0
-}
-
 // ServeHTTP demultiplexes the fleet endpoints. Every /fleet/* route is
-// behind the bearer token (when configured); /healthz and /metrics stay
-// open for probes and scrapers.
+// behind the bearer token (when configured); /healthz stays open for
+// probes.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if c.dead.Load() {
 		http.Error(w, "coordinator down", http.StatusServiceUnavailable)
@@ -631,10 +470,6 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.handleHeartbeat(w, r)
 	case PathComplete:
 		c.handleComplete(w, r)
-	case PathStatus:
-		writeJSON(w, c.Status())
-	case PathMetrics:
-		c.handleMetrics(w, r)
 	case PathHealthz:
 		writeJSON(w, map[string]string{"status": "ok"})
 	default:
@@ -667,7 +502,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.reclaimExpired()
 
 	c.mu.Lock()
-	wi := c.touchWorkerLocked(req.Worker)
+	c.touchWorkerLocked(req.Worker)
 	var resp LeaseResponse
 	flush := func() {}
 	switch {
@@ -675,7 +510,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		resp.Shutdown = true
 	case c.camp != nil:
 		var claim *runner.Outcome
-		if resp.Lease, claim = c.grantLocked(req.Worker, wi.num); claim != nil {
+		if resp.Lease, claim = c.grantLocked(req.Worker); claim != nil {
 			flush = c.emitLocked(*claim)
 		}
 	}
@@ -686,8 +521,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 	if killNow {
 		// Chaos: die after the grant response is flushed, so the worker
-		// deterministically holds a lease across the crash — the scenario
-		// lease adoption exists for.
+		// deterministically holds a lease across the crash.
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
@@ -696,19 +530,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // grantLocked leases the next pending cell to a worker and returns the
-// lease with its claim outcome, or nils when the queue is empty or the
-// restart hold is on. Caller holds mu and has checked c.camp.
-func (c *Coordinator) grantLocked(worker string, num int) (*Lease, *runner.Outcome) {
+// lease with its claim outcome, or nils when the queue is empty. Caller
+// holds mu and has checked c.camp.
+func (c *Coordinator) grantLocked(worker string) (*Lease, *runner.Outcome) {
 	camp := c.camp
-	if c.now().Before(camp.holdUntil) {
-		return nil, nil
-	}
 	for len(camp.queue) > 0 {
 		idx := camp.queue[0]
 		camp.queue = camp.queue[1:]
 		cl := camp.cells[idx]
 		if cl.state != cellPending {
-			// Resolved or adopted while queued; skip.
+			// Resolved by a late completion while queued; skip.
 			continue
 		}
 		c.grants++
@@ -722,7 +553,7 @@ func (c *Coordinator) grantLocked(worker string, num int) (*Lease, *runner.Outco
 				ID: id, Sweep: camp.sweep, Index: idx, Digest: cl.digest,
 				Config: cl.cfg, TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 				Retries: camp.retries, RunTimeoutNanos: int64(camp.runTimeout),
-			}, &runner.Outcome{Index: idx, Worker: num,
+			}, &runner.Outcome{Index: idx,
 				Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg}
 	}
 	return nil, nil
@@ -731,10 +562,9 @@ func (c *Coordinator) grantLocked(worker string, num int) (*Lease, *runner.Outco
 // handleHeartbeat extends a live lease. A heartbeat arriving after the
 // deadline — even before the periodic reclaimer noticed — is too late:
 // the lease is reclaimed on the spot and the worker told it is gone, so
-// expiry is deterministic rather than racing the sweep interval. A
-// heartbeat on a lease this coordinator does not hold adopts it when a
-// previous incarnation granted it and its cell is still open here;
-// otherwise the lease is gone.
+// expiry is deterministic rather than racing the sweep interval. A lease
+// this coordinator does not hold — resolved, or granted by another
+// coordinator process — is gone.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -742,22 +572,14 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	if c.camp == nil && !c.published {
-		c.mu.Unlock()
-		http.Error(w, "no campaign yet", http.StatusServiceUnavailable)
-		return
-	}
 	c.touchWorkerLocked(req.Worker)
 	var emit *runner.Outcome
 	resp := HeartbeatResponse{}
-	adopted := false
 	now := c.now()
 	l := c.leases[req.LeaseID]
 	switch {
 	case l == nil:
-		emit = c.adoptLocked(req.LeaseID, req.Worker, req.Sweep, req.Index, req.Digest)
-		adopted = emit != nil
-		resp.OK, resp.Gone = adopted, !adopted
+		resp.Gone = true
 	case now.Before(l.expires):
 		l.expires = now.Add(c.cfg.LeaseTTL)
 		resp.OK = true
@@ -773,17 +595,15 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		flush = c.emitLocked(*emit)
 	}
 	c.mu.Unlock()
-	if adopted {
-		c.log.Info("lease adopted", "sweep", req.Sweep, "cell", req.Index,
-			"worker", req.Worker, "lease", req.LeaseID, "via", "heartbeat")
-	}
 	flush()
 	writeJSON(w, resp)
 }
 
 // handleComplete folds a worker's completion into the campaign:
 // first write wins per cell, duplicates are dropped and counted, and a
-// digest mismatch is rejected outright.
+// digest mismatch is rejected outright. A report on a lease this
+// coordinator never granted — a dead coordinator's, carried across a
+// -resume restart — is judged by digest like any late completion.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var rep CompletionReport
 	if err := json.NewDecoder(r.Body).Decode(&rep); err != nil || rep.Worker == "" {
@@ -793,14 +613,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	wi := c.touchWorkerLocked(rep.Worker)
 	camp := c.camp
-	if camp == nil && !c.published {
-		// Startup window: the port is up but no campaign has ever been
-		// installed — a restarted coordinator still scanning manifests.
-		// Make the worker retry instead of dropping its report.
-		c.mu.Unlock()
-		http.Error(w, "no campaign yet", http.StatusServiceUnavailable)
-		return
-	}
 	if camp == nil || camp.sweep != rep.Sweep || rep.Index < 0 || rep.Index >= len(camp.cells) {
 		// A straggler from a finished campaign: its cell was resolved (or
 		// never existed); drop as a duplicate so the worker stops.
@@ -822,16 +634,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	var emit []runner.Outcome
 	resp := CompletionResponse{}
-
-	adopted := false
-	if c.leases[rep.LeaseID] == nil {
-		// A previous incarnation's lease on a still-pending cell: the
-		// in-flight work survived the outage; adopt it and complete it.
-		if claim := c.adoptLocked(rep.LeaseID, rep.Worker, rep.Sweep, rep.Index, rep.Digest); claim != nil {
-			adopted = true
-			emit = append(emit, *claim)
-		}
-	}
 	delete(c.leases, rep.LeaseID)
 
 	if cl.state == cellDone {
@@ -844,9 +646,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		resp.Duplicate = true
 	} else {
 		resp.Accepted = true
-		// Late: the worker's lease was reclaimed, so its claim is already
-		// closed for observers and the cell is queued again or held by
-		// another worker.
+		// Late: the worker's lease was reclaimed or granted by another
+		// coordinator process, so it holds no open claim here and the cell
+		// is queued or held by another worker.
 		late := cl.leaseID != rep.LeaseID
 		if rep.OK {
 			if late {
@@ -858,11 +660,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 				c.totLate++
 				if h := c.leases[cl.leaseID]; h != nil {
 					delete(c.leases, cl.leaseID)
-					emit = append(emit, runner.Outcome{Index: rep.Index,
-						Worker: c.workerNumLocked(h.worker), Done: true,
+					emit = append(emit, runner.Outcome{Index: rep.Index, Done: true,
 						Status: runner.StatusAbandoned, Cfg: cl.cfg})
 				}
-				emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
+				emit = append(emit, runner.Outcome{Index: rep.Index,
 					Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg})
 			}
 			cl.state = cellDone
@@ -871,8 +672,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			camp.workerCompleted[rep.Worker]++
 			wi.completed++
 			camp.remaining--
-			metrics.FoldSnapshot(c.counters, rep.Snapshot)
-			emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
+			emit = append(emit, runner.Outcome{Index: rep.Index,
 				Done: true, Status: runner.StatusOK, Attempt: rep.Attempt,
 				Cfg: cl.cfg, Res: rep.Res, Snapshot: rep.Snapshot,
 				WallSeconds: rep.WallSeconds})
@@ -895,14 +695,14 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 				camp.quarantined++
 				c.totQuarantined++
 				camp.remaining--
-				emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
+				emit = append(emit, runner.Outcome{Index: rep.Index,
 					Done: true, Status: runner.StatusQuarantined, Attempt: rep.Attempt,
 					Cfg: cl.cfg, Err: rerr, WallSeconds: rep.WallSeconds})
 			default:
 				cl.state = cellPending
 				cl.leaseID = ""
 				camp.queue = append(camp.queue, rep.Index)
-				emit = append(emit, runner.Outcome{Index: rep.Index, Worker: wi.num,
+				emit = append(emit, runner.Outcome{Index: rep.Index,
 					Done: true, Status: runner.StatusRetrying, Attempt: rep.Attempt,
 					Cfg: cl.cfg, Err: rerr, WallSeconds: rep.WallSeconds})
 			}
@@ -913,11 +713,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	flush := c.emitLocked(emit...)
 	c.mu.Unlock()
-
-	if adopted {
-		c.log.Info("lease adopted", "sweep", rep.Sweep, "cell", rep.Index,
-			"worker", rep.Worker, "lease", rep.LeaseID, "via", "completion")
-	}
 	flush()
 	writeJSON(w, resp)
 }
@@ -926,11 +721,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.statusLocked()
-}
-
-// statusLocked assembles the public Status. Caller holds mu.
-func (c *Coordinator) statusLocked() Status {
 	st := Status{
 		Shutdown:          c.shutdown,
 		LeasesOutstanding: len(c.leases),
@@ -939,7 +729,6 @@ func (c *Coordinator) statusLocked() Status {
 		LateAccepts:       c.totLate,
 		Quarantined:       c.totQuarantined,
 		DigestConflicts:   c.totConflicts,
-		Adopted:           c.totAdopted,
 	}
 	if c.camp != nil {
 		st.Sweep = c.camp.sweep
@@ -953,13 +742,13 @@ func (c *Coordinator) statusLocked() Status {
 	now := c.now()
 	for _, wi := range c.workers {
 		st.Workers = append(st.Workers, WorkerStatus{
-			ID: wi.id, Num: wi.num,
+			ID:              wi.id,
 			LastSeenSeconds: now.Sub(wi.lastSeen).Seconds(),
 			Completed:       wi.completed, Failed: wi.failed,
 			Leases: held[wi.id],
 		})
 	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Num < st.Workers[j].Num })
+	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
 	return st
 }
 
@@ -972,19 +761,6 @@ func (camp *campaign) doneCount() int {
 		}
 	}
 	return done
-}
-
-// handleMetrics serves the coordinator's telemetry in the Prometheus
-// text exposition format: cumulative counters folded from every accepted
-// successful completion (inpg_<instrument>) and the Status gauges
-// (inpg_fleet_*), both read under one hold of the lock.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	c.mu.Lock()
-	counters := maps.Clone(c.counters)
-	gauges := c.statusLocked().Gauges()
-	c.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.WritePrometheus(w, counters, gauges)
 }
 
 // writeJSON serializes a response body.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -190,8 +189,7 @@ func (f *fakeWorker) lease() *Lease {
 
 func (f *fakeWorker) heartbeat(l *Lease) HeartbeatResponse {
 	var resp HeartbeatResponse
-	f.post(PathHeartbeat, HeartbeatRequest{Worker: f.id, LeaseID: l.ID,
-		Sweep: l.Sweep, Index: l.Index, Digest: l.Digest}, &resp)
+	f.post(PathHeartbeat, HeartbeatRequest{Worker: f.id, LeaseID: l.ID}, &resp)
 	return resp
 }
 
@@ -211,12 +209,13 @@ func (f *fakeWorker) complete(l *Lease, ok bool, runtime uint64) (CompletionResp
 }
 
 // pairClaims wraps p's observer with runner.Outcome's pairing contract:
-// a claim opens one per (worker, cell), every Done except StatusSkipped
-// must close an open one, and none may be left open when the test ends.
+// a claim opens per cell, every Done except StatusSkipped must close an
+// open one, and none may be left open when the test ends. (Fleet
+// outcomes all carry worker 0, so claims are counted per cell.)
 func pairClaims(t *testing.T, p runner.Policy) runner.Policy {
 	t.Helper()
 	var mu sync.Mutex
-	open := map[[2]int]int{}
+	open := map[int]int{}
 	inner := p.Observer
 	p.Observer = func(o runner.Outcome) {
 		if inner != nil {
@@ -225,24 +224,23 @@ func pairClaims(t *testing.T, p runner.Policy) runner.Policy {
 		if o.Status == runner.StatusSkipped {
 			return
 		}
-		key := [2]int{o.Worker, o.Index}
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
 		case !o.Done:
-			open[key]++
-		case open[key] == 0:
-			t.Errorf("Done without a claim: worker %d cell %d status %s", o.Worker, o.Index, o.Status)
+			open[o.Index]++
+		case open[o.Index] == 0:
+			t.Errorf("Done without a claim: cell %d status %s", o.Index, o.Status)
 		default:
-			open[key]--
+			open[o.Index]--
 		}
 	}
 	t.Cleanup(func() {
 		mu.Lock()
 		defer mu.Unlock()
-		for key, n := range open {
+		for i, n := range open {
 			if n > 0 {
-				t.Errorf("worker %d cell %d: %d claims never closed", key[0], key[1], n)
+				t.Errorf("cell %d: %d claims never closed", i, n)
 			}
 		}
 	})
@@ -252,13 +250,11 @@ func pairClaims(t *testing.T, p runner.Policy) runner.Policy {
 // TestHeartbeatJustAfterExpiry: a heartbeat that arrives after the lease
 // deadline — even before the periodic reclaimer ran — finds the lease
 // gone and the cell back in the queue; the original holder's eventual
-// completion is deduplicated after another worker resolves the cell. A
-// lease this coordinator granted is never adopted back, even though its
-// cell is pending again under the same digest.
+// completion is deduplicated after another worker resolves the cell.
 func TestHeartbeatJustAfterExpiry(t *testing.T) {
 	clk := newClock()
 	dir := t.TempDir()
-	c := NewCoordinator(Config{LeaseTTL: time.Minute, ManifestDir: dir, Now: clk.Now})
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clk.Now})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 	// Two cells so the duplicate arrives while the campaign is active.
@@ -282,8 +278,8 @@ func TestHeartbeatJustAfterExpiry(t *testing.T) {
 	if hb := a.heartbeat(la); !hb.Gone || hb.OK {
 		t.Fatalf("heartbeat on the reclaimed lease = %+v, want gone", hb)
 	}
-	if st := c.Status(); st.Reclaims != 1 || st.Adopted != 0 {
-		t.Fatalf("reclaims = %d adopted = %d, want 1/0", st.Reclaims, st.Adopted)
+	if st := c.Status(); st.Reclaims != 1 {
+		t.Fatalf("reclaims = %d, want 1", st.Reclaims)
 	}
 
 	// The reclaimed cell re-queues behind the untouched cell 1, so b
@@ -401,7 +397,7 @@ func TestDigestConflictRejected(t *testing.T) {
 // error; the campaign still completes.
 func TestQuarantineAfterDistinctWorkerFailures(t *testing.T) {
 	dir := t.TempDir()
-	c := NewCoordinator(Config{QuarantineAfter: 2, ManifestDir: dir})
+	c := NewCoordinator(Config{QuarantineAfter: 2})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 	cfgs := tinyCfgs(2)
@@ -728,16 +724,35 @@ func TestWorkerDrainFinishesInFlightCell(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMetricsEndpoint: accepted completions fold into
-// cumulative counters, which render on /metrics in Prometheus text
-// exposition format alongside the fleet dispatch gauges.
+// TestCoordinatorMetricsEndpoint: a coordinator process's /metrics is
+// its monitor's (inpgbench -coordinator -monitor), the fleet's one view.
+// The coordinator itself serves only the /fleet/* protocol and /healthz,
+// and hands each accepted completion's telemetry snapshot to the
+// campaign's observer on the OK outcome; that snapshot is what the
+// monitor folds into its cumulative counters.
 func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: time.Minute})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
-	cfgs := tinyCfgs(1)
-	wait := startCampaign(t, c, "prom", cfgs, runner.Policy{})
+	srv := serve(t, c)
+	for _, path := range []string{"/metrics", "/fleet/status"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("coordinator %s status = %d, want 404", path, resp.StatusCode)
+		}
+	}
 
+	var mu sync.Mutex
+	var got *metrics.Snapshot
+	wait := startCampaign(t, c, "prom", tinyCfgs(1), runner.Policy{Observer: func(o runner.Outcome) {
+		if o.Done && o.Status == runner.StatusOK {
+			mu.Lock()
+			got = o.Snapshot
+			mu.Unlock()
+		}
+	}})
 	w := &fakeWorker{t: t, url: srv.URL, id: "worker-m"}
 	l := w.lease()
 	if l == nil {
@@ -747,55 +762,17 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 		Values:     []metrics.KV{{Name: "journey.completed", Value: 7}},
 		Histograms: []metrics.HistSummary{{Name: "journey.e2e_cycles", Count: 7, Sum: 350}},
 	}
-
-	page := func() string {
-		resp, err := http.Get(srv.URL + PathMetrics)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b bytes.Buffer
-		if _, err := b.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-
-	// Before any completion: dispatch gauges, no cumulative counters yet.
-	got := page()
-	for _, want := range []string{
-		"# TYPE inpg_fleet_cells gauge",
-		"inpg_fleet_cells 1",
-		"inpg_fleet_leases_outstanding 1",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "# TYPE inpg_journey_completed counter") {
-		t.Fatalf("/metrics has cumulative counters before any completion:\n%s", got)
-	}
-
-	// An accepted completion's snapshot folds into the cumulative
-	// counters.
-	rep := CompletionReport{Worker: w.id, LeaseID: l.ID, Sweep: l.Sweep,
+	var resp CompletionResponse
+	w.post(PathComplete, CompletionReport{Worker: w.id, LeaseID: l.ID, Sweep: l.Sweep,
 		Index: l.Index, Digest: l.Digest, OK: true, WallSeconds: 0.01,
-		Res: &inpg.Results{Runtime: 1}, Snapshot: snap}
-	var cresp CompletionResponse
-	w.post(PathComplete, rep, &cresp)
-	if !cresp.Accepted {
-		t.Fatalf("completion = %+v", cresp)
+		Res: &inpg.Results{Runtime: 1}, Snapshot: snap}, &resp)
+	if !resp.Accepted {
+		t.Fatalf("completion = %+v", resp)
 	}
 	wait()
-	got = page()
-	for _, want := range []string{
-		"# TYPE inpg_journey_completed counter",
-		"inpg_journey_completed 7",
-		"inpg_journey_e2e_cycles_count 7",
-		"inpg_journey_e2e_cycles_sum 350",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("/metrics missing %q after completion:\n%s", want, got)
-		}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("OK outcome's snapshot = %+v, want the completion's %+v", got, snap)
 	}
 }

@@ -18,15 +18,12 @@
 //
 // The coordinator keeps no log. Its manifest directory is the durable
 // store: run manifests land exactly as in local sweeps (via the same
-// observer plumbing), and an empty campaign-<sweep>.open marker records
-// that a campaign is running. A coordinator restarted on the same
-// directory resolves finished cells from the manifests, grants nothing
-// for one lease TTL (the restart hold), and adopts the leases surviving
-// workers still hold when they heartbeat or complete. Every lease ID
-// starts with a nonce drawn once per coordinator, which is how a
-// restarted coordinator tells a predecessor's lease from one of its own
-// that is gone. -resume promotes a partially completed fleet run for
-// free.
+// observer plumbing), and a killed coordinator is restarted with -resume
+// on that directory, which skips every cell with a digest-matched OK
+// manifest, as it does for a killed local sweep. Every lease ID starts
+// with a nonce drawn once per coordinator, so lease IDs stay unique
+// across coordinator processes; a surviving worker's report on a dead
+// coordinator's lease is judged by digest like any late completion.
 package fleet
 
 import (
@@ -40,12 +37,7 @@ const (
 	PathLease     = "/fleet/lease"
 	PathHeartbeat = "/fleet/heartbeat"
 	PathComplete  = "/fleet/complete"
-	PathStatus    = "/fleet/status"
 	PathHealthz   = "/healthz"
-	// PathMetrics serves the coordinator's telemetry — counters folded
-	// from accepted completions plus the Status gauges — in the
-	// Prometheus text exposition format.
-	PathMetrics = "/metrics"
 )
 
 // LeaseRequest is a worker's poll for work.
@@ -82,22 +74,17 @@ type LeaseResponse struct {
 	Shutdown bool   `json:"shutdown,omitempty"`
 }
 
-// HeartbeatRequest extends a lease. It names the lease's cell (sweep,
-// index and digest) so that a restarted coordinator, which never saw the
-// grant, can adopt the lease while the cell is still open there.
+// HeartbeatRequest extends a lease.
 type HeartbeatRequest struct {
 	Worker  string `json:"worker"`
 	LeaseID string `json:"lease_id"`
-	Sweep   string `json:"sweep"`
-	Index   int    `json:"index"`
-	Digest  string `json:"digest"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat. Gone reports that the lease
-// no longer exists — expired and reclaimed, completed by another worker,
-// or granted by a previous coordinator for a cell that is no longer open
-// — so the heartbeating worker should stop renewing (its eventual
-// completion is still accepted or deduplicated by digest).
+// no longer exists — expired and reclaimed, resolved by another worker's
+// report, or granted by another coordinator process — so the
+// heartbeating worker should stop renewing (its eventual completion is
+// still accepted or deduplicated by digest).
 type HeartbeatResponse struct {
 	OK   bool `json:"ok"`
 	Gone bool `json:"gone,omitempty"`
@@ -134,11 +121,9 @@ type CompletionResponse struct {
 }
 
 // WorkerStatus is one fleet worker's liveness line on the dashboard.
+// Leases counts the leases it holds now, one per busy slot.
 type WorkerStatus struct {
-	ID string `json:"id"`
-	// Num is the small integer the coordinator assigned this worker for
-	// runner.Outcome.Worker slots (monitor compatibility).
-	Num             int     `json:"num"`
+	ID              string  `json:"id"`
 	LastSeenSeconds float64 `json:"last_seen_seconds"`
 	Completed       int     `json:"completed"`
 	Failed          int     `json:"failed"`
@@ -146,9 +131,9 @@ type WorkerStatus struct {
 }
 
 // Status is the coordinator's public state: the active campaign's
-// progress plus the counters of this coordinator process, served on
-// /fleet/status, folded into the fleet gauges of /metrics (Gauges) and
-// rendered on the sweep monitor's progress page.
+// progress plus the counters of this coordinator process. The sweep
+// monitor renders it on its progress page and folds it into the fleet
+// gauges of its /metrics (Gauges).
 type Status struct {
 	Sweep     string `json:"sweep,omitempty"`
 	Cells     int    `json:"cells"`
@@ -159,21 +144,20 @@ type Status struct {
 	// Counters across this process's campaigns (a restarted coordinator
 	// starts them at zero): leases reclaimed after expiry, duplicate
 	// completions dropped, late completions accepted after their lease
-	// was reclaimed, cells quarantined after distinct workers failed the
-	// same digest, completions rejected for a digest mismatch, and leases
-	// of a previous coordinator adopted by a heartbeat or a completion.
+	// was reclaimed (or granted by another coordinator process), cells
+	// quarantined after distinct workers failed the same digest, and
+	// completions rejected for a digest mismatch.
 	Reclaims        int `json:"reclaims"`
 	Duplicates      int `json:"duplicates"`
 	LateAccepts     int `json:"late_accepts"`
 	Quarantined     int `json:"quarantined"`
 	DigestConflicts int `json:"digest_conflicts"`
-	Adopted         int `json:"adopted"`
 
 	Workers []WorkerStatus `json:"workers,omitempty"`
 }
 
-// Gauges folds the status into the fleet.* gauges that the
-// coordinator's and the sweep monitor's /metrics both serve.
+// Gauges folds the status into the fleet.* gauges that the sweep
+// monitor's /metrics serves.
 func (s Status) Gauges() map[string]float64 {
 	return map[string]float64{
 		"fleet.cells":              float64(s.Cells),
@@ -185,6 +169,5 @@ func (s Status) Gauges() map[string]float64 {
 		"fleet.late_accepts":       float64(s.LateAccepts),
 		"fleet.quarantined":        float64(s.Quarantined),
 		"fleet.digest_conflicts":   float64(s.DigestConflicts),
-		"fleet.adopted":            float64(s.Adopted),
 	}
 }

@@ -252,9 +252,7 @@ func (w *Worker) execute(l *Lease) {
 
 // heartbeatLoop renews the lease at TTL/3 until stopped or the
 // coordinator reports the lease gone (the run keeps going either way:
-// a digest-matched late completion is still worth delivering). Each
-// heartbeat names the lease's cell, so a restarted coordinator adopts
-// the lease instead of answering Gone while the cell is open there.
+// a digest-matched late completion is still worth delivering).
 func (w *Worker) heartbeatLoop(l *Lease, stop chan struct{}) {
 	interval := time.Duration(l.TTLMillis) * time.Millisecond / 3
 	if interval < time.Millisecond {
@@ -268,10 +266,8 @@ func (w *Worker) heartbeatLoop(l *Lease, stop chan struct{}) {
 			return
 		case <-t.C:
 			var resp HeartbeatResponse
-			status, err := w.postJSON(PathHeartbeat, HeartbeatRequest{
-				Worker: w.cfg.ID, LeaseID: l.ID,
-				Sweep: l.Sweep, Index: l.Index, Digest: l.Digest,
-			}, &resp)
+			status, err := w.postJSON(PathHeartbeat,
+				HeartbeatRequest{Worker: w.cfg.ID, LeaseID: l.ID}, &resp)
 			if err != nil || status/100 != 2 {
 				continue // transient; the next tick retries
 			}

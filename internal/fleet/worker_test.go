@@ -179,78 +179,36 @@ func heartbeatUntil(t *testing.T, w *Worker, l *Lease) (stop func(), done chan s
 	return stop, done
 }
 
-// TestWorkerHeartbeatAdoptedByRestartedCoordinator: a worker keeps
-// heartbeating a lease a previous coordinator granted; the heartbeat
-// names the lease's cell, so the restarted coordinator adopts the lease
-// and the loop carries on renewing it.
-func TestWorkerHeartbeatAdoptedByRestartedCoordinator(t *testing.T) {
-	clk := newClock()
-	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clk.Now, Log: testLogger(t)})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
+// TestWorkerAdoptDeniedStopsHeartbeats: a restarted coordinator adopts
+// no lease a previous coordinator process granted, even one naming an
+// open cell under its current digest. The worker's heartbeat on it is
+// answered gone and the loop ends on its own; the cell is granted
+// afresh and the campaign finishes.
+func TestWorkerAdoptDeniedStopsHeartbeats(t *testing.T) {
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Log: testLogger(t)})
+	srv := serve(t, c)
 	cfgs := tinyCfgs(1)
 	wait := startCampaign(t, c, "s", cfgs, runner.Policy{})
 
-	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "hb", Log: testLogger(t)})
-	l := &Lease{ID: "0123456789ab-s-0000-1", Sweep: "s", Index: 0, Digest: cfgs[0].Digest(), TTLMillis: 9}
-	stop, done := heartbeatUntil(t, w, l)
-
-	// Each clock step makes the worker's last contact stale and the next
-	// heartbeat resets it. A renewal after the adopting heartbeat shows
-	// that one was answered OK: Gone would have ended the loop.
-	deadline := time.Now().Add(5 * time.Second)
-	for renewals := 0; renewals < 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("heartbeats stopped; status %+v", c.Status())
-		}
-		st := c.Status()
-		if st.Adopted == 1 && len(st.Workers) == 1 && st.Workers[0].LastSeenSeconds == 0 {
-			renewals++
-			clk.Advance(time.Second)
-			continue
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	<-done
-	if st := c.Status(); st.Adopted != 1 || st.LeasesOutstanding != 1 || st.Workers[0].Leases != 1 {
-		t.Fatalf("status after adoption = %+v", st)
-	}
-
-	f := &fakeWorker{t: t, url: srv.URL, id: "hb"}
-	if resp, _ := f.complete(l, true, 5); !resp.Accepted {
-		t.Fatalf("completion on the adopted lease = %+v", resp)
-	}
-	wait()
-}
-
-// TestWorkerAdoptDeniedStopsHeartbeats: when the restarted coordinator
-// will not adopt the lease (here its digest no longer matches the cell),
-// the heartbeat is answered Gone and the loop ends on its own; the run
-// itself still finishes and its completion is judged by digest.
-func TestWorkerAdoptDeniedStopsHeartbeats(t *testing.T) {
-	c := NewCoordinator(Config{LeaseTTL: time.Minute, Log: testLogger(t)})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
-	wait := startCampaign(t, c, "s", tinyCfgs(1), runner.Policy{})
-
 	w := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "denied", Log: testLogger(t)})
-	l := &Lease{ID: "0123456789ab-s-0000-1", Sweep: "s", Index: 0, Digest: "stale", TTLMillis: 9}
+	l := &Lease{ID: "0123456789ab-s-0000-1", Sweep: "s", Index: 0, Digest: cfgs[0].Digest(), TTLMillis: 9}
 	_, done := heartbeatUntil(t, w, l)
 	select {
 	case <-done: // returned without stop being closed
 	case <-time.After(5 * time.Second):
-		t.Fatal("heartbeat loop kept running after adoption was denied")
+		t.Fatal("heartbeat loop kept renewing a previous coordinator's lease")
 	}
-	if st := c.Status(); st.Adopted != 0 || st.LeasesOutstanding != 0 {
-		t.Fatalf("status after a denied adoption = %+v", st)
+	if st := c.Status(); st.LeasesOutstanding != 0 {
+		t.Fatalf("status after the denied heartbeat = %+v, want no lease", st)
 	}
 
 	f := &fakeWorker{t: t, url: srv.URL, id: "other"}
 	l0 := f.lease()
-	if l0 == nil {
-		t.Fatal("cell not granted after the denied adoption")
+	if l0 == nil || l0.Index != 0 {
+		t.Fatalf("lease after the denied heartbeat = %+v, want cell 0", l0)
 	}
 	f.complete(l0, true, 1)
-	wait()
+	if res, errs := wait(); errs[0] != nil || res[0] == nil || res[0].Runtime != 1 {
+		t.Fatalf("cell 0 = %+v err %v", res[0], errs[0])
+	}
 }

@@ -36,7 +36,7 @@ const rateWindow = 30 * time.Second
 // handlers get this long to finish before the server is torn down hard.
 const closeGrace = 2 * time.Second
 
-// WorkerStatus is one worker goroutine's current activity.
+// WorkerStatus is one runner worker goroutine's current activity.
 type WorkerStatus struct {
 	Worker int
 	Busy   bool
@@ -62,13 +62,17 @@ type Status struct {
 	// RunsPerSecond is throughput over the rolling window (not the whole
 	// sweep), so it tracks slowdowns as heavier configurations start.
 	RunsPerSecond float64
-	Workers       []WorkerStatus
+	// Workers is the local runner pool's per-slot view; nil on a fleet
+	// sweep, whose outcomes all carry worker 0 and whose per-worker view
+	// is Fleet.Workers.
+	Workers []WorkerStatus
 	// Counters aggregates the final telemetry snapshots of completed
 	// metered runs (empty when metrics are off).
 	Counters map[string]uint64
 	// Fleet is the coordinator's live state when this monitor fronts a
-	// distributed campaign (SetFleet): per-worker liveness, leases
-	// outstanding, reclaims, quarantines. Nil on local sweeps.
+	// distributed campaign (SetFleet): per-worker liveness and leases
+	// held, leases outstanding, reclaims, quarantines. Nil on local
+	// sweeps.
 	Fleet *fleet.Status
 }
 
@@ -112,8 +116,9 @@ func (m *Monitor) Observer() runner.Observer {
 }
 
 // SetFleet installs the fleet-status provider — the coordinator's Status
-// method — adding the fleet section to the progress page and the fleet
-// gauges to /metrics. Call before the campaign starts.
+// method — replacing the runner-slot rows of the progress page with the
+// fleet section and adding the fleet gauges to /metrics. Call before the
+// campaign starts.
 func (m *Monitor) SetFleet(fn func() fleet.Status) {
 	m.mu.Lock()
 	m.fleetFn = fn
@@ -232,14 +237,16 @@ func (m *Monitor) Status() Status {
 		}
 		st.RunsPerSecond = float64(n) / span
 	}
-	for _, w := range m.workers {
-		st.Workers = append(st.Workers, *w)
+	fleetFn := m.fleetFn
+	if fleetFn == nil {
+		for _, w := range m.workers {
+			st.Workers = append(st.Workers, *w)
+		}
+		sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Worker < st.Workers[j].Worker })
 	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Worker < st.Workers[j].Worker })
 	if len(m.counters) > 0 {
 		st.Counters = maps.Clone(m.counters)
 	}
-	fleetFn := m.fleetFn
 	m.mu.Unlock()
 	if fleetFn != nil {
 		fs := fleetFn()
@@ -298,13 +305,11 @@ func (m *Monitor) handleText(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if fs := st.Fleet; fs != nil {
-		fmt.Fprintf(&b, "\nfleet: sweep %s, %d/%d cells, %d leases outstanding\n",
+		// In place of the runner-slot rows, which Status leaves out.
+		fmt.Fprintf(&b, "fleet: sweep %s, %d/%d cells, %d leases outstanding\n",
 			fs.Sweep, fs.Completed, fs.Cells, fs.LeasesOutstanding)
 		fmt.Fprintf(&b, "fleet: reclaimed %d, duplicates %d, late accepts %d, quarantined %d, digest conflicts %d\n",
 			fs.Reclaims, fs.Duplicates, fs.LateAccepts, fs.Quarantined, fs.DigestConflicts)
-		if fs.Adopted > 0 {
-			fmt.Fprintf(&b, "fleet: leases adopted from a previous coordinator %d\n", fs.Adopted)
-		}
 		for _, fw := range fs.Workers {
 			fmt.Fprintf(&b, "fleet worker %-24s last seen %5.1fs ago, %d leases held, %d completed, %d failed\n",
 				fw.ID, fw.LastSeenSeconds, fw.Leases, fw.Completed, fw.Failed)

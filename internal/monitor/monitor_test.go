@@ -340,8 +340,13 @@ func postJSON(t *testing.T, url string, in, out any) {
 }
 
 // TestMonitorFleetGaugesMatchCoordinator: a monitor fronting a
-// coordinator and the coordinator itself serve byte-identical
-// inpg_fleet_* lines on /metrics, mid-campaign.
+// coordinator is the fleet's one view. Mid-campaign, with one worker
+// holding both cells' leases, the page shows both in flight on that
+// worker's fleet line and no runner-slot row (every fleet outcome
+// carries worker 0), and /metrics serves the coordinator's Status
+// gauges. A fleet completion's telemetry snapshot folds into the
+// monitor's counters, and once the campaign is over the gauges still
+// match the coordinator.
 func TestMonitorFleetGaugesMatchCoordinator(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{LeaseTTL: time.Minute})
 	srv := httptest.NewServer(coord)
@@ -375,44 +380,58 @@ func TestMonitorFleetGaugesMatchCoordinator(t *testing.T) {
 			t.Fatalf("lease %d not granted", i)
 		}
 	}
-	complete := func(l *fleet.Lease) {
+	complete := func(l *fleet.Lease, snap *metrics.Snapshot) {
 		var resp fleet.CompletionResponse
 		postJSON(t, srv.URL+fleet.PathComplete, fleet.CompletionReport{Worker: "w1",
 			LeaseID: l.ID, Sweep: l.Sweep, Index: l.Index, Digest: l.Digest,
-			OK: true, Res: &inpg.Results{Runtime: 1}}, &resp)
+			OK: true, Res: &inpg.Results{Runtime: 1}, Snapshot: snap}, &resp)
 		if !resp.Accepted {
 			t.Fatalf("completion of cell %d = %+v", l.Index, resp)
 		}
 	}
-	complete(leases[0].Lease)
-
-	scrape := func(url string) string {
-		resp, err := http.Get(url + "/metrics")
+	get := func(path string) string {
+		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fleetLines(readAll(t, resp))
+		return readAll(t, resp)
 	}
-	fromCoord, fromMonitor := scrape(srv.URL), scrape("http://"+addr)
-	if !strings.Contains(fromCoord, "inpg_fleet_cells_done 1\n") ||
-		!strings.Contains(fromCoord, "inpg_fleet_leases_outstanding 1\n") {
-		t.Fatalf("coordinator fleet gauges mid-campaign:\n%s", fromCoord)
-	}
-	if fromMonitor != fromCoord {
-		t.Fatalf("fleet gauges differ mid-campaign\ncoordinator:\n%s\nmonitor:\n%s", fromCoord, fromMonitor)
+	// check scrapes /metrics, demands every line in want, and compares
+	// its fleet gauges with the coordinator's own Status.
+	check := func(when string, want ...string) {
+		t.Helper()
+		prom := get("/metrics")
+		for _, line := range want {
+			if !strings.Contains(prom, line) {
+				t.Fatalf("/metrics %s missing %q:\n%s", when, line, prom)
+			}
+		}
+		var b strings.Builder
+		metrics.WritePrometheus(&b, nil, coord.Status().Gauges())
+		if got, want := fleetLines(prom), fleetLines(b.String()); got != want {
+			t.Fatalf("fleet gauges %s differ\nmonitor:\n%s\ncoordinator:\n%s", when, got, want)
+		}
 	}
 
-	complete(leases[1].Lease)
+	page := get("/")
+	if !strings.Contains(page, "2 in flight") || !strings.Contains(page, "2 leases held") ||
+		strings.Contains(page, "worker  0:") {
+		t.Fatalf("page with w1 holding both leases:\n%s", page)
+	}
+	check("with both leases out", "inpg_fleet_cells 2\n", "inpg_fleet_leases_outstanding 2\n",
+		"inpg_fleet_workers 1\n", "inpg_sweep_in_flight 2\n")
+
+	complete(leases[0].Lease, &metrics.Snapshot{
+		Values:     []metrics.KV{{Name: "journey.completed", Value: 7}},
+		Histograms: []metrics.HistSummary{{Name: "journey.e2e_cycles", Count: 7, Sum: 350}},
+	})
+	check("mid-campaign", "inpg_fleet_cells_done 1\n", "inpg_fleet_leases_outstanding 1\n",
+		"# TYPE inpg_journey_completed counter", "inpg_journey_completed 7\n",
+		"inpg_journey_e2e_cycles_count 7\n", "inpg_journey_e2e_cycles_sum 350\n")
+
+	complete(leases[1].Lease, nil)
 	<-done
-	// With no campaign active, both still serve every gauge.
-	fromCoord, fromMonitor = scrape(srv.URL), scrape("http://"+addr)
-	if !strings.Contains(fromCoord, "inpg_fleet_cells 0\n") {
-		t.Fatalf("coordinator fleet gauges after the campaign:\n%s", fromCoord)
-	}
-	if fromMonitor != fromCoord {
-		t.Fatalf("fleet gauges differ after the campaign\ncoordinator:\n%s\nmonitor:\n%s", fromCoord, fromMonitor)
-	}
-	if st := m.Status(); st.Completed != 2 || st.InFlight != 0 {
-		t.Fatalf("monitor completed %d, in flight %d; want 2/0", st.Completed, st.InFlight)
-	}
+	// With no campaign active, every gauge is still served.
+	check("after the campaign", "inpg_fleet_cells 0\n", "inpg_fleet_leases_outstanding 0\n",
+		"inpg_journey_completed 7\n", "inpg_sweep_in_flight 0\n", "inpg_sweep_completed 2\n")
 }
