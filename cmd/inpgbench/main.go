@@ -34,19 +34,6 @@ import (
 	"inpg/internal/runner"
 )
 
-// newLogger builds the structured logger for fleet and runner
-// diagnostics, on stderr so stdout figure tables stay byte-comparable
-// across runs. A bad level name is fatal (a silently defaulted level
-// would hide the diagnostics the user asked for).
-func newLogger(level string) *slog.Logger {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		fmt.Fprintf(os.Stderr, "inpgbench: bad -log-level %q (want debug, info, warn or error)\n", level)
-		os.Exit(2)
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv}))
-}
-
 // runWorker serves a coordinator until it orders shutdown. SIGTERM (or
 // the first interrupt) drains gracefully — the leased cells finish, new
 // ones are declined; a second signal kills the worker immediately, which
@@ -150,18 +137,15 @@ func main() {
 		mEvery  = flag.Int("metrics-every", 0, "sample the registry every N cycles (requires -metrics)")
 		manDir  = flag.String("manifest-dir", "", "write one JSON run manifest per simulation into this directory, created when a sweep starts; -resume on it restarts a killed sweep, local or -coordinator")
 		monAddr = flag.String("monitor", "", "serve the live sweep monitor (progress page, Prometheus /metrics, /healthz, pprof) on this address, e.g. :8080")
-		retries = flag.Int("retries", 0, "re-run each failed cell up to N times with deterministic backoff before quarantining it")
 		runTO   = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); overruns fail their cell with diagnostics")
 		resume  = flag.String("resume", "", "resume from this manifest directory: skip cells whose manifest records a successful run with a matching config digest")
 		chPanic = flag.String("chaos-panic", "", "comma-separated sweep cell indexes to crash with an injected panic (chaos testing)")
 		chDead  = flag.String("chaos-deadline", "", "comma-separated sweep cell indexes to fail with an unmeetable wall-time budget (chaos testing)")
 		jRate   = flag.Float64("journey-rate", 0, "fraction of lock acquisitions to journey-trace with per-stage latency attribution (0 = off; -fig lat defaults to 1; implies -metrics)")
-		logLvl  = flag.String("log-level", "info", "structured-log level for fleet and runner diagnostics: debug, info, warn, error")
 
 		coordAddr  = flag.String("coordinator", "", "serve a fleet coordinator on this address (e.g. :9000): sweeps are leased to polling workers instead of the local pool")
 		workerURL  = flag.String("worker", "", "serve as a fleet worker for the coordinator at this URL (e.g. http://host:9000); with -coordinator, 'self' runs an in-process worker (local fleet mode)")
 		leaseTTL   = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet lease time-to-live: a worker must heartbeat within it or its cell is re-dispatched")
-		quarAfter  = flag.Int("quarantine-workers", fleet.DefaultQuarantineAfter, "quarantine a fleet cell after this many distinct workers fail its digest")
 		fleetGrace = flag.Duration("fleet-grace", 3*time.Second, "how long the coordinator keeps answering polls with a shutdown order after the last sweep, so workers exit cleanly")
 		chKill     = flag.Int("chaos-kill-after", 0, "worker: die holding the Nth acquired lease without completing it (chaos testing)")
 		chDrop     = flag.Float64("chaos-drop-rate", 0, "worker: probability a completion acknowledgement is deterministically dropped and the report resent (chaos testing)")
@@ -169,7 +153,9 @@ func main() {
 		chKillCoor = flag.Int("chaos-kill-coordinator-after", 0, "coordinator: crash immediately after granting the Nth lease (chaos testing); restart the sweep with -resume on its -manifest-dir, and a surviving worker's report on the dead coordinator's lease is accepted late or dropped as a duplicate")
 	)
 	flag.Parse()
-	logger := newLogger(*logLvl)
+	// Fleet diagnostics at info level, on stderr so stdout figure tables
+	// stay byte-comparable across runs.
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	// Pure worker mode: no figures, no sweeps — serve the coordinator
 	// until it orders shutdown or SIGTERM drains us.
@@ -211,9 +197,8 @@ func main() {
 	o := experiments.Options{Scale: *scale, Seed: *seed, Seeds: *seeds, Quick: *quick, Workers: *workers, Compat: *compat,
 		FaultRate: *fRate, FaultSeed: *fSeed, WatchdogWindow: *wdog,
 		Metrics: *metrics, MetricsSampleEvery: *mEvery, JourneyRate: *jRate, ManifestDir: *manDir,
-		Retries: *retries, RunTimeout: *runTO, Resume: *resume,
-		ChaosPanicCells: parseCells(*chPanic), ChaosDeadlineCells: parseCells(*chDead),
-		Log: logger}
+		RunTimeout: *runTO, Resume: *resume,
+		ChaosPanicCells: parseCells(*chPanic), ChaosDeadlineCells: parseCells(*chDead)}
 	// Resuming implies journaling: re-run cells land their manifests next
 	// to the ones being reused, so a further resume sees a complete set.
 	if o.Resume != "" && o.ManifestDir == "" {
@@ -233,7 +218,7 @@ func main() {
 	}
 	if *coordAddr != "" {
 		coord := fleet.NewCoordinator(fleet.Config{
-			LeaseTTL: *leaseTTL, QuarantineAfter: *quarAfter, Token: *fleetTok,
+			LeaseTTL: *leaseTTL, Token: *fleetTok,
 			ChaosKillAfter: *chKillCoor, Log: logger,
 		})
 		ln, err := net.Listen("tcp", *coordAddr)

@@ -68,7 +68,8 @@ func main() {
 		fatal(fmt.Errorf("no manifests or traces found"))
 	}
 	// A failed-run manifest is a valid artifact — the record of a
-	// quarantined cell — so it counts toward validity but is reported.
+	// failed cell, which -resume re-runs — so it counts toward validity
+	// but is reported.
 	extra := ""
 	if v.failedRuns > 0 {
 		extra = fmt.Sprintf(" (%d record failed runs)", v.failedRuns)
@@ -108,8 +109,8 @@ func (v *validator) checkFile(path string) {
 				diag = fmt.Sprintf(", %d/%d threads unfinished at cycle %d",
 					m.Diag.Unfinished, m.Diag.Threads, m.Diag.Cycle)
 			}
-			fmt.Printf("ok %s (%s/%d, %s/%s) FAILED cause=%s attempt=%d%s\n",
-				path, m.Sweep, m.Index, m.Mechanism, m.Lock, m.Cause, m.Attempt, diag)
+			fmt.Printf("ok %s (%s/%d, %s/%s) FAILED cause=%s%s\n",
+				path, m.Sweep, m.Index, m.Mechanism, m.Lock, m.Cause, diag)
 			return
 		}
 		if js := m.Journey; js != nil {

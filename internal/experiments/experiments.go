@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -30,8 +29,8 @@ type Options struct {
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64
-	// Seeds, when > 1, averages seed-sensitive sweeps (Figures 11/12/13)
-	// over that many seeds starting at Seed.
+	// Seeds, when > 1, averages the Figure 11/12 suite (RunSuite) over
+	// that many seeds starting at Seed; the other figures run Seed only.
 	Seeds int
 	// Quick shrinks runs further for benchmarks and smoke tests.
 	Quick bool
@@ -83,11 +82,6 @@ type Options struct {
 	// live sweep monitor's feed. It is called from worker goroutines and
 	// must be safe for concurrent use.
 	Observer runner.Observer
-	// Retries re-attempts each failed run up to this many times with
-	// deterministic jittered backoff before quarantining its cell. Zero —
-	// the default — fails a cell on its first error. Retries never engage
-	// on clean runs, so figure outputs stay byte-identical.
-	Retries int
 	// RunTimeout, when positive, bounds each run's wall-clock time via
 	// cooperative cancellation; an overrunning run fails its cell with a
 	// timeout-class error carrying full diagnostics.
@@ -95,30 +89,31 @@ type Options struct {
 	// Resume, when set, names a manifest directory from a prior
 	// invocation: cells whose manifest records a successful run of a
 	// configuration with a matching digest are skipped and their results
-	// reconstructed from the manifest; only the gaps re-run.
+	// reconstructed from the manifest; only the gaps re-run. It is the
+	// one way a failed cell runs again: a sweep runs every cell once.
 	Resume string
 	// ChaosPanicCells and ChaosDeadlineCells inject failures into the
-	// named sweep cells (by submission index) — panics at attempt start,
-	// or a wall-time budget so tight the run always times out. They exist
-	// for chaos smoke tests of the keep-going machinery; empty slices —
-	// the default — leave every sweep untouched.
+	// named sweep cells (by submission index) — a panic at the start of
+	// the run, or a wall-time budget so tight the run always times out.
+	// They exist for chaos smoke tests of the keep-going machinery; empty
+	// slices — the default — leave every sweep untouched. The panic hook
+	// runs in the local pool only, so a sweep with a Campaign refuses
+	// ChaosPanicCells; the deadline travels in the configuration and
+	// works on both.
 	ChaosPanicCells    []int
 	ChaosDeadlineCells []int
 	// Campaign, when set, dispatches every sweep through a distributed
 	// campaign runner — the fleet coordinator — instead of the local
 	// worker pool. The runner receives the same Policy a local sweep
 	// would (Skip/PreRun/Observer, so resume, manifests and the monitor
-	// work unchanged); Workers and PreAttempt apply only to local
-	// execution.
+	// work unchanged); Workers applies only to local execution.
 	Campaign CampaignRunner
-	// Log, when set, receives the retry machinery's structured records
-	// (runner.Policy.Log). Nil discards.
-	Log *slog.Logger
 }
 
 // CampaignRunner distributes one sweep across external executors under
-// runner.RunResilient's contract: index-aligned results and final typed
-// errors. internal/fleet's Coordinator implements it.
+// runner.RunResilient's contract: every cell runs once, with
+// index-aligned results and typed errors. internal/fleet's Coordinator
+// implements it.
 type CampaignRunner interface {
 	RunCampaign(sweep string, cfgs []inpg.Config, p runner.Policy) ([]*inpg.Results, []*runner.RunError)
 }
@@ -128,10 +123,9 @@ type CampaignRunner interface {
 // with a timeout regardless of host speed.
 const chaosDeadline = time.Nanosecond
 
-// Missing annotates one sweep cell that produced no results after every
-// configured attempt: which cell, and the final typed failure. Figures
-// carry their Missing list and render it after the table instead of dying
-// on the first bad cell.
+// Missing annotates one sweep cell that produced no results: which cell,
+// and its typed failure. Figures carry their Missing list and render it
+// after the table instead of dying on the first bad cell.
 type Missing struct {
 	Sweep string
 	Index int
@@ -245,24 +239,27 @@ func Run(cfg inpg.Config) (*inpg.Results, error) {
 
 // runAll executes a batch of configurations across Options.Workers cores
 // in keep-going mode and returns the results in submission order, one nil
-// slot plus one Missing annotation per cell that failed every configured
-// attempt. Sweeps build their full configuration list up front, submit it
-// here, and aggregate from the ordered results, so their figures are
-// identical for any worker count; on fault-free sweeps the Missing list
-// is empty and results match the fail-fast path bit for bit. sweep names
+// slot plus one Missing annotation per failed cell. Sweeps build their
+// full configuration list up front, submit it here, and aggregate from
+// the ordered results, so their figures are identical for any worker
+// count; on fault-free sweeps the Missing list is empty and results match
+// the fail-fast path bit for bit. sweep names
 // the batch in run manifests and monitor feeds. The error return is
 // reserved for infrastructure failures (an unreadable resume directory,
-// a manifest directory that cannot be created), never for individual
-// runs.
+// a manifest directory that cannot be created, chaos the campaign runner
+// cannot carry out), never for individual runs.
 func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Missing, error) {
+	if o.Campaign != nil && len(o.ChaosPanicCells) > 0 {
+		// The panic hook is a Go func, which cannot cross the wire to a
+		// fleet worker: the cells would silently run clean.
+		return nil, nil, fmt.Errorf("%s: chaos panic cells need the local worker pool: the panic hook cannot reach fleet workers", sweep)
+	}
 	p := runner.Policy{
 		Workers:    o.Workers,
-		Retries:    o.Retries,
 		RunTimeout: o.RunTimeout,
 		Observer:   o.observer(sweep),
 		PreRun:     o.chaosPreRun(),
 		PreAttempt: o.chaosPreAttempt(),
-		Log:        o.Log,
 	}
 	var prefill []*inpg.Results
 	if o.Resume != "" {
@@ -319,15 +316,15 @@ func (o Options) chaosPreRun() func(int, inpg.Config) inpg.Config {
 }
 
 // chaosPreAttempt maps ChaosPanicCells onto a Policy.PreAttempt that
-// panics at the start of the named cells' attempts; nil when unused.
-func (o Options) chaosPreAttempt() func(i, attempt int) {
+// panics at the start of the named cells' runs; nil when unused.
+func (o Options) chaosPreAttempt() func(i int) {
 	if len(o.ChaosPanicCells) == 0 {
 		return nil
 	}
 	cells := intSet(o.ChaosPanicCells)
-	return func(i, attempt int) {
+	return func(i int) {
 		if cells[i] {
-			panic(fmt.Sprintf("chaos: injected panic in cell %d (attempt %d)", i, attempt))
+			panic(fmt.Sprintf("chaos: injected panic in cell %d", i))
 		}
 	}
 }
@@ -353,8 +350,9 @@ func (o Options) observer(sweep string) runner.Observer {
 		// Skipped cells are resume hits: their manifest on disk is the
 		// good record being reused — never overwrite it with a blank one.
 		// Nor may an outcome with neither results nor an error: the fleet
-		// emits one to close the claim of a worker whose cell another
-		// worker's report resolved, and that report writes the manifest.
+		// emits one to close the claim of a worker whose lease expired or
+		// whose cell another worker's report settled, and the settling
+		// report writes the manifest.
 		if out.Done && out.Status != runner.StatusSkipped && (out.Res != nil || out.Err != nil) && o.ManifestDir != "" {
 			m := manifest.Build(sweep, out.Index, out.Cfg, out.Res, out.Snapshot, out.WallSeconds, out.Err)
 			if _, err := m.WriteFile(o.ManifestDir); err != nil {

@@ -422,3 +422,71 @@ func TestFleetDuplicateKeepsAcceptedManifest(t *testing.T) {
 		t.Fatalf("cell 0 manifest = %+v, want worker A's runtime %d", m, res0.Runtime)
 	}
 }
+
+// TestFleetFailedCellMatchesLocal: a cell that fails on the fleet settles
+// exactly as it does in the local pool. Fig 2 with a deadline-chaos cell
+// renders byte-identically, MISSING line included, through a coordinator
+// and a real worker and locally, and the fleet claims the failing cell
+// once: the failed report settles it.
+func TestFleetFailedCellMatchesLocal(t *testing.T) {
+	o := tiny()
+	o.ChaosDeadlineCells = []int{2}
+	ref, err := Fig2(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Missing) != 1 || ref.Missing[0].Cause != runner.CauseTimeout {
+		t.Fatalf("local missing = %v, want cell 2 timed out", ref.Missing)
+	}
+
+	coord, _ := startFleet(t, fleet.Config{LeaseTTL: 10 * time.Second, Log: testLogger(t)}, 1, fleet.WorkerConfig{})
+	var claims atomic.Int32
+	o.Campaign = coord
+	o.Observer = func(out runner.Outcome) {
+		if out.Index == 2 && !out.Done {
+			claims.Add(1)
+		}
+	}
+	got, err := Fig2(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != ref.Render() {
+		t.Fatalf("fleet Fig2 with a failed cell differs from the local run:\n%s\nvs\n%s", got.Render(), ref.Render())
+	}
+	if n := claims.Load(); n != 1 {
+		t.Fatalf("fleet claimed the failing cell %d times, want 1", n)
+	}
+}
+
+// localCampaign is a CampaignRunner that runs each sweep on the local
+// pool and counts the sweeps it was handed.
+type localCampaign struct{ sweeps atomic.Int32 }
+
+func (l *localCampaign) RunCampaign(_ string, cfgs []inpg.Config, p runner.Policy) ([]*inpg.Results, []*runner.RunError) {
+	l.sweeps.Add(1)
+	return runner.RunResilient(cfgs, p)
+}
+
+// TestCampaignRefusesChaosPanic: the panic hook cannot cross the wire to
+// a fleet worker, so a campaign sweep with chaos panic cells fails as an
+// infrastructure error before anything is dispatched, instead of running
+// the cells clean.
+func TestCampaignRefusesChaosPanic(t *testing.T) {
+	camp := &localCampaign{}
+	var outcomes atomic.Int32
+	o := tiny()
+	o.Campaign = camp
+	o.ChaosPanicCells = []int{1}
+	o.Observer = func(runner.Outcome) { outcomes.Add(1) }
+	results, missing, err := runAll(o, "fig2", []inpg.Config{chaosCell(1), chaosCell(2)})
+	if err == nil {
+		t.Fatalf("campaign sweep with chaos panic cells ran: results %v, missing %v", results, missing)
+	}
+	if n := camp.sweeps.Load(); n != 0 {
+		t.Fatalf("campaign runner was handed %d sweeps, want 0", n)
+	}
+	if n := outcomes.Load(); n != 0 {
+		t.Fatalf("observer saw %d outcomes, want 0", n)
+	}
+}

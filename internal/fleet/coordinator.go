@@ -28,23 +28,12 @@ const (
 	// survives scheduling hiccups, short enough that a killed worker's
 	// cells are re-dispatched within seconds.
 	DefaultLeaseTTL = 10 * time.Second
-	// DefaultQuarantineAfter is how many distinct workers must fail the
-	// same digest before the coordinator quarantines the cell instead of
-	// re-dispatching it: two independent machines failing the same
-	// configuration points at the cell, not the host.
-	DefaultQuarantineAfter = 2
 )
 
 // Config tunes a Coordinator. The zero value selects every default.
 type Config struct {
 	// LeaseTTL is the lease time-to-live (DefaultLeaseTTL when 0).
 	LeaseTTL time.Duration
-	// QuarantineAfter quarantines a cell once this many distinct workers
-	// have failed its digest (DefaultQuarantineAfter when 0). As a
-	// backstop against a single-worker fleet bouncing one bad cell
-	// forever, a cell is also quarantined after 2×QuarantineAfter total
-	// failures regardless of how many workers produced them.
-	QuarantineAfter int
 	// ManifestDir is ignored. Per-run manifests land through the
 	// observer plumbing local sweeps use (the coordinator does not write
 	// them), and a killed coordinator is restarted with -resume on their
@@ -86,18 +75,14 @@ const (
 
 // cell is one sweep configuration's dispatch state.
 type cell struct {
-	index      int
-	cfg        inpg.Config
-	digest     string
-	state      cellState
-	leaseID    string // current lease, "" when pending/done
-	dispatches int
+	index   int
+	cfg     inpg.Config
+	digest  string
+	state   cellState
+	leaseID string // current lease, "" when pending/done
 
 	res *inpg.Results
 	err *runner.RunError
-
-	failedBy  map[string]bool // distinct workers that reported failure
-	failCount int
 }
 
 // lease is one outstanding grant.
@@ -122,7 +107,6 @@ type campaign struct {
 	cells      []*cell
 	queue      []int // pending cell indexes, FIFO
 	remaining  int
-	retries    int
 	runTimeout time.Duration
 	observer   runner.Observer
 	done       chan struct{}
@@ -136,7 +120,7 @@ type campaign struct {
 	// unresolved cells.
 	crash chan struct{}
 
-	reclaims, duplicates, lateAccepts, conflicts, quarantined, skipped int
+	reclaims, duplicates, lateAccepts, conflicts, skipped int
 
 	// workerCompleted counts accepted completions per worker ID.
 	workerCompleted map[string]int
@@ -169,7 +153,7 @@ type Coordinator struct {
 
 	// Counters for this coordinator process, across its campaigns; a
 	// restart starts them at zero.
-	totReclaims, totDuplicates, totLate, totQuarantined, totConflicts int
+	totReclaims, totDuplicates, totLate, totConflicts int
 }
 
 // NewCoordinator builds a coordinator ready to serve workers; campaigns
@@ -177,9 +161,6 @@ type Coordinator struct {
 func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.QuarantineAfter <= 0 {
-		cfg.QuarantineAfter = DefaultQuarantineAfter
 	}
 	log := cfg.Log
 	if log == nil {
@@ -222,29 +203,29 @@ func (c *Coordinator) Shutdown() {
 }
 
 // RunCampaign distributes one sweep across the fleet and blocks until
-// every cell is resolved. It mirrors runner.RunResilient's contract: the
+// every cell is settled. It mirrors runner.RunResilient's contract: the
 // returned slices are index-aligned with cfgs, results[i] is non-nil
 // exactly when the cell succeeded (skipped cells stay nil for the caller
-// to prefill), errs[i] is the final typed failure of a quarantined cell.
-// Policy semantics carried over: Skip elides cells (one StatusSkipped
-// outcome each), which is how -resume restarts a killed coordinator's
-// sweep, PreRun maps stored configurations before dispatch,
-// Retries/RunTimeout ship to workers as the per-lease attempt policy,
-// and Observer sees claim and completion outcomes exactly as local
-// sweeps do — which is how manifest emission and the live monitor work
-// unchanged. Outcome.Worker is always 0: a worker runs several cells at
-// once, and Status.Workers is the fleet's per-worker view. PreAttempt
-// cannot cross the wire and is ignored; worker-side chaos uses the
-// worker's own chaos flags.
+// to prefill), errs[i] is a failed cell's typed failure. Policy
+// semantics carried over: Skip elides cells (one StatusSkipped outcome
+// each), which is how -resume restarts a killed coordinator's sweep,
+// PreRun maps stored configurations before dispatch, RunTimeout ships to
+// workers with each lease, and Observer sees claim and completion
+// outcomes exactly as local sweeps do — which is how manifest emission
+// and the live monitor work unchanged. Outcome.Worker is always 0: a
+// worker runs several cells at once, and Status.Workers is the fleet's
+// per-worker view. PreAttempt cannot cross the wire and is ignored here;
+// experiments.runAll refuses a sweep that sets it, and worker-side chaos
+// uses the worker's own chaos flags.
 //
-// Dispatch is at-least-once: there is no campaign-wide deadline, and a
-// cell is re-dispatched until some worker completes it or enough
-// distinct workers fail it to quarantine. A fleet with no live workers
-// therefore blocks until one connects.
+// Each cell is settled by the first report whose digest matches it, OK
+// or failed: a failed cell is not dispatched again, as a failed local
+// run is not re-run. A cell is re-dispatched only when its lease expires,
+// because a dead worker sends no report. There is no campaign-wide
+// deadline, so a fleet with no live workers blocks until one connects.
 func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Policy) ([]*inpg.Results, []*runner.RunError) {
 	camp := &campaign{
 		sweep:           sweep,
-		retries:         p.Retries,
 		runTimeout:      p.RunTimeout,
 		observer:        p.Observer,
 		done:            make(chan struct{}),
@@ -256,7 +237,7 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 		if p.PreRun != nil {
 			cfg = p.PreRun(i, cfg)
 		}
-		cl := &cell{index: i, cfg: cfg, digest: cfg.Digest(), failedBy: map[string]bool{}}
+		cl := &cell{index: i, cfg: cfg, digest: cfg.Digest()}
 		if p.Skip != nil && p.Skip(i) {
 			cl.state = cellDone
 			camp.skipped++
@@ -311,8 +292,12 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 
 	results := make([]*inpg.Results, len(cfgs))
 	errs := make([]*runner.RunError, len(cfgs))
+	failed := 0
 	for i, cl := range camp.cells {
 		results[i], errs[i] = cl.res, cl.err
+		if cl.err != nil {
+			failed++
+		}
 		if crashed && cl.state != cellDone {
 			errs[i] = &runner.RunError{Index: i, Cause: runner.CauseCanceled,
 				Digest: cl.digest,
@@ -322,8 +307,9 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 	if !crashed {
 		c.log.Info("campaign done",
 			"sweep", sweep, "cells", len(camp.cells), "skipped", camp.skipped,
+			"failed", failed,
 			"workers", len(camp.workerCompleted), "worker_completions", camp.workerCompleted,
-			"reclaimed", camp.reclaims, "quarantined", camp.quarantined,
+			"reclaimed", camp.reclaims,
 			"duplicates", camp.duplicates, "late_accepts", camp.lateAccepts,
 			"digest_conflicts", camp.conflicts)
 	}
@@ -409,8 +395,9 @@ func (c *Coordinator) emitLocked(outs ...runner.Outcome) func() {
 
 // reclaimLeaseLocked returns an expired lease's cell to the pending
 // queue (when the lease still owns an open cell) and returns the
-// StatusRetrying outcome to emit. The caller deletes the lease and holds
-// mu.
+// StatusAbandoned outcome that closes its holder's claim: the worker may
+// be dead, and no run has failed, so the outcome carries no error. The
+// caller deletes the lease and holds mu.
 func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, bool) {
 	camp := c.camp
 	if camp == nil || l.index >= len(camp.cells) {
@@ -427,15 +414,8 @@ func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, bool) {
 	camp.queue = append(camp.queue, l.index)
 	camp.reclaims++
 	c.totReclaims++
-	return runner.Outcome{
-		Index: l.index, Done: true,
-		Status: runner.StatusRetrying, Attempt: cl.dispatches - 1, Cfg: cl.cfg,
-		Err: &runner.RunError{
-			Index: l.index, Attempt: cl.dispatches - 1, Cause: runner.CauseTimeout,
-			Digest: cl.digest,
-			Err:    fmt.Errorf("fleet: lease %s expired on worker %s", l.id, l.worker),
-		},
-	}, true
+	return runner.Outcome{Index: l.index, Done: true,
+		Status: runner.StatusAbandoned, Cfg: cl.cfg}, true
 }
 
 // touchWorker records a worker contact and returns its info. Caller
@@ -546,15 +526,14 @@ func (c *Coordinator) grantLocked(worker string) (*Lease, *runner.Outcome) {
 		id := fmt.Sprintf("%s-%s-%04d-%d", c.nonce, camp.sweep, idx, c.grants)
 		cl.state = cellLeased
 		cl.leaseID = id
-		cl.dispatches++
 		c.leases[id] = &lease{id: id, index: idx, worker: worker,
 			expires: c.now().Add(c.cfg.LeaseTTL)}
 		return &Lease{
 				ID: id, Sweep: camp.sweep, Index: idx, Digest: cl.digest,
 				Config: cl.cfg, TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
-				Retries: camp.retries, RunTimeoutNanos: int64(camp.runTimeout),
+				RunTimeoutNanos: int64(camp.runTimeout),
 			}, &runner.Outcome{Index: idx,
-				Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg}
+				Status: runner.StatusRunning, Cfg: cl.cfg}
 	}
 	return nil, nil
 }
@@ -599,9 +578,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleComplete folds a worker's completion into the campaign:
-// first write wins per cell, duplicates are dropped and counted, and a
-// digest mismatch is rejected outright. A report on a lease this
+// handleComplete folds a worker's completion into the campaign: the
+// first report whose digest matches settles the cell — OK or failed, on
+// time or late — duplicates are dropped and counted, and a digest
+// mismatch is rejected outright. A report on a lease this
 // coordinator never granted — a dead coordinator's, carried across a
 // -resume restart — is judged by digest like any late completion.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -637,76 +617,48 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	delete(c.leases, rep.LeaseID)
 
 	if cl.state == cellDone {
-		// Duplicate: the cell was already resolved (reclaimed and re-run
-		// elsewhere, or a resent report). First write won; drop this one.
-		// The worker holds no claim: a lease on a cell is gone once the
-		// cell resolves.
+		// Duplicate: the cell was already settled (by a report on another
+		// lease, or this very report resent). First write won; drop this
+		// one. The worker holds no claim: a lease on a cell is gone once
+		// the cell settles.
 		camp.duplicates++
 		c.totDuplicates++
 		resp.Duplicate = true
 	} else {
+		// The first digest-matched report settles the cell, OK or failed.
 		resp.Accepted = true
-		// Late: the worker's lease was reclaimed or granted by another
-		// coordinator process, so it holds no open claim here and the cell
-		// is queued or held by another worker.
-		late := cl.leaseID != rep.LeaseID
-		if rep.OK {
-			if late {
-				// Its work is still valid (digest matched) and it got here
-				// first. A worker holding the cell now loses its lease and
-				// its claim closes without a result; the late worker claims
-				// the cell afresh.
-				camp.lateAccepts++
-				c.totLate++
-				if h := c.leases[cl.leaseID]; h != nil {
-					delete(c.leases, cl.leaseID)
-					emit = append(emit, runner.Outcome{Index: rep.Index, Done: true,
-						Status: runner.StatusAbandoned, Cfg: cl.cfg})
-				}
-				emit = append(emit, runner.Outcome{Index: rep.Index,
-					Status: runner.StatusRunning, Attempt: cl.dispatches - 1, Cfg: cl.cfg})
+		if cl.leaseID != rep.LeaseID {
+			// Late: the worker's lease was reclaimed or granted by another
+			// coordinator process, so it holds no open claim here and the
+			// cell is queued or held by another worker. A worker holding
+			// the cell now loses its lease and its claim closes without a
+			// result; the late worker claims the cell afresh.
+			camp.lateAccepts++
+			c.totLate++
+			if h := c.leases[cl.leaseID]; h != nil {
+				delete(c.leases, cl.leaseID)
+				emit = append(emit, runner.Outcome{Index: rep.Index, Done: true,
+					Status: runner.StatusAbandoned, Cfg: cl.cfg})
 			}
-			cl.state = cellDone
-			cl.leaseID = ""
+			emit = append(emit, runner.Outcome{Index: rep.Index,
+				Status: runner.StatusRunning, Cfg: cl.cfg})
+		}
+		cl.state = cellDone
+		cl.leaseID = ""
+		camp.remaining--
+		out := runner.Outcome{Index: rep.Index, Done: true, Status: runner.StatusOK,
+			Cfg: cl.cfg, Res: rep.Res, Snapshot: rep.Snapshot, WallSeconds: rep.WallSeconds}
+		if rep.OK {
 			cl.res = rep.Res
 			camp.workerCompleted[rep.Worker]++
 			wi.completed++
-			camp.remaining--
-			emit = append(emit, runner.Outcome{Index: rep.Index,
-				Done: true, Status: runner.StatusOK, Attempt: rep.Attempt,
-				Cfg: cl.cfg, Res: rep.Res, Snapshot: rep.Snapshot,
-				WallSeconds: rep.WallSeconds})
 		} else {
-			cl.failCount++
-			cl.failedBy[rep.Worker] = true
+			cl.err = &runner.RunError{Index: rep.Index, Cause: runner.Cause(rep.Cause),
+				Digest: cl.digest, Err: errors.New(rep.Error)}
 			wi.failed++
-			rerr := &runner.RunError{Index: rep.Index, Attempt: rep.Attempt,
-				Cause: runner.Cause(rep.Cause), Digest: cl.digest,
-				Err: errors.New(rep.Error)}
-			switch {
-			case late:
-				// Record the vote only: re-queueing would dispatch the cell
-				// again while its current holder still runs it.
-			case len(cl.failedBy) >= c.cfg.QuarantineAfter ||
-				cl.failCount >= 2*c.cfg.QuarantineAfter:
-				cl.state = cellDone
-				cl.leaseID = ""
-				cl.err = rerr
-				camp.quarantined++
-				c.totQuarantined++
-				camp.remaining--
-				emit = append(emit, runner.Outcome{Index: rep.Index,
-					Done: true, Status: runner.StatusQuarantined, Attempt: rep.Attempt,
-					Cfg: cl.cfg, Err: rerr, WallSeconds: rep.WallSeconds})
-			default:
-				cl.state = cellPending
-				cl.leaseID = ""
-				camp.queue = append(camp.queue, rep.Index)
-				emit = append(emit, runner.Outcome{Index: rep.Index,
-					Done: true, Status: runner.StatusRetrying, Attempt: rep.Attempt,
-					Cfg: cl.cfg, Err: rerr, WallSeconds: rep.WallSeconds})
-			}
+			out.Status, out.Err = runner.StatusFailed, cl.err
 		}
+		emit = append(emit, out)
 		if camp.remaining == 0 {
 			defer close(camp.done)
 		}
@@ -727,7 +679,6 @@ func (c *Coordinator) Status() Status {
 		Reclaims:          c.totReclaims,
 		Duplicates:        c.totDuplicates,
 		LateAccepts:       c.totLate,
-		Quarantined:       c.totQuarantined,
 		DigestConflicts:   c.totConflicts,
 	}
 	if c.camp != nil {

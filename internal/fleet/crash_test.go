@@ -13,8 +13,8 @@ import (
 )
 
 // manifestPolicy mimics the experiments observer: every settled outcome
-// with a result or an error lands a run manifest (OK, failed attempt or
-// quarantine), which is what -resume restarts a sweep from. (fakeWorker
+// with a result or an error lands a run manifest (OK or failed), which
+// is what -resume restarts a sweep from. (fakeWorker
 // completions carry fake results; Build records them faithfully.)
 func manifestPolicy(t *testing.T, dir, sweep string) runner.Policy {
 	t.Helper()

@@ -6,7 +6,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -392,82 +394,121 @@ func TestDigestConflictRejected(t *testing.T) {
 	}
 }
 
-// TestQuarantineAfterDistinctWorkerFailures: two different workers
-// failing the same digest quarantines the cell with the final typed
-// error; the campaign still completes.
-func TestQuarantineAfterDistinctWorkerFailures(t *testing.T) {
+// outcomeLog records each cell's outcome statuses in arrival order; a
+// Done outcome that carries an error reads "<status>+err".
+type outcomeLog struct {
+	mu   sync.Mutex
+	seen map[int][]string
+}
+
+// wrap chains the log after p's observer.
+func (l *outcomeLog) wrap(p runner.Policy) runner.Policy {
+	inner := p.Observer
+	p.Observer = func(o runner.Outcome) {
+		if inner != nil {
+			inner(o)
+		}
+		s := string(o.Status)
+		if o.Err != nil {
+			s += "+err"
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.seen == nil {
+			l.seen = map[int][]string{}
+		}
+		l.seen[o.Index] = append(l.seen[o.Index], s)
+	}
+	return p
+}
+
+// of returns cell i's outcomes, space-separated.
+func (l *outcomeLog) of(i int) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Join(l.seen[i], " ")
+}
+
+// TestFailedReportSettlesCell: one failed report settles its cell, as a
+// failed local run does. The cell gets one Running and one Failed
+// outcome, errs[i] carries the reported cause, a failed manifest is
+// written, and the cell is never granted to a second worker.
+func TestFailedReportSettlesCell(t *testing.T) {
 	dir := t.TempDir()
-	c := NewCoordinator(Config{QuarantineAfter: 2})
+	c := NewCoordinator(Config{})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
-	cfgs := tinyCfgs(2)
-	wait := startCampaign(t, c, "quar", cfgs, manifestPolicy(t, dir, "quar"))
+	log := &outcomeLog{}
+	wait := startCampaign(t, c, "fail", tinyCfgs(2),
+		pairClaims(t, log.wrap(manifestPolicy(t, dir, "fail"))))
 
 	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
 	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
 
 	la := a.lease()
-	if resp, _ := a.complete(la, false, 0); resp.Accepted != true {
-		t.Fatalf("failure report = %+v", resp)
+	if la == nil || la.Index != 0 {
+		t.Fatalf("first lease = %+v", la)
 	}
-	// The failed cell is re-queued behind cell 1.
+	if resp, _ := a.complete(la, false, 0); !resp.Accepted {
+		t.Fatalf("failure report = %+v, want accepted", resp)
+	}
 	lb := b.lease()
-	if lb.Index != 1 {
-		t.Fatalf("lease index = %d, want 1", lb.Index)
+	if lb == nil || lb.Index != 1 {
+		t.Fatalf("second lease = %+v, want cell 1", lb)
+	}
+	if l := b.lease(); l != nil {
+		t.Fatalf("failed cell granted again: %+v", l)
 	}
 	b.complete(lb, true, 7)
-	lb2 := b.lease()
-	if lb2 == nil || lb2.Index != la.Index {
-		t.Fatalf("re-dispatched lease = %+v, want cell %d", lb2, la.Index)
-	}
-	b.complete(lb2, false, 0)
 
 	res, errs := wait()
-	if errs[0] == nil || errs[0].Cause != runner.CauseError {
-		t.Fatalf("quarantined cell error = %+v", errs[0])
+	if res[0] != nil || res[1] == nil || errs[1] != nil {
+		t.Fatalf("results = %v / %v, errs[1] = %v", res[0], res[1], errs[1])
 	}
-	if res[0] != nil || res[1] == nil {
-		t.Fatalf("results = %v / %v", res[0], res[1])
+	if e := errs[0]; e == nil || e.Cause != runner.CauseError || e.Err.Error() != "injected failure" ||
+		e.Error() != "runner: run 0 [error]: injected failure" {
+		t.Fatalf("failed cell error = %+v, want the reported cause", e)
 	}
-	if st := c.Status(); st.Quarantined != 1 {
-		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
+	if got, want := log.of(0), "running failed+err"; got != want {
+		t.Fatalf("cell 0 outcomes = %q, want %q", got, want)
 	}
-	ms, _, err := manifest.ScanDir(dir, "quar")
+	st := c.Status()
+	failed := map[string]int{}
+	for _, ws := range st.Workers {
+		failed[ws.ID] = ws.Failed
+	}
+	if st.Reclaims != 0 || st.Duplicates != 0 || failed["worker-a"] != 1 {
+		t.Fatalf("status = %+v", st)
+	}
+	ms, _, err := manifest.ScanDir(dir, "fail")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := ms[la.Index]; m == nil || m.Status != manifest.StatusFailed || m.Cause != string(runner.CauseError) {
-		t.Fatalf("quarantined cell manifest = %+v, want a failed run", m)
+	if m := ms[0]; m == nil || m.Status != manifest.StatusFailed || m.Cause != string(runner.CauseError) {
+		t.Fatalf("cell 0 manifest = %+v, want a failed run", m)
 	}
 	if m := ms[1]; m == nil || m.Status != manifest.StatusOK {
 		t.Fatalf("cell 1 manifest = %+v, want OK", m)
 	}
 }
 
-// TestLateFailureKeepsCurrentHolder: A's lease on the only cell expires
-// and the cell is granted to B; then A's failure report arrives. It is a
-// quarantine vote only: the cell stays with B, so C's poll gets no third
-// dispatch, no outcome is emitted for it, and B's result is accepted on
-// time.
-func TestLateFailureKeepsCurrentHolder(t *testing.T) {
+// TestLateFailureSettlesCell: A's lease on the only cell expires, which
+// closes A's claim abandoned (no error, no manifest: no run failed), and
+// the cell is granted to B. A's late failure report then arrives first
+// and settles the cell failed; B's claim closes abandoned and B's own
+// report is a duplicate. Exactly one manifest, the failed one, exists.
+func TestLateFailureSettlesCell(t *testing.T) {
 	clk := newClock()
+	dir := t.TempDir()
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clk.Now, Log: testLogger(t)})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
-	var mu sync.Mutex
-	retrying := 0
-	p := runner.Policy{Observer: func(o runner.Outcome) {
-		if o.Status == runner.StatusRetrying {
-			mu.Lock()
-			retrying++
-			mu.Unlock()
-		}
-	}}
-	wait := startCampaign(t, c, "late", tinyCfgs(1), p)
+	log := &outcomeLog{}
+	wait := startCampaign(t, c, "late", tinyCfgs(1),
+		pairClaims(t, log.wrap(manifestPolicy(t, dir, "late"))))
 
 	a := &fakeWorker{t: t, url: srv.URL, id: "worker-a"}
 	b := &fakeWorker{t: t, url: srv.URL, id: "worker-b"}
-	cw := &fakeWorker{t: t, url: srv.URL, id: "worker-c"}
 
 	la := a.lease()
 	clk.Advance(time.Minute + time.Second)
@@ -475,35 +516,40 @@ func TestLateFailureKeepsCurrentHolder(t *testing.T) {
 	if lb == nil || lb.Index != 0 {
 		t.Fatalf("lease after reclaim = %+v", lb)
 	}
+	if got, want := log.of(0), "running abandoned running"; got != want {
+		t.Fatalf("outcomes after reclaim = %q, want %q", got, want)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("manifests after reclaim = %v (err %v), want none", entries, err)
+	}
+
 	if resp, _ := a.complete(la, false, 0); !resp.Accepted {
-		t.Fatalf("late failure report = %+v", resp)
+		t.Fatalf("late failure report = %+v, want accepted", resp)
 	}
-	if lc := cw.lease(); lc != nil {
-		t.Fatalf("cell held by worker-b dispatched again: %+v", lc)
-	}
-	if resp, _ := b.complete(lb, true, 42); !resp.Accepted {
-		t.Fatalf("current holder's completion = %+v", resp)
+	if resp, _ := b.complete(lb, true, 42); !resp.Duplicate || resp.Accepted {
+		t.Fatalf("current holder's completion = %+v, want duplicate", resp)
 	}
 
 	res, errs := wait()
-	if errs[0] != nil || res[0] == nil || res[0].Runtime != 42 {
-		t.Fatalf("result = %+v err %v, want worker-b's", res[0], errs[0])
+	if res[0] != nil || errs[0] == nil || errs[0].Cause != runner.CauseError {
+		t.Fatalf("result = %+v err %v, want worker-a's failure", res[0], errs[0])
 	}
-	st := c.Status()
-	if st.Reclaims != 1 || st.LateAccepts != 0 || st.Duplicates != 0 {
+	if got, want := log.of(0), "running abandoned running abandoned running failed+err"; got != want {
+		t.Fatalf("outcomes = %q, want %q", got, want)
+	}
+	if st := c.Status(); st.Reclaims != 1 || st.LateAccepts != 1 || st.Duplicates != 1 {
 		t.Fatalf("status = %+v", st)
 	}
-	failed := map[string]int{}
-	for _, ws := range st.Workers {
-		failed[ws.ID] = ws.Failed
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("manifests = %v (err %v), want exactly one", entries, err)
 	}
-	if failed["worker-a"] != 1 {
-		t.Fatalf("worker-a failure votes = %d, want 1", failed["worker-a"])
+	ms, _, err := manifest.ScanDir(dir, "late")
+	if err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if retrying != 1 {
-		t.Fatalf("retrying outcomes = %d, want 1 (the reclaim only)", retrying)
+	if m := ms[0]; m == nil || m.Status != manifest.StatusFailed {
+		t.Fatalf("cell 0 manifest = %+v, want the failed run", m)
 	}
 }
 

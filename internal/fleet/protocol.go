@@ -1,19 +1,20 @@
 // Package fleet turns the single-machine campaign runner into a
 // coordinator/worker architecture over HTTP: the coordinator loads a
 // sweep's full configuration list and hands out leases (cell index +
-// config + digest + deadline) to workers that poll for work; workers wrap
-// the resilient attempt machinery of internal/runner in a serve loop and
-// stream outcomes back.
+// config + digest + deadline) to workers that poll for work; workers run
+// each leased cell once through runner.RunOne in a serve loop and stream
+// outcomes back.
 //
-// The design goal is that the whole fleet inherits the resilience
-// semantics PR 5 gave one process. Dispatch is at-least-once — a killed
-// or wedged worker's lease expires and its cell is re-dispatched to a
-// survivor — and made effectively-once by digest-matched idempotency:
-// every completion names the configuration digest it ran, the first
-// matching completion wins, and later duplicates are detected and
-// dropped. Because every simulation is single-threaded and seeded,
-// re-running a cell anywhere produces bit-identical results, so a sweep
-// executed by a chaos-ridden fleet renders byte-identically to a
+// The design goal is that a fleet sweep behaves exactly like a local
+// one. Every cell runs once: the first completion whose digest matches
+// settles it, OK or failed, as a local run settles its cell, and later
+// duplicates are detected and dropped. A failed cell is not dispatched
+// again (the simulation is deterministic, so it would fail again);
+// -resume re-runs it. The one re-dispatch is recovery from a dead or
+// wedged worker, which sends no report: its lease expires and the cell
+// goes to a survivor. Because every simulation is single-threaded and
+// seeded, running a cell anywhere produces bit-identical results, so a
+// sweep executed by a chaos-ridden fleet renders byte-identically to a
 // single-process run (pinned by test and CI).
 //
 // The coordinator keeps no log. Its manifest directory is the durable
@@ -43,8 +44,7 @@ const (
 // LeaseRequest is a worker's poll for work.
 type LeaseRequest struct {
 	// Worker identifies the polling worker across requests; lease
-	// accounting, quarantine votes and the per-worker completion counts
-	// key on it.
+	// accounting and the per-worker completion counts key on it.
 	Worker string `json:"worker"`
 }
 
@@ -61,9 +61,8 @@ type Lease struct {
 	// TTLMillis is the lease's time-to-live; a worker must heartbeat
 	// (comfortably) inside it or the coordinator reclaims the cell.
 	TTLMillis int64 `json:"ttl_ms"`
-	// Retries and RunTimeoutNanos ship the campaign's per-cell attempt
-	// policy to the worker (runner.Policy.Retries / RunTimeout).
-	Retries         int   `json:"retries"`
+	// RunTimeoutNanos ships the campaign's per-run deadline to the
+	// worker (runner.Policy.RunTimeout).
 	RunTimeoutNanos int64 `json:"run_timeout_ns"`
 }
 
@@ -91,8 +90,7 @@ type HeartbeatResponse struct {
 }
 
 // CompletionReport is a worker's final word on a lease: the cell it ran
-// (index + digest), the result or the typed failure, and the attempt
-// accounting from the worker-local retry loop.
+// (index + digest) and the result or the typed failure.
 type CompletionReport struct {
 	Worker  string `json:"worker"`
 	LeaseID string `json:"lease_id"`
@@ -105,11 +103,10 @@ type CompletionReport struct {
 	Snapshot    *metrics.Snapshot `json:"snapshot,omitempty"`
 	WallSeconds float64           `json:"wall_seconds"`
 
-	// Error, Cause and Attempt describe the final failure when OK is
-	// false (runner.RunError fields flattened for the wire).
-	Error   string `json:"error,omitempty"`
-	Cause   string `json:"cause,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
+	// Error and Cause describe the failure when OK is false
+	// (runner.RunError's Err text and Cause, flattened for the wire).
+	Error string `json:"error,omitempty"`
+	Cause string `json:"cause,omitempty"`
 }
 
 // CompletionResponse acknowledges a completion. Duplicate reports that
@@ -144,13 +141,11 @@ type Status struct {
 	// Counters across this process's campaigns (a restarted coordinator
 	// starts them at zero): leases reclaimed after expiry, duplicate
 	// completions dropped, late completions accepted after their lease
-	// was reclaimed (or granted by another coordinator process), cells
-	// quarantined after distinct workers failed the same digest, and
+	// was reclaimed (or granted by another coordinator process), and
 	// completions rejected for a digest mismatch.
 	Reclaims        int `json:"reclaims"`
 	Duplicates      int `json:"duplicates"`
 	LateAccepts     int `json:"late_accepts"`
-	Quarantined     int `json:"quarantined"`
 	DigestConflicts int `json:"digest_conflicts"`
 
 	Workers []WorkerStatus `json:"workers,omitempty"`
@@ -167,7 +162,6 @@ func (s Status) Gauges() map[string]float64 {
 		"fleet.reclaims":           float64(s.Reclaims),
 		"fleet.duplicates":         float64(s.Duplicates),
 		"fleet.late_accepts":       float64(s.LateAccepts),
-		"fleet.quarantined":        float64(s.Quarantined),
 		"fleet.digest_conflicts":   float64(s.DigestConflicts),
 	}
 }

@@ -80,11 +80,11 @@ type WorkerConfig struct {
 	HTTPClient *http.Client
 }
 
-// Worker polls a coordinator for leases and executes them through the
-// resilient attempt machinery of internal/runner, streaming completions
-// back. It survives coordinator restarts (exponential-backoff reconnect)
-// and drains gracefully on request: the leased cell finishes, new ones
-// are declined.
+// Worker polls a coordinator for leases, runs each leased cell once
+// through runner.RunOne, and streams the completions back. It survives
+// coordinator restarts (exponential-backoff reconnect) and drains
+// gracefully on request: the leased cell finishes, new ones are
+// declined.
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
@@ -229,21 +229,19 @@ func (w *Worker) execute(l *Lease) {
 		w.heartbeatLoop(l, stopHB)
 	}()
 
-	res, snap, wall, attempt, rerr := runner.RunOne(l.Config, runner.Policy{
-		Retries:    l.Retries,
-		RunTimeout: time.Duration(l.RunTimeoutNanos),
-		Log:        w.log.With("cell", l.Index, "digest", l.Digest),
-	})
+	res, snap, wall, rerr := runner.RunOne(l.Config, time.Duration(l.RunTimeoutNanos))
 	close(stopHB)
 	hbWG.Wait()
 
 	rep := CompletionReport{
 		Worker: w.cfg.ID, LeaseID: l.ID, Sweep: l.Sweep, Index: l.Index,
 		Digest: l.Digest, OK: rerr == nil, Res: res, Snapshot: snap,
-		WallSeconds: wall, Attempt: attempt,
+		WallSeconds: wall,
 	}
 	if rerr != nil {
-		rep.Error = rerr.Error()
+		// The bare cause: rerr.Error() would prefix RunOne's run index 0,
+		// and the coordinator labels the failure with the cell's own.
+		rep.Error = rerr.Err.Error()
 		rep.Cause = string(rerr.Cause)
 	}
 	w.deliver(l, rep)

@@ -21,11 +21,12 @@ import (
 )
 
 // SchemaVersion identifies the manifest layout; bump on breaking change.
-// v2 added failure records: status, cause class, attempt, config digest
-// and the diagnostics summary. v3 added the network switching-activity
-// summary field. v4 added the lock-journey summary (per-stage latency
-// attribution); Validate still accepts v3 manifests, which predate
-// journeys.
+// v2 added failure records: status, cause class, config digest and the
+// diagnostics summary (failed records written before sweeps ran each cell
+// once also carry an "attempt" number, which readers ignore). v3 added
+// the network switching-activity summary field. v4 added the
+// lock-journey summary (per-stage latency attribution); Validate still
+// accepts v3 manifests, which predate journeys.
 const SchemaVersion = 4
 
 // minSchemaVersion is the oldest layout Validate accepts: v3 manifests
@@ -39,8 +40,8 @@ const Kind = "inpg-run-manifest"
 const (
 	// StatusOK marks a run that completed and produced results.
 	StatusOK = "ok"
-	// StatusFailed marks a run whose final attempt failed; Error, Cause
-	// and (when available) Diag describe how.
+	// StatusFailed marks a run that failed; Error, Cause and (when
+	// available) Diag describe how.
 	StatusFailed = "failed"
 )
 
@@ -114,14 +115,12 @@ type Manifest struct {
 	WallSeconds float64 `json:"wall_seconds"`
 
 	// Status is StatusOK or StatusFailed. Failed manifests carry the
-	// error text, its cause class (runner.Cause), the 0-based attempt
-	// that produced this record, and — when the failure yielded a
-	// diagnosis — a compact DiagSummary. Summary and Engine are zero when
-	// the run failed before producing results.
+	// error text, its cause class (runner.Cause) and — when the failure
+	// yielded a diagnosis — a compact DiagSummary. Summary and Engine are
+	// zero when the run failed before producing results.
 	Status  string       `json:"status"`
 	Error   string       `json:"error,omitempty"`
 	Cause   string       `json:"cause,omitempty"`
-	Attempt int          `json:"attempt,omitempty"`
 	Diag    *DiagSummary `json:"diag,omitempty"`
 	Engine  EngineStats  `json:"engine"`
 	Summary Summary      `json:"summary"`
@@ -188,8 +187,7 @@ func JourneyFromSnapshot(snap *metrics.Snapshot) *JourneySummary {
 
 // Build assembles a manifest from one finished run. res and snap may be
 // nil (failed or unmetered runs); runErr may be nil. Failures are
-// recorded with their cause class (runner.Classify), the attempt that
-// produced them (when runErr is a *runner.RunError) and a compact
+// recorded with their cause class (runner.Classify) and a compact
 // diagnostics summary (when the failure carries one).
 func Build(sweep string, index int, cfg inpg.Config, res *inpg.Results, snap *metrics.Snapshot, wallSeconds float64, runErr error) Manifest {
 	m := Manifest{
@@ -211,9 +209,6 @@ func Build(sweep string, index int, cfg inpg.Config, res *inpg.Results, snap *me
 		m.Status = StatusFailed
 		m.Error = runErr.Error()
 		m.Cause = string(runner.Classify(runErr))
-		if runErr := runner.AsRunError(runErr); runErr != nil {
-			m.Attempt = runErr.Attempt
-		}
 		var simErr *inpg.SimulationError
 		if errors.As(runErr, &simErr) && simErr.Diag != nil {
 			m.Diag = &DiagSummary{

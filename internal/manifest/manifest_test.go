@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -82,6 +83,46 @@ func TestManifestFailedRun(t *testing.T) {
 	}
 	if m.Error == "" || m.Summary.Runtime != 0 {
 		t.Fatalf("failed-run manifest = %+v", m)
+	}
+}
+
+// TestManifestFailedRunWithAttemptStillReads: failed manifests written
+// while sweeps still retried cells carry an "attempt" number. Readers
+// ignore it: such a v4 record reads, validates and scans as failed, so
+// -resume re-runs its cell.
+func TestManifestFailedRunWithAttemptStillReads(t *testing.T) {
+	cfg := inpg.DefaultConfig()
+	m := Build("chaos", 3, cfg, nil, nil, 0.1, os.ErrDeadlineExceeded)
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["attempt"] = 2
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, Filename("chaos", 3))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SchemaVersion != 4 || got.Status != StatusFailed || got.ConfigDigest != cfg.Digest() {
+		t.Fatalf("read back %+v, want a v4 failed record", got)
+	}
+	ms, warnings, err := ScanDir(dir, "chaos")
+	if err != nil || len(warnings) != 0 {
+		t.Fatalf("scan: err %v, warnings %v", err, warnings)
+	}
+	if ms[3] == nil || ms[3].Status != StatusFailed {
+		t.Fatalf("scanned cell 3 = %+v, want failed", ms[3])
 	}
 }
 

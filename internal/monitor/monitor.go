@@ -50,12 +50,9 @@ type Status struct {
 	Completed int
 	Failed    int
 	InFlight  int
-	// Retried counts failed attempts that re-ran; Quarantined the runs
-	// that exhausted every attempt; Skipped the cells resume satisfied
-	// from prior manifests; Abandoned the fleet claims closed without a
-	// result because another worker's report resolved the cell.
-	Retried        int
-	Quarantined    int
+	// Skipped counts the cells resume satisfied from prior manifests;
+	// Abandoned the fleet claims closed without a result because the
+	// lease expired or another worker's report settled the cell.
 	Skipped        int
 	Abandoned      int
 	ElapsedSeconds float64
@@ -71,26 +68,23 @@ type Status struct {
 	Counters map[string]uint64
 	// Fleet is the coordinator's live state when this monitor fronts a
 	// distributed campaign (SetFleet): per-worker liveness and leases
-	// held, leases outstanding, reclaims, quarantines. Nil on local
-	// sweeps.
+	// held, leases outstanding, reclaims. Nil on local sweeps.
 	Fleet *fleet.Status
 }
 
 // Monitor aggregates run outcomes and serves them over HTTP.
 type Monitor struct {
-	mu          sync.Mutex
-	start       time.Time
-	workers     map[int]*WorkerStatus
-	counters    map[string]uint64
-	recent      []time.Time
-	complete    int
-	failed      int
-	inFlight    int
-	retried     int
-	quarantined int
-	skipped     int
-	abandoned   int
-	fleetFn     func() fleet.Status
+	mu        sync.Mutex
+	start     time.Time
+	workers   map[int]*WorkerStatus
+	counters  map[string]uint64
+	recent    []time.Time
+	complete  int
+	failed    int
+	inFlight  int
+	skipped   int
+	abandoned int
+	fleetFn   func() fleet.Status
 
 	srv *http.Server
 }
@@ -184,22 +178,15 @@ func (m *Monitor) apply(o runner.Outcome) {
 	}
 	m.inFlight--
 	w.Busy, w.Label = false, ""
-	switch o.Status {
-	case runner.StatusRetrying:
-		// The attempt finished but the run is unresolved: a fresh claim
-		// for the next attempt follows.
-		m.retried++
-	case runner.StatusAbandoned:
-		// The claim closed without a result: another worker's report
-		// resolved the cell and counts as its completion.
+	if o.Status == runner.StatusAbandoned {
+		// The claim closed without a result: the cell went back to the
+		// queue, or another worker's report settled it and counts as its
+		// completion.
 		m.abandoned++
-	default:
+	} else {
 		m.complete++
 		if o.Err != nil {
 			m.failed++
-		}
-		if o.Status == runner.StatusQuarantined {
-			m.quarantined++
 		}
 	}
 	now := time.Now()
@@ -224,8 +211,6 @@ func (m *Monitor) Status() Status {
 		Completed:      m.complete,
 		Failed:         m.failed,
 		InFlight:       m.inFlight,
-		Retried:        m.retried,
-		Quarantined:    m.quarantined,
 		Skipped:        m.skipped,
 		Abandoned:      m.abandoned,
 		ElapsedSeconds: time.Since(m.start).Seconds(),
@@ -266,8 +251,6 @@ func (m *Monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"sweep.completed":       float64(st.Completed),
 		"sweep.failed":          float64(st.Failed),
 		"sweep.in_flight":       float64(st.InFlight),
-		"sweep.retried":         float64(st.Retried),
-		"sweep.quarantined":     float64(st.Quarantined),
 		"sweep.skipped":         float64(st.Skipped),
 		"sweep.abandoned":       float64(st.Abandoned),
 		"sweep.elapsed_seconds": st.ElapsedSeconds,
@@ -292,9 +275,8 @@ func (m *Monitor) handleText(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "inpg sweep monitor\n")
 	fmt.Fprintf(&b, "completed %d (%d failed), %d in flight, elapsed %.1fs, %.2f runs/s\n",
 		st.Completed, st.Failed, st.InFlight, st.ElapsedSeconds, st.RunsPerSecond)
-	if st.Retried+st.Quarantined+st.Skipped+st.Abandoned > 0 {
-		fmt.Fprintf(&b, "retried %d, quarantined %d, skipped %d, abandoned %d\n",
-			st.Retried, st.Quarantined, st.Skipped, st.Abandoned)
+	if st.Skipped+st.Abandoned > 0 {
+		fmt.Fprintf(&b, "skipped %d, abandoned %d\n", st.Skipped, st.Abandoned)
 	}
 	b.WriteByte('\n')
 	for _, ws := range st.Workers {
@@ -308,8 +290,8 @@ func (m *Monitor) handleText(w http.ResponseWriter, r *http.Request) {
 		// In place of the runner-slot rows, which Status leaves out.
 		fmt.Fprintf(&b, "fleet: sweep %s, %d/%d cells, %d leases outstanding\n",
 			fs.Sweep, fs.Completed, fs.Cells, fs.LeasesOutstanding)
-		fmt.Fprintf(&b, "fleet: reclaimed %d, duplicates %d, late accepts %d, quarantined %d, digest conflicts %d\n",
-			fs.Reclaims, fs.Duplicates, fs.LateAccepts, fs.Quarantined, fs.DigestConflicts)
+		fmt.Fprintf(&b, "fleet: reclaimed %d, duplicates %d, late accepts %d, digest conflicts %d\n",
+			fs.Reclaims, fs.Duplicates, fs.LateAccepts, fs.DigestConflicts)
 		for _, fw := range fs.Workers {
 			fmt.Fprintf(&b, "fleet worker %-24s last seen %5.1fs ago, %d leases held, %d completed, %d failed\n",
 				fw.ID, fw.LastSeenSeconds, fw.Leases, fw.Completed, fw.Failed)

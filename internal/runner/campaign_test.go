@@ -61,53 +61,26 @@ func TestForEachAllKeepGoingIsolatesPanics(t *testing.T) {
 	}
 }
 
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	if Backoff("abc", 0, 0, 0) != 0 {
-		t.Fatal("attempt 0 (the first try) must not wait")
-	}
-	if a, b := Backoff("abc", 3, 0, 0), Backoff("abc", 3, 0, 0); a != b {
-		t.Fatalf("same (digest, attempt) gave %v then %v: backoff must be deterministic", a, b)
-	}
-	// Exponential growth with jitter in [0.5, 1.5): each attempt's delay
-	// stays within those factors of base<<(attempt-1) until the cap binds.
-	base, max := 10*time.Millisecond, time.Hour
-	prev := time.Duration(0)
-	for attempt := 1; attempt <= 6; attempt++ {
-		raw := base << uint(attempt-1)
-		d := Backoff("abc", attempt, base, max)
-		if d < raw/2 || d >= raw+raw/2 {
-			t.Fatalf("attempt %d delay %v outside jitter bounds [%v, %v)", attempt, d, raw/2, raw+raw/2)
-		}
-		if d <= prev/2 {
-			t.Fatalf("attempt %d delay %v did not grow from %v", attempt, d, prev)
-		}
-		prev = d
-	}
-	// The cap binds arbitrarily deep schedules, including shift overflow
-	// territory.
-	for _, attempt := range []int{8, 21, 1000} {
-		if d := Backoff("abc", attempt, base, 50*time.Millisecond); d > 50*time.Millisecond {
-			t.Fatalf("attempt %d delay %v exceeds the 50ms cap", attempt, d)
-		}
-	}
-	// Different cells decorrelate: distinct digests jitter differently.
-	if Backoff("abc", 1, base, max) == Backoff("xyz", 1, base, max) {
-		t.Fatal("digests abc and xyz produced identical jitter")
-	}
-}
-
 func TestRunResilientTimeoutCarriesDiagnostics(t *testing.T) {
 	before := runtime.NumGoroutine()
-	results, errs := RunResilient([]inpg.Config{longConfig(1)}, Policy{
+	log := &outcomeLog{}
+	cfg := longConfig(1)
+	results, errs := RunResilient([]inpg.Config{cfg}, Policy{
 		Workers:    1,
 		RunTimeout: time.Nanosecond,
+		Observer:   log.observer(),
 	})
 	if results[0] != nil {
 		t.Fatal("timed-out run must not produce results")
 	}
 	rerr := errs[0]
-	if rerr == nil || rerr.Cause != CauseTimeout {
-		t.Fatalf("error = %v, want CauseTimeout", rerr)
+	if rerr == nil || rerr.Cause != CauseTimeout || rerr.Digest != cfg.Digest() {
+		t.Fatalf("error = %+v, want CauseTimeout under the config digest", rerr)
+	}
+	// The failed cell ran once: one completion, StatusFailed, carrying
+	// the error.
+	if len(log.done) != 1 || log.done[0].Status != StatusFailed || log.done[0].Err == nil {
+		t.Fatalf("completions = %+v, want one StatusFailed with its error", log.done)
 	}
 	var simErr *inpg.SimulationError
 	if !errors.As(rerr, &simErr) {
@@ -148,66 +121,6 @@ func (l *outcomeLog) observer() Observer {
 	}
 }
 
-func TestRunResilientRetryThenSucceed(t *testing.T) {
-	log := &outcomeLog{}
-	results, errs := RunResilient([]inpg.Config{longConfig(2)}, Policy{
-		Workers:     1,
-		Retries:     2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Observer:    log.observer(),
-		PreAttempt: func(_, attempt int) {
-			if attempt == 0 {
-				panic("transient chaos on the first attempt")
-			}
-		},
-	})
-	if results[0] == nil || errs[0] != nil {
-		t.Fatalf("retry did not recover: results=%v errs=%v", results[0], errs[0])
-	}
-	var statuses []Status
-	var attempts []int
-	for _, o := range log.done {
-		statuses = append(statuses, o.Status)
-		attempts = append(attempts, o.Attempt)
-	}
-	if !reflect.DeepEqual(statuses, []Status{StatusRetrying, StatusOK}) {
-		t.Fatalf("completion statuses = %v, want [retrying ok]", statuses)
-	}
-	if !reflect.DeepEqual(attempts, []int{0, 1}) {
-		t.Fatalf("attempts = %v, want [0 1]", attempts)
-	}
-}
-
-func TestRunResilientQuarantineAfterRetries(t *testing.T) {
-	log := &outcomeLog{}
-	results, errs := RunResilient([]inpg.Config{longConfig(3)}, Policy{
-		Workers:     1,
-		Retries:     1,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-		Observer:    log.observer(),
-		PreAttempt:  func(i, attempt int) { panic("persistent chaos") },
-	})
-	if results[0] != nil {
-		t.Fatal("quarantined cell must not produce results")
-	}
-	rerr := errs[0]
-	if rerr == nil || rerr.Cause != CausePanic || rerr.Attempt != 1 {
-		t.Fatalf("final error = %+v, want CausePanic on attempt 1", rerr)
-	}
-	if rerr.Digest == "" {
-		t.Fatal("quarantine error must carry the config digest")
-	}
-	var statuses []Status
-	for _, o := range log.done {
-		statuses = append(statuses, o.Status)
-	}
-	if !reflect.DeepEqual(statuses, []Status{StatusRetrying, StatusQuarantined}) {
-		t.Fatalf("completion statuses = %v, want [retrying quarantined]", statuses)
-	}
-}
-
 func TestRunResilientSkip(t *testing.T) {
 	log := &outcomeLog{}
 	cfgs := []inpg.Config{tinyConfig(2, 1), tinyConfig(2, 2)}
@@ -228,8 +141,8 @@ func TestRunResilientSkip(t *testing.T) {
 }
 
 // TestRunResilientMatchesRunOnCleanSweep pins the fault-free guarantee:
-// with no failures, the resilient path (retries armed and all) produces
-// results bit-identical to the fail-fast runner at any worker count.
+// with no failures, the resilient path produces results bit-identical to
+// the fail-fast runner at any worker count.
 func TestRunResilientMatchesRunOnCleanSweep(t *testing.T) {
 	var cfgs []inpg.Config
 	for i := 0; i < 4; i++ {
@@ -240,7 +153,7 @@ func TestRunResilientMatchesRunOnCleanSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		results, errs := RunResilient(cfgs, Policy{Workers: workers, Retries: 2})
+		results, errs := RunResilient(cfgs, Policy{Workers: workers})
 		for i := range cfgs {
 			if errs[i] != nil {
 				t.Fatalf("workers=%d: clean run %d failed: %v", workers, i, errs[i])
@@ -254,15 +167,15 @@ func TestRunResilientMatchesRunOnCleanSweep(t *testing.T) {
 }
 
 func TestRunOneSingleCellBuildingBlock(t *testing.T) {
-	// A clean cell succeeds on the first attempt and matches what the
-	// full campaign machinery produces for the same configuration.
+	// A clean cell succeeds and matches what the full campaign machinery
+	// produces for the same configuration.
 	cfg := longConfig(9)
-	res, _, wall, attempt, rerr := RunOne(cfg, Policy{})
+	res, _, wall, rerr := RunOne(cfg, 0)
 	if rerr != nil {
 		t.Fatalf("clean run failed: %v", rerr)
 	}
-	if res == nil || attempt != 0 || wall < 0 {
-		t.Fatalf("res=%v attempt=%d wall=%v", res, attempt, wall)
+	if res == nil || wall < 0 {
+		t.Fatalf("res=%v wall=%v", res, wall)
 	}
 	ref, errs := RunResilient([]inpg.Config{cfg}, Policy{Workers: 1})
 	if errs[0] != nil {
@@ -272,32 +185,12 @@ func TestRunOneSingleCellBuildingBlock(t *testing.T) {
 		t.Fatal("RunOne and RunResilient disagree on the same cell")
 	}
 
-	// A chaos hook that panics on the first two attempts is absorbed by
-	// the retry loop; the third attempt lands.
-	res, _, _, attempt, rerr = RunOne(cfg, Policy{
-		Retries:     2,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  time.Microsecond,
-		PreAttempt: func(_, attempt int) {
-			if attempt < 2 {
-				panic("chaos")
-			}
-		},
-	})
-	if rerr != nil || res == nil || attempt != 2 {
-		t.Fatalf("after 2 injected panics: res=%v attempt=%d err=%v", res, attempt, rerr)
-	}
-
-	// A config inpg.New rejects burns every retry, classifies as
-	// CauseConfig, and reports the last attempt number.
+	// A config inpg.New rejects classifies as CauseConfig and carries the
+	// config digest.
 	bad := cfg
 	bad.MeshWidth = 0
-	res, _, _, attempt, rerr = RunOne(bad, Policy{
-		Retries:     1,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  time.Microsecond,
-	})
-	if res != nil || rerr == nil || rerr.Cause != CauseConfig || attempt != 1 {
-		t.Fatalf("bad config: res=%v attempt=%d err=%v", res, attempt, rerr)
+	res, _, _, rerr = RunOne(bad, 0)
+	if res != nil || rerr == nil || rerr.Cause != CauseConfig || rerr.Digest != bad.Digest() {
+		t.Fatalf("bad config: res=%v err=%+v", res, rerr)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Cause classifies why a run failed, the coarse taxonomy sweeps and
-// manifests key retry/quarantine/reporting decisions on.
+// manifests report failures under.
 type Cause string
 
 // The cause classes, ordered roughly from "infrastructure" to "simulation".
@@ -82,15 +82,13 @@ func Classify(err error) Cause {
 }
 
 // RunError is the typed per-run failure every runner mode reports: which
-// run failed, on which attempt, why (cause class), under which
-// configuration (digest), and — for panics — the captured stack. It wraps
-// the underlying error for errors.Is/As chains (e.g. down to
-// *inpg.SimulationError and its Diagnostics).
+// run failed, why (cause class), under which configuration (digest), and
+// — for panics — the captured stack. It wraps the underlying error for
+// errors.Is/As chains (e.g. down to *inpg.SimulationError and its
+// Diagnostics).
 type RunError struct {
-	// Index is the run's submission index within its batch; Attempt the
-	// 0-based attempt that produced this error.
-	Index   int
-	Attempt int
+	// Index is the run's submission index within its batch.
+	Index int
 	// Cause is the failure class.
 	Cause Cause
 	// Digest fingerprints the run's configuration (inpg.Config.Digest);
@@ -103,25 +101,13 @@ type RunError struct {
 	Err error
 }
 
-// Error implements error. The attempt is shown only once retries exist.
+// Error implements error.
 func (e *RunError) Error() string {
-	if e.Attempt > 0 {
-		return fmt.Sprintf("runner: run %d [%s, attempt %d]: %v", e.Index, e.Cause, e.Attempt+1, e.Err)
-	}
 	return fmt.Sprintf("runner: run %d [%s]: %v", e.Index, e.Cause, e.Err)
 }
 
 // Unwrap exposes the underlying failure.
 func (e *RunError) Unwrap() error { return e.Err }
-
-// AsRunError returns err as a *RunError, or nil when it is not one.
-func AsRunError(err error) *RunError {
-	var runErr *RunError
-	if errors.As(err, &runErr) {
-		return runErr
-	}
-	return nil
-}
 
 // asRunError coerces any per-run failure into a *RunError, classifying and
 // wrapping plain errors; nil stays nil.
@@ -129,7 +115,8 @@ func asRunError(index int, err error) *RunError {
 	if err == nil {
 		return nil
 	}
-	if runErr := AsRunError(err); runErr != nil {
+	var runErr *RunError
+	if errors.As(err, &runErr) {
 		return runErr
 	}
 	return &RunError{Index: index, Cause: Classify(err), Err: err}

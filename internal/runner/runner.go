@@ -10,11 +10,13 @@
 //
 // Two failure disciplines are offered. The fail-fast modes (ForEach,
 // Run) abandon unstarted runs once any run fails and propagate the
-// lowest-index error. The keep-going mode (RunResilient) isolates every
-// failure — including panics, which are recovered and converted to typed
-// *RunError values with their stacks — retries and quarantines cells,
-// reports every attempt to an Observer, and returns a complete per-index
+// lowest-index error. The keep-going mode (RunResilient) runs every cell
+// exactly once and isolates every failure — including panics, which are
+// recovered and converted to typed *RunError values with their stacks —
+// reports every run to an Observer, and returns a complete per-index
 // outcome vector, so one bad cell cannot take down a thousand-run sweep.
+// A failed cell is not retried: the simulations are deterministic, so it
+// would fail again; a -resume pass re-runs it once the cause is fixed.
 package runner
 
 import (
@@ -118,18 +120,14 @@ const (
 	StatusRunning Status = "running"
 	// StatusOK: the run completed and its results are used.
 	StatusOK Status = "ok"
-	// StatusFailed: the run failed with no retry to follow.
+	// StatusFailed: the run failed; the cell is excluded from
+	// aggregation and reported as missing until -resume re-runs it.
 	StatusFailed Status = "failed"
-	// StatusRetrying: the attempt failed and a later attempt will re-run
-	// this configuration.
-	StatusRetrying Status = "retrying"
-	// StatusQuarantined: every configured attempt failed; the cell is
-	// excluded from aggregation and reported as missing.
-	StatusQuarantined Status = "quarantined"
 	// StatusAbandoned: a fleet worker's claim closed without a result —
-	// another worker's report resolved the cell while it still held the
-	// lease, so its own report will be dropped as a duplicate. Observers
-	// must not count it as a completion.
+	// its lease expired and the cell went back to the queue, or another
+	// worker's report settled the cell while it still held the lease.
+	// Its own report, if it ever comes, is judged by digest like any
+	// late one. Observers must not count it as a completion.
 	StatusAbandoned Status = "abandoned"
 	// StatusSkipped: the run was never executed (resume found a valid
 	// prior result). Skipped runs emit a single Done outcome.
@@ -146,14 +144,12 @@ type Outcome struct {
 	Worker int
 	Done   bool
 	// Status refines Done: StatusRunning on claim; StatusOK, StatusFailed,
-	// StatusRetrying, StatusQuarantined, StatusAbandoned or StatusSkipped
-	// on completion. Zero ("") in outcomes from legacy hand-rolled loops.
+	// StatusAbandoned or StatusSkipped on completion. Zero ("") in
+	// outcomes from legacy hand-rolled loops.
 	Status Status
-	// Attempt is the 0-based retry attempt (always 0 outside RunResilient).
-	Attempt int
-	Cfg     inpg.Config
-	Res     *inpg.Results
-	Err     error
+	Cfg    inpg.Config
+	Res    *inpg.Results
+	Err    error
 	// Snapshot and WallSeconds are meaningful only when Done.
 	Snapshot    *metrics.Snapshot
 	WallSeconds float64
