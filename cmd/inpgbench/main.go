@@ -29,7 +29,6 @@ import (
 
 	"inpg/internal/experiments"
 	"inpg/internal/fleet"
-	"inpg/internal/monitor"
 	"inpg/internal/report"
 	"inpg/internal/runner"
 )
@@ -134,9 +133,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		metrics = flag.Bool("metrics", false, "enable the per-run telemetry registry")
-		mEvery  = flag.Int("metrics-every", 0, "sample the registry every N cycles (requires -metrics)")
 		manDir  = flag.String("manifest-dir", "", "write one JSON run manifest per simulation into this directory, created when a sweep starts; -resume on it restarts a killed sweep, local or -coordinator")
-		monAddr = flag.String("monitor", "", "serve the live sweep monitor (progress page, Prometheus /metrics, /healthz, pprof) on this address, e.g. :8080")
 		runTO   = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); overruns fail their cell with diagnostics")
 		resume  = flag.String("resume", "", "resume from this manifest directory: skip cells whose manifest records a successful run with a matching config digest")
 		chPanic = flag.String("chaos-panic", "", "comma-separated sweep cell indexes to crash with an injected panic (chaos testing)")
@@ -196,25 +193,13 @@ func main() {
 
 	o := experiments.Options{Scale: *scale, Seed: *seed, Seeds: *seeds, Quick: *quick, Workers: *workers, Compat: *compat,
 		FaultRate: *fRate, FaultSeed: *fSeed, WatchdogWindow: *wdog,
-		Metrics: *metrics, MetricsSampleEvery: *mEvery, JourneyRate: *jRate, ManifestDir: *manDir,
+		Metrics: *metrics, JourneyRate: *jRate, ManifestDir: *manDir,
 		RunTimeout: *runTO, Resume: *resume,
 		ChaosPanicCells: parseCells(*chPanic), ChaosDeadlineCells: parseCells(*chDead)}
 	// Resuming implies journaling: re-run cells land their manifests next
 	// to the ones being reused, so a further resume sees a complete set.
 	if o.Resume != "" && o.ManifestDir == "" {
 		o.ManifestDir = o.Resume
-	}
-	var mon *monitor.Monitor
-	if *monAddr != "" {
-		mon = monitor.New()
-		addr, err := mon.Serve(*monAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "inpgbench: monitor:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "[inpgbench: monitor on http://%s]\n", addr)
-		o.Observer = mon.Observer()
-		defer mon.Close()
 	}
 	if *coordAddr != "" {
 		coord := fleet.NewCoordinator(fleet.Config{
@@ -230,11 +215,7 @@ func main() {
 		go srv.Serve(ln)
 		fmt.Fprintf(os.Stderr, "[inpgbench: fleet coordinator on http://%s]\n", ln.Addr())
 		o.Campaign = coord
-		if mon != nil {
-			mon.SetFleet(coord.Status)
-		}
-		// Registered after the monitor's Close so it runs first (LIFO):
-		// order the fleet down, give pollers a grace window to observe the
+		// Order the fleet down, give pollers a grace window to observe the
 		// shutdown answer and exit cleanly, then stop serving.
 		defer func() {
 			coord.Shutdown()

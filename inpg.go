@@ -276,7 +276,7 @@ type Config struct {
 // Digest returns a short stable fingerprint of the configuration: the hex
 // prefix of a SHA-256 over its canonical JSON encoding. Two configs digest
 // equal exactly when every field (workload, seed, fault plan, budgets)
-// matches, which is what sweep resume and retry backoff key on.
+// matches, which is what sweep resume keys on.
 func (c Config) Digest() string {
 	data, err := json.Marshal(c)
 	if err != nil {
@@ -445,6 +445,18 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("inpg: lock home node %d outside mesh", home)
 	}
 	alloc := lock.NewAddrAlloc(fab.Homes, fab.Mem)
+	// Telemetry: every lock gets its own metricsLock, so a handoff runs
+	// from a release to the next acquire of the same lock; the locks
+	// share the two histograms.
+	meter := func(l cpu.Lock) cpu.Lock { return l }
+	if cfg.Metrics {
+		s.lockHold = stats.NewHistogram(16)
+		s.lockHandoff = stats.NewHistogram(16)
+		meter = func(l cpu.Lock) cpu.Lock {
+			return &metricsLock{inner: l, eng: eng, hold: s.lockHold, handoff: s.lockHandoff,
+				acquiredAt: make([]sim.Cycle, threads)}
+		}
+	}
 	if cfg.LockCount > 1 {
 		locks := make([]cpu.Lock, cfg.LockCount)
 		for i := 0; i < cfg.LockCount; i++ {
@@ -452,17 +464,19 @@ func New(cfg Config) (*System, error) {
 			if i > 0 {
 				h = noc.NodeID((int(home) + i*7) % nodes)
 			}
-			locks[i], err = lock.New(lock.Kind(cfg.Lock), alloc, h, lcfg)
+			l, err := lock.New(lock.Kind(cfg.Lock), alloc, h, lcfg)
 			if err != nil {
 				return nil, err
 			}
+			locks[i] = meter(l)
 		}
 		s.lockImpl = &lockSet{locks: locks, held: make([]cpu.Lock, threads)}
 	} else {
-		s.lockImpl, err = lock.New(lock.Kind(cfg.Lock), alloc, home, lcfg)
+		l, err := lock.New(lock.Kind(cfg.Lock), alloc, home, lcfg)
 		if err != nil {
 			return nil, err
 		}
+		s.lockImpl = meter(l)
 	}
 	var barrier *lock.Barrier
 	if cfg.BarrierEvery > 0 {
@@ -523,16 +537,6 @@ func New(cfg Config) (*System, error) {
 				Detail: fmt.Sprintf("link toward %v declared dead", toward)})
 		}
 		s.lockImpl = &tracingLock{inner: s.lockImpl, buf: s.tracer, eng: eng}
-	}
-
-	// Telemetry: the lock decorator must wrap before threads capture the
-	// lock; the registry itself is built once every component exists.
-	if cfg.Metrics {
-		s.lockHold = stats.NewHistogram(16)
-		s.lockHandoff = stats.NewHistogram(16)
-		s.lockImpl = &metricsLock{inner: s.lockImpl, eng: eng,
-			hold: s.lockHold, handoff: s.lockHandoff,
-			acquiredAt: make([]sim.Cycle, threads)}
 	}
 
 	// Journey tracing wraps outermost so a sampled journey's Begin fires

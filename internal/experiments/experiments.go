@@ -63,9 +63,6 @@ type Options struct {
 	// read only at snapshot time, so figure outputs are byte-identical
 	// with metrics on or off (pinned by test).
 	Metrics bool
-	// MetricsSampleEvery, when positive with Metrics on, samples the
-	// registry into a per-run time series at this cycle interval.
-	MetricsSampleEvery int
 	// JourneyRate samples this fraction of critical-section acquisitions
 	// into causal lock-journey records (internal/journey). A nonzero rate
 	// implies Metrics (the per-stage histograms live in the registry);
@@ -78,9 +75,10 @@ type Options struct {
 	// it starts, so a sweep killed before its first manifest can still
 	// be restarted with Resume on it.
 	ManifestDir string
-	// Observer, when set, receives every run's lifecycle outcomes — the
-	// live sweep monitor's feed. It is called from worker goroutines and
-	// must be safe for concurrent use.
+	// Observer, when set, receives every run's lifecycle outcomes after
+	// the manifest writer does; the benchmark times its sweep cells with
+	// them. It is called from worker goroutines and must be safe for
+	// concurrent use.
 	Observer runner.Observer
 	// RunTimeout, when positive, bounds each run's wall-clock time via
 	// cooperative cancellation; an overrunning run fails its cell with a
@@ -105,8 +103,8 @@ type Options struct {
 	// Campaign, when set, dispatches every sweep through a distributed
 	// campaign runner — the fleet coordinator — instead of the local
 	// worker pool. The runner receives the same Policy a local sweep
-	// would (Skip/PreRun/Observer, so resume, manifests and the monitor
-	// work unchanged); Workers applies only to local execution.
+	// would (Skip/PreRun/Observer, so resume, manifests and the caller's
+	// Observer work unchanged); Workers applies only to local execution.
 	Campaign CampaignRunner
 }
 
@@ -195,7 +193,6 @@ func ConfigFor(p workload.Profile, mech inpg.Mechanism, lk inpg.LockKind, o Opti
 	cfg.AlwaysTick = o.Compat
 	cfg.WatchdogWindow = o.WatchdogWindow
 	cfg.Metrics = o.Metrics
-	cfg.MetricsSampleEvery = o.MetricsSampleEvery
 	cfg.JourneyRate = o.JourneyRate
 	if cfg.JourneyRate > 0 {
 		// Journey stage histograms live in the telemetry registry.
@@ -243,9 +240,9 @@ func Run(cfg inpg.Config) (*inpg.Results, error) {
 // full configuration list up front, submit it here, and aggregate from
 // the ordered results, so their figures are identical for any worker
 // count; on fault-free sweeps the Missing list is empty and results match
-// the fail-fast path bit for bit. sweep names
-// the batch in run manifests and monitor feeds. The error return is
-// reserved for infrastructure failures (an unreadable resume directory,
+// the fail-fast path bit for bit. sweep names the batch in run manifests,
+// resume scans and MISSING lines. The error return is reserved for
+// infrastructure failures (an unreadable resume directory,
 // a manifest directory that cannot be created, chaos the campaign runner
 // cannot carry out), never for individual runs.
 func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Missing, error) {

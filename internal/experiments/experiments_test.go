@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"inpg"
+	"inpg/internal/runner"
 	"inpg/internal/workload"
 )
 
@@ -311,5 +313,34 @@ func TestResilienceSweep(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestResilienceResumes: the resilience sweep runs through runAll like
+// every other sweep, so a resume over its own first pass's manifests
+// claims no cell and renders the same bytes.
+func TestResilienceResumes(t *testing.T) {
+	o := tiny()
+	o.ManifestDir = t.TempDir()
+	first, err := Resilience(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var claims atomic.Int64
+	o.Resume = o.ManifestDir
+	o.Observer = func(out runner.Outcome) {
+		if out.Status == runner.StatusRunning {
+			claims.Add(1)
+		}
+	}
+	second, err := Resilience(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := claims.Load(); n != 0 {
+		t.Fatalf("resumed resilience sweep claimed %d cells, want 0", n)
+	}
+	if a, b := first.Render(), second.Render(); a != b {
+		t.Fatalf("resumed render differs:\n%s\nvs\n%s", a, b)
 	}
 }

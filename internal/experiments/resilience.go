@@ -7,7 +7,6 @@ import (
 
 	"inpg"
 	"inpg/internal/fault"
-	"inpg/internal/runner"
 	"inpg/internal/workload"
 )
 
@@ -74,25 +73,23 @@ func Resilience(o Options) (*ResilienceResult, error) {
 	}
 	r.Threads = cfgs[0].MeshWidth * cfgs[0].MeshHeight
 
-	// Fan out in keep-going mode: a failed run — a wedged simulation under
-	// an extreme rate, even a panic — fills its cell's Reason instead of
-	// aborting the sweep. No retries: a deterministic wedge is a data
-	// point, and re-running it would only reproduce it.
-	results, errs := runner.RunResilient(cfgs, runner.Policy{
-		Workers:    o.Workers,
-		RunTimeout: o.RunTimeout,
-		Observer:   o.observer("resilience"),
-	})
+	// A failed run — a wedged simulation under an extreme rate, even a
+	// panic — fills its cell's Reason instead of aborting the sweep: a
+	// deterministic wedge is a data point.
+	results, missing, err := runAll(o, "resilience", cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range missing {
+		var simErr *inpg.SimulationError
+		if errors.As(m.Err, &simErr) {
+			cases[m.Index].Reason = simErr.Reason
+		} else {
+			cases[m.Index].Reason = string(m.Cause)
+		}
+	}
 	for i := range cases {
 		c := &cases[i]
-		if err := errs[i]; err != nil {
-			var simErr *inpg.SimulationError
-			if errors.As(err, &simErr) {
-				c.Reason = simErr.Reason
-			} else {
-				c.Reason = string(err.Cause)
-			}
-		}
 		res := results[i]
 		if res == nil {
 			continue

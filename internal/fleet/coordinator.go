@@ -89,14 +89,12 @@ type cell struct {
 type lease struct {
 	id      string
 	index   int
-	worker  string
 	expires time.Time
 }
 
 // workerInfo is the coordinator's view of one worker.
 type workerInfo struct {
 	id        string
-	lastSeen  time.Time
 	completed int
 	failed    int
 }
@@ -212,9 +210,7 @@ func (c *Coordinator) Shutdown() {
 // PreRun maps stored configurations before dispatch, RunTimeout ships to
 // workers with each lease, and Observer sees claim and completion
 // outcomes exactly as local sweeps do — which is how manifest emission
-// and the live monitor work unchanged. Outcome.Worker is always 0: a
-// worker runs several cells at once, and Status.Workers is the fleet's
-// per-worker view. PreAttempt cannot cross the wire and is ignored here;
+// works unchanged. PreAttempt cannot cross the wire and is ignored here;
 // experiments.runAll refuses a sweep that sets it, and worker-side chaos
 // uses the worker's own chaos flags.
 //
@@ -418,15 +414,14 @@ func (c *Coordinator) reclaimLeaseLocked(l *lease) (runner.Outcome, bool) {
 		Status: runner.StatusAbandoned, Cfg: cl.cfg}, true
 }
 
-// touchWorker records a worker contact and returns its info. Caller
-// holds mu.
-func (c *Coordinator) touchWorkerLocked(id string) *workerInfo {
+// workerLocked returns a worker's info, registering the worker on its
+// first request. Caller holds mu.
+func (c *Coordinator) workerLocked(id string) *workerInfo {
 	w := c.workers[id]
 	if w == nil {
 		w = &workerInfo{id: id}
 		c.workers[id] = w
 	}
-	w.lastSeen = c.now()
 	return w
 }
 
@@ -482,7 +477,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.reclaimExpired()
 
 	c.mu.Lock()
-	c.touchWorkerLocked(req.Worker)
+	c.workerLocked(req.Worker)
 	var resp LeaseResponse
 	flush := func() {}
 	switch {
@@ -490,7 +485,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		resp.Shutdown = true
 	case c.camp != nil:
 		var claim *runner.Outcome
-		if resp.Lease, claim = c.grantLocked(req.Worker); claim != nil {
+		if resp.Lease, claim = c.grantLocked(); claim != nil {
 			flush = c.emitLocked(*claim)
 		}
 	}
@@ -509,10 +504,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// grantLocked leases the next pending cell to a worker and returns the
-// lease with its claim outcome, or nils when the queue is empty. Caller
-// holds mu and has checked c.camp.
-func (c *Coordinator) grantLocked(worker string) (*Lease, *runner.Outcome) {
+// grantLocked leases the next pending cell and returns the lease with its
+// claim outcome, or nils when the queue is empty. Caller holds mu and has
+// checked c.camp.
+func (c *Coordinator) grantLocked() (*Lease, *runner.Outcome) {
 	camp := c.camp
 	for len(camp.queue) > 0 {
 		idx := camp.queue[0]
@@ -526,8 +521,7 @@ func (c *Coordinator) grantLocked(worker string) (*Lease, *runner.Outcome) {
 		id := fmt.Sprintf("%s-%s-%04d-%d", c.nonce, camp.sweep, idx, c.grants)
 		cl.state = cellLeased
 		cl.leaseID = id
-		c.leases[id] = &lease{id: id, index: idx, worker: worker,
-			expires: c.now().Add(c.cfg.LeaseTTL)}
+		c.leases[id] = &lease{id: id, index: idx, expires: c.now().Add(c.cfg.LeaseTTL)}
 		return &Lease{
 				ID: id, Sweep: camp.sweep, Index: idx, Digest: cl.digest,
 				Config: cl.cfg, TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
@@ -551,7 +545,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	c.touchWorkerLocked(req.Worker)
 	var emit *runner.Outcome
 	resp := HeartbeatResponse{}
 	now := c.now()
@@ -591,7 +584,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	wi := c.touchWorkerLocked(rep.Worker)
+	wi := c.workerLocked(rep.Worker)
 	camp := c.camp
 	if camp == nil || camp.sweep != rep.Sweep || rep.Index < 0 || rep.Index >= len(camp.cells) {
 		// A straggler from a finished campaign: its cell was resolved (or
@@ -686,18 +679,8 @@ func (c *Coordinator) Status() Status {
 		st.Cells = len(c.camp.cells)
 		st.Completed = c.camp.doneCount()
 	}
-	held := map[string]int{}
-	for _, l := range c.leases {
-		held[l.worker]++
-	}
-	now := c.now()
 	for _, wi := range c.workers {
-		st.Workers = append(st.Workers, WorkerStatus{
-			ID:              wi.id,
-			LastSeenSeconds: now.Sub(wi.lastSeen).Seconds(),
-			Completed:       wi.completed, Failed: wi.failed,
-			Leases: held[wi.id],
-		})
+		st.Workers = append(st.Workers, WorkerStatus{ID: wi.id, Completed: wi.completed, Failed: wi.failed})
 	}
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
 	return st

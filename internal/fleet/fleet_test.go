@@ -770,12 +770,11 @@ func TestWorkerDrainFinishesInFlightCell(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMetricsEndpoint: a coordinator process's /metrics is
-// its monitor's (inpgbench -coordinator -monitor), the fleet's one view.
-// The coordinator itself serves only the /fleet/* protocol and /healthz,
-// and hands each accepted completion's telemetry snapshot to the
-// campaign's observer on the OK outcome; that snapshot is what the
-// monitor folds into its cumulative counters.
+// TestCoordinatorMetricsEndpoint: the coordinator serves only the
+// /fleet/* protocol and /healthz, no /metrics or status route, and hands
+// each accepted completion's telemetry snapshot to the campaign's
+// observer on the OK outcome; that snapshot is what the cell's manifest
+// records, as on a local sweep.
 func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: time.Minute})
 	srv := serve(t, c)

@@ -43,8 +43,8 @@ const (
 
 // LeaseRequest is a worker's poll for work.
 type LeaseRequest struct {
-	// Worker identifies the polling worker across requests; lease
-	// accounting and the per-worker completion counts key on it.
+	// Worker identifies the polling worker across requests; the
+	// per-worker completion counts key on it.
 	Worker string `json:"worker"`
 }
 
@@ -117,20 +117,16 @@ type CompletionResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
-// WorkerStatus is one fleet worker's liveness line on the dashboard.
-// Leases counts the leases it holds now, one per busy slot.
+// WorkerStatus is one fleet worker's completion and failure counts.
 type WorkerStatus struct {
-	ID              string  `json:"id"`
-	LastSeenSeconds float64 `json:"last_seen_seconds"`
-	Completed       int     `json:"completed"`
-	Failed          int     `json:"failed"`
-	Leases          int     `json:"leases"`
+	ID        string `json:"id"`
+	Completed int    `json:"completed"`
+	Failed    int    `json:"failed"`
 }
 
 // Status is the coordinator's public state: the active campaign's
-// progress plus the counters of this coordinator process. The sweep
-// monitor renders it on its progress page and folds it into the fleet
-// gauges of its /metrics (Gauges).
+// progress plus the counters of this coordinator process. The fleet
+// tests read it; people read the coordinator's campaign done log line.
 type Status struct {
 	Sweep     string `json:"sweep,omitempty"`
 	Cells     int    `json:"cells"`
@@ -149,19 +145,4 @@ type Status struct {
 	DigestConflicts int `json:"digest_conflicts"`
 
 	Workers []WorkerStatus `json:"workers,omitempty"`
-}
-
-// Gauges folds the status into the fleet.* gauges that the sweep
-// monitor's /metrics serves.
-func (s Status) Gauges() map[string]float64 {
-	return map[string]float64{
-		"fleet.cells":              float64(s.Cells),
-		"fleet.cells_done":         float64(s.Completed),
-		"fleet.leases_outstanding": float64(s.LeasesOutstanding),
-		"fleet.workers":            float64(len(s.Workers)),
-		"fleet.reclaims":           float64(s.Reclaims),
-		"fleet.duplicates":         float64(s.Duplicates),
-		"fleet.late_accepts":       float64(s.LateAccepts),
-		"fleet.digest_conflicts":   float64(s.DigestConflicts),
-	}
 }

@@ -91,24 +91,23 @@ func RunOne(cfg inpg.Config, timeout time.Duration) (*inpg.Results, *metrics.Sna
 func RunResilient(cfgs []inpg.Config, p Policy) ([]*inpg.Results, []*RunError) {
 	results := make([]*inpg.Results, len(cfgs))
 	finalErrs := make([]*RunError, len(cfgs))
-	loopErrs := forEachWorker(len(cfgs), p.Workers, true, func(worker, i int) error {
+	loopErrs := forEachWorker(len(cfgs), p.Workers, true, func(i int) error {
 		cfg := cfgs[i]
 		if p.PreRun != nil {
 			cfg = p.PreRun(i, cfg)
 		}
 		if p.Skip != nil && p.Skip(i) {
 			if p.Observer != nil {
-				p.Observer(Outcome{Index: i, Worker: worker, Done: true,
-					Status: StatusSkipped, Cfg: cfg})
+				p.Observer(Outcome{Index: i, Done: true, Status: StatusSkipped, Cfg: cfg})
 			}
 			return nil
 		}
 		if p.Observer != nil {
-			p.Observer(Outcome{Index: i, Worker: worker, Status: StatusRunning, Cfg: cfg})
+			p.Observer(Outcome{Index: i, Status: StatusRunning, Cfg: cfg})
 		}
 		res, snap, wall, rerr := runCell(i, cfg, p.RunTimeout, p.PreAttempt)
 		if p.Observer != nil {
-			out := Outcome{Index: i, Worker: worker, Done: true, Status: StatusOK,
+			out := Outcome{Index: i, Done: true, Status: StatusOK,
 				Cfg: cfg, Res: res, Snapshot: snap, WallSeconds: wall}
 			if rerr != nil {
 				out.Status, out.Err = StatusFailed, rerr

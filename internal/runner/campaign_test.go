@@ -29,7 +29,7 @@ func longConfig(seed int64) inpg.Config {
 
 func TestForEachAllKeepGoingIsolatesPanics(t *testing.T) {
 	var ran atomic.Int64
-	errs := forEachWorker(6, 2, true, func(_, i int) error {
+	errs := forEachWorker(6, 2, true, func(i int) error {
 		ran.Add(1)
 		switch i {
 		case 2:

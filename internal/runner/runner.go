@@ -62,8 +62,7 @@ func protect(index int, fn func() error) (rerr *RunError) {
 // per-index failures land in the returned slice. With keepGoing false a
 // failure abandons all unstarted indices (in-flight ones run to
 // completion); with keepGoing true every index executes regardless.
-// fn receives the claiming goroutine's 0-based worker number.
-func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int) error) []*RunError {
+func forEachWorker(n, workers int, keepGoing bool, fn func(i int) error) []*RunError {
 	if n <= 0 {
 		return nil
 	}
@@ -77,7 +76,7 @@ func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int) error)
 	next.Store(-1)
 	var wg sync.WaitGroup
 	wg.Add(w)
-	for g := 0; g < w; g++ {
+	for range w {
 		go func() {
 			defer wg.Done()
 			for {
@@ -85,7 +84,7 @@ func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int) error)
 				if i >= n || (!keepGoing && failed.Load()) {
 					return
 				}
-				if err := protect(i, func() error { return fn(g, i) }); err != nil {
+				if err := protect(i, func() error { return fn(i) }); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}
@@ -103,7 +102,7 @@ func forEachWorker(n, workers int, keepGoing bool, fn func(worker, i int) error)
 // invocation fails, unstarted indices are abandoned (in-flight ones run
 // to completion). Panics in fn are recovered and reported the same way.
 func ForEach(n, workers int, fn func(i int) error) error {
-	for _, err := range forEachWorker(n, workers, false, func(_, i int) error { return fn(i) }) {
+	for _, err := range forEachWorker(n, workers, false, fn) {
 		if err != nil {
 			return err
 		}
@@ -140,9 +139,8 @@ const (
 // Done outcome. Snapshot is the run's final telemetry counter snapshot,
 // nil unless the configuration enabled metrics.
 type Outcome struct {
-	Index  int
-	Worker int
-	Done   bool
+	Index int
+	Done  bool
 	// Status refines Done: StatusRunning on claim; StatusOK, StatusFailed,
 	// StatusAbandoned or StatusSkipped on completion. Zero ("") in
 	// outcomes from legacy hand-rolled loops.
@@ -157,9 +155,9 @@ type Outcome struct {
 
 // Observer receives run outcomes. It is invoked from worker goroutines —
 // up to `workers` concurrently — so implementations must be safe for
-// concurrent use (the sweep monitor folds under its mutex; the manifest
-// writer touches only per-index files). The simulations themselves never
-// see the observer: there are no locks or channels on any sim hot path.
+// concurrent use (the manifest writer touches only per-index files).
+// The simulations themselves never see the observer: there are no locks
+// or channels on any sim hot path.
 type Observer func(Outcome)
 
 // Run executes every configuration, each complete simulation on its own
@@ -168,7 +166,7 @@ type Observer func(Outcome)
 // unstarted runs are abandoned and the lowest-index error is returned.
 func Run(cfgs []inpg.Config, workers int) ([]*inpg.Results, error) {
 	results := make([]*inpg.Results, len(cfgs))
-	errs := forEachWorker(len(cfgs), workers, false, func(_, i int) error {
+	errs := forEachWorker(len(cfgs), workers, false, func(i int) error {
 		sys, err := inpg.New(cfgs[i])
 		if err != nil {
 			return &RunError{Index: i, Cause: CauseConfig, Err: err}

@@ -12,12 +12,15 @@ import (
 	"inpg/internal/stats"
 )
 
-// metricsLock decorates the lock with handoff- and hold-latency
+// metricsLock decorates one lock with handoff- and hold-latency
 // measurement: the cycles between one thread's release and the next
 // thread's acquire completion (the lock handoff — the quantity iNPG's
 // early invalidations attack), and the cycles each holder kept the lock.
-// Like tracingLock it adds no simulated time and consumes no randomness,
-// so a metered run is cycle-identical to an unmetered one.
+// Under LockCount > 1 every lock of the set has its own decorator, all
+// feeding the same two histograms. A release with no waiter counts the
+// idle gap until the lock's next acquire as handoff. Like tracingLock it
+// adds no simulated time and consumes no randomness, so a metered run is
+// cycle-identical to an unmetered one.
 type metricsLock struct {
 	inner cpu.Lock
 	eng   *sim.Engine

@@ -140,7 +140,6 @@ func TestFigureOutputIdenticalWithMetricsOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Metrics = true
-	o.MetricsSampleEvery = 1000
 	metered, err := experiments.Fig2(o)
 	if err != nil {
 		t.Fatal(err)
@@ -191,6 +190,38 @@ func TestMetricsSnapshotMatchesResults(t *testing.T) {
 	}
 	if hold == nil || *hold != uint64(res.CSCompleted) {
 		t.Fatalf("lock.hold_cycles count = %v, want %d", hold, res.CSCompleted)
+	}
+}
+
+// The hold/handoff ledger is kept per lock: with several locks, a handoff
+// runs from one lock's release to that same lock's next acquire, so every
+// critical section but each lock's first is the end of one.
+func TestLockLedgerIsPerLock(t *testing.T) {
+	for _, locks := range []int{1, 8} {
+		cfg := inpg.DefaultConfig()
+		cfg.CSPerThread = 4
+		cfg.Seed = 7
+		cfg.Metrics = true
+		cfg.LockCount = locks
+		sys, err := inpg.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]uint64{}
+		for _, h := range sys.MetricsSnapshot().Histograms {
+			counts[h.Name] = h.Count
+		}
+		cs := uint64(res.CSCompleted)
+		if got := counts["lock.hold_cycles"]; got != cs {
+			t.Errorf("%d locks: lock.hold_cycles count = %d, want CSCompleted %d", locks, got, cs)
+		}
+		if got, want := counts["lock.handoff_cycles"], cs-uint64(locks); got != want {
+			t.Errorf("%d locks: lock.handoff_cycles count = %d, want CSCompleted - locks = %d", locks, got, want)
+		}
 	}
 }
 
