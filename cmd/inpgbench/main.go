@@ -29,7 +29,6 @@ import (
 
 	"inpg/internal/experiments"
 	"inpg/internal/fleet"
-	"inpg/internal/report"
 	"inpg/internal/runner"
 )
 
@@ -129,7 +128,6 @@ func main() {
 		fRate   = flag.Float64("faultrate", 0, "combined transient link/port fault rate (0 = faults off)")
 		fSeed   = flag.Int64("faultseed", 0, "fault injector seed (0 = derived from -seed)")
 		wdog    = flag.Int64("watchdog", 0, "liveness watchdog window in cycles (0 = default, <0 = off)")
-		out     = flag.String("out", "", "directory for CSV exports (suite + RTT histograms)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		metrics = flag.Bool("metrics", false, "enable the per-run telemetry registry")
@@ -284,11 +282,6 @@ func main() {
 		if err != nil {
 			return "", err
 		}
-		if *out != "" {
-			if err := report.SaveAll(*out, nil, r); err != nil {
-				return "", err
-			}
-		}
 		return r.Render(), nil
 	})
 	// Figures 11 and 12 read the same 96-run sweep; run it once.
@@ -304,12 +297,6 @@ func main() {
 		}
 		if want["12"] {
 			fmt.Println(suite.RenderFig12())
-		}
-		if *out != "" {
-			if err := report.SaveAll(*out, suite, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "inpgbench: export:", err)
-				os.Exit(1)
-			}
 		}
 		fmt.Printf("[figures 11/12 regenerated in %.1fs]\n\n", time.Since(start).Seconds())
 	}

@@ -1,7 +1,11 @@
 // Command inpgsim runs one iNPG simulation — or the same simulation over
 // several seeds in parallel — and reports its results: phase breakdown,
-// lock-coherence overhead, invalidation round trips and critical-section
-// throughput.
+// lock-coherence overhead, invalidation round trips, critical-section
+// throughput and NoC energy. -json prints the run's inpg.Summary, the
+// record a run manifest stores as its summary. -trace adds the primary
+// lock block's message-level protocol trace (packets, in-network stops,
+// early invalidations, relayed acks, acquires and releases): where a
+// SWAP was stopped and how its early invalidation overlapped the winner.
 //
 // Examples:
 //
@@ -9,9 +13,11 @@
 //	inpgsim -mesh 4 -mech Original -lock MCS -v
 //	inpgsim -program kdtree -mech iNPG+OCOR
 //	inpgsim -program kdtree -seeds 8 -workers 4   # seed sweep, 4 at a time
+//	inpgsim -threads 8 -mech iNPG -lock TAS -cs 2 -cscyc 80 -parallel 150 -trace
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,10 +29,17 @@ import (
 	"inpg/internal/fault"
 	"inpg/internal/manifest"
 	"inpg/internal/metrics"
-	"inpg/internal/report"
 	"inpg/internal/runner"
 	"inpg/internal/trace"
 	"inpg/internal/workload"
+)
+
+// The -trace window: it starts at the first lock acquire, skipping the
+// cold start, and lasts traceWindow cycles; at most traceMaxEvents of its
+// events are printed.
+const (
+	traceWindow    = 600
+	traceMaxEvents = 200
 )
 
 func main() {
@@ -35,6 +48,7 @@ func main() {
 		lockName = flag.String("lock", "QSL", "lock primitive: TAS, TTL, ABQL, MCS, QSL")
 		program  = flag.String("program", "", "workload profile name (overrides -cs/-cscyc/-parallel)")
 		mesh     = flag.Int("mesh", 8, "mesh dimension (mesh x mesh cores)")
+		threads  = flag.Int("threads", 0, "competing threads, one per core from node 0 (0 = one on every core)")
 		cs       = flag.Int("cs", 8, "critical sections per thread")
 		csCycles = flag.Int("cscyc", 100, "mean critical-section length in cycles")
 		parallel = flag.Int("parallel", 2000, "mean parallel compute between CS in cycles")
@@ -54,6 +68,7 @@ func main() {
 		mEvery   = flag.Int("metrics-every", 0, "sample the registry every N cycles (requires -metrics; feeds -trace-out counter tracks)")
 		manDir   = flag.String("manifest", "", "write a JSON run manifest into this directory")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event/Perfetto .trace.json of the primary lock block to this file")
+		showTr   = flag.Bool("trace", false, fmt.Sprintf("print the primary lock block's protocol trace after the summary: %d cycles from the first acquire, at most %d events, then totals by kind", traceWindow, traceMaxEvents))
 		jRate    = flag.Float64("journey-rate", 0, "fraction of lock acquisitions to journey-trace with per-stage latency attribution (0 = off; sampling never perturbs the run)")
 	)
 	flag.Parse()
@@ -87,6 +102,7 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.MeshWidth, cfg.MeshHeight = *mesh, *mesh
+	cfg.Threads = *threads
 	cfg.BigRouters = *brs
 	cfg.BarrierEntries = *barrier
 	cfg.WatchdogWindow = *wdog
@@ -94,7 +110,7 @@ func main() {
 	cfg.Metrics = *metricsF
 	cfg.MetricsSampleEvery = *mEvery
 	cfg.JourneyRate = *jRate
-	if *traceOut != "" && cfg.TraceCapacity == 0 {
+	if (*traceOut != "" || *showTr) && cfg.TraceCapacity == 0 {
 		cfg.TraceCapacity = 1 << 16
 		cfg.TraceAddr = inpg.PrimaryLockAddr(cfg)
 	}
@@ -106,6 +122,9 @@ func main() {
 		cfg.Fault = fault.AtRate(*fRate, fs)
 	}
 
+	if *showTr && (*asJSON || *seeds > 1) {
+		fatal(fmt.Errorf("-trace prints one run's text summary; drop -json and -seeds"))
+	}
 	if *seeds > 1 {
 		if *asJSON {
 			fatal(fmt.Errorf("-json reports a single run; drop -seeds"))
@@ -133,7 +152,9 @@ func main() {
 	}
 
 	if *asJSON {
-		fatal(report.WriteJSON(os.Stdout, report.Summarize(cfg, res)))
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		fatal(enc.Encode(res.Summary))
 		return
 	}
 
@@ -157,6 +178,7 @@ func main() {
 		fmt.Printf("faults         %d injected, %d retransmissions, %d links died, %d port stalls\n",
 			res.FaultsInjected, res.LinkRetries, res.LinkFailures, res.PortStallHits)
 	}
+	fmt.Printf("NoC energy     %s\n", res.Energy)
 	if *verbose {
 		fmt.Println("\nper-thread breakdown:")
 		for _, t := range res.PerThread {
@@ -167,6 +189,45 @@ func main() {
 	if *metricsF {
 		if snap := sys.MetricsSnapshot(); snap != nil {
 			fmt.Printf("\ntelemetry counters:\n%s", snap.Text())
+		}
+	}
+	if *showTr {
+		fmt.Println()
+		printTrace(sys, cfg)
+	}
+}
+
+// printTrace prints the -trace window of the primary lock block's
+// protocol trace, then the window's event totals by kind.
+func printTrace(sys *inpg.System, cfg inpg.Config) {
+	buf := sys.Trace()
+	events := buf.Events()
+	if len(events) == 0 {
+		fmt.Println("no events traced for the lock block")
+		return
+	}
+	start := events[0].Cycle
+	for _, e := range events {
+		if e.Kind == trace.LockAcquire {
+			start = e.Cycle
+			break
+		}
+	}
+	end := start + traceWindow
+	shown := buf.Window(start, end)
+	if len(shown) > traceMaxEvents {
+		shown = shown[:traceMaxEvents]
+	}
+	fmt.Printf("lock block %#x (home node %d), %s over %s, %d threads\n",
+		cfg.TraceAddr, sys.Fabric().Homes.Home(cfg.TraceAddr), cfg.Lock, cfg.Mechanism, len(sys.Threads()))
+	fmt.Printf("showing %d of %d traced events (window %d..%d)\n\n", len(shown), buf.Len(), start, end)
+	fmt.Print(trace.Render(shown))
+
+	fmt.Println("\nevent totals in window:")
+	counts := trace.CountByKind(shown)
+	for kind := trace.PktInject; kind <= trace.LinkDead; kind++ {
+		if n := counts[kind]; n > 0 {
+			fmt.Printf("  %-10s %d\n", kind, n)
 		}
 	}
 }
@@ -187,7 +248,7 @@ func writeArtifacts(sys *inpg.System, cfg inpg.Config, res *inpg.Results, runErr
 		if buf := sys.Trace(); buf != nil {
 			events = buf.Events()
 		}
-		fatal(metrics.WriteChromeTraceJourneys(f, events, sys.MetricsSampler(), sys.Journeys()))
+		fatal(metrics.WriteChromeTrace(f, events, sys.MetricsSampler(), sys.Journeys()))
 		fatal(f.Close())
 		fmt.Fprintf(os.Stderr, "[trace: %s]\n", traceOut)
 	}

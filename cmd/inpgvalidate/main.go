@@ -5,9 +5,9 @@
 // first invalid artifact.
 //
 // Each argument is either a manifest-*.json file, a .trace.json file,
-// or a directory scanned (non-recursively) for both; other files (figure
-// CSVs, and the restart markers and estimate-*.json files of older
-// releases) are skipped. Across everything checked, one
+// or a directory scanned (non-recursively) for both; other files (such
+// as the restart markers and estimate-*.json files of older releases)
+// are skipped. Across everything checked, one
 // cross-file property is enforced: the same sweep cell (sweep/index)
 // must never appear with two different config digests — the corruption
 // a fleet's idempotency-by-digest is supposed to make impossible.
@@ -93,7 +93,7 @@ func (v *validator) recordCell(sweep string, index int, digest, path string) {
 }
 
 // checkFile validates one artifact by name convention; unrecognized
-// files are skipped (directories hold figure CSVs too).
+// files are skipped.
 func (v *validator) checkFile(path string) {
 	base := filepath.Base(path)
 	switch {
@@ -113,7 +113,7 @@ func (v *validator) checkFile(path string) {
 				path, m.Sweep, m.Index, m.Mechanism, m.Lock, m.Cause, diag)
 			return
 		}
-		if js := m.Journey; js != nil {
+		if js := manifest.JourneyFromSnapshot(m.Metrics); js != nil {
 			fmt.Printf("ok %s (%s/%d, %s/%s) journeys=%d intercepted=%d e2e_mean=%.1f\n",
 				path, m.Sweep, m.Index, m.Mechanism, m.Lock,
 				js.Completed, js.Intercepted, float64(js.E2E.Sum)/float64(max(js.Completed, 1)))

@@ -57,8 +57,9 @@ func goldenCases() map[string]inpg.Config {
 }
 
 // intFields flattens every integer field reachable from v into out, keyed
-// by its path (e.g. "PerThread[3].COH"). Floats are left out, so platforms
-// that fuse multiply-add agree.
+// by its path (e.g. "PerThread[3].COH"). An embedded struct's fields keep
+// their own names ("Runtime", not "Summary.Runtime"). Floats are left
+// out, so platforms that fuse multiply-add agree.
 func intFields(path string, v reflect.Value, out map[string]int64) {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -71,8 +72,12 @@ func intFields(path string, v reflect.Value, out map[string]int64) {
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			name := v.Type().Field(i).Name
-			if path != "" {
+			f := v.Type().Field(i)
+			name := f.Name
+			switch {
+			case f.Anonymous:
+				name = path
+			case path != "":
 				name = path + "." + name
 			}
 			intFields(name, v.Field(i), out)

@@ -207,7 +207,7 @@ type Config struct {
 
 	// TraceCapacity, when positive, enables message-level protocol tracing
 	// into a ring buffer of that many events (see internal/trace and
-	// cmd/inpgtrace). TraceAddr restricts tracing to one block address
+	// inpgsim -trace). TraceAddr restricts tracing to one block address
 	// (0 traces everything).
 	TraceCapacity int
 	TraceAddr     uint64
@@ -598,7 +598,7 @@ func New(cfg Config) (*System, error) {
 
 // PrimaryLockAddr returns the block address cfg's primary lock variable
 // will be allocated at — the value to put in Config.TraceAddr to trace a
-// run's main lock competition (cmd/inpgsim -trace-out, cmd/inpgtrace).
+// run's main lock competition (inpgsim -trace and -trace-out).
 func PrimaryLockAddr(cfg Config) uint64 {
 	m := noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight}
 	home := noc.NodeID(cfg.LockHomeNode)
@@ -655,47 +655,68 @@ type ThreadResult struct {
 	Sleeps      int
 }
 
-// Results aggregates one run.
-type Results struct {
+// Summary is a run's headline results, the numbers Figures 2 and 8–13
+// are read from. It is one record in three places: Results embeds it, a
+// run manifest stores it as its "summary" block, and inpgsim -json
+// prints it. The JSON keys are therefore manifest schema, and the field
+// order is the order keys were added to it, so a manifest's summary
+// bytes do not move between schema versions.
+type Summary struct {
 	// Runtime is the ROI finish time: the cycle the last thread finished.
-	Runtime uint64
+	Runtime uint64 `json:"runtime_cycles"`
 	// Threads is the number of competing threads.
-	Threads int
+	Threads int `json:"threads"`
 	// Per-phase totals across threads (cycles).
-	Parallel, COH, Sleep, CSE uint64
+	Parallel uint64 `json:"parallel_cycles"`
+	COH      uint64 `json:"coh_cycles"`
+	Sleep    uint64 `json:"sleep_cycles"`
+	CSE      uint64 `json:"cse_cycles"`
 	// CSCompleted is the total critical sections executed.
-	CSCompleted int
-	// Sleeps is the total QSL sleep episodes across threads.
-	Sleeps int
+	CSCompleted int `json:"cs_completed"`
 	// LCOPercent is the share of aggregate thread time spent with
 	// lock-protocol memory operations outstanding (Figure 2's metric).
-	LCOPercent float64
+	LCOPercent float64 `json:"lco_percent"`
 	// RTTMean/RTTMax/RTTSamples summarize invalidation–acknowledgement
 	// round trips at their generator (Figure 10).
-	RTTMean    float64
-	RTTMax     uint64
-	RTTSamples uint64
-	// NetMeanLatency is the mean end-to-end packet latency.
-	NetMeanLatency float64
+	RTTMean float64 `json:"rtt_mean_cycles"`
+	RTTMax  uint64  `json:"rtt_max_cycles"`
 	// EarlyInvs counts iNPG-generated early invalidations; Stopped the
 	// GetX requests stopped at big routers.
-	EarlyInvs uint64
-	Stopped   uint64
-
-	// FlitsSwitched is the total flit-switch operations across all routers
-	// — the network's aggregate switching activity. Divided by Runtime ×
-	// router count it is the mean link/crossbar utilization.
-	FlitsSwitched uint64
-
+	EarlyInvs uint64 `json:"early_invalidations"`
+	Stopped   uint64 `json:"stopped_requests"`
 	// Link-layer fault counters, all zero when fault injection is disabled:
 	// FaultsInjected flit transmissions were dropped or corrupted on links,
 	// LinkRetries retransmission attempts recovered them, LinkFailures
 	// links were declared dead (bounded retries exhausted) and
-	// PortStallHits switch grants were blocked by transient port stalls.
-	FaultsInjected uint64
-	LinkRetries    uint64
-	LinkFailures   uint64
-	PortStallHits  uint64
+	// PortStallHits switch grants were blocked by transient port stalls
+	// (the last two below).
+	FaultsInjected uint64 `json:"faults_injected"`
+	LinkRetries    uint64 `json:"link_retries"`
+	// Sleeps is the total QSL sleep episodes across threads.
+	Sleeps     int    `json:"sleeps"`
+	RTTSamples uint64 `json:"rtt_samples"`
+	// NetMeanLatency is the mean end-to-end packet latency.
+	NetMeanLatency float64 `json:"net_mean_latency_cycles"`
+	LinkFailures   uint64  `json:"link_failures"`
+	PortStallHits  uint64  `json:"port_stall_hits"`
+	// FlitsSwitched is the total flit-switch operations across all routers
+	// — the network's aggregate switching activity. Divided by Runtime ×
+	// router count it is the mean link/crossbar utilization.
+	FlitsSwitched uint64 `json:"flits_switched"`
+}
+
+// CSTime returns the total critical-section related time COH+Sleep+CSE,
+// the quantity Figures 8b/11/14 are built on.
+func (s *Summary) CSTime() uint64 { return s.COH + s.Sleep + s.CSE }
+
+// COHTotal returns competition overhead including sleep.
+func (s *Summary) COHTotal() uint64 { return s.COH + s.Sleep }
+
+// Results aggregates one run: the headline Summary, which a manifest
+// carries, plus the energy estimate and per-thread rows, which it does
+// not.
+type Results struct {
+	Summary
 
 	// Energy estimates the run's dynamic NoC energy from measured
 	// switching activity and the paper's Figure 7 power ratings.
@@ -703,13 +724,6 @@ type Results struct {
 
 	PerThread []ThreadResult
 }
-
-// CSTime returns the total critical-section related time COH+Sleep+CSE,
-// the quantity Figures 8b/11/14 are built on.
-func (r *Results) CSTime() uint64 { return r.COH + r.Sleep + r.CSE }
-
-// COHTotal returns competition overhead including sleep.
-func (r *Results) COHTotal() uint64 { return r.COH + r.Sleep }
 
 // Run executes the system until every thread finishes its program and
 // returns the collected results.
@@ -729,13 +743,13 @@ func (s *System) Run() (*Results, error) {
 
 // collect assembles Results from the finished run.
 func (s *System) collect() *Results {
-	r := &Results{
+	r := &Results{Summary: Summary{
 		Runtime:    uint64(s.eng.Now()),
 		Threads:    len(s.threads),
 		RTTMean:    s.rtt.Mean(),
 		RTTMax:     s.rtt.Max(),
 		RTTSamples: s.rtt.Samples(),
-	}
+	}}
 	var lockStall uint64
 	for _, th := range s.threads {
 		b := th.Breakdown

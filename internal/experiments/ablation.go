@@ -10,9 +10,9 @@ import (
 
 // Ablation studies for the design choices DESIGN.md calls out beyond the
 // paper's own sensitivity figures: the barrier time-to-live, the queue
-// spin-lock's sleep economics (context-switch cost), and the spin
-// interval. Each sweep varies exactly one knob on a fixed contended
-// workload and reports the iNPG-relevant metrics.
+// spin-lock's sleep economics (context-switch cost and spin budget) and
+// the ack overlap. Each sweep varies exactly one knob on a fixed
+// contended workload and reports the iNPG-relevant metrics.
 
 // AblationRow is one knob setting's outcome.
 type AblationRow struct {
@@ -93,9 +93,11 @@ var AblationCtxSwitch = ablate("ctx-switch",
 		cfg.WakeupCycles = v / 2
 	})
 
-// AblationSpinInterval sweeps the poll pacing of the spinning primitives.
-var AblationSpinInterval = ablate("spin-interval",
-	"cycles between failed lock polls (via QSL retries scaling)",
+// AblationSpinBudget sweeps the queue spin-lock's spin budget: how many
+// failed polls a thread makes before it sleeps. The poll pacing
+// (lock.Config.SpinInterval, 12 cycles) stays fixed.
+var AblationSpinBudget = ablate("spin-budget",
+	"failed lock polls before a QSL thread sleeps (Config.QSLRetries)",
 	[]string{"retries=32", "retries=128", "retries=512"},
 	func(i int, cfg *inpg.Config) {
 		cfg.QSLRetries = []int{32, 128, 512}[i]
@@ -127,7 +129,7 @@ func Ablations(o Options) ([]*AblationResult, error) {
 	var out []*AblationResult
 	for _, run := range []func(Options) (*AblationResult, error){
 		AblationDeployment, AblationBarrierTTL, AblationCtxSwitch,
-		AblationSpinInterval, AblationAckOverlap,
+		AblationSpinBudget, AblationAckOverlap,
 	} {
 		r, err := run(o)
 		if err != nil {

@@ -274,6 +274,17 @@ func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Mis
 			}
 		}
 		p.Skip = func(i int) bool { return prefill[i] != nil }
+		// A skipped cell's outcome carries its manifest's counter
+		// snapshot, so an observer that reads snapshots (-fig lat's
+		// journey breakdown) sees a resumed cell as it saw it run.
+		if obs := p.Observer; obs != nil {
+			p.Observer = func(out runner.Outcome) {
+				if out.Status == runner.StatusSkipped {
+					out.Snapshot = prior[out.Index].Metrics
+				}
+				obs(out)
+			}
+		}
 	}
 	// After the resume scan, which must still fail on a directory nobody
 	// created.

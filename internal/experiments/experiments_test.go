@@ -344,3 +344,36 @@ func TestResilienceResumes(t *testing.T) {
 		t.Fatalf("resumed render differs:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestLatencyBreakdownResumes: the latency breakdown reads each cell's
+// journeys from its counter snapshot, and a resumed cell's snapshot is
+// its manifest's metrics block, so a resume over the first pass's
+// manifests runs no cell and renders the same journeys.
+func TestLatencyBreakdownResumes(t *testing.T) {
+	o := tiny()
+	o.ManifestDir = t.TempDir()
+	first, err := LatencyBreakdown(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cases[0].Journeys == 0 {
+		t.Fatal("first pass traced no journeys")
+	}
+	var claims atomic.Int64
+	o.Resume = o.ManifestDir
+	o.Observer = func(out runner.Outcome) {
+		if out.Status == runner.StatusRunning {
+			claims.Add(1)
+		}
+	}
+	second, err := LatencyBreakdown(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := claims.Load(); n != 0 {
+		t.Fatalf("resumed latency breakdown claimed %d cells, want 0", n)
+	}
+	if a, b := first.Render(), second.Render(); a != b {
+		t.Fatalf("resumed render differs:\n%s\nvs\n%s", a, b)
+	}
+}

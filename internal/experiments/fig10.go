@@ -19,7 +19,6 @@ type Fig10Case struct {
 	Samples   uint64
 	CoreMap   string // W×H grid of per-core mean RTT
 	Histogram string
-	HistBins  [][2]uint64
 }
 
 // Fig10Result compares Original and iNPG.
@@ -72,7 +71,6 @@ func Fig10(o Options) (*Fig10Result, error) {
 			Samples:   res.RTTSamples,
 			CoreMap:   rtt.CoreMap(noc.Mesh{Width: 8, Height: 8}),
 			Histogram: rtt.Hist.Render(40),
-			HistBins:  rtt.Hist.Bins(),
 		})
 	}
 	return r, nil

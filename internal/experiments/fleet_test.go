@@ -404,7 +404,7 @@ func TestFleetDuplicateKeepsAcceptedManifest(t *testing.T) {
 	if resp := complete("worker-b", lb0, res0); !resp.Duplicate {
 		t.Fatalf("second completion = %+v, want duplicate", resp)
 	}
-	complete("worker-b", lb1, &inpg.Results{Runtime: 1, Threads: 4})
+	complete("worker-b", lb1, &inpg.Results{Summary: inpg.Summary{Runtime: 1, Threads: 4}})
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

@@ -200,7 +200,7 @@ func (f *fakeWorker) complete(l *Lease, ok bool, runtime uint64) (CompletionResp
 	rep := CompletionReport{Worker: f.id, LeaseID: l.ID, Sweep: l.Sweep,
 		Index: l.Index, Digest: l.Digest, OK: ok, WallSeconds: 0.01}
 	if ok {
-		rep.Res = &inpg.Results{Runtime: runtime}
+		rep.Res = &inpg.Results{Summary: inpg.Summary{Runtime: runtime}}
 	} else {
 		rep.Error = "injected failure"
 		rep.Cause = string(runner.CauseError)
@@ -596,7 +596,7 @@ func TestCampaignWaitsForObservers(t *testing.T) {
 	completedA := make(chan error, 1)
 	go func() {
 		body, err := json.Marshal(CompletionReport{Worker: a.id, LeaseID: la.ID, Sweep: la.Sweep,
-			Index: la.Index, Digest: la.Digest, OK: true, Res: &inpg.Results{Runtime: 111}})
+			Index: la.Index, Digest: la.Digest, OK: true, Res: &inpg.Results{Summary: inpg.Summary{Runtime: 111}}})
 		if err == nil {
 			var resp *http.Response
 			if resp, err = http.Post(srv.URL+PathComplete, "application/json", bytes.NewReader(body)); err == nil {
@@ -810,7 +810,7 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	var resp CompletionResponse
 	w.post(PathComplete, CompletionReport{Worker: w.id, LeaseID: l.ID, Sweep: l.Sweep,
 		Index: l.Index, Digest: l.Digest, OK: true, WallSeconds: 0.01,
-		Res: &inpg.Results{Runtime: 1}, Snapshot: snap}, &resp)
+		Res: &inpg.Results{Summary: inpg.Summary{Runtime: 1}}, Snapshot: snap}, &resp)
 	if !resp.Accepted {
 		t.Fatalf("completion = %+v", resp)
 	}

@@ -88,13 +88,9 @@ type Config struct {
 
 // DefaultConfig returns the configuration used throughout the evaluation.
 func DefaultConfig(threads int) Config {
-	si := sim.Cycle(12)
-	if TuneSpinInterval > 0 {
-		si = sim.Cycle(TuneSpinInterval)
-	}
 	return Config{
 		Threads:      threads,
-		SpinInterval: si,
+		SpinInterval: 12,
 		QSLRetries:   128,
 		// OS context-switch and wakeup costs at 2 GHz: sleeping a thread
 		// and waking it back up burn microseconds, which is exactly the
@@ -202,7 +198,3 @@ func waiter[T any](s *[]*T, t *cpu.Thread, n int, bind func(*cpu.Thread) *T) *T 
 	}
 	return *w
 }
-
-// TuneSpinInterval, when nonzero, overrides the default spin interval in
-// DefaultConfig; it exists for calibration sweeps and tests.
-var TuneSpinInterval int

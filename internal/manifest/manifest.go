@@ -1,10 +1,10 @@
 // Package manifest emits one machine-readable JSON artifact per
 // experiment run: the configuration that produced it, the mechanism and
-// lock under test, the headline results, the final telemetry counter
-// snapshot, and the wall time it took — the record that makes a figure
-// auditable after the fact (which run produced this bar, under which
-// seed, with which counters). Manifests are written next to figure
-// outputs by internal/experiments and cmd/inpgsim.
+// lock under test, the headline results (inpg.Summary), the final
+// telemetry counter snapshot, and the wall time it took — the record
+// that makes a figure auditable after the fact (which run produced this
+// bar, under which seed, with which counters). Manifests are written
+// next to figure outputs by internal/experiments and cmd/inpgsim.
 package manifest
 
 import (
@@ -24,13 +24,16 @@ import (
 // v2 added failure records: status, cause class, config digest and the
 // diagnostics summary (failed records written before sweeps ran each cell
 // once also carry an "attempt" number, which readers ignore). v3 added
-// the network switching-activity summary field. v4 added the
-// lock-journey summary (per-stage latency attribution); Validate still
-// accepts v3 manifests, which predate journeys.
-const SchemaVersion = 4
+// the network switching-activity summary field. v4 added a stored
+// lock-journey summary block. v5 stores the summary as inpg.Summary and
+// drops two copies: the engine block (its final cycle is the summary's
+// runtime) and the journey block (JourneyFromSnapshot derives it from
+// the metrics snapshot). Readers ignore both blocks in v3 and v4
+// manifests.
+const SchemaVersion = 5
 
-// minSchemaVersion is the oldest layout Validate accepts: v3 manifests
-// on disk stay resumable, they just carry no journey summary.
+// minSchemaVersion is the oldest layout Validate accepts: v3 and v4
+// manifests on disk stay resumable.
 const minSchemaVersion = 3
 
 // Kind is the manifest's type tag.
@@ -44,37 +47,6 @@ const (
 	// available) Diag describe how.
 	StatusFailed = "failed"
 )
-
-// EngineStats records what the engine did over the run.
-type EngineStats struct {
-	FinalCycle    uint64 `json:"final_cycle"`
-	PendingEvents int    `json:"pending_events"`
-}
-
-// Summary carries the headline results (a subset of inpg.Results chosen
-// for stability across schema versions).
-type Summary struct {
-	Runtime        uint64  `json:"runtime_cycles"`
-	Threads        int     `json:"threads"`
-	Parallel       uint64  `json:"parallel_cycles"`
-	COH            uint64  `json:"coh_cycles"`
-	Sleep          uint64  `json:"sleep_cycles"`
-	CSE            uint64  `json:"cse_cycles"`
-	CSCompleted    int     `json:"cs_completed"`
-	LCOPercent     float64 `json:"lco_percent"`
-	RTTMean        float64 `json:"rtt_mean_cycles"`
-	RTTMax         uint64  `json:"rtt_max_cycles"`
-	EarlyInvs      uint64  `json:"early_invalidations"`
-	Stopped        uint64  `json:"stopped_requests"`
-	FaultsInjected uint64  `json:"faults_injected"`
-	LinkRetries    uint64  `json:"link_retries"`
-	Sleeps         int     `json:"sleeps"`
-	RTTSamples     uint64  `json:"rtt_samples"`
-	NetMeanLatency float64 `json:"net_mean_latency_cycles"`
-	LinkFailures   uint64  `json:"link_failures"`
-	PortStallHits  uint64  `json:"port_stall_hits"`
-	FlitsSwitched  uint64  `json:"flits_switched"`
-}
 
 // DiagSummary is the compact failure diagnosis embedded in a failed run's
 // manifest: enough to triage a wedged cell from the artifact alone (the
@@ -116,30 +88,23 @@ type Manifest struct {
 
 	// Status is StatusOK or StatusFailed. Failed manifests carry the
 	// error text, its cause class (runner.Cause) and — when the failure
-	// yielded a diagnosis — a compact DiagSummary. Summary and Engine are
-	// zero when the run failed before producing results.
+	// yielded a diagnosis — a compact DiagSummary. Summary is zero when
+	// the run failed before producing results.
 	Status  string       `json:"status"`
 	Error   string       `json:"error,omitempty"`
 	Cause   string       `json:"cause,omitempty"`
 	Diag    *DiagSummary `json:"diag,omitempty"`
-	Engine  EngineStats  `json:"engine"`
-	Summary Summary      `json:"summary"`
+	Summary inpg.Summary `json:"summary"`
 
 	// Metrics is the final counter snapshot (empty when the run was not
-	// metered).
+	// metered). A journey-traced run's journey.* instruments are in it;
+	// JourneyFromSnapshot summarizes them.
 	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
-
-	// Journey summarizes the run's sampled lock journeys (schema v4).
-	// Present only when the run was journey-traced with metrics on; the
-	// per-stage histogram summaries are lifted out of the snapshot's
-	// journey.* instruments so a figure's latency breakdown is auditable
-	// from the manifest alone.
-	Journey *JourneySummary `json:"journey,omitempty"`
 }
 
 // JourneySummary aggregates a run's sampled lock journeys: how many
 // completed, how many saw a big-router interception, and the end-to-end
-// plus per-stage cycle histograms. For a well-formed record the stage
+// plus per-stage cycle histograms. For a well-formed snapshot the stage
 // sums add up to the end-to-end sum exactly (journey accounting is exact
 // by construction); Validate enforces it within one cycle per journey of
 // rounding slack.
@@ -203,7 +168,6 @@ func Build(sweep string, index int, cfg inpg.Config, res *inpg.Results, snap *me
 		WallSeconds:   wallSeconds,
 		Status:        StatusOK,
 		Metrics:       snap,
-		Journey:       JourneyFromSnapshot(snap),
 	}
 	if runErr != nil {
 		m.Status = StatusFailed
@@ -221,29 +185,7 @@ func Build(sweep string, index int, cfg inpg.Config, res *inpg.Results, snap *me
 		}
 	}
 	if res != nil {
-		m.Summary = Summary{
-			Runtime:        res.Runtime,
-			Threads:        res.Threads,
-			Parallel:       res.Parallel,
-			COH:            res.COH,
-			Sleep:          res.Sleep,
-			CSE:            res.CSE,
-			CSCompleted:    res.CSCompleted,
-			LCOPercent:     res.LCOPercent,
-			RTTMean:        res.RTTMean,
-			RTTMax:         res.RTTMax,
-			EarlyInvs:      res.EarlyInvs,
-			Stopped:        res.Stopped,
-			FaultsInjected: res.FaultsInjected,
-			LinkRetries:    res.LinkRetries,
-			Sleeps:         res.Sleeps,
-			RTTSamples:     res.RTTSamples,
-			NetMeanLatency: res.NetMeanLatency,
-			LinkFailures:   res.LinkFailures,
-			PortStallHits:  res.PortStallHits,
-			FlitsSwitched:  res.FlitsSwitched,
-		}
-		m.Engine = EngineStats{FinalCycle: res.Runtime}
+		m.Summary = res.Summary
 	}
 	return m
 }
@@ -256,29 +198,7 @@ func (m *Manifest) ToResults() *inpg.Results {
 	if m.Status != StatusOK {
 		return nil
 	}
-	s := m.Summary
-	return &inpg.Results{
-		Runtime:        s.Runtime,
-		Threads:        s.Threads,
-		Parallel:       s.Parallel,
-		COH:            s.COH,
-		Sleep:          s.Sleep,
-		CSE:            s.CSE,
-		CSCompleted:    s.CSCompleted,
-		LCOPercent:     s.LCOPercent,
-		RTTMean:        s.RTTMean,
-		RTTMax:         s.RTTMax,
-		EarlyInvs:      s.EarlyInvs,
-		Stopped:        s.Stopped,
-		FaultsInjected: s.FaultsInjected,
-		LinkRetries:    s.LinkRetries,
-		Sleeps:         s.Sleeps,
-		RTTSamples:     s.RTTSamples,
-		NetMeanLatency: s.NetMeanLatency,
-		LinkFailures:   s.LinkFailures,
-		PortStallHits:  s.PortStallHits,
-		FlitsSwitched:  s.FlitsSwitched,
-	}
+	return &inpg.Results{Summary: m.Summary}
 }
 
 // Validate checks the manifest against the schema: the small Go checker
@@ -287,8 +207,6 @@ func (m *Manifest) Validate() error {
 	switch {
 	case m.SchemaVersion < minSchemaVersion || m.SchemaVersion > SchemaVersion:
 		return fmt.Errorf("manifest: schema_version %d, want %d..%d", m.SchemaVersion, minSchemaVersion, SchemaVersion)
-	case m.SchemaVersion < 4 && m.Journey != nil:
-		return fmt.Errorf("manifest: journey summary on schema_version %d (needs 4)", m.SchemaVersion)
 	case m.Kind != Kind:
 		return fmt.Errorf("manifest: kind %q, want %q", m.Kind, Kind)
 	case m.Sweep == "":
@@ -330,7 +248,7 @@ func (m *Manifest) Validate() error {
 			}
 		}
 	}
-	if js := m.Journey; js != nil {
+	if js := JourneyFromSnapshot(m.Metrics); js != nil {
 		if js.E2E.Count != js.Completed {
 			return fmt.Errorf("manifest: journey e2e histogram has %d samples, %d journeys completed",
 				js.E2E.Count, js.Completed)

@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -88,8 +89,8 @@ func TestManifestFailedRun(t *testing.T) {
 
 // TestManifestFailedRunWithAttemptStillReads: failed manifests written
 // while sweeps still retried cells carry an "attempt" number. Readers
-// ignore it: such a v4 record reads, validates and scans as failed, so
-// -resume re-runs its cell.
+// ignore it: such a v4 record (with the engine block v4 wrote) reads,
+// validates and scans as failed, so -resume re-runs its cell.
 func TestManifestFailedRunWithAttemptStillReads(t *testing.T) {
 	cfg := inpg.DefaultConfig()
 	m := Build("chaos", 3, cfg, nil, nil, 0.1, os.ErrDeadlineExceeded)
@@ -101,6 +102,8 @@ func TestManifestFailedRunWithAttemptStillReads(t *testing.T) {
 	if err := json.Unmarshal(data, &fields); err != nil {
 		t.Fatal(err)
 	}
+	fields["schema_version"] = 4
+	fields["engine"] = map[string]any{"final_cycle": 0, "pending_events": 0}
 	fields["attempt"] = 2
 	if data, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)
@@ -123,6 +126,67 @@ func TestManifestFailedRunWithAttemptStillReads(t *testing.T) {
 	}
 	if ms[3] == nil || ms[3].Status != StatusFailed {
 		t.Fatalf("scanned cell 3 = %+v, want failed", ms[3])
+	}
+}
+
+// TestReadsV4Manifest: a metered, journey-traced v4 manifest (a
+// -fig lat -quick cell, written before the summary became inpg.Summary)
+// still reads and validates. ToResults returns its stored summary, the
+// journey summary derived from its metrics equals the journey block it
+// stored, and Validate audits those derived journeys.
+func TestReadsV4Manifest(t *testing.T) {
+	const path = "testdata/manifest-lat-0004.json"
+	m, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SchemaVersion != 4 || m.Sweep != "lat" || m.Index != 4 || m.Status != StatusOK {
+		t.Fatalf("read %s: schema %d, cell %s/%d, status %q; want a v4 ok lat/4 record",
+			path, m.SchemaVersion, m.Sweep, m.Index, m.Status)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Summary json.RawMessage `json:"summary"`
+		Journey *JourneySummary `json:"journey"`
+	}
+	if err := json.Unmarshal(data, &stored); err != nil {
+		t.Fatal(err)
+	}
+
+	res := m.ToResults()
+	if res.Runtime != 42117 || res.EarlyInvs != 680 || res.CSCompleted != 128 || res.CSTime() != 1262103 {
+		t.Fatalf("ToResults = %+v", res.Summary)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, stored.Summary); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res.Summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("ToResults summary re-encodes as\n%s\nstored summary is\n%s", got, want.Bytes())
+	}
+
+	js := JourneyFromSnapshot(m.Metrics)
+	if stored.Journey == nil || stored.Journey.Completed != 128 {
+		t.Fatalf("stored journey block = %+v, want 128 journeys", stored.Journey)
+	}
+	if !reflect.DeepEqual(js, stored.Journey) {
+		t.Fatalf("journeys from metrics = %+v, stored journey block %+v", js, stored.Journey)
+	}
+
+	for i, h := range m.Metrics.Histograms {
+		if h.Name == "journey.stage.directory_cycles" {
+			m.Metrics.Histograms[i].Sum += 1000
+		}
+	}
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "do not sum") {
+		t.Fatalf("Validate with skewed directory-stage cycles = %v, want a stage-sum error", err)
 	}
 }
 

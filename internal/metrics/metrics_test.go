@@ -138,7 +138,7 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events, s); err != nil {
+	if err := WriteChromeTrace(&buf, events, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -191,9 +191,9 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 }
 
 // Journey records export as nested spans on the journeys process: one
-// parent per record, one child per leg, contained in time, and a nil
-// recorder leaves the output byte-identical to WriteChromeTrace.
-func TestWriteChromeTraceJourneyspans(t *testing.T) {
+// parent per record, one child per leg, contained in time, and an empty
+// recorder leaves the output byte-identical to a nil one.
+func TestWriteChromeTraceJourneySpans(t *testing.T) {
 	r := &journey.Record{Thread: 3, Acquire: 7}
 	r.Begin(100)
 	r.Issue(105)                             // 5 cycles stall
@@ -205,7 +205,7 @@ func TestWriteChromeTraceJourneyspans(t *testing.T) {
 	rec.Finish(r)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTraceJourneys(&buf, nil, nil, rec); err != nil {
+	if err := WriteChromeTrace(&buf, nil, nil, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -248,16 +248,16 @@ func TestWriteChromeTraceJourneyspans(t *testing.T) {
 		t.Fatalf("parents = %d legs = %d, want 1 and 2", parents, legs)
 	}
 
-	// nil recorder ≡ the journey-less writer, byte for byte.
-	var plain, nilRec bytes.Buffer
+	// empty recorder ≡ nil recorder, byte for byte.
+	var plain, emptyRec bytes.Buffer
 	events := []trace.Event{{Cycle: 5, Kind: trace.PktInject, Node: 1}}
-	if err := WriteChromeTrace(&plain, events, nil); err != nil {
+	if err := WriteChromeTrace(&plain, events, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTraceJourneys(&nilRec, events, nil, journey.NewRecorder(0)); err != nil {
+	if err := WriteChromeTrace(&emptyRec, events, nil, journey.NewRecorder(0)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain.Bytes(), nilRec.Bytes()) {
+	if !bytes.Equal(plain.Bytes(), emptyRec.Bytes()) {
 		t.Fatal("empty recorder changed trace bytes")
 	}
 }

@@ -45,19 +45,13 @@ type chromeTrace struct {
 }
 
 // WriteChromeTrace converts protocol events (oldest-first, as returned by
-// trace.Buffer.Events) and an optional sampled series into Chrome
-// trace-event JSON. Either input may be empty/nil. Events are emitted in
-// nondecreasing ts order.
-func WriteChromeTrace(w io.Writer, events []trace.Event, sampler *Sampler) error {
-	return WriteChromeTraceJourneys(w, events, sampler, nil)
-}
-
-// WriteChromeTraceJourneys is WriteChromeTrace plus lock-journey spans:
-// each finished journey record becomes a complete ("X") span on the
-// journeys process (one row per thread), with one nested child span per
-// network leg. A nil or empty recorder produces output byte-identical to
-// WriteChromeTrace.
-func WriteChromeTraceJourneys(w io.Writer, events []trace.Event, sampler *Sampler, journeys *journey.Recorder) error {
+// trace.Buffer.Events), an optional sampled series and optional
+// lock-journey records into Chrome trace-event JSON. Any input may be
+// empty/nil. Each finished journey record becomes a complete ("X") span
+// on the journeys process (one row per thread), with one nested child
+// span per network leg; a nil or empty recorder adds nothing. Events are
+// emitted in nondecreasing ts order.
+func WriteChromeTrace(w io.Writer, events []trace.Event, sampler *Sampler, journeys *journey.Recorder) error {
 	var out []chromeEvent
 
 	// Lock sessions: pair each node's acquire with its following release

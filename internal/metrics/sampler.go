@@ -61,6 +61,3 @@ func (s *Sampler) record() {
 	}
 	s.Series = append(s.Series, Sample{Cycle: uint64(s.eng.Now()), Values: vals})
 }
-
-// Interval returns the sampling period in cycles.
-func (s *Sampler) Interval() sim.Cycle { return s.interval }

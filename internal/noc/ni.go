@@ -244,12 +244,3 @@ func (ni *NI) flushDeliveries() {
 		ni.r.net.release(h)
 	}
 }
-
-// QueueLen reports queued (not yet serialized) packets, for tests.
-func (ni *NI) QueueLen() int {
-	n := 0
-	for _, q := range ni.queues {
-		n += q.len()
-	}
-	return n
-}

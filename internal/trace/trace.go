@@ -5,7 +5,7 @@
 // generated the early invalidation, when the home collected which ack —
 // requires seeing the actual message interleaving, not aggregate counters.
 //
-// cmd/inpgtrace renders a competition's trace as a timeline; tests use the
+// inpgsim -trace renders a competition's trace as a timeline; tests use the
 // buffer to assert protocol-level orderings that counters cannot express.
 package trace
 
