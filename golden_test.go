@@ -21,8 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite "+goldenFile+" from this 
 const goldenFile = "testdata/golden_results.json"
 
 // goldenCases are small runs covering every lock kind under Original and
-// iNPG+OCOR, the 8×8 Table 1 mesh, link faults, several locks and threads
-// that draw more than 273 random numbers.
+// iNPG+OCOR, the 8×8 Table 1 mesh, link faults, several locks, threads
+// that draw more than 273 random numbers, and 16×16 and 32×32 meshes.
 func goldenCases() map[string]inpg.Config {
 	small := func(lk inpg.LockKind, mech inpg.Mechanism) inpg.Config {
 		cfg := inpg.DefaultConfig()
@@ -53,6 +53,17 @@ func goldenCases() map[string]inpg.Config {
 	long := small(inpg.LockTTL, inpg.INPGOCOR)
 	long.CSPerThread = 150
 	cases["4x4/TTL/iNPG+OCOR/cs150"] = long
+	// Two meshes of more than 64 routers: a faulted 16×16 run, and the
+	// 32×32 QSL platform of BenchmarkLargeMeshPlatformBuild, whose 256
+	// threads run on rows 0–7.
+	faulty16 := small(inpg.LockTTL, inpg.INPGOCOR)
+	faulty16.MeshWidth, faulty16.MeshHeight = 16, 16
+	faulty16.Threads = 64
+	faulty16.Fault = fault.AtRate(0.02, 5)
+	cases["16x16/TTL/iNPG+OCOR/threads64/faults0.02"] = faulty16
+	large := largeMeshConfig(32, inpg.LockQSL, 500)
+	large.Threads = 256
+	cases["32x32/QSL/iNPG+OCOR/threads256"] = large
 	return cases
 }
 
