@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -36,7 +37,7 @@ import (
 
 // The -trace window: it starts at the first lock acquire, skipping the
 // cold start, and lasts traceWindow cycles; at most traceMaxEvents of its
-// events are printed.
+// events are printed, and its totals count all of them.
 const (
 	traceWindow    = 600
 	traceMaxEvents = 200
@@ -68,7 +69,7 @@ func main() {
 		mEvery   = flag.Int("metrics-every", 0, "sample the registry every N cycles (requires -metrics; feeds -trace-out counter tracks)")
 		manDir   = flag.String("manifest", "", "write a JSON run manifest into this directory")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event/Perfetto .trace.json of the primary lock block to this file")
-		showTr   = flag.Bool("trace", false, fmt.Sprintf("print the primary lock block's protocol trace after the summary: %d cycles from the first acquire, at most %d events, then totals by kind", traceWindow, traceMaxEvents))
+		showTr   = flag.Bool("trace", false, fmt.Sprintf("print the primary lock block's protocol trace after the summary: %d cycles from the first acquire, at most %d events, then the window's totals by kind", traceWindow, traceMaxEvents))
 		jRate    = flag.Float64("journey-rate", 0, "fraction of lock acquisitions to journey-trace with per-stage latency attribution (0 = off; sampling never perturbs the run)")
 	)
 	flag.Parse()
@@ -193,17 +194,19 @@ func main() {
 	}
 	if *showTr {
 		fmt.Println()
-		printTrace(sys, cfg)
+		printTrace(os.Stdout, sys, cfg)
 	}
 }
 
-// printTrace prints the -trace window of the primary lock block's
-// protocol trace, then the window's event totals by kind.
-func printTrace(sys *inpg.System, cfg inpg.Config) {
+// printTrace writes the -trace window of the primary lock block's
+// protocol trace to w: a header giving the window's event count, at most
+// traceMaxEvents of its events, then the whole window's event totals by
+// kind.
+func printTrace(w io.Writer, sys *inpg.System, cfg inpg.Config) {
 	buf := sys.Trace()
 	events := buf.Events()
 	if len(events) == 0 {
-		fmt.Println("no events traced for the lock block")
+		fmt.Fprintln(w, "no events traced for the lock block")
 		return
 	}
 	start := events[0].Cycle
@@ -214,20 +217,21 @@ func printTrace(sys *inpg.System, cfg inpg.Config) {
 		}
 	}
 	end := start + traceWindow
-	shown := buf.Window(start, end)
-	if len(shown) > traceMaxEvents {
-		shown = shown[:traceMaxEvents]
-	}
-	fmt.Printf("lock block %#x (home node %d), %s over %s, %d threads\n",
+	window := buf.Window(start, end)
+	shown := window[:min(len(window), traceMaxEvents)]
+	fmt.Fprintf(w, "lock block %#x (home node %d), %s over %s, %d threads\n",
 		cfg.TraceAddr, sys.Fabric().Homes.Home(cfg.TraceAddr), cfg.Lock, cfg.Mechanism, len(sys.Threads()))
-	fmt.Printf("showing %d of %d traced events (window %d..%d)\n\n", len(shown), buf.Len(), start, end)
-	fmt.Print(trace.Render(shown))
+	fmt.Fprintf(w, "%d of %d traced events in window %d..%d", len(window), buf.Len(), start, end)
+	if len(shown) < len(window) {
+		fmt.Fprintf(w, "; showing the first %d, to cycle %d", len(shown), shown[len(shown)-1].Cycle)
+	}
+	fmt.Fprint(w, "\n\n", trace.Render(shown))
 
-	fmt.Println("\nevent totals in window:")
-	counts := trace.CountByKind(shown)
+	fmt.Fprintln(w, "\nevent totals in window:")
+	counts := trace.CountByKind(window)
 	for kind := trace.PktInject; kind <= trace.LinkDead; kind++ {
 		if n := counts[kind]; n > 0 {
-			fmt.Printf("  %-10s %d\n", kind, n)
+			fmt.Fprintf(w, "  %-10s %d\n", kind, n)
 		}
 	}
 }

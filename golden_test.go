@@ -53,9 +53,10 @@ func goldenCases() map[string]inpg.Config {
 	long := small(inpg.LockTTL, inpg.INPGOCOR)
 	long.CSPerThread = 150
 	cases["4x4/TTL/iNPG+OCOR/cs150"] = long
-	// Two meshes of more than 64 routers: a faulted 16×16 run, and the
-	// 32×32 QSL platform of BenchmarkLargeMeshPlatformBuild, whose 256
-	// threads run on rows 0–7.
+	// Two meshes of several 64-router buffer chunks, which the network
+	// builds on first use: a faulted 16×16 run, and the 32×32 QSL
+	// platform of BenchmarkLargeMeshPlatformBuild, whose 256 threads run
+	// on rows 0–7.
 	faulty16 := small(inpg.LockTTL, inpg.INPGOCOR)
 	faulty16.MeshWidth, faulty16.MeshHeight = 16, 16
 	faulty16.Threads = 64

@@ -310,16 +310,16 @@ func Deployment(m noc.Mesh, n int) []noc.NodeID {
 	return nodes
 }
 
-// Attach builds generators for the given nodes of fab, installs them as
-// interceptors and returns them. Their early Invs come from the fabric's
-// message free list.
+// Attach builds generators for the given nodes of fab in one slab,
+// installs them as interceptors and returns them. Their early Invs come
+// from the fabric's message free list.
 func Attach(fab *coherence.Fabric, cfg Config, nodes []noc.NodeID) []*Gen {
-	gens := make([]*Gen, 0, len(nodes))
-	for _, id := range nodes {
-		g := New(fab.Eng, id, fab.Homes, cfg)
-		g.msgs = &fab.Msgs
-		fab.Net.Router(id).SetInterceptor(g)
-		gens = append(gens, g)
+	slab := make([]Gen, len(nodes))
+	gens := make([]*Gen, len(nodes))
+	for i, id := range nodes {
+		slab[i] = Gen{Node: id, eng: fab.Eng, homes: fab.Homes, cfg: cfg, msgs: &fab.Msgs}
+		gens[i] = &slab[i]
+		fab.Net.Router(id).SetInterceptor(gens[i])
 	}
 	return gens
 }

@@ -145,16 +145,16 @@ func TestDoubleReleaseIsProtocolError(t *testing.T) {
 	}
 }
 
-// TestNewDirAllocatesOnlyItself pins the first-write maps: a directory
-// makes its maps with the first line it homes, so building one costs its
-// struct alone.
-func TestNewDirAllocatesOnlyItself(t *testing.T) {
+// TestMakeDirAllocatesNothing pins the first-write maps: a directory
+// makes its maps with the first line it homes, so filling its slot in the
+// fabric's directory slab allocates nothing.
+func TestMakeDirAllocatesNothing(t *testing.T) {
 	eng := sim.NewEngine(1)
-	var d *Dir
-	if n := testing.AllocsPerRun(20, func() { d = NewDir(eng, 0, nil, nil, DefaultDirConfig(), 64) }); n != 1 {
-		t.Fatalf("NewDir made %.1f allocations, want 1", n)
+	var d Dir
+	if n := testing.AllocsPerRun(20, func() { d = makeDir(eng, 0, nil, nil, nil, DefaultDirConfig(), 64) }); n != 0 {
+		t.Fatalf("makeDir made %.1f allocations, want 0", n)
 	}
 	if d.lines != nil {
-		t.Fatal("NewDir made the line map")
+		t.Fatal("makeDir made the line map")
 	}
 }

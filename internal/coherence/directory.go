@@ -183,14 +183,15 @@ type invKey struct {
 	target noc.NodeID
 }
 
-// NewDir builds the directory controller for node on a mesh of nodes
-// nodes.
-func NewDir(eng *sim.Engine, node noc.NodeID, ni *noc.NI, mem Memory, cfg DirConfig, nodes int) *Dir {
-	return &Dir{
+// makeDir returns the directory controller for node on a mesh of nodes
+// nodes, taking its messages from msgs.
+func makeDir(eng *sim.Engine, node noc.NodeID, ni *noc.NI, mem Memory, msgs *MsgPool, cfg DirConfig, nodes int) Dir {
+	return Dir{
 		Node:  node,
 		eng:   eng,
 		ni:    ni,
 		mem:   mem,
+		msgs:  msgs,
 		cfg:   cfg,
 		nodes: nodes,
 	}

@@ -44,7 +44,9 @@ func DefaultFabricConfig() FabricConfig {
 	}
 }
 
-// NewFabric builds and wires the full memory system onto eng.
+// NewFabric builds and wires the full memory system onto eng. The L1s,
+// directories and sink demuxes live in three fabric-wide slabs, one
+// entry per node.
 func NewFabric(eng *sim.Engine, cfg FabricConfig) (*Fabric, error) {
 	net, err := noc.New(eng, cfg.Net)
 	if err != nil {
@@ -62,18 +64,21 @@ func NewFabric(eng *sim.Engine, cfg FabricConfig) (*Fabric, error) {
 		Mem:   mem,
 		Msgs:  MsgPool{eng: eng},
 	}
+	l1s := make([]L1, nodes)
+	dirs := make([]Dir, nodes)
+	sinks := make([]demux, nodes)
+	f.L1s = make([]*L1, nodes)
+	f.Dirs = make([]*Dir, nodes)
 	for id := 0; id < nodes; id++ {
-		ni := net.NI(noc.NodeID(id))
-		l1, err := NewL1(eng, noc.NodeID(id), ni, f.Homes, cfg.L1)
-		if err != nil {
+		node := noc.NodeID(id)
+		ni := net.NI(node)
+		if l1s[id], err = makeL1(eng, node, ni, f.Homes, &f.Msgs, cfg.L1); err != nil {
 			return nil, err
 		}
-		l1.msgs = &f.Msgs
-		dir := NewDir(eng, noc.NodeID(id), ni, mem, cfg.Dir, nodes)
-		dir.msgs = &f.Msgs
-		f.L1s = append(f.L1s, l1)
-		f.Dirs = append(f.Dirs, dir)
-		ni.SetSink(demux{eng, l1, dir})
+		dirs[id] = makeDir(eng, node, ni, mem, &f.Msgs, cfg.Dir, nodes)
+		f.L1s[id], f.Dirs[id] = &l1s[id], &dirs[id]
+		sinks[id] = demux{eng, &l1s[id], &dirs[id]}
+		ni.SetSink(&sinks[id])
 	}
 	return f, nil
 }
@@ -86,7 +91,7 @@ type demux struct {
 }
 
 // Receive implements noc.Sink.
-func (d demux) Receive(now sim.Cycle, p *noc.Packet) {
+func (d *demux) Receive(now sim.Cycle, p *noc.Packet) {
 	m, ok := p.Payload.(*Message)
 	if !ok {
 		d.eng.Fail(&ProtocolError{Node: int(d.l1.Node), Component: "sink",

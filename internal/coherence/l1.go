@@ -124,19 +124,21 @@ type L1 struct {
 	Stats L1Stats
 }
 
-// NewL1 builds an L1 controller for node, injecting through ni.
-func NewL1(eng *sim.Engine, node noc.NodeID, ni *noc.NI, homes HomeMap, cfg L1Config) (*L1, error) {
+// makeL1 returns an L1 controller for node, injecting through ni and
+// taking its messages from msgs.
+func makeL1(eng *sim.Engine, node noc.NodeID, ni *noc.NI, homes HomeMap, msgs *MsgPool, cfg L1Config) (L1, error) {
 	arr, err := cache.Make(cfg.Cache)
 	if err != nil {
-		return nil, fmt.Errorf("l1 node %d: %w", node, err)
+		return L1{}, fmt.Errorf("l1 node %d: %w", node, err)
 	}
-	return &L1{
+	return L1{
 		Node:       node,
 		eng:        eng,
 		arr:        arr,
 		mshr:       cache.MakeMSHR[pendingOp](cfg.MSHRs),
 		ni:         ni,
 		homes:      homes,
+		msgs:       msgs,
 		hitLatency: cfg.HitLatency,
 	}, nil
 }

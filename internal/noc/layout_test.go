@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"inpg/internal/fault"
 	"inpg/internal/sim"
 )
 
@@ -93,5 +94,91 @@ func TestCompactLimitsRejected(t *testing.T) {
 	}
 	if _, err := New(eng, Config{Mesh: Mesh{Width: 2, Height: 2}, VCsPerPort: 51, VCDepth: 4}); err != nil {
 		t.Fatalf("51 VCs per port (255 slots) rejected: %v", err)
+	}
+}
+
+// TestBuffersBuiltPerChunkOnFirstUse drives traffic among routers 0–63 of
+// a 16×16 mesh, its first four rows, which XY routing never leaves. New
+// builds no router buffers; the traffic builds exactly the first chunk,
+// with link-retry state on a faulted network and without it otherwise.
+// Diagnostics and InFlight read the unbuilt routers as empty before,
+// during and after the traffic.
+func TestBuffersBuiltPerChunkOnFirstUse(t *testing.T) {
+	for _, faults := range []bool{false, true} {
+		cfg := Config{Mesh: Mesh{Width: 16, Height: 16}, VCsPerPort: 6, VCDepth: 4}
+		if faults {
+			cfg.Fault = fault.AtRate(0.02, 5)
+		}
+		eng, n, got := testNet(t, cfg)
+		built := func() (routers, retry int) {
+			for i := range n.routers {
+				r := &n.routers[i]
+				if r.vcs == nil {
+					if r.out != nil || r.flits != nil || r.retry != nil {
+						t.Fatalf("faults=%t: router %d has windows but no input VCs", faults, i)
+					}
+					continue
+				}
+				if i >= chunkRouters {
+					t.Fatalf("faults=%t: router %d outside the traffic's chunk was built", faults, i)
+				}
+				routers++
+				if r.retry != nil {
+					retry++
+				}
+			}
+			return routers, retry
+		}
+		if r, _ := built(); r != 0 {
+			t.Fatalf("faults=%t: New built %d routers' buffers, want none", faults, r)
+		}
+		if d := n.Diagnostics(0); d.InFlight != 0 || len(d.VCs) != 0 || len(d.NIs) != 0 {
+			t.Fatalf("faults=%t: fresh network diagnosed %+v", faults, d)
+		}
+
+		const packets = chunkRouters
+		for s := 0; s < packets; s++ {
+			p := &Packet{Dst: NodeID((s*7 + 5) % chunkRouters), VNet: VNet(s % int(NumVNets)), Size: 1}
+			if p.VNet == VNetResponse {
+				p.Size = 8
+			}
+			n.NI(NodeID(s)).Inject(p)
+		}
+		for eng.Now() < 20 {
+			eng.Step()
+		}
+		d := n.Diagnostics(eng.Now())
+		if d.InFlight != n.InFlight() || d.InFlight == 0 || len(d.VCs) == 0 {
+			t.Fatalf("faults=%t: mid-run diagnosis has %d in flight and %d VCs, want %d in flight and occupied VCs",
+				faults, d.InFlight, len(d.VCs), n.InFlight())
+		}
+		for _, vc := range d.VCs {
+			if vc.Node >= chunkRouters {
+				t.Fatalf("faults=%t: diagnosed an occupied VC at router %d", faults, vc.Node)
+			}
+		}
+
+		run(eng, n, 100_000)
+		delivered := 0
+		for _, g := range got {
+			delivered += len(g)
+		}
+		if delivered != packets || n.InFlight() != 0 {
+			t.Fatalf("faults=%t: delivered %d of %d packets, %d in flight", faults, delivered, packets, n.InFlight())
+		}
+		routers, retry := built()
+		if routers != chunkRouters {
+			t.Fatalf("faults=%t: %d routers built, want the first chunk's %d", faults, routers, chunkRouters)
+		}
+		want := 0
+		if faults {
+			want = chunkRouters
+		}
+		if retry != want {
+			t.Fatalf("faults=%t: %d built routers have link-retry state, want %d", faults, retry, want)
+		}
+		if d := n.Diagnostics(eng.Now()); d.InFlight != 0 || len(d.VCs) != 0 || len(d.NIs) != 0 {
+			t.Fatalf("faults=%t: drained network diagnosed %+v", faults, d)
+		}
 	}
 }

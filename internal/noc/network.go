@@ -61,12 +61,15 @@ type Network struct {
 
 // New builds and wires a mesh network and registers it with the engine.
 //
-// Router and NI state lives in a few network-wide slabs — routers, NIs,
-// input VCs, output VCs, flit buffers and NI injection slots, plus
-// link-retry state when faults are injected — and each router or NI
-// holds fixed windows into them, so the allocation count does not grow
-// with the VCs per router. These slabs hold no Go pointers: flits
-// name their packet by handle, so the garbage collector never scans them.
+// New builds the router and NI arrays, their wiring and the NI injection
+// slots, but no router buffers: a router's input VCs, output VCs, flit
+// rings and, when faults are injected, link-retry state are built with
+// the rest of its chunk's (see chunkRouters) the first time the router
+// accepts a flit or its NI asks for local-VC space. A router no traffic
+// reaches costs its struct alone. Each router holds fixed windows into
+// its chunk's slabs, so the allocation count does not grow with the VCs
+// per router, and the slabs hold no Go pointers: flits name their packet
+// by handle, so the garbage collector never scans them.
 func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	if cfg.VCsPerPort%int(NumVNets) != 0 || cfg.VCsPerPort <= 0 {
 		return nil, fmt.Errorf("noc: VCsPerPort=%d must be a positive multiple of %d", cfg.VCsPerPort, NumVNets)
@@ -83,54 +86,25 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	n := &Network{cfg: cfg, mesh: cfg.Mesh, eng: eng, fault: fault.New(cfg.Fault)}
 	nodes := cfg.Mesh.Nodes()
 	nvc := cfg.VCsPerPort
-	slots := int(NumPorts) * nvc
 	n.routers = make([]Router, nodes)
 	n.nis = make([]NI, nodes)
 	n.coords = make([]coord, nodes)
 	// Handle 0 is reserved: it marks an idle injection slot. Room for one
 	// packet in flight per node spares the table its first doublings.
 	n.pkts = pktTable{live: make([]*Packet, 1, nodes+1), free: make([]uint32, 0, nodes)}
-	vcs := make([]inputVC, nodes*slots)
-	outs := make([]outputVC, nodes*slots)
-	flits := make([]flit, nodes*slots*cfg.VCDepth)
 	active := make([]injection, nodes*nvc)
-	var retry []linkRetry
-	if n.fault != nil {
-		retry = make([]linkRetry, nodes*slots)
-	}
 	for id := range n.routers {
 		x, y := cfg.Mesh.Coord(NodeID(id))
 		n.coords[id] = coord{int32(x), int32(y)}
 		r := &n.routers[id]
-		lo, hi := id*slots, (id+1)*slots
-		*r = Router{
-			ID: NodeID(id), net: n, at: n.coords[id],
-			vcs: vcs[lo:hi:hi], out: outs[lo:hi:hi],
-			flits: flits[lo*cfg.VCDepth : hi*cfg.VCDepth : hi*cfg.VCDepth], depth: cfg.VCDepth,
-		}
-		if retry != nil {
-			r.retry = retry[lo:hi:hi]
-		}
-		for s := range r.vcs {
-			r.vcs[s].port = uint8(s / nvc)
-			r.vcs[s].outVC = -1
-		}
+		*r = Router{ID: NodeID(id), net: n, at: n.coords[id], depth: cfg.VCDepth}
 		for p := North; p <= West; p++ {
 			if cfg.Mesh.hasNeighbor(NodeID(id), p) {
 				r.neighbors[p] = &n.routers[cfg.Mesh.neighbor(NodeID(id), p)]
-				for v := 0; v < nvc; v++ {
-					r.outVC(p, v).cred = int32(cfg.VCDepth)
-				}
 			}
-		}
-		// Local ejection is never back-pressured: the NI consumes flits
-		// at link rate.
-		for v := 0; v < nvc; v++ {
-			r.outVC(Local, v).cred = 1 << 30
 		}
 		ni := &n.nis[id]
 		*ni = NI{ID: NodeID(id), r: r, eng: eng, active: active[id*nvc : (id+1)*nvc : (id+1)*nvc]}
-		ni.flushFn = ni.flushDeliveries
 		r.ni = ni
 	}
 	// Routers and NIs participate in the engine's wake/sleep protocol:
@@ -144,6 +118,57 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 		n.nis[i].handle = eng.Register(&n.nis[i])
 	}
 	return n, nil
+}
+
+// chunkRouters is the number of consecutive routers whose buffers are
+// built together, on the first use of any of them (Network.build). A
+// Table 1 8×8 mesh is one chunk, and at its 6 VCs per port and depth 4 a
+// chunk's flit slab is 64×30×4 16-byte flits, exactly 15 pages of 8 KB,
+// so no size class rounds it up. Smaller chunks (one mesh row, say) cost
+// more in size-class rounding and allocations than they save.
+const chunkRouters = 64
+
+// build carves the buffers of the chunk holding router id from fresh
+// slabs: input VCs, output VCs with their initial credits, flit rings
+// and, when faults are injected, link-retry state. Each router of the
+// chunk gets its fixed windows into them.
+func (n *Network) build(id NodeID) {
+	nvc, depth := n.cfg.VCsPerPort, n.cfg.VCDepth
+	slots := int(NumPorts) * nvc
+	lo := int(id) / chunkRouters * chunkRouters
+	routers := n.routers[lo:min(lo+chunkRouters, len(n.routers))]
+	vcs := make([]inputVC, len(routers)*slots)
+	outs := make([]outputVC, len(routers)*slots)
+	flits := make([]flit, len(routers)*slots*depth)
+	var retry []linkRetry
+	if n.fault != nil {
+		retry = make([]linkRetry, len(routers)*slots)
+	}
+	for i := range routers {
+		r := &routers[i]
+		a, b := i*slots, (i+1)*slots
+		r.vcs, r.out = vcs[a:b:b], outs[a:b:b]
+		r.flits = flits[a*depth : b*depth : b*depth]
+		if retry != nil {
+			r.retry = retry[a:b:b]
+		}
+		for s := range r.vcs {
+			r.vcs[s].port = uint8(s / nvc)
+			r.vcs[s].outVC = -1
+		}
+		for p := North; p <= West; p++ {
+			if r.neighbors[p] != nil {
+				for v := 0; v < nvc; v++ {
+					r.outVC(p, v).cred = int32(depth)
+				}
+			}
+		}
+		// Local ejection is never back-pressured: the NI consumes flits
+		// at link rate.
+		for v := 0; v < nvc; v++ {
+			r.outVC(Local, v).cred = 1 << 30
+		}
+	}
 }
 
 // Limits of the compact router state: slot ids are uint8, the occupancy

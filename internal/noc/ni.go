@@ -71,9 +71,9 @@ type NI struct {
 	handle      sim.Handle
 
 	// Delivery batching: at most one packet ejects per cycle (Local is a
-	// single output port), so one pre-built flush closure per NI replaces
-	// a fresh closure allocation per delivered packet. Entries are packet
-	// handles.
+	// single output port), so one flush closure per NI, bound on its first
+	// ejection, replaces a fresh closure allocation per delivered packet.
+	// Entries are packet handles.
 	pendingDeliver []uint32
 	flushScheduled bool
 	flushFn        func()
@@ -206,6 +206,9 @@ func (ni *NI) eject(h uint32) {
 	ni.pendingDeliver = append(ni.pendingDeliver, h)
 	if !ni.flushScheduled {
 		ni.flushScheduled = true
+		if ni.flushFn == nil {
+			ni.flushFn = ni.flushDeliveries
+		}
 		ni.eng.Schedule(0, ni.flushFn)
 	}
 }

@@ -123,16 +123,17 @@ type Router struct {
 	net *Network
 
 	neighbors [NumPorts]*Router
-	// vcs and out are this router's windows into the network-wide input-
-	// and output-VC slabs, both indexed by slot = port*VCsPerPort + vc.
-	// flits is its window into the flit slab: slot s buffers its ring in
-	// flits[s*depth : (s+1)*depth].
+	// vcs and out are this router's windows into its chunk's input- and
+	// output-VC slabs, both indexed by slot = port*VCsPerPort + vc. flits
+	// is its window into the chunk's flit slab: slot s buffers its ring in
+	// flits[s*depth : (s+1)*depth]. All are nil until the chunk is built
+	// (Network.build); an unbuilt router holds no flits.
 	vcs   []inputVC
 	out   []outputVC
 	flits []flit
 	depth int
-	// retry is the window into the retransmission-state slab, indexed by
-	// slot like vcs; nil unless the network injects faults.
+	// retry is the window into the chunk's retransmission-state slab,
+	// indexed by slot like vcs; nil unless the network injects faults.
 	retry []linkRetry
 
 	// at is the router's mesh coordinate, cached so XY routing compares
@@ -224,11 +225,15 @@ func (r *Router) vcClass(v VNet) (lo, hi int) {
 }
 
 // acceptFlit places an arriving flit into input VC slot, first giving the
-// interceptor a chance to consume or rewrite the packet. It reports
-// whether the flit was consumed (not buffered). It does not wake the
-// router: link arrivals are accepted by the router's own tick, and the NI
-// wakes it after a push.
+// interceptor a chance to consume or rewrite the packet, and building the
+// router's chunk of buffers if this is its first flit. It reports whether
+// the flit was consumed (not buffered). It does not wake the router: link
+// arrivals are accepted by the router's own tick, and the NI wakes it
+// after a push.
 func (r *Router) acceptFlit(now sim.Cycle, slot int, f flit) bool {
+	if r.vcs == nil {
+		r.net.build(r.ID)
+	}
 	if f.head() {
 		r.Stats.PacketsSeen++
 		if r.interceptor != nil {
@@ -563,5 +568,8 @@ func (r *Router) returnCredit(now sim.Cycle, slot int) {
 // localVCSpace reports the free slots in local input VC v, used by the NI
 // in lieu of credits.
 func (r *Router) localVCSpace(v int) int {
+	if r.vcs == nil {
+		r.net.build(r.ID)
+	}
 	return r.depth - int(r.vcs[int(Local)*r.net.cfg.VCsPerPort+v].n)
 }
