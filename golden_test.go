@@ -13,7 +13,7 @@ import (
 	"inpg/internal/fault"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite "+goldenFile+" from this build")
+var updateGolden = flag.Bool("update", false, "rewrite the golden testdata files of the tests run from this build")
 
 // goldenFile pins the integer fields of Results for goldenCases. A change
 // that alters the simulation on purpose regenerates it with
