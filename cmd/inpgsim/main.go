@@ -108,7 +108,9 @@ func main() {
 	cfg.BarrierEntries = *barrier
 	cfg.WatchdogWindow = *wdog
 	cfg.WallTimeBudget = *wallTime
-	cfg.Metrics = *metricsF
+	// Journey stage histograms live in the telemetry registry, so a
+	// journey rate turns it on, as inpgbench's does.
+	cfg.Metrics = *metricsF || *jRate > 0
 	cfg.MetricsSampleEvery = *mEvery
 	cfg.JourneyRate = *jRate
 	if (*traceOut != "" || *showTr) && cfg.TraceCapacity == 0 {

@@ -1,7 +1,6 @@
 package inpg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -20,10 +19,10 @@ import (
 // early without ever tripping on a healthy one.
 const DefaultWatchdogWindow = 2_000_000
 
-// AbortCheckInterval is the cycle cadence of cooperative-cancellation
-// checks (WallTimeBudget, AbortOn): coarse enough that a run pays one
-// predictable comparison per cycle, fine enough that even millisecond
-// deadlines trip within a few thousand simulated cycles.
+// AbortCheckInterval is the cycle cadence of the WallTimeBudget check:
+// coarse enough that a run pays one predictable comparison per cycle,
+// fine enough that even millisecond deadlines trip within a few thousand
+// simulated cycles.
 const AbortCheckInterval = 4096
 
 // ErrWallTimeBudget is the abort cause reported when a run exceeds its
@@ -31,33 +30,18 @@ const AbortCheckInterval = 4096
 // *SimulationError.
 var ErrWallTimeBudget = errors.New("inpg: wall-time budget exhausted")
 
-// AbortOn makes the next Run watch ctx at coarse cycle granularity
-// (AbortCheckInterval) and fail with a *SimulationError — reason "timeout"
-// on a deadline, "canceled" on cancellation, Diagnostics attached — once
-// ctx is done. This is the runner's cooperative-cancellation hook for
-// overrunning runs; the check never touches simulation state, so runs that
-// finish before ctx fires are byte-identical to unwatched ones.
-func (s *System) AbortOn(ctx context.Context) { s.abortCtx = ctx }
-
-// armAbort installs the engine abort check when either cancellation source
-// (context or wall-time budget) is configured. Called at the top of Run so
-// the wall-time clock starts with the run itself.
+// armAbort installs the engine abort check when a wall-time budget is
+// configured. Called at the top of Run so the clock starts with the run
+// itself. The check never touches simulation state, so a run that
+// finishes in budget is byte-identical to an unbudgeted one.
 func (s *System) armAbort() {
-	ctx := s.abortCtx
 	budget := s.cfg.WallTimeBudget
-	if ctx == nil && budget <= 0 {
+	if budget <= 0 {
 		return
 	}
 	start := time.Now()
 	s.eng.SetAbortCheck(AbortCheckInterval, func() error {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-		}
-		if budget > 0 && time.Since(start) > budget {
+		if time.Since(start) > budget {
 			return ErrWallTimeBudget
 		}
 		return nil
@@ -134,8 +118,8 @@ func (d *Diagnostics) String() string {
 // (*sim.StallError, *sim.BudgetError, *sim.AbortError or
 // *coherence.ProtocolError).
 type SimulationError struct {
-	// Reason is "watchdog", "cycle-budget", "protocol", "timeout",
-	// "canceled" or "error".
+	// Reason is "watchdog", "cycle-budget", "protocol", "timeout" or
+	// "error".
 	Reason     string
 	Cycle      sim.Cycle
 	Unfinished int // threads that had not completed their program
@@ -191,11 +175,7 @@ func (s *System) wrapError(err error) error {
 	case errors.As(err, &proto):
 		reason = "protocol"
 	case errors.As(err, &abort):
-		// An abort is a deadline unless the controller explicitly canceled.
 		reason = "timeout"
-		if errors.Is(abort.Err, context.Canceled) {
-			reason = "canceled"
-		}
 	}
 	unfinished := 0
 	for _, th := range s.threads {

@@ -29,7 +29,6 @@
 package inpg
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -161,11 +160,6 @@ type Config struct {
 	// exercise the big routers' multi-entry barrier tables (Figure 15).
 	LockCount int
 
-	// BarrierEvery, when positive, inserts a global synchronization
-	// barrier (Figure 1's synchronization points) after every BarrierEvery
-	// critical sections per thread.
-	BarrierEvery int
-
 	// Workload shape (per thread): CSPerThread critical sections of
 	// CSCycles±CSJitter cycles separated by ParallelCycles±ParallelJitter
 	// of parallel compute.
@@ -263,9 +257,9 @@ type Config struct {
 	// critical-section acquisitions into causal lock-journey records
 	// (internal/journey): per-stage latency attribution from the Acquire
 	// call to its completion callback. Sampling decisions are a keyed hash
-	// of (Seed, thread, acquire index) — no RNG — and the tracer follows
-	// the tracingLock/metricsLock discipline of adding no simulated time,
-	// so sampled runs are cycle-identical to unsampled ones (pinned by
+	// of (Seed, thread, acquire index) — no RNG — and the lock observer
+	// that samples adds no simulated time, so sampled runs are
+	// cycle-identical to unsampled ones (pinned by
 	// TestJourneySamplingInvisible). It is an observability strategy, not
 	// a simulation parameter, and is excluded from the JSON
 	// encoding: the config digest and manifests must not distinguish runs
@@ -318,16 +312,16 @@ type System struct {
 	gens     []*bigrouter.Gen
 	rtt      *stats.RTTCollector
 	timeline *stats.Timeline
-	lockImpl cpu.Lock
 	tracer   *trace.Buffer
 
 	// Telemetry (nil unless Config.Metrics): the instrument registry, the
-	// optional periodic sampler, and the lock latency histograms fed by
-	// the metricsLock decorator.
+	// optional periodic sampler, and the lock latency histograms the
+	// observedLock decorators feed from each thread's acquire stamp.
 	reg         *metrics.Registry
 	sampler     *metrics.Sampler
 	lockHold    *stats.Histogram
 	lockHandoff *stats.Histogram
+	acquiredAt  []sim.Cycle // per thread ID
 
 	// Journey tracing (nil unless Config.JourneyRate > 0): the recorder
 	// collecting finished journeys, plus — only with Metrics also on —
@@ -335,9 +329,6 @@ type System struct {
 	journeys     *journey.Recorder
 	journeyE2E   *stats.Histogram
 	journeyStage [journey.NumStages]*stats.Histogram
-
-	// abortCtx, when set via AbortOn, cancels the run cooperatively.
-	abortCtx context.Context
 }
 
 // lockSet multiplexes critical sections over several independent locks:
@@ -358,31 +349,6 @@ func (l *lockSet) Acquire(t *cpu.Thread, done func()) {
 
 func (l *lockSet) Release(t *cpu.Thread, done func()) {
 	l.held[t.ID].Release(t, done)
-}
-
-// tracingLock decorates a lock with acquire/release trace events.
-type tracingLock struct {
-	inner cpu.Lock
-	buf   *trace.Buffer
-	eng   *sim.Engine
-}
-
-func (l *tracingLock) Name() string { return l.inner.Name() }
-
-func (l *tracingLock) Acquire(t *cpu.Thread, done func()) {
-	l.inner.Acquire(t, func() {
-		l.buf.Add(trace.Event{Cycle: l.eng.Now(), Kind: trace.LockAcquire,
-			Node: noc.NodeID(t.ID), Src: noc.NodeID(t.ID), Addr: l.buf.AddrFilter,
-			Detail: "thread holds the lock"})
-		done()
-	})
-}
-
-func (l *tracingLock) Release(t *cpu.Thread, done func()) {
-	l.buf.Add(trace.Event{Cycle: l.eng.Now(), Kind: trace.LockRelease,
-		Node: noc.NodeID(t.ID), Src: noc.NodeID(t.ID), Addr: l.buf.AddrFilter,
-		Detail: "thread releases the lock"})
-	l.inner.Release(t, done)
 }
 
 // New builds a system from cfg.
@@ -445,42 +411,22 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("inpg: lock home node %d outside mesh", home)
 	}
 	alloc := lock.NewAddrAlloc(fab.Homes, fab.Mem)
-	// Telemetry: every lock gets its own metricsLock, so a handoff runs
-	// from a release to the next acquire of the same lock; the locks
-	// share the two histograms.
-	meter := func(l cpu.Lock) cpu.Lock { return l }
-	if cfg.Metrics {
-		s.lockHold = stats.NewHistogram(16)
-		s.lockHandoff = stats.NewHistogram(16)
-		meter = func(l cpu.Lock) cpu.Lock {
-			return &metricsLock{inner: l, eng: eng, hold: s.lockHold, handoff: s.lockHandoff,
-				acquiredAt: make([]sim.Cycle, threads)}
+	observe := s.lockObserver(threads)
+	locks := make([]cpu.Lock, max(cfg.LockCount, 1))
+	for i := range locks {
+		h := home
+		if i > 0 {
+			h = noc.NodeID((int(home) + i*7) % nodes)
 		}
-	}
-	if cfg.LockCount > 1 {
-		locks := make([]cpu.Lock, cfg.LockCount)
-		for i := 0; i < cfg.LockCount; i++ {
-			h := home
-			if i > 0 {
-				h = noc.NodeID((int(home) + i*7) % nodes)
-			}
-			l, err := lock.New(lock.Kind(cfg.Lock), alloc, h, lcfg)
-			if err != nil {
-				return nil, err
-			}
-			locks[i] = meter(l)
-		}
-		s.lockImpl = &lockSet{locks: locks, held: make([]cpu.Lock, threads)}
-	} else {
-		l, err := lock.New(lock.Kind(cfg.Lock), alloc, home, lcfg)
+		l, err := lock.New(lock.Kind(cfg.Lock), alloc, h, lcfg)
 		if err != nil {
 			return nil, err
 		}
-		s.lockImpl = meter(l)
+		locks[i] = observe(l)
 	}
-	var barrier *lock.Barrier
-	if cfg.BarrierEvery > 0 {
-		barrier = lock.NewBarrier(alloc, noc.NodeID((int(home)+nodes/2)%nodes), threads, lcfg)
+	lockImpl := locks[0]
+	if len(locks) > 1 {
+		lockImpl = &lockSet{locks: locks, held: make([]cpu.Lock, threads)}
 	}
 
 	// iNPG deployment.
@@ -504,10 +450,9 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 
-	// Protocol tracing.
-	if cfg.TraceCapacity > 0 {
-		s.tracer = trace.New(cfg.TraceCapacity)
-		s.tracer.AddrFilter = cfg.TraceAddr
+	// Protocol tracing: packets, big-router actions and link events join
+	// the lock events the observers record.
+	if s.tracer != nil {
 		for id := 0; id < nodes; id++ {
 			ni := fab.Net.NI(noc.NodeID(id))
 			node := noc.NodeID(id)
@@ -536,30 +481,6 @@ func New(cfg Config) (*System, error) {
 				Node: at, Src: p.Src, Dst: p.Dst, Addr: p.Addr,
 				Detail: fmt.Sprintf("link toward %v declared dead", toward)})
 		}
-		s.lockImpl = &tracingLock{inner: s.lockImpl, buf: s.tracer, eng: eng}
-	}
-
-	// Journey tracing wraps outermost so a sampled journey's Begin fires
-	// before any inner decorator or lock logic runs and its Finish fires
-	// after them — all at the same cycles; the decorator perturbs nothing.
-	if cfg.JourneyRate > 0 {
-		s.journeys = journey.NewRecorder(0)
-		if cfg.Metrics {
-			s.journeyE2E = stats.NewHistogram(16)
-			for i := range s.journeyStage {
-				s.journeyStage[i] = stats.NewHistogram(16)
-			}
-			e2e, stages := s.journeyE2E, s.journeyStage
-			s.journeys.OnFinish = func(r *journey.Record) {
-				e2e.Add(r.E2E())
-				for st, v := range r.Stages {
-					stages[st].Add(v)
-				}
-			}
-		}
-		s.lockImpl = &journeyLock{inner: s.lockImpl, eng: eng, l1s: fab.L1s,
-			rec: s.journeys, rate: cfg.JourneyRate, seed: cfg.Seed,
-			active: make([]*journey.Record, threads)}
 	}
 
 	// Threads.
@@ -573,13 +494,9 @@ func New(cfg Config) (*System, error) {
 	}
 	onDone := func(*cpu.Thread) { s.finished++ }
 	for i := 0; i < threads; i++ {
-		th := cpu.New(eng, i, fab.L1s[i], s.lockImpl, prog, cfg.Seed+int64(i)*7919)
+		th := cpu.New(eng, i, fab.L1s[i], lockImpl, prog, cfg.Seed+int64(i)*7919)
 		th.OCOR = cfg.Mechanism.usesOCOR()
 		th.QSLRetries = lcfg.QSLRetries
-		if barrier != nil {
-			th.Barrier = barrier
-			th.BarrierEvery = cfg.BarrierEvery
-		}
 		if s.timeline != nil {
 			th.PhaseHook = s.timeline.Hook()
 		}

@@ -38,12 +38,6 @@ type Lock interface {
 	Name() string
 }
 
-// Barrier is a global synchronization point all threads join together
-// (Figure 1's synchronization points; implemented by lock.Barrier).
-type Barrier interface {
-	Join(t *Thread, done func())
-}
-
 // Phase classifies what a thread is doing, for time accounting.
 type Phase int
 
@@ -124,14 +118,6 @@ type Thread struct {
 	AcquireCount int
 	SleepCount   int
 
-	// Barrier, when set with BarrierEvery > 0, is joined after every
-	// BarrierEvery completed critical sections — the Figure 1 program
-	// shape with interleaved synchronization points. Barrier wait time
-	// accounts as competition overhead.
-	Barrier      Barrier
-	BarrierEvery int
-	BarrierJoins int
-
 	// PhaseHook, when set, observes every phase transition (Figure 9
 	// timelines).
 	PhaseHook func(t *Thread, now sim.Cycle, from, to Phase)
@@ -141,8 +127,8 @@ type Thread struct {
 
 	// iter is the critical-section iteration in progress. The program
 	// steps through the continuations below, bound once by Start.
-	iter                                         int
-	contend, acquired, released, leave, nextIter func()
+	iter                               int
+	contend, acquired, leave, released func()
 }
 
 // New builds a thread on core id driving port, synchronizing on lock.
@@ -187,8 +173,8 @@ func (t *Thread) Start() {
 }
 
 // bind builds the program's continuations: parallel work, then compete
-// for the lock, run the critical section, release, and optionally join
-// the barrier before the next iteration.
+// for the lock, run the critical section and release it before the next
+// iteration.
 func (t *Thread) bind() {
 	t.contend = func() {
 		t.setPhase(PhaseCOH)
@@ -204,15 +190,6 @@ func (t *Thread) bind() {
 	t.leave = func() { t.lock.Release(t, t.released) }
 	t.released = func() {
 		t.CSCompleted++
-		if t.Barrier != nil && t.BarrierEvery > 0 && t.CSCompleted%t.BarrierEvery == 0 {
-			t.setPhase(PhaseCOH)
-			t.BarrierJoins++
-			t.Barrier.Join(t, t.nextIter)
-			return
-		}
-		t.nextIter()
-	}
-	t.nextIter = func() {
 		t.setPhase(PhaseParallel)
 		t.iter++
 		t.iterate()

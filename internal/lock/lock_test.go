@@ -310,78 +310,3 @@ func TestParseKindExtension(t *testing.T) {
 		t.Fatal("kind lists wrong")
 	}
 }
-
-func TestBarrierAllArriveBeforeAnyLeaves(t *testing.T) {
-	threads := 6
-	eng := sim.NewEngine(31)
-	fcfg := coherence.FabricConfig{
-		Net: noc.Config{Mesh: noc.Mesh{Width: 4, Height: 4}, VCsPerPort: 6, VCDepth: 4},
-		L1:  coherence.L1Config{Cache: cache.Config{SizeBytes: 8192, Ways: 4, BlockBytes: 128}, MSHRs: 8, HitLatency: 2},
-		Dir: coherence.DirConfig{L2Latency: 6},
-		Mem: memory.Config{Controllers: 4, Latency: 30, MaxOutstanding: 16},
-	}
-	fab, err := coherence.NewFabric(eng, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc := NewAddrAlloc(fab.Homes, fab.Mem)
-	cfg := DefaultConfig(threads)
-	b := NewBarrier(alloc, 3, threads, cfg)
-
-	arrived, left := 0, 0
-	done := 0
-	for i := 0; i < threads; i++ {
-		th := cpu.New(eng, i, fab.L1s[i], nil, cpu.Program{}, int64(i+1))
-		// Stagger arrivals.
-		delay := sim.Cycle(i * 40)
-		eng.Schedule(delay, func() {
-			arrived++
-			b.Join(th, func() {
-				if arrived != threads {
-					t.Errorf("a thread left the barrier after only %d arrivals", arrived)
-				}
-				left++
-				if left == threads {
-					done = 1
-				}
-			})
-		})
-	}
-	if _, err := eng.Run(1_000_000, func() bool { return done == 1 }); err != nil {
-		t.Fatalf("barrier did not release: %v (arrived %d, left %d)", err, arrived, left)
-	}
-}
-
-func TestBarrierReusableAcrossEpisodes(t *testing.T) {
-	threads := 4
-	eng := sim.NewEngine(17)
-	fcfg := coherence.FabricConfig{
-		Net: noc.Config{Mesh: noc.Mesh{Width: 4, Height: 4}, VCsPerPort: 6, VCDepth: 4},
-		L1:  coherence.L1Config{Cache: cache.Config{SizeBytes: 8192, Ways: 4, BlockBytes: 128}, MSHRs: 8, HitLatency: 2},
-		Dir: coherence.DirConfig{L2Latency: 6},
-		Mem: memory.Config{Controllers: 4, Latency: 30, MaxOutstanding: 16},
-	}
-	fab, err := coherence.NewFabric(eng, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc := NewAddrAlloc(fab.Homes, fab.Mem)
-	b := NewBarrier(alloc, 9, threads, DefaultConfig(threads))
-	const episodes = 5
-	finished := 0
-	for i := 0; i < threads; i++ {
-		th := cpu.New(eng, i, fab.L1s[i], nil, cpu.Program{}, int64(i+100))
-		var episode func(e int)
-		episode = func(e int) {
-			if e == episodes {
-				finished++
-				return
-			}
-			b.Join(th, func() { episode(e + 1) })
-		}
-		episode(0)
-	}
-	if _, err := eng.Run(2_000_000, func() bool { return finished == threads }); err != nil {
-		t.Fatalf("barrier reuse failed: %v", err)
-	}
-}

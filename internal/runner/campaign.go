@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"time"
 
 	"inpg"
@@ -15,8 +14,8 @@ type Policy struct {
 	// Workers bounds concurrency (Workers semantics: <= 0 means
 	// GOMAXPROCS).
 	Workers int
-	// RunTimeout, when positive, is each run's wall-clock deadline,
-	// enforced via cooperative cancellation (System.AbortOn): an
+	// RunTimeout, when positive, is each run's wall-clock deadline: the
+	// run executes with a WallTimeBudget of at most RunTimeout, so an
 	// overrunning run fails with a timeout-reason *SimulationError
 	// carrying full Diagnostics.
 	RunTimeout time.Duration
@@ -38,21 +37,22 @@ type Policy struct {
 }
 
 // runCell executes one configuration under panic isolation and (when
-// timeout > 0) a cooperative wall-clock deadline.
+// timeout > 0) a wall-clock deadline: the run's WallTimeBudget is the
+// smaller of the configuration's own and timeout. The configuration's
+// digest stays the caller's.
 func runCell(i int, cfg inpg.Config, timeout time.Duration, preAttempt func(i int)) (res *inpg.Results, snap *metrics.Snapshot, wall float64, rerr *RunError) {
 	start := time.Now()
 	rerr = protect(i, func() error {
 		if preAttempt != nil {
 			preAttempt(i)
 		}
-		sys, err := inpg.New(cfg)
+		run := cfg
+		if timeout > 0 && (run.WallTimeBudget <= 0 || timeout < run.WallTimeBudget) {
+			run.WallTimeBudget = timeout
+		}
+		sys, err := inpg.New(run)
 		if err != nil {
 			return &RunError{Index: i, Cause: CauseConfig, Err: err}
-		}
-		if timeout > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			sys.AbortOn(ctx)
 		}
 		res, err = sys.Run()
 		snap = sys.MetricsSnapshot()

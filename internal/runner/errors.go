@@ -25,10 +25,11 @@ const (
 	// CauseProtocol: a coherence controller reported an impossible message
 	// sequence.
 	CauseProtocol Cause = "protocol"
-	// CauseTimeout: the run overran its wall-clock deadline (runner
-	// cancellation or Config.WallTimeBudget).
+	// CauseTimeout: the run overran its wall-clock deadline
+	// (Policy.RunTimeout or Config.WallTimeBudget).
 	CauseTimeout Cause = "timeout"
-	// CauseCanceled: an outside controller canceled the run.
+	// CauseCanceled: the run never finished because its controller went
+	// away (a fleet coordinator that crashed mid-campaign).
 	CauseCanceled Cause = "canceled"
 	// CauseBudget: the cycle budget (Config.MaxCycles) was exhausted.
 	CauseBudget Cause = "cycle-budget"
@@ -56,8 +57,6 @@ func Classify(err error) Cause {
 			return CauseProtocol
 		case "timeout":
 			return CauseTimeout
-		case "canceled":
-			return CauseCanceled
 		case "cycle-budget":
 			return CauseBudget
 		}

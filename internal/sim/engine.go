@@ -415,8 +415,8 @@ func (e *Engine) WatchdogWindow() Cycle { return e.watchWindow }
 // makes Run stop immediately with an *AbortError wrapping it. The check
 // runs outside every component tick — simulation state is never consulted
 // and never perturbed — and its coarse cadence keeps the hot-path cost to
-// one predictable comparison per cycle. Wall-clock deadlines and
-// context.Context cancellation ride on this hook (see inpg.System.AbortOn).
+// one predictable comparison per cycle. Wall-clock deadlines ride on this
+// hook (see inpg.Config.WallTimeBudget).
 func (e *Engine) SetAbortCheck(every Cycle, fn func() error) {
 	if every == 0 {
 		every = 1

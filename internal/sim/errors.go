@@ -34,10 +34,10 @@ func (e *StallError) Error() string {
 }
 
 // AbortError reports that Run was stopped by the cooperative-cancellation
-// hook (SetAbortCheck): a wall-clock deadline elapsed or an outside
-// controller canceled the run. The simulation itself is healthy — it was
-// told to stop — so callers can still capture diagnostics from the intact
-// state. Unwrap exposes the abort cause (e.g. context.DeadlineExceeded).
+// hook (SetAbortCheck): a wall-clock deadline elapsed. The simulation
+// itself is healthy — it was told to stop — so callers can still capture
+// diagnostics from the intact state. Unwrap exposes the abort cause (e.g.
+// inpg.ErrWallTimeBudget).
 type AbortError struct {
 	// Now is the cycle the abort check fired on; Err its reported cause.
 	Now Cycle

@@ -299,27 +299,6 @@ func TestMultiLockWorkload(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronization(t *testing.T) {
-	cfg := contended()
-	cfg.BarrierEvery = 2
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CSCompleted != 64 {
-		t.Fatalf("CS completed = %d, want 64", res.CSCompleted)
-	}
-	for _, th := range sys.Threads() {
-		if th.BarrierJoins != 2 { // 4 CS / every 2
-			t.Fatalf("thread %d joined %d barriers, want 2", th.ID, th.BarrierJoins)
-		}
-	}
-}
-
 // TestQSLCompletesEachAcquireOnce replays the sleep-probe race across
 // every mechanism, 40 seeds and four fault rates: a release wakes a
 // sleeping QSL waiter whose post-enqueue probe swap is still in flight,

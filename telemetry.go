@@ -10,109 +10,134 @@ import (
 	"inpg/internal/noc"
 	"inpg/internal/sim"
 	"inpg/internal/stats"
+	"inpg/internal/trace"
 )
 
-// metricsLock decorates one lock with handoff- and hold-latency
-// measurement: the cycles between one thread's release and the next
-// thread's acquire completion (the lock handoff — the quantity iNPG's
-// early invalidations attack), and the cycles each holder kept the lock.
-// Under LockCount > 1 every lock of the set has its own decorator, all
-// feeding the same two histograms. A release with no waiter counts the
-// idle gap until the lock's next acquire as handoff. Like tracingLock it
-// adds no simulated time and consumes no randomness, so a metered run is
-// cycle-identical to an unmetered one.
-type metricsLock struct {
-	inner cpu.Lock
-	eng   *sim.Engine
-
-	hold    *stats.Histogram
-	handoff *stats.Histogram
-
-	acquiredAt  []sim.Cycle // per thread ID
-	lastRelease sim.Cycle
-	haveRelease bool
-}
-
-func (l *metricsLock) Name() string { return l.inner.Name() }
-
-func (l *metricsLock) Acquire(t *cpu.Thread, done func()) {
-	l.inner.Acquire(t, func() {
-		now := l.eng.Now()
-		if l.haveRelease {
-			l.handoff.Add(uint64(now - l.lastRelease))
-			l.haveRelease = false
-		}
-		if t.ID < len(l.acquiredAt) {
-			l.acquiredAt[t.ID] = now
-		}
-		done()
-	})
-}
-
-func (l *metricsLock) Release(t *cpu.Thread, done func()) {
-	now := l.eng.Now()
-	if t.ID < len(l.acquiredAt) {
-		l.hold.Add(uint64(now - l.acquiredAt[t.ID]))
+// lockObserver builds the sinks cfg observes the locks with — the
+// protocol trace buffer, the hold/handoff ledger and the journey
+// recorder — and returns the decorator New wraps around each lock before
+// the lock set is built: an observedLock when any sink is on, else the
+// identity.
+func (s *System) lockObserver(threads int) func(cpu.Lock) cpu.Lock {
+	cfg := s.cfg
+	if cfg.TraceCapacity > 0 {
+		s.tracer = trace.New(cfg.TraceCapacity)
+		s.tracer.AddrFilter = cfg.TraceAddr
 	}
-	l.lastRelease = now
-	l.haveRelease = true
-	l.inner.Release(t, done)
-}
-
-// journeyLock decorates the lock with causal journey tracing: each
-// acquisition the keyed-hash sampler selects gets a journey record armed
-// on the thread's L1 for the duration of the acquire, so every request
-// the acquire issues — and every response, probe and completion ack the
-// network and the home send on its behalf — attributes its cycles to a
-// typed stage. Like metricsLock the decorator adds no simulated time and
-// consumes no randomness; an unsampled (or rate-0) run is cycle- and
-// byte-identical to one without the decorator installed.
-type journeyLock struct {
-	inner cpu.Lock
-	eng   *sim.Engine
-	l1s   []*coherence.L1
-	rec   *journey.Recorder
-	rate  float64
-	seed  int64
-
-	// active holds each thread's in-flight sampled record; nil while the
-	// thread's current acquisition is unsampled (or none is in flight).
-	active []*journey.Record
-}
-
-func (l *journeyLock) Name() string { return l.inner.Name() }
-
-func (l *journeyLock) Acquire(t *cpu.Thread, done func()) {
-	if t.ID < len(l.active) && journey.Sampled(l.seed, t.ID, uint64(t.AcquireCount), l.rate) {
-		r := &journey.Record{Thread: t.ID, Acquire: uint64(t.AcquireCount)}
-		r.Begin(l.eng.Now())
-		l.active[t.ID] = r
-		l.l1s[t.ID].SetJourney(r)
+	if cfg.Metrics {
+		s.lockHold = stats.NewHistogram(16)
+		s.lockHandoff = stats.NewHistogram(16)
+		s.acquiredAt = make([]sim.Cycle, threads)
 	}
-	l.inner.Acquire(t, func() {
-		if t.ID < len(l.active) {
-			if r := l.active[t.ID]; r != nil {
-				// Disarm before the thread proceeds into its critical
-				// section: CS and release traffic belongs to no journey.
-				// Tagged packets still in flight (a floating eager ack)
-				// no-op against the finished record.
-				l.active[t.ID] = nil
-				l.l1s[t.ID].SetJourney(nil)
-				r.Finish(l.eng.Now())
-				l.rec.Finish(r)
+	if cfg.JourneyRate > 0 {
+		s.journeys = journey.NewRecorder(0)
+		if cfg.Metrics {
+			s.journeyE2E = stats.NewHistogram(16)
+			for i := range s.journeyStage {
+				s.journeyStage[i] = stats.NewHistogram(16)
+			}
+			e2e, stages := s.journeyE2E, s.journeyStage
+			s.journeys.OnFinish = func(r *journey.Record) {
+				e2e.Add(r.E2E())
+				for st, v := range r.Stages {
+					stages[st].Add(v)
+				}
 			}
 		}
+	}
+	if s.tracer == nil && s.acquiredAt == nil && s.journeys == nil {
+		return func(l cpu.Lock) cpu.Lock { return l }
+	}
+	return func(l cpu.Lock) cpu.Lock { return &observedLock{inner: l, s: s} }
+}
+
+// observedLock decorates one lock with everything a run observes of it,
+// each part on only while its sink on the System is:
+//
+//   - the protocol trace's acquire and release events;
+//   - the hold/handoff ledger: the cycles each holder kept the lock, from
+//     its acquire stamp on the System, and the lock handoff — the cycles
+//     between a release and the next acquire completion of the same lock,
+//     the quantity iNPG's early invalidations attack. A release with no
+//     waiter counts the idle gap until the lock's next acquire. Under
+//     LockCount > 1 every lock has its own decorator, and all feed the
+//     same two histograms;
+//   - causal journeys: an acquire the keyed-hash sampler selects gets a
+//     journey record armed on the thread's L1 from the Acquire call to its
+//     completion, so every request the acquire issues — and every
+//     response, probe and completion ack the network and the home send
+//     on its behalf — attributes its cycles to a typed stage.
+//
+// The decorator adds no simulated time and consumes no randomness, so an
+// observed run is cycle-identical to an unobserved one.
+type observedLock struct {
+	inner cpu.Lock
+	s     *System
+
+	lastRelease sim.Cycle
+	released    bool // lastRelease awaits the lock's next acquire
+}
+
+func (l *observedLock) Name() string { return l.inner.Name() }
+
+func (l *observedLock) Acquire(t *cpu.Thread, done func()) {
+	s := l.s
+	var r *journey.Record
+	if s.journeys != nil && journey.Sampled(s.cfg.Seed, t.ID, uint64(t.AcquireCount), s.cfg.JourneyRate) {
+		r = &journey.Record{Thread: t.ID, Acquire: uint64(t.AcquireCount)}
+		r.Begin(s.eng.Now())
+		s.fab.L1s[t.ID].SetJourney(r)
+	}
+	l.inner.Acquire(t, func() {
+		now := s.eng.Now()
+		if s.acquiredAt != nil {
+			if l.released {
+				s.lockHandoff.Add(uint64(now - l.lastRelease))
+				l.released = false
+			}
+			s.acquiredAt[t.ID] = now
+		}
+		if s.tracer != nil {
+			s.tracer.Add(trace.Event{Cycle: now, Kind: trace.LockAcquire,
+				Node: noc.NodeID(t.ID), Src: noc.NodeID(t.ID), Addr: s.tracer.AddrFilter,
+				Detail: "thread holds the lock"})
+		}
+		if r != nil {
+			// Disarm before the thread proceeds into its critical
+			// section: CS and release traffic belongs to no journey.
+			// Tagged packets still in flight (a floating eager ack)
+			// no-op against the finished record.
+			s.fab.L1s[t.ID].SetJourney(nil)
+			r.Finish(now)
+			s.journeys.Finish(r)
+		}
 		done()
 	})
 }
 
-func (l *journeyLock) Release(t *cpu.Thread, done func()) { l.inner.Release(t, done) }
+func (l *observedLock) Release(t *cpu.Thread, done func()) {
+	s := l.s
+	now := s.eng.Now()
+	if s.tracer != nil {
+		s.tracer.Add(trace.Event{Cycle: now, Kind: trace.LockRelease,
+			Node: noc.NodeID(t.ID), Src: noc.NodeID(t.ID), Addr: s.tracer.AddrFilter,
+			Detail: "thread releases the lock"})
+	}
+	if s.acquiredAt != nil {
+		s.lockHold.Add(uint64(now - s.acquiredAt[t.ID]))
+		l.lastRelease, l.released = now, true
+	}
+	l.inner.Release(t, done)
+}
 
 // buildMetrics constructs the telemetry registry and registers every
 // subsystem's instruments: reader closures over the plain Stats structs
 // the components already maintain, so nothing on the simulation hot path
 // changes — disabled metrics cost literally nothing, enabled metrics cost
-// only snapshot/sample-time reads.
+// only snapshot/sample-time reads. Totals the run's Summary carries (flits
+// switched, link retries and failures, port stalls, early invalidations,
+// stopped GetX, critical sections, sleeps) are not registered again: a
+// metered manifest keeps each once, in its summary.
 func (s *System) buildMetrics() {
 	reg := metrics.NewRegistry()
 	s.reg = reg
@@ -137,12 +162,9 @@ func (s *System) buildMetrics() {
 			return v
 		}
 	}
-	reg.Counter("noc.flits_switched", sumRouters(func(st *noc.RouterStats) uint64 { return st.FlitsSwitched }))
 	reg.Counter("noc.vc_stalls", sumRouters(func(st *noc.RouterStats) uint64 { return st.VCStalls }))
 	reg.Counter("noc.packets_seen", sumRouters(func(st *noc.RouterStats) uint64 { return st.PacketsSeen }))
 	reg.Counter("noc.packets_consumed", sumRouters(func(st *noc.RouterStats) uint64 { return st.PacketsConsumed }))
-	reg.Counter("noc.link_retries", sumRouters(func(st *noc.RouterStats) uint64 { return st.LinkRetries }))
-	reg.Counter("noc.link_failures", sumRouters(func(st *noc.RouterStats) uint64 { return st.LinkFailures }))
 	for id := 0; id < nodes; id++ {
 		rt := net.Router(noc.NodeID(id))
 		reg.Counter(fmt.Sprintf("noc.router.%03d.flits", id), func() uint64 { return rt.Stats.FlitsSwitched })
@@ -172,7 +194,6 @@ func (s *System) buildMetrics() {
 	// Fault layer (all zero on fault-free runs).
 	reg.Counter("fault.flits_dropped", func() uint64 { return net.FaultStats().FlitsDropped })
 	reg.Counter("fault.flits_corrupted", func() uint64 { return net.FaultStats().FlitsCorrupted })
-	reg.Counter("fault.port_stalls", func() uint64 { return net.FaultStats().PortStallHits })
 
 	// L1 controllers and their MSHR files.
 	l1s := s.fab.L1s
@@ -268,20 +289,6 @@ func (s *System) buildMetrics() {
 
 	// Big routers (all zero under Original/OCOR).
 	gens := s.gens
-	reg.Counter("inpg.early_invs", func() uint64 {
-		var v uint64
-		for _, g := range gens {
-			v += g.Stats.EarlyInvsSent
-		}
-		return v
-	})
-	reg.Counter("inpg.getx_stopped", func() uint64 {
-		var v uint64
-		for _, g := range gens {
-			v += g.Stats.GetXStopped
-		}
-		return v
-	})
 	reg.Counter("inpg.acks_relayed", func() uint64 {
 		var v uint64
 		for _, g := range gens {
@@ -304,25 +311,8 @@ func (s *System) buildMetrics() {
 		return v
 	})
 
-	// Threads.
-	threads := s.threads
-	reg.Counter("cpu.cs_completed", func() uint64 {
-		var v uint64
-		for _, th := range threads {
-			v += uint64(th.CSCompleted)
-		}
-		return v
-	})
-	reg.Counter("cpu.sleeps", func() uint64 {
-		var v uint64
-		for _, th := range threads {
-			v += uint64(th.SleepCount)
-		}
-		return v
-	})
-
 	// Histograms: invalidation round trips (Figure 10's instrument) and
-	// the lock hold/handoff latencies measured by metricsLock.
+	// the lock hold/handoff latencies measured by observedLock.
 	reg.Histogram("rtt", s.rtt.Hist)
 	if s.lockHold != nil {
 		reg.Histogram("lock.hold_cycles", s.lockHold)
