@@ -1,7 +1,7 @@
 // Command inpgsim runs one iNPG simulation — or the same simulation over
 // several seeds in parallel — and reports its results: phase breakdown,
 // lock-coherence overhead, invalidation round trips, critical-section
-// throughput and NoC energy. -json prints the run's inpg.Summary, the
+// throughput and NoC energy. -json prints the run's inpg.Results, the
 // record a run manifest stores as its summary. -trace adds the primary
 // lock block's message-level protocol trace (packets, in-network stops,
 // early invalidations, relayed acks, acquires and releases): where a
@@ -108,9 +108,7 @@ func main() {
 	cfg.BarrierEntries = *barrier
 	cfg.WatchdogWindow = *wdog
 	cfg.WallTimeBudget = *wallTime
-	// Journey stage histograms live in the telemetry registry, so a
-	// journey rate turns it on, as inpgbench's does.
-	cfg.Metrics = *metricsF || *jRate > 0
+	cfg.Metrics = *metricsF
 	cfg.MetricsSampleEvery = *mEvery
 	cfg.JourneyRate = *jRate
 	if (*traceOut != "" || *showTr) && cfg.TraceCapacity == 0 {
@@ -157,7 +155,7 @@ func main() {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		fatal(enc.Encode(res.Summary))
+		fatal(enc.Encode(res))
 		return
 	}
 
@@ -181,12 +179,13 @@ func main() {
 		fmt.Printf("faults         %d injected, %d retransmissions, %d links died, %d port stalls\n",
 			res.FaultsInjected, res.LinkRetries, res.LinkFailures, res.PortStallHits)
 	}
-	fmt.Printf("NoC energy     %s\n", res.Energy)
+	fmt.Printf("NoC energy     %s\n", sys.Energy())
 	if *verbose {
 		fmt.Println("\nper-thread breakdown:")
-		for _, t := range res.PerThread {
+		for _, t := range sys.Threads() {
+			b := t.Breakdown
 			fmt.Printf("  thread %2d: parallel %8d  coh %8d  sleep %8d  cse %7d  cs %d  sleeps %d\n",
-				t.ID, t.Parallel, t.COH, t.Sleep, t.CSE, t.CSCompleted, t.Sleeps)
+				t.ID, b.Parallel, b.COH, b.Sleep, b.CSE, t.CSCompleted, t.SleepCount)
 		}
 	}
 	if *metricsF {
@@ -262,15 +261,16 @@ func writeArtifacts(sys *inpg.System, cfg inpg.Config, res *inpg.Results, runErr
 
 // seedSweep runs cfg under n consecutive seeds on the parallel runner and
 // prints per-seed rows plus the mean and spread — the quick way to judge
-// whether a single-seed difference is signal or noise.
+// whether a single-seed difference is signal or noise. Every seed runs: a
+// failed one prints a MISSING row, its error goes to stderr, it is left
+// out of the mean, and the command exits 1 after the table.
 func seedSweep(cfg inpg.Config, n, workers int) {
 	cfgs := make([]inpg.Config, n)
 	for i := range cfgs {
 		cfgs[i] = cfg
 		cfgs[i].Seed = cfg.Seed + int64(i)
 	}
-	results, err := runner.Run(cfgs, workers)
-	fatal(err)
+	results, errs := runner.RunResilient(cfgs, runner.Policy{Workers: workers})
 
 	fmt.Printf("mechanism      %s, lock %s, %dx%d mesh, seeds %d..%d, %d workers\n",
 		cfg.Mechanism, cfg.Lock, cfg.MeshWidth, cfg.MeshHeight,
@@ -278,22 +278,34 @@ func seedSweep(cfg inpg.Config, n, workers int) {
 	fmt.Printf("%6s %12s %8s %8s %10s\n", "seed", "runtime", "LCO%", "rtt", "earlyInv")
 	var rtSum, rtMin, rtMax uint64
 	var lcoSum float64
+	ok := 0
 	for i, res := range results {
+		if errs[i] != nil {
+			fmt.Printf("%6d MISSING(%s)\n", cfgs[i].Seed, errs[i].Cause)
+			fmt.Fprintf(os.Stderr, "inpgsim: seed %d: %v\n", cfgs[i].Seed, errs[i].Err)
+			continue
+		}
 		fmt.Printf("%6d %12d %7.1f%% %8.1f %10d\n",
 			cfgs[i].Seed, res.Runtime, res.LCOPercent, res.RTTMean, res.EarlyInvs)
 		rtSum += res.Runtime
 		lcoSum += res.LCOPercent
-		if i == 0 || res.Runtime < rtMin {
+		if ok == 0 || res.Runtime < rtMin {
 			rtMin = res.Runtime
 		}
 		if res.Runtime > rtMax {
 			rtMax = res.Runtime
 		}
+		ok++
 	}
-	mean := float64(rtSum) / float64(n)
-	fmt.Printf("mean runtime   %.0f cycles (min %d, max %d, spread %.1f%%)\n",
-		mean, rtMin, rtMax, 100*float64(rtMax-rtMin)/mean)
-	fmt.Printf("mean LCO       %.1f%%\n", lcoSum/float64(n))
+	if ok > 0 {
+		mean := float64(rtSum) / float64(ok)
+		fmt.Printf("mean runtime   %.0f cycles (min %d, max %d, spread %.1f%%)\n",
+			mean, rtMin, rtMax, 100*float64(rtMax-rtMin)/mean)
+		fmt.Printf("mean LCO       %.1f%%\n", lcoSum/float64(ok))
+	}
+	if ok < n {
+		os.Exit(1)
+	}
 }
 
 func fatal(err error) {

@@ -19,8 +19,8 @@ import (
 )
 
 // compatRun executes one configuration with full protocol tracing and
-// returns the results plus the ordered message-level event stream.
-func compatRun(t *testing.T, cfg inpg.Config, alwaysTick bool) (*inpg.Results, []trace.Event) {
+// returns the run's record plus the ordered message-level event stream.
+func compatRun(t *testing.T, cfg inpg.Config, alwaysTick bool) (inpg.RunRecord, []trace.Event) {
 	t.Helper()
 	cfg.AlwaysTick = alwaysTick
 	cfg.TraceCapacity = 1 << 19
@@ -36,7 +36,7 @@ func compatRun(t *testing.T, cfg inpg.Config, alwaysTick bool) (*inpg.Results, [
 	if tr.Len() >= 1<<19 {
 		t.Fatalf("trace overflowed its ring (%d events): enlarge TraceCapacity so delivery order is fully compared", tr.Len())
 	}
-	return res, tr.Events()
+	return inpg.Record(sys, res), tr.Events()
 }
 
 // TestActivitySchedulingMatchesAlwaysTick runs the full lock protocol —
@@ -57,9 +57,9 @@ func TestActivitySchedulingMatchesAlwaysTick(t *testing.T) {
 				active, activeEvents := compatRun(t, cfg, false)
 				compat, compatEvents := compatRun(t, cfg, true)
 
-				if active.Runtime != compat.Runtime {
+				if active.Res.Runtime != compat.Res.Runtime {
 					t.Fatalf("seed %d: runtime %d under activity scheduling, %d under always-tick",
-						seed, active.Runtime, compat.Runtime)
+						seed, active.Res.Runtime, compat.Res.Runtime)
 				}
 				if !reflect.DeepEqual(active, compat) {
 					t.Fatalf("seed %d: results diverge:\nactivity:    %+v\nalways-tick: %+v",

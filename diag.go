@@ -26,8 +26,8 @@ const DefaultWatchdogWindow = 2_000_000
 const AbortCheckInterval = 4096
 
 // ErrWallTimeBudget is the abort cause reported when a run exceeds its
-// Config.WallTimeBudget; it surfaces wrapped in a timeout-reason
-// *SimulationError.
+// Config.WallTimeBudget; it surfaces wrapped in a *sim.AbortError inside
+// the run's *SimulationError.
 var ErrWallTimeBudget = errors.New("inpg: wall-time budget exhausted")
 
 // armAbort installs the engine abort check when a wall-time budget is
@@ -112,15 +112,13 @@ func (d *Diagnostics) String() string {
 	return b.String()
 }
 
-// SimulationError is the typed failure System.Run returns: why the run
-// failed, when, and a full Diagnostics snapshot taken while the stuck state
-// was still inspectable. Unwrap exposes the underlying typed cause
+// SimulationError is the typed failure System.Run returns: when the run
+// failed, how far it got, and a full Diagnostics snapshot taken while the
+// stuck state was still inspectable. Unwrap exposes the typed cause
 // (*sim.StallError, *sim.BudgetError, *sim.AbortError or
-// *coherence.ProtocolError).
+// *coherence.ProtocolError); runner.Classify maps it to the failure
+// class sweeps and manifests report.
 type SimulationError struct {
-	// Reason is "watchdog", "cycle-budget", "protocol", "timeout" or
-	// "error".
-	Reason     string
 	Cycle      sim.Cycle
 	Unfinished int // threads that had not completed their program
 	Threads    int
@@ -131,8 +129,8 @@ type SimulationError struct {
 // Error implements error, keeping the headline one line; the full dump is
 // available via Diag.
 func (e *SimulationError) Error() string {
-	return fmt.Sprintf("inpg: %s failure at cycle %d (%d/%d threads unfinished): %v",
-		e.Reason, e.Cycle, e.Unfinished, e.Threads, e.Err)
+	return fmt.Sprintf("inpg: run failed at cycle %d (%d/%d threads unfinished): %v",
+		e.Cycle, e.Unfinished, e.Threads, e.Err)
 }
 
 // Unwrap exposes the underlying cause for errors.Is/As.
@@ -162,21 +160,6 @@ func (s *System) Diagnostics() *Diagnostics {
 // wrapError converts an engine failure into a *SimulationError with the
 // diagnosis attached.
 func (s *System) wrapError(err error) error {
-	reason := "error"
-	var stall *sim.StallError
-	var budget *sim.BudgetError
-	var proto *coherence.ProtocolError
-	var abort *sim.AbortError
-	switch {
-	case errors.As(err, &stall):
-		reason = "watchdog"
-	case errors.As(err, &budget):
-		reason = "cycle-budget"
-	case errors.As(err, &proto):
-		reason = "protocol"
-	case errors.As(err, &abort):
-		reason = "timeout"
-	}
 	unfinished := 0
 	for _, th := range s.threads {
 		if !th.Done() {
@@ -184,7 +167,6 @@ func (s *System) wrapError(err error) error {
 		}
 	}
 	return &SimulationError{
-		Reason:     reason,
 		Cycle:      s.eng.Now(),
 		Unfinished: unfinished,
 		Threads:    len(s.threads),

@@ -55,20 +55,45 @@ func TestFaultedRunsDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		cfgs = append(cfgs, faultyConfig(int64(i+1), int64(100+i)))
 	}
-	serial, err := runner.Run(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := runner.Run(cfgs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runRecords(t, cfgs, 1)
+	parallel := runRecords(t, cfgs, 8)
+	results, errs := runner.RunResilient(cfgs, runner.Policy{Workers: 8})
 	for i := range cfgs {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Fatalf("run %d: results differ between 1 and 8 workers\nserial:   %+v\nparallel: %+v",
+			t.Fatalf("run %d: records differ between 1 and 8 workers\nserial:   %+v\nparallel: %+v",
 				i, serial[i], parallel[i])
 		}
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(results[i], serial[i].Res) {
+			t.Fatalf("run %d: RunResilient on 8 workers differs from the serial run\nserial:    %+v\nresilient: %+v",
+				i, serial[i].Res, results[i])
+		}
 	}
+}
+
+// runRecords runs cfgs on at most workers goroutines and returns each
+// run's record by submission index.
+func runRecords(t *testing.T, cfgs []inpg.Config, workers int) []inpg.RunRecord {
+	t.Helper()
+	out := make([]inpg.RunRecord, len(cfgs))
+	err := runner.ForEach(len(cfgs), workers, func(i int) error {
+		sys, err := inpg.New(cfgs[i])
+		if err != nil {
+			return err
+		}
+		res, err := sys.Run()
+		if err != nil {
+			return err
+		}
+		out[i] = inpg.Record(sys, res)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // Faulted runs are also event-for-event identical between the two engine
@@ -125,8 +150,8 @@ func TestWedgedRunDiagnosedByWatchdog(t *testing.T) {
 	if !errors.As(err, &simErr) {
 		t.Fatalf("err = %v, want *inpg.SimulationError", err)
 	}
-	if simErr.Reason != "watchdog" {
-		t.Fatalf("reason = %q, want watchdog", simErr.Reason)
+	if cause := runner.Classify(err); cause != runner.CauseStall {
+		t.Fatalf("cause = %q, want %q", cause, runner.CauseStall)
 	}
 	var stall *sim.StallError
 	if !errors.As(err, &stall) {

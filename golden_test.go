@@ -15,9 +15,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden testdata files of the tests run from this build")
 
-// goldenFile pins the integer fields of Results for goldenCases. A change
-// that alters the simulation on purpose regenerates it with
-// `go test -run TestGoldenResults -update .` and says so in CHANGES.md.
+// goldenFile pins the integer fields of Results and of each thread's row
+// for goldenCases. A change that alters the simulation on purpose
+// regenerates it with `go test -run TestGoldenResults -update .` and says
+// so in CHANGES.md.
 const goldenFile = "testdata/golden_results.json"
 
 // goldenCases are small runs covering every lock kind under Original and
@@ -68,42 +69,26 @@ func goldenCases() map[string]inpg.Config {
 	return cases
 }
 
-// intFields flattens every integer field reachable from v into out, keyed
-// by its path (e.g. "PerThread[3].COH"). An embedded struct's fields keep
-// their own names ("Runtime", not "Summary.Runtime"). Floats are left
+// intFields returns every integer field of res by name. Floats are left
 // out, so platforms that fuse multiply-add agree.
-func intFields(path string, v reflect.Value, out map[string]int64) {
-	switch v.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		out[path] = v.Int()
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		out[path] = int64(v.Uint())
-	case reflect.Pointer:
-		if !v.IsNil() {
-			intFields(path, v.Elem(), out)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Type().Field(i)
-			name := f.Name
-			switch {
-			case f.Anonymous:
-				name = path
-			case path != "":
-				name = path + "." + name
-			}
-			intFields(name, v.Field(i), out)
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			intFields(fmt.Sprintf("%s[%d]", path, i), v.Index(i), out)
+func intFields(res *inpg.Results) map[string]int64 {
+	out := map[string]int64{}
+	v := reflect.ValueOf(res).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f, name := v.Field(i), v.Type().Field(i).Name; {
+		case f.CanInt():
+			out[name] = f.Int()
+		case f.CanUint():
+			out[name] = int64(f.Uint())
 		}
 	}
+	return out
 }
 
 // TestGoldenResults pins the simulation's integer outputs: every integer
-// field of Results, per-thread rows included, for each golden case. A
-// mismatch names the case and the field.
+// field of Results and each thread's row from System.Threads (keys
+// "PerThread[i].X"), for each golden case. A mismatch names the case and
+// the field.
 func TestGoldenResults(t *testing.T) {
 	got := map[string]map[string]int64{}
 	for name, cfg := range goldenCases() {
@@ -115,8 +100,17 @@ func TestGoldenResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fields := map[string]int64{}
-		intFields("", reflect.ValueOf(res), fields)
+		fields := intFields(res)
+		for i, th := range sys.Threads() {
+			b, row := th.Breakdown, fmt.Sprintf("PerThread[%d].", i)
+			fields[row+"ID"] = int64(th.ID)
+			fields[row+"Parallel"] = int64(b.Parallel)
+			fields[row+"COH"] = int64(b.COH)
+			fields[row+"Sleep"] = int64(b.Sleep)
+			fields[row+"CSE"] = int64(b.CSE)
+			fields[row+"CSCompleted"] = int64(th.CSCompleted)
+			fields[row+"Sleeps"] = int64(th.SleepCount)
+		}
 		got[name] = fields
 	}
 	if *updateGolden {

@@ -181,12 +181,13 @@ type Config struct {
 	MaxCycles uint64
 
 	// WallTimeBudget, when positive, bounds the run's host wall-clock time:
-	// Run aborts with a timeout-reason *SimulationError (Diagnostics
-	// attached) once the budget elapses, checked cooperatively every
-	// AbortCheckInterval cycles. Zero leaves wall time unbounded. The
-	// budget reads host time, so it is the one deliberately
-	// nondeterministic knob: it never fires on a run that finishes in
-	// budget, leaving on-time runs byte-identical to unbudgeted ones.
+	// Run aborts with a *SimulationError wrapping a *sim.AbortError
+	// (Diagnostics attached) once the budget elapses, checked
+	// cooperatively every AbortCheckInterval cycles. Zero leaves wall
+	// time unbounded. The budget reads host time, so it is the one
+	// deliberately nondeterministic knob: it never fires on a run that
+	// finishes in budget, leaving on-time runs byte-identical to
+	// unbudgeted ones.
 	WallTimeBudget time.Duration
 
 	// RecordTimeline captures per-thread phase transitions for the first
@@ -212,6 +213,8 @@ type Config struct {
 	// is never built and the run is byte- and allocation-identical to a
 	// metrics-free build; on, the instruments perturb nothing the
 	// simulation can observe, so figure outputs stay byte-identical too.
+	// A positive JourneyRate builds the registry too: the journey stage
+	// histograms live in it.
 	Metrics bool
 	// MetricsSampleEvery, when positive (with Metrics on), samples every
 	// registered scalar instrument into an in-run time series at this
@@ -324,8 +327,8 @@ type System struct {
 	acquiredAt  []sim.Cycle // per thread ID
 
 	// Journey tracing (nil unless Config.JourneyRate > 0): the recorder
-	// collecting finished journeys, plus — only with Metrics also on —
-	// the end-to-end and per-stage cycle histograms fed from OnFinish.
+	// collecting finished journeys, plus the end-to-end and per-stage
+	// cycle histograms fed from OnFinish.
 	journeys     *journey.Recorder
 	journeyE2E   *stats.Histogram
 	journeyStage [journey.NumStages]*stats.Histogram
@@ -338,8 +341,6 @@ type lockSet struct {
 	locks []cpu.Lock
 	held  []cpu.Lock // per thread
 }
-
-func (l *lockSet) Name() string { return l.locks[0].Name() }
 
 func (l *lockSet) Acquire(t *cpu.Thread, done func()) {
 	pick := l.locks[t.Rand().Intn(len(l.locks))]
@@ -369,6 +370,11 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Shards < 0 || cfg.Shards > 1 {
 		return nil, fmt.Errorf("inpg: Shards=%d: the sharded engine was removed; use 0 or 1", cfg.Shards)
+	}
+
+	if cfg.JourneyRate > 0 {
+		// The journey stage histograms live in the telemetry registry.
+		cfg.Metrics = true
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
@@ -561,24 +567,13 @@ func jitter(mean, j int) func(r *rand.Rand) sim.Cycle {
 	}
 }
 
-// ThreadResult is one thread's outcome.
-type ThreadResult struct {
-	ID          int
-	Parallel    uint64
-	COH         uint64 // competition overhead excluding sleep
-	Sleep       uint64
-	CSE         uint64
-	CSCompleted int
-	Sleeps      int
-}
-
-// Summary is a run's headline results, the numbers Figures 2 and 8–13
-// are read from. It is one record in three places: Results embeds it, a
-// run manifest stores it as its "summary" block, and inpgsim -json
-// prints it. The JSON keys are therefore manifest schema, and the field
-// order is the order keys were added to it, so a manifest's summary
-// bytes do not move between schema versions.
-type Summary struct {
+// Results is a run's record, the numbers Figures 2 and 8–13 are read
+// from. A run manifest stores it as its "summary" block and inpgsim -json
+// prints it, so the JSON keys are manifest schema, and the field order is
+// the order keys were added to it, so a manifest's summary bytes do not
+// move between schema versions. Per-thread rows and the energy estimate
+// are read from the System (Threads, Energy).
+type Results struct {
 	// Runtime is the ROI finish time: the cycle the last thread finished.
 	Runtime uint64 `json:"runtime_cycles"`
 	// Threads is the number of competing threads.
@@ -624,23 +619,10 @@ type Summary struct {
 
 // CSTime returns the total critical-section related time COH+Sleep+CSE,
 // the quantity Figures 8b/11/14 are built on.
-func (s *Summary) CSTime() uint64 { return s.COH + s.Sleep + s.CSE }
+func (r *Results) CSTime() uint64 { return r.COH + r.Sleep + r.CSE }
 
 // COHTotal returns competition overhead including sleep.
-func (s *Summary) COHTotal() uint64 { return s.COH + s.Sleep }
-
-// Results aggregates one run: the headline Summary, which a manifest
-// carries, plus the energy estimate and per-thread rows, which it does
-// not.
-type Results struct {
-	Summary
-
-	// Energy estimates the run's dynamic NoC energy from measured
-	// switching activity and the paper's Figure 7 power ratings.
-	Energy chipmodel.EnergyReport
-
-	PerThread []ThreadResult
-}
+func (r *Results) COHTotal() uint64 { return r.COH + r.Sleep }
 
 // Run executes the system until every thread finishes its program and
 // returns the collected results.
@@ -660,13 +642,13 @@ func (s *System) Run() (*Results, error) {
 
 // collect assembles Results from the finished run.
 func (s *System) collect() *Results {
-	r := &Results{Summary: Summary{
+	r := &Results{
 		Runtime:    uint64(s.eng.Now()),
 		Threads:    len(s.threads),
 		RTTMean:    s.rtt.Mean(),
 		RTTMax:     s.rtt.Max(),
 		RTTSamples: s.rtt.Samples(),
-	}}
+	}
 	var lockStall uint64
 	for _, th := range s.threads {
 		b := th.Breakdown
@@ -676,43 +658,44 @@ func (s *System) collect() *Results {
 		r.CSE += b.CSE
 		r.CSCompleted += th.CSCompleted
 		r.Sleeps += th.SleepCount
-		r.PerThread = append(r.PerThread, ThreadResult{
-			ID: th.ID, Parallel: b.Parallel, COH: b.COH, Sleep: b.Sleep,
-			CSE: b.CSE, CSCompleted: th.CSCompleted, Sleeps: th.SleepCount,
-		})
 		lockStall += s.fab.L1s[th.ID].Stats.LockStallCycles
 	}
 	if r.Runtime > 0 && len(s.threads) > 0 {
 		r.LCOPercent = 100 * float64(lockStall) / (float64(r.Runtime) * float64(len(s.threads)))
 	}
 	r.NetMeanLatency = s.fab.Net.MeanLatency()
-	bigNodes := make(map[noc.NodeID]bool, len(s.gens))
 	for _, g := range s.gens {
 		r.EarlyInvs += g.Stats.EarlyInvsSent
 		r.Stopped += g.Stats.GetXStopped
-		bigNodes[g.Node] = true
 	}
-	act := chipmodel.Activity{Cycles: r.Runtime, Generated: r.EarlyInvs}
 	for id := 0; id < s.fab.Homes.Nodes; id++ {
-		rt := s.fab.Net.Router(noc.NodeID(id))
-		flits := rt.Stats.FlitsSwitched
-		r.FlitsSwitched += flits
-		if bigNodes[noc.NodeID(id)] {
-			act.BigFlits += flits
-		} else {
-			act.NormalFlits += flits
-		}
-		r.LinkRetries += rt.Stats.LinkRetries
-		r.LinkFailures += rt.Stats.LinkFailures
+		st := &s.fab.Net.Router(noc.NodeID(id)).Stats
+		r.FlitsSwitched += st.FlitsSwitched
+		r.LinkRetries += st.LinkRetries
+		r.LinkFailures += st.LinkFailures
 	}
 	fst := s.fab.Net.FaultStats()
 	r.FaultsInjected = fst.FlitsDropped + fst.FlitsCorrupted + fst.PermanentHits
 	r.PortStallHits = fst.PortStallHits
-	for _, g := range s.gens {
-		act.Generated += g.Stats.AcksRelayed
-	}
-	r.Energy = chipmodel.Energy(act)
 	return r
+}
+
+// Energy estimates the run's dynamic NoC energy so far from its measured
+// switching activity — flits switched by normal and by big routers, and
+// the packets the big routers generated (early invalidations and relayed
+// acks) — and the paper's Figure 7 power ratings.
+func (s *System) Energy() chipmodel.EnergyReport {
+	act := chipmodel.Activity{Cycles: uint64(s.eng.Now())}
+	for id := 0; id < s.fab.Homes.Nodes; id++ {
+		act.NormalFlits += s.fab.Net.Router(noc.NodeID(id)).Stats.FlitsSwitched
+	}
+	for _, g := range s.gens {
+		flits := s.fab.Net.Router(g.Node).Stats.FlitsSwitched
+		act.BigFlits += flits
+		act.NormalFlits -= flits
+		act.Generated += g.Stats.EarlyInvsSent + g.Stats.AcksRelayed
+	}
+	return chipmodel.Energy(act)
 }
 
 // Engine exposes the simulation engine (advanced use, examples).

@@ -34,8 +34,6 @@ type MemPort interface {
 type Lock interface {
 	Acquire(t *Thread, done func())
 	Release(t *Thread, done func())
-	// Name returns the primitive's short name (TAS, TTL, ABQL, MCS, QSL).
-	Name() string
 }
 
 // Phase classifies what a thread is doing, for time accounting.

@@ -34,7 +34,6 @@ type fakeLock struct {
 	holds   int
 }
 
-func (l *fakeLock) Name() string { return "fake" }
 func (l *fakeLock) Acquire(t *Thread, done func()) {
 	l.eng.Schedule(l.acqWait, func() { l.holds++; done() })
 }
@@ -117,7 +116,6 @@ func TestSleepAccounting(t *testing.T) {
 
 type sleepyLock struct{ eng *sim.Engine }
 
-func (l *sleepyLock) Name() string { return "sleepy" }
 func (l *sleepyLock) Acquire(t *Thread, done func()) {
 	l.eng.Schedule(10, func() {
 		t.BeginSleep()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -157,13 +158,12 @@ func TestChaosSweepQuarantinesAndResumes(t *testing.T) {
 	}
 
 	// The reused results must match a fresh execution bit for bit: the
-	// manifest round-trips every field the figures aggregate.
+	// manifest stores the whole Results.
 	fresh, err := Run(cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results2[0].Runtime != fresh.Runtime || results2[0].LCOPercent != fresh.LCOPercent ||
-		results2[0].CSCompleted != fresh.CSCompleted {
+	if !reflect.DeepEqual(results2[0], fresh) {
 		t.Fatalf("manifest-reconstructed results diverge:\n%+v\nvs fresh\n%+v", results2[0], fresh)
 	}
 }

@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,9 +66,10 @@ type Options struct {
 	Metrics bool
 	// JourneyRate samples this fraction of critical-section acquisitions
 	// into causal lock-journey records (internal/journey). A nonzero rate
-	// implies Metrics (the per-stage histograms live in the registry);
-	// sampling never perturbs simulation results, so figures other than
-	// the latency breakdown are byte-identical at any rate.
+	// builds each run's telemetry registry (inpg.New puts the per-stage
+	// histograms in it); sampling never perturbs simulation results, so
+	// figures other than the latency breakdown are byte-identical at any
+	// rate.
 	JourneyRate float64
 	// ManifestDir, when set, writes one JSON run manifest per simulation
 	// (internal/manifest) into this directory, named after the sweep and
@@ -102,9 +104,10 @@ type Options struct {
 	ChaosDeadlineCells []int
 	// Campaign, when set, dispatches every sweep through a distributed
 	// campaign runner — the fleet coordinator — instead of the local
-	// worker pool. The runner receives the same Policy a local sweep
-	// would (Skip/PreRun/Observer, so resume, manifests and the caller's
-	// Observer work unchanged); Workers applies only to local execution.
+	// worker pool. The runner receives the same configurations and Policy
+	// a local sweep would (Skip/Observer, so resume, manifests and the
+	// caller's Observer work unchanged); Workers applies only to local
+	// execution.
 	Campaign CampaignRunner
 }
 
@@ -194,10 +197,6 @@ func ConfigFor(p workload.Profile, mech inpg.Mechanism, lk inpg.LockKind, o Opti
 	cfg.WatchdogWindow = o.WatchdogWindow
 	cfg.Metrics = o.Metrics
 	cfg.JourneyRate = o.JourneyRate
-	if cfg.JourneyRate > 0 {
-		// Journey stage histograms live in the telemetry registry.
-		cfg.Metrics = true
-	}
 	if o.FaultRate > 0 {
 		cfg.Fault = fault.AtRate(o.FaultRate, o.faultSeed())
 	}
@@ -240,7 +239,7 @@ func Run(cfg inpg.Config) (*inpg.Results, error) {
 // full configuration list up front, submit it here, and aggregate from
 // the ordered results, so their figures are identical for any worker
 // count; on fault-free sweeps the Missing list is empty and results match
-// the fail-fast path bit for bit. sweep names the batch in run manifests,
+// in-place runs bit for bit. sweep names the batch in run manifests,
 // resume scans and MISSING lines. The error return is reserved for
 // infrastructure failures (an unreadable resume directory,
 // a manifest directory that cannot be created, chaos the campaign runner
@@ -251,11 +250,21 @@ func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Mis
 		// fleet worker: the cells would silently run clean.
 		return nil, nil, fmt.Errorf("%s: chaos panic cells need the local worker pool: the panic hook cannot reach fleet workers", sweep)
 	}
+	if len(o.ChaosDeadlineCells) > 0 {
+		// The unmeetable budget is part of the cell's configuration, so
+		// its digest, outcomes and manifest record it, and resume never
+		// mistakes it for the clean cell.
+		cfgs = slices.Clone(cfgs)
+		for _, i := range o.ChaosDeadlineCells {
+			if i >= 0 && i < len(cfgs) {
+				cfgs[i].WallTimeBudget = chaosDeadline
+			}
+		}
+	}
 	p := runner.Policy{
 		Workers:    o.Workers,
 		RunTimeout: o.RunTimeout,
 		Observer:   o.observer(sweep),
-		PreRun:     o.chaosPreRun(),
 		PreAttempt: o.chaosPreAttempt(),
 	}
 	var prefill []*inpg.Results
@@ -306,21 +315,6 @@ func runAll(o Options, sweep string, cfgs []inpg.Config) ([]*inpg.Results, []Mis
 		}
 	}
 	return results, missingCells(sweep, errs), nil
-}
-
-// chaosPreRun maps ChaosDeadlineCells onto a Policy.PreRun that imposes
-// an unmeetable wall-time budget on the named cells; nil when unused.
-func (o Options) chaosPreRun() func(int, inpg.Config) inpg.Config {
-	if len(o.ChaosDeadlineCells) == 0 {
-		return nil
-	}
-	cells := intSet(o.ChaosDeadlineCells)
-	return func(i int, cfg inpg.Config) inpg.Config {
-		if cells[i] {
-			cfg.WallTimeBudget = chaosDeadline
-		}
-		return cfg
-	}
 }
 
 // chaosPreAttempt maps ChaosPanicCells onto a Policy.PreAttempt that

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -22,8 +21,8 @@ type ResilienceCase struct {
 	Faults      uint64 // flit transmissions dropped or corrupted
 	Retries     uint64 // retransmission attempts that recovered them
 	Failures    uint64 // links declared dead (bounded retries exhausted)
-	// Reason is empty for a completed run, otherwise the structured
-	// failure reason from *inpg.SimulationError ("watchdog", ...).
+	// Reason is empty for a completed run, otherwise the failed cell's
+	// cause (runner.Classify: "stall", "timeout", ...).
 	Reason string
 }
 
@@ -81,12 +80,7 @@ func Resilience(o Options) (*ResilienceResult, error) {
 		return nil, err
 	}
 	for _, m := range missing {
-		var simErr *inpg.SimulationError
-		if errors.As(m.Err, &simErr) {
-			cases[m.Index].Reason = simErr.Reason
-		} else {
-			cases[m.Index].Reason = string(m.Cause)
-		}
+		cases[m.Index].Reason = string(m.Cause)
 	}
 	for i := range cases {
 		c := &cases[i]
@@ -108,7 +102,7 @@ func Resilience(o Options) (*ResilienceResult, error) {
 }
 
 // Render prints the resilience table: one row per mechanism, one column
-// per fault rate, cells showing CS/kcycle (or the failure reason).
+// per fault rate, cells showing CS/kcycle (or the failed cell's cause).
 func (r *ResilienceResult) Render() string {
 	var b strings.Builder
 	header(&b, fmt.Sprintf("Resilience: %s CS throughput vs transient fault rate (%d threads)",

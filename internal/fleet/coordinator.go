@@ -207,12 +207,11 @@ func (c *Coordinator) Shutdown() {
 // to prefill), errs[i] is a failed cell's typed failure. Policy
 // semantics carried over: Skip elides cells (one StatusSkipped outcome
 // each), which is how -resume restarts a killed coordinator's sweep,
-// PreRun maps stored configurations before dispatch, RunTimeout ships to
-// workers with each lease, and Observer sees claim and completion
-// outcomes exactly as local sweeps do — which is how manifest emission
-// works unchanged. PreAttempt cannot cross the wire and is ignored here;
-// experiments.runAll refuses a sweep that sets it, and worker-side chaos
-// uses the worker's own chaos flags.
+// RunTimeout ships to workers with each lease, and Observer sees claim
+// and completion outcomes exactly as local sweeps do — which is how
+// manifest emission works unchanged. PreAttempt cannot cross the wire
+// and is ignored here; experiments.runAll refuses a sweep that sets it,
+// and worker-side chaos uses the worker's own chaos flags.
 //
 // Each cell is settled by the first report whose digest matches it, OK
 // or failed: a failed cell is not dispatched again, as a failed local
@@ -230,9 +229,6 @@ func (c *Coordinator) RunCampaign(sweep string, cfgs []inpg.Config, p runner.Pol
 	}
 	var settled []runner.Outcome
 	for i, cfg := range cfgs {
-		if p.PreRun != nil {
-			cfg = p.PreRun(i, cfg)
-		}
 		cl := &cell{index: i, cfg: cfg, digest: cfg.Digest()}
 		if p.Skip != nil && p.Skip(i) {
 			cl.state = cellDone

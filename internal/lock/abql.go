@@ -38,9 +38,6 @@ func newABQL(alloc *AddrAlloc, home noc.NodeID, cfg Config) *abql {
 	return l
 }
 
-// Name implements cpu.Lock.
-func (l *abql) Name() string { return "ABQL" }
-
 // Acquire implements cpu.Lock.
 func (l *abql) Acquire(t *cpu.Thread, done func()) {
 	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)

@@ -45,9 +45,6 @@ func newCLH(alloc *AddrAlloc, home noc.NodeID, cfg Config) *clh {
 	return l
 }
 
-// Name implements cpu.Lock.
-func (l *clh) Name() string { return "CLH" }
-
 // encode packs a thread's current node into the tail word.
 func (l *clh) encode(id int) uint64 { return uint64(id+1)<<1 | uint64(l.cur[id]) }
 

@@ -21,6 +21,7 @@ type rig struct {
 	fab     *coherence.Fabric
 	alloc   *AddrAlloc
 	threads []*cpu.Thread
+	kind    Kind
 	me      *meChecker
 }
 
@@ -33,8 +34,6 @@ type meChecker struct {
 	order  []int
 	grants int
 }
-
-func (m *meChecker) Name() string { return m.inner.Name() }
 
 func (m *meChecker) Acquire(t *cpu.Thread, done func()) {
 	m.inner.Acquire(t, func() {
@@ -81,7 +80,7 @@ func newRig(t *testing.T, kind Kind, threads, csEach int, ocor bool) *rig {
 		t.Fatal(err)
 	}
 	me := &meChecker{inner: inner, t: t, holder: -1}
-	r := &rig{t: t, eng: eng, fab: fab, alloc: alloc, me: me}
+	r := &rig{t: t, eng: eng, fab: fab, alloc: alloc, kind: kind, me: me}
 	prog := cpu.Program{
 		CSCount:        csEach,
 		CSCycles:       func(rng *rand.Rand) sim.Cycle { return sim.Cycle(20 + rng.Intn(20)) },
@@ -116,7 +115,7 @@ func (r *rig) run(budget sim.Cycle) {
 				r.t.Logf("thread %d stuck in %v (cs %d/%d)", th.ID, th.Phase(), th.CSCompleted, 0)
 			}
 		}
-		r.t.Fatalf("lock %s did not complete: %v", r.me.Name(), err)
+		r.t.Fatalf("lock %s did not complete: %v", r.kind, err)
 	}
 }
 

@@ -43,9 +43,6 @@ func newMCS(alloc *AddrAlloc, home noc.NodeID, cfg Config) *mcs {
 	return l
 }
 
-// Name implements cpu.Lock.
-func (l *mcs) Name() string { return "MCS" }
-
 // Acquire implements cpu.Lock.
 func (l *mcs) Acquire(t *cpu.Thread, done func()) {
 	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)

@@ -77,9 +77,6 @@ func newQSL(alloc *AddrAlloc, home noc.NodeID, cfg Config) *qsl {
 	}
 }
 
-// Name implements cpu.Lock.
-func (l *qsl) Name() string { return "QSL" }
-
 // Acquire implements cpu.Lock.
 func (l *qsl) Acquire(t *cpu.Thread, done func()) {
 	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)

@@ -31,9 +31,6 @@ func newTAS(alloc *AddrAlloc, home noc.NodeID, cfg Config) *tas {
 	return &tas{addr: alloc.BlockAt(home), cfg: cfg}
 }
 
-// Name implements cpu.Lock.
-func (l *tas) Name() string { return "TAS" }
-
 // Acquire implements cpu.Lock, executing exactly the paper's Algorithm 1:
 // spin on a locally cached copy of the lock word (LD + BNEZ) and race an
 // atomic SWAP to the home whenever it reads available. Every release

@@ -47,9 +47,6 @@ func newTicket(alloc *AddrAlloc, home noc.NodeID, cfg Config) *ticket {
 	}
 }
 
-// Name implements cpu.Lock.
-func (l *ticket) Name() string { return "TTL" }
-
 // Acquire implements cpu.Lock.
 func (l *ticket) Acquire(t *cpu.Thread, done func()) {
 	w := waiter(&l.waiters, t, l.cfg.Threads, l.bind)

@@ -1,10 +1,10 @@
 // Package manifest emits one machine-readable JSON artifact per
 // experiment run: the configuration that produced it, the mechanism and
-// lock under test, the headline results (inpg.Summary), the final
-// telemetry counter snapshot, and the wall time it took — the record
-// that makes a figure auditable after the fact (which run produced this
-// bar, under which seed, with which counters). Manifests are written
-// next to figure outputs by internal/experiments and cmd/inpgsim.
+// lock under test, the run's inpg.Results, the final telemetry counter
+// snapshot, and the wall time it took — the record that makes a figure
+// auditable after the fact (which run produced this bar, under which
+// seed, with which counters). Manifests are written next to figure
+// outputs by internal/experiments and cmd/inpgsim.
 package manifest
 
 import (
@@ -25,7 +25,7 @@ import (
 // diagnostics summary (failed records written before sweeps ran each cell
 // once also carry an "attempt" number, which readers ignore). v3 added
 // the network switching-activity summary field. v4 added a stored
-// lock-journey summary block. v5 stores the summary as inpg.Summary and
+// lock-journey summary block. v5 stores the summary as inpg.Results and
 // drops two copies: the engine block (its final cycle is the summary's
 // runtime) and the journey block (JourneyFromSnapshot derives it from
 // the metrics snapshot). Readers ignore both blocks in v3 and v4
@@ -88,13 +88,13 @@ type Manifest struct {
 
 	// Status is StatusOK or StatusFailed. Failed manifests carry the
 	// error text, its cause class (runner.Cause) and — when the failure
-	// yielded a diagnosis — a compact DiagSummary. Summary is zero when
-	// the run failed before producing results.
+	// yielded a diagnosis — a compact DiagSummary. Summary is the run's
+	// Results, zero when the run failed before producing results.
 	Status  string       `json:"status"`
 	Error   string       `json:"error,omitempty"`
 	Cause   string       `json:"cause,omitempty"`
 	Diag    *DiagSummary `json:"diag,omitempty"`
-	Summary inpg.Summary `json:"summary"`
+	Summary inpg.Results `json:"summary"`
 
 	// Metrics is the final counter snapshot (empty when the run was not
 	// metered). A journey-traced run's journey.* instruments are in it;
@@ -185,20 +185,20 @@ func Build(sweep string, index int, cfg inpg.Config, res *inpg.Results, snap *me
 		}
 	}
 	if res != nil {
-		m.Summary = res.Summary
+		m.Summary = *res
 	}
 	return m
 }
 
-// ToResults reconstructs an inpg.Results from the manifest's summary, the
-// inverse of Build for every field the figure drivers consume. PerThread
-// and Energy are not carried by manifests and stay zero; resume callers
-// aggregate only summary-level quantities. Returns nil for failed runs.
+// ToResults returns a copy of the stored Results, the exact inverse of
+// Build: a resumed cell's Results equal the run's. Returns nil for
+// failed runs.
 func (m *Manifest) ToResults() *inpg.Results {
 	if m.Status != StatusOK {
 		return nil
 	}
-	return &inpg.Results{Summary: m.Summary}
+	res := m.Summary
+	return &res
 }
 
 // Validate checks the manifest against the schema: the small Go checker

@@ -76,6 +76,55 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestToResultsReturnsTheRunsResults: the manifest stores the run's
+// Results whole, so a resumed cell's Results equal a fresh run's, both
+// from the built manifest and after a write and read.
+func TestToResultsReturnsTheRunsResults(t *testing.T) {
+	cfg, sys, res := smallRun(t)
+	m := Build("fig2", 0, cfg, res, sys.MetricsSnapshot(), 0.25, nil)
+	if got := m.ToResults(); !reflect.DeepEqual(got, res) {
+		t.Fatalf("ToResults = %+v, want the run's %+v", got, res)
+	}
+	path, err := m.WriteFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read.ToResults(); !reflect.DeepEqual(got, res) {
+		t.Fatalf("ToResults after a write and read = %+v, want the run's %+v", got, res)
+	}
+}
+
+// TestJourneyRateAloneWritesJourneys: a library caller that samples
+// journeys without turning metrics on still gets them in its manifest,
+// one per critical section at rate 1.
+func TestJourneyRateAloneWritesJourneys(t *testing.T) {
+	cfg := inpg.DefaultConfig()
+	cfg.MeshWidth, cfg.MeshHeight = 4, 4
+	cfg.Lock = inpg.LockTAS
+	cfg.CSPerThread = 2
+	cfg.JourneyRate = 1
+	sys, err := inpg.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Build("single", 0, cfg, res, sys.MetricsSnapshot(), 0.1, nil)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	js := JourneyFromSnapshot(m.Metrics)
+	if js == nil || js.Completed != uint64(res.CSCompleted) {
+		t.Fatalf("manifest journeys = %+v, want %d completed", js, res.CSCompleted)
+	}
+}
+
 func TestManifestFailedRun(t *testing.T) {
 	cfg := inpg.DefaultConfig()
 	m := Build("res", 0, cfg, nil, nil, 0.1, os.ErrDeadlineExceeded)
@@ -130,8 +179,7 @@ func TestManifestFailedRunWithAttemptStillReads(t *testing.T) {
 }
 
 // TestReadsV4Manifest: a metered, journey-traced v4 manifest (a
-// -fig lat -quick cell, written before the summary became inpg.Summary)
-// still reads and validates. ToResults returns its stored summary, the
+// -fig lat -quick cell the v4 writer left) still reads and validates. ToResults returns its stored summary, the
 // journey summary derived from its metrics equals the journey block it
 // stored, and Validate audits those derived journeys.
 func TestReadsV4Manifest(t *testing.T) {
@@ -158,13 +206,13 @@ func TestReadsV4Manifest(t *testing.T) {
 
 	res := m.ToResults()
 	if res.Runtime != 42117 || res.EarlyInvs != 680 || res.CSCompleted != 128 || res.CSTime() != 1262103 {
-		t.Fatalf("ToResults = %+v", res.Summary)
+		t.Fatalf("ToResults = %+v", res)
 	}
 	var want bytes.Buffer
 	if err := json.Compact(&want, stored.Summary); err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.Marshal(res.Summary)
+	got, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ type Policy struct {
 	Workers int
 	// RunTimeout, when positive, is each run's wall-clock deadline: the
 	// run executes with a WallTimeBudget of at most RunTimeout, so an
-	// overrunning run fails with a timeout-reason *SimulationError
+	// overrunning run fails with CauseTimeout and a *SimulationError
 	// carrying full Diagnostics.
 	RunTimeout time.Duration
 	// Observer, when non-nil, sees every run's claim and completion
@@ -26,10 +26,6 @@ type Policy struct {
 	// (resume mode): a single StatusSkipped Done outcome is emitted and
 	// the result slot stays nil for the caller to prefill.
 	Skip func(i int) bool
-	// PreRun, when non-nil, maps the stored configuration to the one
-	// actually executed (chaos injection, per-cell overrides). Digest and
-	// observer outcomes use the mapped configuration.
-	PreRun func(i int, cfg inpg.Config) inpg.Config
 	// PreAttempt, when non-nil, runs at the start of every run inside
 	// the panic-isolation boundary — the chaos-injection hook: it may
 	// panic to exercise a crashing cell through the failure path.
@@ -85,17 +81,15 @@ func RunOne(cfg inpg.Config, timeout time.Duration) (*inpg.Results, *metrics.Sna
 // the cell succeeded (or was skipped and prefilled by the caller),
 // errs[i] is a failed cell's typed failure.
 //
-// On a fault-free sweep RunResilient produces results identical to Run:
-// deadlines never fire, and the simulations themselves are untouched
+// On a fault-free sweep RunResilient produces the results of running
+// each configuration in place with inpg.New and System.Run: deadlines
+// never fire, and the simulations themselves are untouched
 // single-threaded deterministic runs.
 func RunResilient(cfgs []inpg.Config, p Policy) ([]*inpg.Results, []*RunError) {
 	results := make([]*inpg.Results, len(cfgs))
 	finalErrs := make([]*RunError, len(cfgs))
 	loopErrs := forEachWorker(len(cfgs), p.Workers, true, func(i int) error {
 		cfg := cfgs[i]
-		if p.PreRun != nil {
-			cfg = p.PreRun(i, cfg)
-		}
 		if p.Skip != nil && p.Skip(i) {
 			if p.Observer != nil {
 				p.Observer(Outcome{Index: i, Done: true, Status: StatusSkipped, Cfg: cfg})

@@ -142,15 +142,21 @@ func TestRunResilientSkip(t *testing.T) {
 
 // TestRunResilientMatchesRunOnCleanSweep pins the fault-free guarantee:
 // with no failures, the resilient path produces results bit-identical to
-// the fail-fast runner at any worker count.
+// running each configuration in place, at any worker count.
 func TestRunResilientMatchesRunOnCleanSweep(t *testing.T) {
 	var cfgs []inpg.Config
+	var ref []*inpg.Results
 	for i := 0; i < 4; i++ {
-		cfgs = append(cfgs, tinyConfig(3, int64(i+1)))
-	}
-	ref, err := Run(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
+		cfg := tinyConfig(3, int64(i+1))
+		sys, err := inpg.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs, ref = append(cfgs, cfg), append(ref, res)
 	}
 	for _, workers := range []int{1, 4} {
 		results, errs := RunResilient(cfgs, Policy{Workers: workers})
@@ -159,7 +165,7 @@ func TestRunResilientMatchesRunOnCleanSweep(t *testing.T) {
 				t.Fatalf("workers=%d: clean run %d failed: %v", workers, i, errs[i])
 			}
 			if !reflect.DeepEqual(results[i], ref[i]) {
-				t.Fatalf("workers=%d: run %d differs from fail-fast runner:\n%+v\nvs\n%+v",
+				t.Fatalf("workers=%d: run %d differs from the in-place run:\n%+v\nvs\n%+v",
 					workers, i, results[i], ref[i])
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"inpg"
 	"inpg/internal/coherence"
 	"inpg/internal/sim"
 )
@@ -37,9 +36,10 @@ const (
 	CauseError Cause = "error"
 )
 
-// Classify maps a run failure to its Cause class. Panics are classified at
-// the recovery site (they never surface as plain errors), so this covers
-// the error-shaped causes.
+// Classify maps a run failure to its Cause class: the one classification
+// of a failed run, which sweeps, manifests and the fleet all report.
+// Panics are classified at the recovery site (they never surface as
+// plain errors), so this covers the error-shaped causes.
 func Classify(err error) Cause {
 	if err == nil {
 		return ""
@@ -48,21 +48,8 @@ func Classify(err error) Cause {
 	if errors.As(err, &runErr) {
 		return runErr.Cause
 	}
-	var simErr *inpg.SimulationError
-	if errors.As(err, &simErr) {
-		switch simErr.Reason {
-		case "watchdog":
-			return CauseStall
-		case "protocol":
-			return CauseProtocol
-		case "timeout":
-			return CauseTimeout
-		case "cycle-budget":
-			return CauseBudget
-		}
-		return CauseError
-	}
-	// Bare engine/protocol errors (callers that bypass System.Run).
+	// The typed engine and protocol causes, reached through
+	// *inpg.SimulationError's Unwrap when System.Run returned them.
 	var stall *sim.StallError
 	var abort *sim.AbortError
 	var budget *sim.BudgetError

@@ -8,15 +8,15 @@
 // configuration. The runner bounds concurrency (default GOMAXPROCS) and
 // returns results in submission order for deterministic aggregation.
 //
-// Two failure disciplines are offered. The fail-fast modes (ForEach,
-// Run) abandon unstarted runs once any run fails and propagate the
-// lowest-index error. The keep-going mode (RunResilient) runs every cell
-// exactly once and isolates every failure — including panics, which are
-// recovered and converted to typed *RunError values with their stacks —
-// reports every run to an Observer, and returns a complete per-index
-// outcome vector, so one bad cell cannot take down a thousand-run sweep.
-// A failed cell is not retried: the simulations are deterministic, so it
-// would fail again; a -resume pass re-runs it once the cause is fixed.
+// Two failure disciplines are offered. The fail-fast ForEach abandons
+// unstarted calls once any call fails and propagates the lowest-index
+// error. The keep-going RunResilient runs every cell exactly once and
+// isolates every failure — including panics, which are recovered and
+// converted to typed *RunError values with their stacks — reports every
+// run to an Observer, and returns a complete per-index outcome vector,
+// so one bad cell cannot take down a thousand-run sweep. A failed cell
+// is not retried: the simulations are deterministic, so it would fail
+// again; a -resume pass re-runs it once the cause is fixed.
 package runner
 
 import (
@@ -159,28 +159,3 @@ type Outcome struct {
 // The simulations themselves never see the observer: there are no locks
 // or channels on any sim hot path.
 type Observer func(Outcome)
-
-// Run executes every configuration, each complete simulation on its own
-// goroutine with at most workers concurrent (Workers semantics), and
-// returns the results in submission order. On failure the remaining
-// unstarted runs are abandoned and the lowest-index error is returned.
-func Run(cfgs []inpg.Config, workers int) ([]*inpg.Results, error) {
-	results := make([]*inpg.Results, len(cfgs))
-	errs := forEachWorker(len(cfgs), workers, false, func(i int) error {
-		sys, err := inpg.New(cfgs[i])
-		if err != nil {
-			return &RunError{Index: i, Cause: CauseConfig, Err: err}
-		}
-		results[i], err = sys.Run()
-		return err
-	})
-	for i, err := range errs {
-		if err != nil {
-			if err.Digest == "" {
-				err.Digest = cfgs[i].Digest()
-			}
-			return nil, err
-		}
-	}
-	return results, nil
-}

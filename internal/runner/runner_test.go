@@ -3,7 +3,6 @@ package runner
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -35,12 +34,12 @@ func TestRunSubmissionOrder(t *testing.T) {
 	cfgs := []inpg.Config{
 		tinyConfig(2, 1), tinyConfig(3, 2), tinyConfig(4, 3), tinyConfig(2, 4),
 	}
-	res, err := Run(cfgs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, errs := RunResilient(cfgs, Policy{Workers: 4})
 	want := []int{2, 3, 4, 2}
 	for i, r := range res {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
 		if r == nil || r.Threads != want[i] {
 			t.Fatalf("result %d has %v threads, want %d: results out of submission order", i, r, want[i])
 		}
@@ -52,28 +51,16 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		cfgs = append(cfgs, tinyConfig(4, int64(i+1)))
 	}
-	serial, err := Run(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(cfgs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, errs := RunResilient(cfgs, Policy{Workers: 1})
+	parallel, perrs := RunResilient(cfgs, Policy{Workers: 8})
 	for i := range serial {
+		if errs[i] != nil || perrs[i] != nil {
+			t.Fatalf("run %d failed: %v / %v", i, errs[i], perrs[i])
+		}
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("run %d differs between workers=1 and workers=8:\n%+v\nvs\n%+v",
 				i, serial[i], parallel[i])
 		}
-	}
-}
-
-func TestRunPropagatesLowestIndexError(t *testing.T) {
-	bad := tinyConfig(2, 1)
-	bad.CSPerThread = 0 // rejected by inpg.New
-	cfgs := []inpg.Config{tinyConfig(2, 1), tinyConfig(2, 2), bad, tinyConfig(2, 3)}
-	if _, err := Run(cfgs, 2); err == nil || !strings.Contains(err.Error(), "run 2") {
-		t.Fatalf("error = %v, want wrapped failure of run 2", err)
 	}
 }
 

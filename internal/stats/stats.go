@@ -88,7 +88,8 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Max() uint64 { return h.max }
 
 // Percentile returns the smallest bin upper edge below which at least
-// fraction p (0 < p ≤ 1) of the samples fall. With no samples it returns 0.
+// fraction p (0 < p ≤ 1) of the samples fall, or Max when that is
+// smaller: no sample lies above it. With no samples it returns 0.
 //
 // The rank is the ceiling of p*count: p=0.99 over 150 samples targets the
 // 149th ordered sample, not the 148th a truncating conversion would pick.
@@ -107,7 +108,7 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	for i, c := range h.bins {
 		cum += c
 		if cum >= target {
-			return uint64(i+1)*h.BinWidth - 1
+			return min(uint64(i+1)*h.BinWidth-1, h.max)
 		}
 	}
 	// The rank lands in the overflow bin (or numeric slack left the

@@ -235,6 +235,20 @@ func TestHistogramPercentileExactRank(t *testing.T) {
 	}
 }
 
+// A percentile never reads above the largest sample, though the bin
+// holding the rank extends past it.
+func TestHistogramPercentileAtMostMax(t *testing.T) {
+	h := NewHistogram(16)
+	h.Add(1)
+	if p := h.Percentile(0.5); p != 1 {
+		t.Fatalf("p50 of {1} in 16-cycle bins = %d, want 1", p)
+	}
+	h.Add(40)
+	if p := h.Percentile(0.99); p != 40 {
+		t.Fatalf("p99 of {1,40} in 16-cycle bins = %d, want 40", p)
+	}
+}
+
 func TestHistogramPercentiles(t *testing.T) {
 	h := NewHistogram(1)
 	for v := uint64(1); v <= 100; v++ {

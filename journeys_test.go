@@ -72,8 +72,8 @@ func TestJourneySamplingInvisible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(resPlain, resTraced) {
-					t.Fatalf("sampling perturbed results:\nplain:  %+v\ntraced: %+v", resPlain, resTraced)
+				if a, b := Record(plain, resPlain), Record(traced, resTraced); !reflect.DeepEqual(a, b) {
+					t.Fatalf("sampling perturbed results:\nplain:  %+v\ntraced: %+v", a, b)
 				}
 
 				// The sampled snapshot must be the plain one plus
@@ -175,7 +175,7 @@ func TestJourneyPartialSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resA, resB) {
+	if !reflect.DeepEqual(Record(a, resA), Record(b, resB)) {
 		t.Fatal("repeated partial-rate runs diverged")
 	}
 	ra, rb := a.Journeys(), b.Journeys()

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"inpg/internal/chipmodel"
 	"inpg/internal/fault"
 )
 
@@ -261,17 +262,30 @@ func TestTraceCapturesLockProtocol(t *testing.T) {
 }
 
 func TestEnergyAccounting(t *testing.T) {
+	energy := func(cfg Config) chipmodel.EnergyReport {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Fabric().CheckInvariants(nil); err != nil {
+			t.Fatal(err)
+		}
+		return sys.Energy()
+	}
 	cfg := contended()
-	orig := mustRun(t, cfg)
-	if orig.Energy.TotalPJ <= 0 || orig.Energy.AvgRouterPowerMW <= 0 {
-		t.Fatalf("no energy accounted: %+v", orig.Energy)
+	orig := energy(cfg)
+	if orig.TotalPJ <= 0 || orig.AvgRouterPowerMW <= 0 {
+		t.Fatalf("no energy accounted: %+v", orig)
 	}
 	cfg.Mechanism = INPG
-	with := mustRun(t, cfg)
-	if with.Energy.GenerationPJ <= 0 {
+	with := energy(cfg)
+	if with.GenerationPJ <= 0 {
 		t.Fatal("iNPG run must account packet-generation energy")
 	}
-	if orig.Energy.GenerationPJ != 0 {
+	if orig.GenerationPJ != 0 {
 		t.Fatal("Original run must not account generation energy")
 	}
 }
@@ -329,7 +343,7 @@ func TestQSLCompletesEachAcquireOnce(t *testing.T) {
 					t.Errorf("%v seed %d fault rate %g: %v", mech, seed, rate, err)
 					continue
 				}
-				for _, th := range res.PerThread {
+				for _, th := range sys.Threads() {
 					if th.CSCompleted != cfg.CSPerThread {
 						t.Errorf("%v seed %d fault rate %g: thread %d completed %d critical sections, want %d",
 							mech, seed, rate, th.ID, th.CSCompleted, cfg.CSPerThread)

@@ -31,17 +31,15 @@ func (s *System) lockObserver(threads int) func(cpu.Lock) cpu.Lock {
 	}
 	if cfg.JourneyRate > 0 {
 		s.journeys = journey.NewRecorder(0)
-		if cfg.Metrics {
-			s.journeyE2E = stats.NewHistogram(16)
-			for i := range s.journeyStage {
-				s.journeyStage[i] = stats.NewHistogram(16)
-			}
-			e2e, stages := s.journeyE2E, s.journeyStage
-			s.journeys.OnFinish = func(r *journey.Record) {
-				e2e.Add(r.E2E())
-				for st, v := range r.Stages {
-					stages[st].Add(v)
-				}
+		s.journeyE2E = stats.NewHistogram(16)
+		for i := range s.journeyStage {
+			s.journeyStage[i] = stats.NewHistogram(16)
+		}
+		e2e, stages := s.journeyE2E, s.journeyStage
+		s.journeys.OnFinish = func(r *journey.Record) {
+			e2e.Add(r.E2E())
+			for st, v := range r.Stages {
+				stages[st].Add(v)
 			}
 		}
 	}
@@ -77,8 +75,6 @@ type observedLock struct {
 	lastRelease sim.Cycle
 	released    bool // lastRelease awaits the lock's next acquire
 }
-
-func (l *observedLock) Name() string { return l.inner.Name() }
 
 func (l *observedLock) Acquire(t *cpu.Thread, done func()) {
 	s := l.s
@@ -134,7 +130,7 @@ func (l *observedLock) Release(t *cpu.Thread, done func()) {
 // subsystem's instruments: reader closures over the plain Stats structs
 // the components already maintain, so nothing on the simulation hot path
 // changes — disabled metrics cost literally nothing, enabled metrics cost
-// only snapshot/sample-time reads. Totals the run's Summary carries (flits
+// only snapshot/sample-time reads. Totals the run's Results carry (flits
 // switched, link retries and failures, port stalls, early invalidations,
 // stopped GetX, critical sections, sleeps) are not registered again: a
 // metered manifest keeps each once, in its summary.
